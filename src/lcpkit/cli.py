@@ -134,30 +134,45 @@ def _load_problem(args, need_sigma=True):
         else:
             sigma = [0.0] * a.n
         return LcpProblem(a=a, sigma=sigma)
-    if args.family in ("example1", "example2"):
-        if args.m is None:
-            raise UsageError("--m is required for generated families")
-        return BenchSpec(args.family, args.m, args.delta).build()
+    if args.family is None:
+        raise UsageError("provide --family or --matrix (with --sigma)")
+    return _generated_problem(args)
+
+
+def _generated_problem(args):
     if args.family == "random":
         if args.m is None:
             raise UsageError("--m (the dimension) is required for the random family")
         return gen_random_hplus(args.m, args.seed)
-    raise UsageError("provide --family or --matrix (with --sigma)")
+    if args.m is None:
+        raise UsageError("--m is required for generated families")
+    return BenchSpec(args.family, args.m, args.delta).build()
 
 
-def _splitting_kind(args):
-    method = args.method
+def _splitting_kind(method, alpha, beta):
     if method == "npj":
         return SplittingKind.npj()
     if method == "npgs":
         return SplittingKind.npgs()
     if method == "npsor":
-        if args.alpha is None:
+        if alpha is None:
             raise UsageError("npsor requires --alpha")
-        return SplittingKind.npsor(args.alpha)
-    if args.alpha is None or args.beta is None:
+        return SplittingKind.npsor(alpha)
+    if alpha is None or beta is None:
         raise UsageError("npaor requires --alpha and --beta")
-    return SplittingKind.npaor(args.alpha, args.beta)
+    return SplittingKind.npaor(alpha, beta)
+
+
+def _solve(problem, method, alpha, beta, cfg, gamma=1.0, omega_scale=None):
+    """Run one named method; modulus variants take gamma and omega_scale."""
+    if method in MODULUS_METHODS:
+        if method == "msor" and alpha is None:
+            raise UsageError("msor requires --alpha")
+        mcfg = ModulusConfig(variant=method, alpha=1.0 if alpha is None else alpha,
+                             omega_scale=omega_scale, gamma=gamma)
+        return modulus_solve(problem, cfg, mcfg)
+    splitting = make_splitting(problem.a, _splitting_kind(method, alpha, beta))
+    return projected_solve(problem, splitting, cfg)
 
 
 def _initial_vector(args):
@@ -208,16 +223,8 @@ def cmd_solve(args):
     problem = _load_problem(args)
     cfg = SolverConfig(tol=args.tol, max_iters=args.max_iters,
                        initial=_initial_vector(args))
-    if args.method in MODULUS_METHODS:
-        if args.method == "msor" and args.alpha is None:
-            raise UsageError("msor requires --alpha")
-        mcfg = ModulusConfig(variant=args.method,
-                             alpha=args.alpha if args.alpha is not None else 1.0,
-                             omega_scale=args.omega_scale, gamma=args.gamma)
-        report = modulus_solve(problem, cfg, mcfg)
-    else:
-        splitting = make_splitting(problem.a, _splitting_kind(args))
-        report = projected_solve(problem, splitting, cfg)
+    report = _solve(problem, args.method, args.alpha, args.beta, cfg,
+                    args.gamma, args.omega_scale)
     _emit(_render_solve(report, args.format), args)
     return 0 if report.converged else 2
 
@@ -255,7 +262,7 @@ def _render_certificate(cert, fmt):
 
 def cmd_check(args):
     problem = _load_problem(args, need_sigma=False)
-    splitting = make_splitting(problem.a, _splitting_kind(args))
+    splitting = make_splitting(problem.a, _splitting_kind(args.method, args.alpha, args.beta))
     cert = check_spectral_condition(problem.a, splitting)
     _emit(_render_certificate(cert, args.format), args)
     return 0
@@ -292,6 +299,7 @@ def _table_cells(args):
             raise UsageError(f"table sizes must be perfect squares >= 4, got {n}")
     problems = {n: BenchSpec(setup["family"], math.isqrt(n), args.delta).build()
                 for n in sizes}
+    alphas = (1.0, setup["msor_alpha"], None, setup["npsor_alpha"])
     methods = [
         ("mgs", f"alpha=1;gamma={args.gamma:g}"),
         ("msor", f"alpha={setup['msor_alpha']:g};gamma={args.gamma:g}"),
@@ -301,18 +309,8 @@ def _table_cells(args):
     cfg = SolverConfig(tol=args.tol, max_iters=args.max_iters)
 
     def run_cell(cell):
-        method, _ = methods[cell[0]]
-        problem = problems[sizes[cell[1]]]
-        if method == "mgs":
-            return modulus_solve(problem, cfg, ModulusConfig("mgs", 1.0, gamma=args.gamma))
-        if method == "msor":
-            return modulus_solve(problem, cfg,
-                                 ModulusConfig("msor", setup["msor_alpha"], gamma=args.gamma))
-        if method == "npgs":
-            kind = SplittingKind.npgs()
-        else:
-            kind = SplittingKind.npsor(setup["npsor_alpha"])
-        return projected_solve(problem, make_splitting(problem.a, kind), cfg)
+        mi, ni = cell
+        return _solve(problems[sizes[ni]], methods[mi][0], alphas[mi], None, cfg, args.gamma)
 
     cells = [(mi, ni) for mi in range(len(methods)) for ni in range(len(sizes))]
     workers = min(_thread_cap(), len(cells))
@@ -321,10 +319,7 @@ def _table_cells(args):
             reports = list(pool.map(run_cell, cells))
     else:
         reports = [run_cell(c) for c in cells]
-    grid = {}
-    for cell, report in zip(cells, reports):
-        grid[cell] = report
-    return sizes, methods, grid
+    return sizes, methods, dict(zip(cells, reports))
 
 
 def _render_table_csv(which, sizes, methods, grid):
@@ -336,7 +331,7 @@ def _render_table_csv(which, sizes, methods, grid):
         for ni, n in enumerate(sizes):
             r = grid[(mi, ni)]
             writer.writerow([which, method, parameter, n, r.iterations,
-                             _g17(r.residual_final), f"{r.wall_seconds:.6f}",
+                             _g17(r.residual_final), f"{r.cpu_seconds:.6f}",
                              r.converged])
     return buf.getvalue()
 
@@ -352,7 +347,7 @@ def _render_table_md(which, sizes, methods, grid):
             r = grid[(mi, ni)]
             it = str(r.iterations) if r.converged else f"{r.iterations}*"
             rows["IT"].append(it)
-            rows["CPU(s)"].append(f"{r.wall_seconds:.4f}")
+            rows["CPU(s)"].append(f"{r.cpu_seconds:.4f}")
             rows["Res"].append(f"{r.residual_final:.2e}")
         for j, metric in enumerate(("IT", "CPU(s)", "Res")):
             head = label if j == 0 else ""
@@ -385,7 +380,7 @@ def cmd_table(args):
 
 
 def cmd_gen(args):
-    problem = _load_problem_from_family(args)
+    problem = _generated_problem(args)
     write_matrix_market(problem.a, args.matrix)
     write_vector(problem.sigma, args.sigma)
     if args.solution:
@@ -393,16 +388,6 @@ def cmd_gen(args):
             raise UsageError("this family carries no reference solution")
         write_vector(problem.known_solution, args.solution)
     return 0
-
-
-def _load_problem_from_family(args):
-    if args.family in ("example1", "example2"):
-        if args.m is None:
-            raise UsageError("--m is required for generated families")
-        return BenchSpec(args.family, args.m, args.delta).build()
-    if args.m is None:
-        raise UsageError("--m (the dimension) is required for the random family")
-    return gen_random_hplus(args.m, args.seed)
 
 
 def main(argv=None):

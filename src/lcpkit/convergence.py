@@ -19,12 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .matrix_core import (
-    SparseMatrix,
+    _as_apply,
     classify,
     comparison_matrix,
     lower_triangular_solve,
     spectral_radius_nonneg,
 )
+from .solvers import shifted_system
 from .splittings import _entrywise_close
 
 RHO_MODES = ("exact_dense", "comparison_bound", "operator")
@@ -77,12 +78,8 @@ class ConvergenceCertificate:
 
 
 def _shifted_parts(a, s):
-    d = a.diagonal_vector()
-    lhs = s.m.add_diagonal(d + 2.0)
-    reach = s.n_part.add_diagonal(d + 1.0).abs_entrywise().add(
-        a.add_diagonal(-1.0).abs_entrywise()
-    )
-    return lhs, reach
+    lhs, rhs_mat, shifted = shifted_system(a, s)
+    return lhs, rhs_mat.abs_entrywise().add(shifted.abs_entrywise())
 
 
 def _lhs_sign_pattern_ok(lhs):
@@ -91,12 +88,9 @@ def _lhs_sign_pattern_ok(lhs):
     |inv| application a plain forward solve."""
     if not lhs.is_lower_triangular():
         return False
-    diag_mask = lhs.col_indices == lhs._rows_expanded()
-    d = np.zeros(lhs.n)
-    d[lhs.col_indices[diag_mask]] = lhs.values[diag_mask]
-    if np.any(d <= 0.0):
+    if np.any(lhs.diagonal_vector() <= 0.0):
         return False
-    return bool(np.all(lhs.values[~diag_mask] <= 0.0))
+    return bool(np.all(lhs.values[lhs.col_indices != lhs._rows_expanded()] <= 0.0))
 
 
 def _rho_estimate(a, s, mode):
@@ -238,12 +232,5 @@ def certify_rho_lt_one(t, v, n=None):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0 or v.min() <= 0.0:
         raise ValueError("v must be strictly positive componentwise")
-    if isinstance(t, SparseMatrix):
-        tv = t.matvec(v)
-    elif isinstance(t, np.ndarray):
-        tv = t @ v
-    elif callable(t):
-        tv = t(v)
-    else:
-        raise ValueError("unsupported operator type")
-    return bool(np.all(tv < v))
+    apply_t, _ = _as_apply(t, v.size)
+    return bool(np.all(apply_t(v) < v))

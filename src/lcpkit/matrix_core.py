@@ -33,8 +33,10 @@ def _combine_coo(n, rows, cols, vals):
         key = key[order]
         vals = vals[order]
         uniq, first = np.unique(key, return_index=True)
-        # sum runs of duplicate (row, col) positions
-        summed = np.add.reduceat(vals, first)
+        # sum runs of duplicate (row, col) positions; an overflow here is
+        # reported by the finiteness check in SparseMatrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            summed = np.add.reduceat(vals, first)
         keep = summed != 0.0
         uniq = uniq[keep]
         summed = summed[keep]
@@ -55,7 +57,8 @@ class SparseMatrix:
     """Square real matrix in compressed sparse row form.
 
     Column indices are strictly increasing within each row and no stored
-    value is exactly zero; constructors enforce both.  Instances are
+    value is exactly zero; constructors enforce both.  Every stored value
+    is finite, which is checked on every construction.  Instances are
     immutable (backing arrays are marked read-only) and safe to share
     across threads.
     """
@@ -69,6 +72,8 @@ class SparseMatrix:
         row_starts = np.ascontiguousarray(row_starts, dtype=np.int64)
         col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.float64)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("matrix entry is not finite (nan/inf input or overflow)")
         if validate:
             if row_starts.shape != (n + 1,):
                 raise ValueError("row_starts must have length n + 1")
@@ -473,6 +478,8 @@ def read_matrix_market(path):
         nrows, ncols, nnz = (int(p) for p in parts)
         if nrows != ncols:
             raise ValueError("matrix must be square")
+        if nrows <= 0 or not 0 <= nnz <= nrows * nrows:
+            raise ValueError(f"size line out of range: {size_line!r}")
         rows = np.empty(nnz, dtype=np.int64)
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz)
@@ -484,8 +491,11 @@ def read_matrix_market(path):
             if k >= nnz:
                 raise ValueError("more entries than declared")
             i, j, v = stripped.split()
-            rows[k] = int(i) - 1
-            cols[k] = int(j) - 1
+            i, j = int(i), int(j)
+            if not (1 <= i <= nrows and 1 <= j <= nrows):
+                raise ValueError(f"entry index out of range: {stripped!r}")
+            rows[k] = i - 1
+            cols[k] = j - 1
             vals[k] = float(v)
             k += 1
         if k != nnz:

@@ -31,8 +31,8 @@ class BenchSpec:
             raise ValueError("family must be 'example1' or 'example2'")
         if self.m < 2:
             raise ValueError("block order m must be at least 2")
-        if self.delta1 < 0.0:
-            raise ValueError("delta1 must be nonnegative")
+        if not 0.0 <= self.delta1 < np.inf:
+            raise ValueError("delta1 must be nonnegative and finite")
 
     def build(self):
         gen = gen_example1 if self.family == "example1" else gen_example2
@@ -118,19 +118,21 @@ def _support_solution(dense, sigma, mask_bits, tol):
     return np.maximum(lam, 0.0)
 
 
-def oracle_solutions(p, tol=1e-10):
-    """Every solution found by exhaustive support enumeration, in
-    ascending-bitmask order of the supports that produced them."""
+def _oracle_candidates(p, tol):
     n = p.n
     if n > ORACLE_LIMIT:
         raise ValueError(f"oracle limited to n <= {ORACLE_LIMIT}")
     dense = p.a.to_dense()
-    found = []
     for mask_bits in range(1 << n):
         lam = _support_solution(dense, p.sigma, mask_bits, tol)
         if lam is not None:
-            found.append(lam)
-    return found
+            yield lam
+
+
+def oracle_solutions(p, tol=1e-10):
+    """Every solution found by exhaustive support enumeration, in
+    ascending-bitmask order of the supports that produced them."""
+    return list(_oracle_candidates(p, tol))
 
 
 def oracle_solve(p, tol=1e-10):
@@ -142,12 +144,4 @@ def oracle_solve(p, tol=1e-10):
     skipped.  For P-matrices the solution is unique, so the tie-break
     order is immaterial there.
     """
-    n = p.n
-    if n > ORACLE_LIMIT:
-        raise ValueError(f"oracle limited to n <= {ORACLE_LIMIT}")
-    dense = p.a.to_dense()
-    for mask_bits in range(1 << n):
-        lam = _support_solution(dense, p.sigma, mask_bits, tol)
-        if lam is not None:
-            return lam
-    return None
+    return next(_oracle_candidates(p, tol), None)

@@ -31,6 +31,8 @@ def _readonly(v, n=None, name="vector"):
     v = np.asarray(v, dtype=np.float64)
     if n is not None and v.shape != (n,):
         raise ValueError(f"{name} must have length {n}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has a non-finite entry")
     v = v.copy()
     v.setflags(write=False)
     return v
@@ -104,21 +106,26 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve: final iterate, counts, and residual history."""
+    """Outcome of one solve: final iterate, counts, and residual history.
+
+    wall_seconds and cpu_seconds (the solving thread's CPU time) both
+    cover the passes only, not the assembly before them.
+    """
 
     lam: np.ndarray
     iterations: int
     residuals: np.ndarray
     converged: bool
     wall_seconds: float
+    cpu_seconds: float
     method: str = ""
     alpha: Optional[float] = None
     beta: Optional[float] = None
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _readonly(self.lam))
-        object.__setattr__(self, "residuals", _readonly(self.residuals))
+        object.__setattr__(self, "lam", _readonly(self.lam, name="lam"))
+        object.__setattr__(self, "residuals", _readonly(self.residuals, name="residuals"))
 
     @property
     def residual_final(self):
@@ -156,12 +163,10 @@ class ModulusConfig:
     def __post_init__(self):
         if self.variant not in ("mgs", "msor"):
             raise ValueError("variant must be 'mgs' or 'msor'")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        if self.omega_scale is not None and not self.omega_scale > 0.0:
-            raise ValueError("omega_scale must be positive")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
+        for name in ("alpha", "omega_scale", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def effective_omega_scale(self):
         if self.omega_scale is not None:
@@ -187,8 +192,7 @@ def _linear_solver_for(lhs):
     sparse method at scale.
     """
     if lhs.is_diagonal():
-        d = np.zeros(lhs.n)
-        d[lhs.col_indices] = lhs.values
+        d = lhs.diagonal_vector()
         if np.any(d == 0.0):
             row = int(np.argmin(d != 0.0))
             raise SingularMatrixError(f"zero diagonal in row {row}")
@@ -213,6 +217,45 @@ def _guard(vec, k):
         raise DivergenceError(f"iterate diverged at iteration {k}")
 
 
+def shifted_system(a, s):
+    """The projected method's matrices M + 2I + D_A, N + I + D_A and A - I."""
+    d = a.diagonal_vector()
+    return s.m.add_diagonal(d + 2.0), s.n_part.add_diagonal(d + 1.0), a.add_diagonal(-1.0)
+
+
+def _iterate(p, cfg, step, to_lambda, on_iterate):
+    """Fixed-point driver shared by both method families.
+
+    Starting from cfg's start vector, each pass replaces the state by
+    step(state), guards it against divergence, maps it to lambda with
+    to_lambda and stops once Res(lambda) < tol.  Returns the SolveReport
+    fields the pass loop determines.
+    """
+    state = cfg.start_vector(p.n)
+    residuals = []
+    converged = False
+    t0, c0 = time.perf_counter(), time.thread_time()
+    for k in range(1, cfg.max_iters + 1):
+        state = step(state)
+        _guard(state, k)
+        lam = to_lambda(state)
+        res = residual(p, lam)
+        residuals.append(res)
+        if on_iterate is not None:
+            on_iterate(k, lam)
+        if res < cfg.tol:
+            converged = True
+            break
+    return dict(
+        lam=lam,
+        iterations=len(residuals),
+        residuals=np.asarray(residuals),
+        converged=converged,
+        wall_seconds=time.perf_counter() - t0,
+        cpu_seconds=time.thread_time() - c0,
+    )
+
+
 def projected_solve(p, s, cfg, on_iterate=None):
     """Run the projected splitting iteration on problem p.
 
@@ -226,39 +269,17 @@ def projected_solve(p, s, cfg, on_iterate=None):
     """
     if s.m.n != p.n:
         raise ValueError("splitting dimension mismatch")
-    d = p.a.diagonal_vector()
-    lhs = s.m.add_diagonal(d + 2.0)
-    rhs_mat = s.n_part.add_diagonal(d + 1.0)
-    shifted = p.a.add_diagonal(-1.0)
+    lhs, rhs_mat, shifted = shifted_system(p.a, s)
     solve = _linear_solver_for(lhs)
     sigma = p.sigma
-    zeta = cfg.start_vector(p.n)
-    residuals = []
-    converged = False
-    iterations = 0
-    t0 = time.perf_counter()
-    for k in range(1, cfg.max_iters + 1):
+
+    def step(zeta):
         lam = np.maximum(0.0, zeta)
-        rhs = rhs_mat.matvec(lam) + np.abs(shifted.matvec(lam) + sigma) - sigma
-        zeta = solve(rhs)
-        _guard(zeta, k)
-        lam = np.maximum(0.0, zeta)
-        res = residual(p, lam)
-        residuals.append(res)
-        iterations = k
-        if on_iterate is not None:
-            on_iterate(k, lam)
-        if res < cfg.tol:
-            converged = True
-            break
-    wall = time.perf_counter() - t0
+        return solve(rhs_mat.matvec(lam) + np.abs(shifted.matvec(lam) + sigma) - sigma)
+
     kind = s.kind
     return SolveReport(
-        lam=np.maximum(0.0, zeta),
-        iterations=iterations,
-        residuals=np.asarray(residuals),
-        converged=converged,
-        wall_seconds=wall,
+        **_iterate(p, cfg, step, lambda zeta: np.maximum(0.0, zeta), on_iterate),
         method=kind.tag,
         alpha=kind.alpha1,
         beta=kind.beta1,
@@ -279,40 +300,19 @@ def modulus_solve(p, cfg, mcfg, on_iterate=None):
     else:
         kind = SplittingKind.npsor(mcfg.alpha)
     s = make_splitting(p.a, kind)
-    d = p.a.diagonal_vector()
-    omega = mcfg.effective_omega_scale() * d
+    omega = mcfg.effective_omega_scale() * p.a.diagonal_vector()
     if np.any(omega <= 0.0):
         raise ValueError("Omega must be a positive diagonal; matrix diagonal is not")
-    lhs = s.m.add_diagonal(omega)
+    solve = _linear_solver_for(s.m.add_diagonal(omega))
     omega_minus_a = p.a.scaled(-1.0).add_diagonal(omega)
-    solve = _linear_solver_for(lhs)
     gamma = mcfg.gamma
     sigma_term = gamma * p.sigma
-    x = cfg.start_vector(p.n)
-    residuals = []
-    converged = False
-    iterations = 0
-    t0 = time.perf_counter()
-    for k in range(1, cfg.max_iters + 1):
-        rhs = s.n_part.matvec(x) + omega_minus_a.matvec(np.abs(x)) - sigma_term
-        x = solve(rhs)
-        _guard(x, k)
-        lam = (np.abs(x) + x) / gamma
-        res = residual(p, lam)
-        residuals.append(res)
-        iterations = k
-        if on_iterate is not None:
-            on_iterate(k, lam)
-        if res < cfg.tol:
-            converged = True
-            break
-    wall = time.perf_counter() - t0
+
+    def step(x):
+        return solve(s.n_part.matvec(x) + omega_minus_a.matvec(np.abs(x)) - sigma_term)
+
     return SolveReport(
-        lam=(np.abs(x) + x) / gamma,
-        iterations=iterations,
-        residuals=np.asarray(residuals),
-        converged=converged,
-        wall_seconds=wall,
+        **_iterate(p, cfg, step, lambda x: (np.abs(x) + x) / gamma, on_iterate),
         method=mcfg.variant,
         alpha=mcfg.alpha,
         gamma=gamma,

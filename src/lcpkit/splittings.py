@@ -11,6 +11,7 @@ recipe with pinned parameters, so the classical reductions
 hold bitwise, not just within rounding.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,10 +39,10 @@ class SplittingKind:
         if self.tag not in _TAGS:
             raise ValueError(f"unknown splitting tag {self.tag!r}")
         if self.tag in ("npsor", "npaor"):
-            if self.alpha1 is None or not self.alpha1 > 0.0:
-                raise ValueError(f"{self.tag} requires alpha1 > 0")
-        if self.tag == "npaor" and self.beta1 is None:
-            raise ValueError("npaor requires beta1")
+            if self.alpha1 is None or not 0.0 < self.alpha1 < math.inf:
+                raise ValueError(f"{self.tag} requires a finite alpha1 > 0")
+        if self.tag == "npaor" and (self.beta1 is None or not math.isfinite(self.beta1)):
+            raise ValueError("npaor requires a finite beta1")
 
     @classmethod
     def npj(cls):

@@ -1,4 +1,10 @@
+import itertools
+import time
+
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lcpkit.cli import main
 from lcpkit.matrix_core import read_matrix_market, read_vector
@@ -223,3 +229,104 @@ def test_unknown_method_rejected(capsys):
     ])
     assert code == 1
     assert "invalid choice" in err
+
+
+def test_table_cpu_column_is_thread_time(capsys, monkeypatch):
+    ticks = itertools.count(0.0, 0.25)
+    monkeypatch.setattr(time, "thread_time", lambda: next(ticks))
+    code, out, _ = _run(capsys, ["table", "table1", "--sizes", "4", "--format", "csv"])
+    assert code == 0
+    assert [line.split(",")[6] for line in out.splitlines()[1:]] == ["0.250000"] * 4
+    code, out, _ = _run(capsys, ["table", "table1", "--sizes", "4"])
+    assert code == 0
+    assert out.count("| CPU(s) | 0.2500 |") == 4
+
+
+_MM = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def _problem_files(tmp_path, entries, sigma="-1\n-1\n"):
+    (tmp_path / "a.mtx").write_text(_MM + entries, encoding="ascii")
+    (tmp_path / "s.vec").write_text(sigma, encoding="ascii")
+    return ["--matrix", str(tmp_path / "a.mtx"), "--sigma", str(tmp_path / "s.vec")]
+
+
+def _assert_input_error(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("value", ["nan", "1e308"])
+def test_non_finite_or_overflowing_matrix_is_input_error(capsys, tmp_path, command, value):
+    # 1e308 on the diagonal overflows while M + 2I + D_A is assembled
+    files = _problem_files(tmp_path, f"2 2 2\n1 1 {value}\n2 2 4.0\n")
+    _assert_input_error(capsys, [command, *files, "--method", "npgs"])
+
+
+@pytest.mark.parametrize("flag", ["--sigma", "--init"])
+def test_non_finite_vector_is_input_error(capsys, tmp_path, flag):
+    files = _problem_files(tmp_path, "2 2 2\n1 1 4.0\n2 2 4.0\n")
+    (tmp_path / "bad.vec").write_text("nan\n-1\n", encoding="ascii")
+    _assert_input_error(capsys, ["solve", *files, "--method", "npgs",
+                                 flag, str(tmp_path / "bad.vec")])
+
+
+def test_non_finite_parameter_is_input_error(capsys):
+    _assert_input_error(capsys, ["check", "--family", "example1", "--m", "3",
+                                 "--method", "npsor", "--alpha", "inf"])
+
+
+_FINITE = st.floats(-10.0, 10.0).map(repr)
+_BAD_VALUES = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "x", ""])
+
+
+def _mostly(draw, good, bad):
+    """Draw from good, and now and then from bad."""
+    return draw(bad) if draw(st.integers(0, 7)) == 7 else draw(good)
+
+
+@st.composite
+def _fuzzed_files(draw):
+    """A MatrixMarket file and a vector file, mostly well formed so that
+    many runs reach the solver, with corrupted fields mixed in."""
+    n = draw(st.integers(1, 8))
+    index = st.integers(1, n)
+    entries = [(i, i, draw(_FINITE)) for i in range(1, n + 1) if draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        entries.append((_mostly(draw, index, st.sampled_from([0, n + 1])),
+                        _mostly(draw, index, st.sampled_from([0, n + 1])),
+                        _mostly(draw, _FINITE, _BAD_VALUES)))
+    nnz = _mostly(draw, st.just(len(entries)), st.integers(-1, 12))
+    size_line = _mostly(draw, st.just(f"{n} {n} {nnz}"),
+                        st.sampled_from([f"{n} {n + 1} {nnz}", f"{n - 1} {n - 1} {nnz}"]))
+    mtx = "\n".join([size_line] + [" ".join(map(str, e)) for e in entries]) + "\n"
+    length = _mostly(draw, st.just(n), st.integers(0, 9))
+    vec = "\n".join(_mostly(draw, _FINITE, _BAD_VALUES) for _ in range(length)) + "\n"
+    return mtx, vec
+
+
+_FUZZ_RUNS = [
+    ["solve", "--method", "npgs"],
+    ["solve", "--method", "npaor", "--alpha", "1.2", "--beta", "0.8"],
+    ["solve", "--method", "msor", "--alpha", "0.9"],
+    ["check", "--method", "npj"],
+    ["check", "--method", "npsor", "--alpha", "1.7"],
+]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=_fuzzed_files(), run=st.sampled_from(_FUZZ_RUNS),
+       init=st.booleans())
+def test_cli_never_prints_a_traceback(capsys, tmp_path, files, run, init):
+    # declared n stays <= 8: check at a large declared n is slow by design
+    argv = run + _problem_files(tmp_path, *files)
+    if run[0] == "solve":
+        argv += ["--max-iters", "50"]
+        if init:
+            argv += ["--init", str(tmp_path / "s.vec")]
+    code, _, err = _run(capsys, argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -1,6 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lcpkit.matrix_core import (
     SingularMatrixError,
@@ -54,6 +57,11 @@ def test_invalid_construction_rejected():
         SparseMatrix(2, [0, 1, 1], [0], [0.0])  # explicit stored zero
     with pytest.raises(ValueError):
         SparseMatrix(2, [0, 2], [0, 1], [1.0, 1.0])  # row_starts too short
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SparseMatrix(1, [0, 1], [0], [bad], validate=False)
+    with pytest.raises(ValueError, match="finite"):  # overflow while summing
+        SparseMatrix.from_coo(1, [0, 0], [0, 0], [1e308, 1e308])
 
 
 def test_matrices_are_immutable():
@@ -319,9 +327,21 @@ def test_forward_substitution_rejects_upper_entries():
 # file formats
 
 
-def test_matrix_market_round_trip(tmp_path):
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ROUND_TRIP = settings(max_examples=40, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _seeded_sparse():
     rng = np.random.default_rng(43)
-    d = rng.uniform(-3, 3, (5, 5)) * (rng.random((5, 5)) < 0.5)
+    return rng.uniform(-3, 3, (5, 5)) * (rng.random((5, 5)) < 0.5)
+
+
+@_ROUND_TRIP
+@given(d=st.integers(1, 6).flatmap(lambda n: hnp.arrays(
+    np.float64, (n, n), elements=st.one_of(st.just(0.0), _ANY_FINITE))))
+@example(d=_seeded_sparse())
+def test_matrix_market_round_trip(tmp_path, d):
     a = SparseMatrix.from_dense(d)
     path = tmp_path / "a.mtx"
     write_matrix_market(a, path)
@@ -342,8 +362,27 @@ def test_matrix_market_entry_count_checked(tmp_path):
         read_matrix_market(path)
 
 
-def test_vector_round_trip(tmp_path):
-    v = np.array([1.5, -2.25, 1.0 / 3.0])
+@pytest.mark.parametrize("size_line", ["2 2 1000000000000", "2 2 5", "2 2 -1", "0 0 0"])
+def test_matrix_market_size_line_checked_before_allocation(tmp_path, size_line):
+    # a declared nnz of 10^12 would ask numpy for terabytes if it were trusted
+    path = tmp_path / "bad.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size_line}\n1 1 1.0\n")
+    with pytest.raises(ValueError, match="size line out of range"):
+        read_matrix_market(path)
+
+
+def test_matrix_market_entry_index_checked(tmp_path):
+    path = tmp_path / "idx.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 1\n99999999999999999999999 1 1.0\n")
+    with pytest.raises(ValueError, match="index out of range"):
+        read_matrix_market(path)
+
+
+@_ROUND_TRIP
+@given(v=hnp.arrays(np.float64, st.integers(1, 10), elements=_ANY_FINITE))
+@example(v=np.array([1.5, -2.25, 1.0 / 3.0]))
+def test_vector_round_trip(tmp_path, v):
     path = tmp_path / "v.txt"
     write_vector(v, path)
     npt.assert_array_equal(read_vector(path), v)

@@ -87,6 +87,9 @@ def test_bench_spec_dispatch():
         BenchSpec("example3", 3, 2.0)
     with pytest.raises(ValueError):
         BenchSpec("example1", 1, 2.0)
+    for bad in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError):
+            BenchSpec("example1", 3, bad)
 
 
 def test_random_hplus_is_deterministic_and_h_plus():

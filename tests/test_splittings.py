@@ -1,8 +1,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcpkit.matrix_core import SparseMatrix, classify, comparison_matrix
+from lcpkit.problems import gen_random_hplus
 from lcpkit.splittings import (
     SplittingKind,
     analyze_splitting,
@@ -49,6 +52,18 @@ def test_m_minus_n_reproduces_a_across_parameters():
                 assert diff <= 1e-12 * scale
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       alpha=st.floats(0.1, 1.9), beta=st.floats(0.0, 1.9))
+def test_m_minus_n_reproduces_random_h_plus(n, seed, alpha, beta):
+    a = gen_random_hplus(n, seed).a
+    scale = max(1.0, a.max_abs())
+    for kind in (SplittingKind.npj(), SplittingKind.npgs(),
+                 SplittingKind.npsor(alpha), SplittingKind.npaor(alpha, beta)):
+        s = make_splitting(a, kind)
+        assert s.m.subtract(s.n_part).subtract(a).max_abs() <= 1e-12 * scale
+
+
 def test_reductions_are_bitwise():
     rng = np.random.default_rng(9)
     dense = rng.uniform(-2, 2, (6, 6)) * (rng.random((6, 6)) < 0.6)
@@ -68,6 +83,11 @@ def test_kind_validation():
         SplittingKind("npsor")  # missing alpha
     with pytest.raises(ValueError):
         SplittingKind.npsor(0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SplittingKind.npsor(bad)
+        with pytest.raises(ValueError, match="finite"):
+            SplittingKind.npaor(1.0, bad)
     with pytest.raises(ValueError):
         SplittingKind("npaor", alpha1=1.0)  # missing beta
     with pytest.raises(ValueError):

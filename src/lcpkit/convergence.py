@@ -26,7 +26,7 @@ from .matrix_core import (
     spectral_radius_nonneg,
 )
 from .solvers import shifted_system
-from .splittings import _entrywise_close
+from .splittings import is_h_compatible
 
 RHO_MODES = ("exact_dense", "comparison_bound", "operator")
 EXACT_DENSE_LIMIT = 2000
@@ -144,11 +144,8 @@ def iteration_operator_rho(a, s, mode="exact_dense"):
 def _structural_fields(a, s, p_matrix_limit=0):
     report = classify(a, p_matrix_limit=p_matrix_limit)
     d = a.diagonal_vector()
-    lhs_shift = s.m.add_diagonal(d + 1.0)
-    rhs_shift = s.n_part.add_diagonal(d + 1.0)
-    h_compatible = _entrywise_close(
-        comparison_matrix(lhs_shift).subtract(rhs_shift.abs_entrywise()),
-        comparison_matrix(a),
+    h_compatible = is_h_compatible(
+        a, s.m.add_diagonal(d + 1.0), s.n_part.add_diagonal(d + 1.0)
     )
     diag_geq_one = bool(np.all(d >= 1.0))
     diag_below_one = bool(np.all(d < 1.0))

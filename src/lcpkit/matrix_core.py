@@ -1,8 +1,11 @@
 """Sparse CSR primitives, matrix classification, and spectral-radius estimation.
 
-Everything here is deliberately simple and deterministic: matrices are
-immutable after construction, all reductions run in a fixed order, and the
-only factorization on offer is triangular substitution.  Dense fallbacks
+Storage and kernels are scipy's CSR: assembly, addition, triangles,
+densification and the matrix-vector product all run in ``scipy.sparse``.
+lcpkit adds the invariants on top (square, sorted columns, no stored
+zeros, finite values, immutable arrays) and keeps everything
+deterministic: every reduction runs in a fixed order, and the only
+factorization on offer is triangular substitution.  Dense fallbacks
 (inverses, principal minors) are reserved for certification and tests on
 small matrices, never for solver hot paths.
 """
@@ -20,50 +23,19 @@ class SingularMatrixError(ValueError):
     """A triangular or diagonal system has a zero (or missing) pivot."""
 
 
-def _combine_coo(n, rows, cols, vals):
-    """Sort COO triplets, sum duplicates, drop exact zeros; return CSR arrays."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
-            raise ValueError("entry index out of range")
-        key = rows * n + cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        vals = vals[order]
-        uniq, first = np.unique(key, return_index=True)
-        # sum runs of duplicate (row, col) positions; an overflow here is
-        # reported by the finiteness check in SparseMatrix
-        with np.errstate(over="ignore", invalid="ignore"):
-            summed = np.add.reduceat(vals, first)
-        keep = summed != 0.0
-        uniq = uniq[keep]
-        summed = summed[keep]
-        rows = uniq // n
-        cols = uniq % n
-        vals = summed
-    else:
-        rows = rows[:0]
-        cols = cols[:0]
-        vals = vals[:0]
-    row_starts = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(row_starts, rows + 1, 1)
-    np.cumsum(row_starts, out=row_starts)
-    return row_starts, cols, vals
-
-
 class SparseMatrix:
     """Square real matrix in compressed sparse row form.
 
-    Column indices are strictly increasing within each row and no stored
-    value is exactly zero; constructors enforce both.  Every stored value
-    is finite, which is checked on every construction.  Instances are
-    immutable (backing arrays are marked read-only) and safe to share
-    across threads.
+    The arrays and kernels are scipy's CSR; this type enforces lcpkit's
+    invariants on top of them.  Column indices are strictly increasing
+    within each row and no stored value is exactly zero; constructors
+    enforce both.  Every stored value is finite, which is checked on every
+    construction.  Instances are immutable (backing arrays, including
+    those of the cached scipy handle, are marked read-only) and safe to
+    share across threads.
     """
 
-    __slots__ = ("n", "row_starts", "col_indices", "values", "_row_index")
+    __slots__ = ("n", "row_starts", "col_indices", "values", "_row_index", "_scipy")
 
     def __init__(self, n, row_starts, col_indices, values, validate=True):
         n = int(n)
@@ -102,15 +74,32 @@ class SparseMatrix:
         self.col_indices = col_indices
         self.values = values
         self._row_index = None
+        self._scipy = None
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
+    def _canonical(cls, h):
+        """Wrap a fresh scipy result: CSR, duplicates summed, exact zeros dropped."""
+        h = h.tocsr()
+        h.sum_duplicates()
+        h.eliminate_zeros()
+        return cls(h.shape[0], h.indptr, h.indices, h.data, validate=False)
+
+    @classmethod
     def from_coo(cls, n, rows, cols, vals):
         """Build from triplets; duplicates are summed, exact zeros dropped."""
-        rs, ci, v = _combine_coo(int(n), rows, cols, vals)
-        return cls(n, rs, ci, v, validate=False)
+        n = int(n)
+        if n <= 0:
+            raise ValueError("dimension must be positive")
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
+                raise ValueError("entry index out of range")
+        vals = np.asarray(vals, dtype=np.float64)
+        return cls._canonical(scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
 
     @classmethod
     def from_dense(cls, arr):
@@ -165,21 +154,26 @@ class SparseMatrix:
         return self._row_index
 
     def to_dense(self):
-        out = np.zeros((self.n, self.n))
-        out[self._rows_expanded(), self.col_indices] = self.values
-        return out
+        return self.to_scipy().toarray()
 
     def to_scipy(self):
-        return scipy.sparse.csr_matrix(
-            (self.values, self.col_indices, self.row_starts), shape=(self.n, self.n)
-        )
+        """This matrix as a scipy ``csr_matrix``, built once and cached.
+
+        Every call returns the same handle; its ``indptr``, ``indices`` and
+        ``data`` are read-only, so it cannot be used to change the matrix.
+        """
+        if self._scipy is None:
+            h = scipy.sparse.csr_matrix(
+                (self.values, self.col_indices, self.row_starts), shape=(self.n, self.n)
+            )
+            for arr in (h.indptr, h.indices, h.data):
+                arr.setflags(write=False)
+            self._scipy = h
+        return self._scipy
 
     def diagonal_vector(self):
         """Diagonal entries as a dense vector (zeros where unstored)."""
-        d = np.zeros(self.n)
-        mask = self.col_indices == self._rows_expanded()
-        d[self.col_indices[mask]] = self.values[mask]
-        return d
+        return self.to_scipy().diagonal()
 
     def max_abs(self):
         return float(np.abs(self.values).max()) if self.nnz else 0.0
@@ -194,10 +188,9 @@ class SparseMatrix:
     # algebra (all out-of-place; results share no storage with inputs)
 
     def matvec(self, x):
-        """Deterministic y = A @ x; entries accumulate in storage order."""
-        x = np.asarray(x, dtype=np.float64)
-        prod = self.values * x[self.col_indices]
-        return np.bincount(self._rows_expanded(), weights=prod, minlength=self.n)
+        """Deterministic y = A @ x: scipy's CSR product sums each row left
+        to right in storage order."""
+        return self.to_scipy() @ np.asarray(x, dtype=np.float64)
 
     def scaled(self, c):
         c = float(c)
@@ -207,25 +200,21 @@ class SparseMatrix:
             self.n, self.row_starts, self.col_indices, self.values * c, validate=False
         )
 
-    def add(self, other):
+    def _operand(self, other):
         if not isinstance(other, SparseMatrix) or other.n != self.n:
             raise ValueError("dimension mismatch in matrix addition")
-        rows = np.concatenate([self._rows_expanded(), other._rows_expanded()])
-        cols = np.concatenate([self.col_indices, other.col_indices])
-        vals = np.concatenate([self.values, other.values])
-        return SparseMatrix.from_coo(self.n, rows, cols, vals)
+        return other.to_scipy()
+
+    def add(self, other):
+        return SparseMatrix._canonical(self.to_scipy() + self._operand(other))
 
     def subtract(self, other):
-        return self.add(other.scaled(-1.0))
+        return SparseMatrix._canonical(self.to_scipy() - self._operand(other))
 
     def add_diagonal(self, d):
         """Return self + diag(d); d may be a scalar or a length-n vector."""
         d = np.broadcast_to(np.asarray(d, dtype=np.float64), (self.n,))
-        idx = np.arange(self.n, dtype=np.int64)
-        rows = np.concatenate([self._rows_expanded(), idx])
-        cols = np.concatenate([self.col_indices, idx])
-        vals = np.concatenate([self.values, d])
-        return SparseMatrix.from_coo(self.n, rows, cols, vals)
+        return SparseMatrix._canonical(self.to_scipy() + scipy.sparse.diags(d))
 
     def abs_entrywise(self):
         return SparseMatrix(
@@ -234,18 +223,10 @@ class SparseMatrix:
         )
 
     def strict_lower(self):
-        mask = self.col_indices < self._rows_expanded()
-        return SparseMatrix.from_coo(
-            self.n, self._rows_expanded()[mask], self.col_indices[mask],
-            self.values[mask],
-        )
+        return SparseMatrix._canonical(scipy.sparse.tril(self.to_scipy(), k=-1))
 
     def strict_upper(self):
-        mask = self.col_indices > self._rows_expanded()
-        return SparseMatrix.from_coo(
-            self.n, self._rows_expanded()[mask], self.col_indices[mask],
-            self.values[mask],
-        )
+        return SparseMatrix._canonical(scipy.sparse.triu(self.to_scipy(), k=1))
 
 
 @dataclass(frozen=True)
@@ -500,7 +481,11 @@ def read_matrix_market(path):
             k += 1
         if k != nnz:
             raise ValueError(f"expected {nnz} entries, found {k}")
-    return SparseMatrix.from_coo(nrows, rows, cols, vals)
+    try:
+        return SparseMatrix.from_coo(nrows, rows, cols, vals)
+    except MemoryError:
+        # the row pointers alone take 8 (n + 1) bytes
+        raise ValueError(f"declared size {nrows} x {nrows} is too large to allocate") from None
 
 
 def write_vector(v, path):

@@ -140,6 +140,13 @@ def _entrywise_close(x, y, tol=EQ_TOL):
     return x.subtract(y).max_abs() <= tol * scale
 
 
+def is_h_compatible(a, m, n_part):
+    """<M> - |N| equals <A> entrywise, within EQ_TOL."""
+    return _entrywise_close(
+        comparison_matrix(m).subtract(n_part.abs_entrywise()), comparison_matrix(a)
+    )
+
+
 def analyze_splitting(a, s):
     """Check validity, the M-splitting property, and H-compatibility.
 
@@ -151,12 +158,8 @@ def analyze_splitting(a, s):
     is_valid = _entrywise_close(s.m.subtract(s.n_part), a)
     n_nonneg = bool((s.n_part.values >= 0.0).all()) if s.n_part.nnz else True
     is_m_splitting = n_nonneg and classify(s.m, p_matrix_limit=0).is_m
-    is_h_compatible = _entrywise_close(
-        comparison_matrix(s.m).subtract(s.n_part.abs_entrywise()),
-        comparison_matrix(a),
-    )
     return SplittingAnalysis(
         is_valid=is_valid,
         is_m_splitting=is_m_splitting,
-        is_h_compatible=is_h_compatible,
+        is_h_compatible=is_h_compatible(a, s.m, s.n_part),
     )

@@ -265,6 +265,17 @@ def test_non_finite_or_overflowing_matrix_is_input_error(capsys, tmp_path, comma
     _assert_input_error(capsys, [command, *files, "--method", "npgs"])
 
 
+def test_huge_declared_size_is_input_error(capsys, tmp_path):
+    # the row pointers of a 10^12 x 10^12 matrix fail to allocate at once; a
+    # size near 10^9 is not tried, since the allocation may be overcommitted
+    # and the process killed when it is filled
+    mtx = tmp_path / "huge.mtx"
+    mtx.write_text(_MM + "1000000000000 1000000000000 1\n1 1 1.0\n", encoding="ascii")
+    code, _, err = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npgs"])
+    assert code == 1
+    assert err == "error: declared size 1000000000000 x 1000000000000 is too large to allocate\n"
+
+
 @pytest.mark.parametrize("flag", ["--sigma", "--init"])
 def test_non_finite_vector_is_input_error(capsys, tmp_path, flag):
     files = _problem_files(tmp_path, "2 2 2\n1 1 4.0\n2 2 4.0\n")

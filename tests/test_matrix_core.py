@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -65,31 +66,99 @@ def test_invalid_construction_rejected():
 
 
 def test_matrices_are_immutable():
-    a = SparseMatrix.identity(2)
+    a = SparseMatrix.from_dense([[2.0, 1.0], [0.0, 3.0]])
+    x = np.array([1.0, 10.0])
+    before = a.matvec(x)
     with pytest.raises(ValueError):
         a.values[0] = 5.0
+    h = a.to_scipy()
+    assert type(h) is scipy.sparse.csr_matrix and a.to_scipy() is h
+    with pytest.raises(ValueError):
+        h.indices[0] = 1
+    with pytest.raises(ValueError):
+        h.data[0] = 5.0
+    with pytest.raises(ValueError):
+        h.indptr[1] = 0
+    npt.assert_array_equal(a.matvec(x), before)
 
 
-def test_matvec_matches_dense():
+def _canonical(m):
+    """m, once the validating constructor accepts its storage."""
+    return SparseMatrix(m.n, m.row_starts, m.col_indices, m.values)
+
+
+_EXACT = settings(max_examples=60, deadline=None)
+_ENTRY = st.floats(-8.0, 8.0)
+_SPARSE_ENTRY = st.one_of(st.just(0.0), _ENTRY)
+_SQUARE = st.integers(1, 8).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, n), elements=_SPARSE_ENTRY))
+_VECTOR = hnp.arrays(np.float64, 8, elements=_ENTRY)  # sliced to n
+
+
+def _seeded_matvec_examples(test):
     rng = np.random.default_rng(7)
     for _ in range(20):
         n = rng.integers(1, 9)
         d = rng.uniform(-2, 2, (n, n)) * (rng.random((n, n)) < 0.6)
-        a = SparseMatrix.from_dense(d)
-        x = rng.uniform(-3, 3, n)
-        npt.assert_allclose(a.matvec(x), d @ x, atol=1e-13)
+        test = example(d=d, x=rng.uniform(-3, 3, n))(test)
+    return test
 
 
-def test_algebra_matches_dense():
+@_EXACT
+@given(d=_SQUARE, x=_VECTOR)
+@_seeded_matvec_examples
+def test_matvec_matches_dense(d, x):
+    # bitwise equal to a left-to-right sum of each row in storage order: the
+    # table's bitwise reproducibility rests on this order
+    a = SparseMatrix.from_dense(d)
+    x = x[:a.n]
+    expected = np.zeros(a.n)
+    for i in range(a.n):
+        acc = 0.0
+        for k in range(a.row_starts[i], a.row_starts[i + 1]):
+            acc += a.values[k] * x[a.col_indices[k]]
+        expected[i] = acc
+    assert np.array_equal(a.matvec(x), expected)
+
+
+def _seeded_pair():
     rng = np.random.default_rng(11)
     da = rng.uniform(-1, 1, (4, 4))
     db = rng.uniform(-1, 1, (4, 4)) * (rng.random((4, 4)) < 0.5)
+    return da, db
+
+
+@_EXACT
+@given(pair=_SQUARE.flatmap(lambda da: st.tuples(
+    st.just(da), hnp.arrays(np.float64, da.shape, elements=_SPARSE_ENTRY))),
+    c=_ENTRY, dv=_VECTOR, seed=st.integers(0, 2**32 - 1))
+@example(pair=_seeded_pair(), c=-2.5, dv=np.full(8, 3.0), seed=0)
+def test_algebra_matches_dense(pair, c, dv, seed):
+    da, db = pair
+    n = da.shape[0]
+    dv = dv[:n]
     a, b = SparseMatrix.from_dense(da), SparseMatrix.from_dense(db)
-    npt.assert_allclose(a.add(b).to_dense(), da + db)
-    npt.assert_allclose(a.subtract(b).to_dense(), da - db)
-    npt.assert_allclose(a.scaled(-2.5).to_dense(), -2.5 * da)
-    npt.assert_allclose(a.add_diagonal(3.0).to_dense(), da + 3.0 * np.eye(4))
-    npt.assert_allclose(a.abs_entrywise().to_dense(), np.abs(da))
+    for got, want in [
+        (a, da),
+        (a.add(b), da + db),
+        (a.subtract(b), da - db),
+        (a.add_diagonal(dv), da + np.diag(dv)),
+        (a.add_diagonal(c), da + c * np.eye(n)),
+        (a.strict_lower(), np.tril(da, -1)),
+        (a.strict_upper(), np.triu(da, 1)),
+    ]:
+        assert np.array_equal(_canonical(got).to_dense(), want)
+    assert np.array_equal(a.scaled(c).to_dense(), c * da)
+    assert np.array_equal(a.abs_entrywise().to_dense(), np.abs(da))
+    # shuffled triplets of a, then of b or of -a on b's pattern (which cancel
+    # or store zeros): at most two per position
+    (arows, acols), (brows, bcols) = np.nonzero(da), np.nonzero(db)
+    rows, cols = np.concatenate([arows, brows]), np.concatenate([acols, bcols])
+    order = np.random.default_rng(seed).permutation(rows.size)
+    for second, want in [(db, da + db), (-da, np.where(db != 0.0, 0.0, da))]:
+        vals = np.concatenate([da[arows, acols], second[brows, bcols]])
+        coo = SparseMatrix.from_coo(n, rows[order], cols[order], vals[order])
+        assert np.array_equal(_canonical(coo).to_dense(), want)
 
 
 def test_cancellation_drops_entries():

@@ -290,15 +290,24 @@ def test_modulus_initial_comes_from_config():
 
 def test_residual_called_once_per_pass(monkeypatch):
     # the benchmark's per-layer tracer counts Res evaluations by rebinding
-    # solvers.residual, so both methods must reach it through that global
+    # solvers.residual, so both methods must reach it through that global;
+    # it counts products by rebinding SparseMatrix.matvec, so no pass may
+    # multiply through to_scipy() directly: each pass makes three
     real = solvers.residual
+    real_matvec = SparseMatrix.matvec
     calls = [0]
+    matvecs = [0]
 
     def counting(p, lam):
         calls[0] += 1
         return real(p, lam)
 
+    def counting_matvec(self, x):
+        matvecs[0] += 1
+        return real_matvec(self, x)
+
     monkeypatch.setattr(solvers, "residual", counting)
+    monkeypatch.setattr(SparseMatrix, "matvec", counting_matvec)
     p = gen_example1(5, 4.0)
     runs = [
         lambda: projected_solve(p, make_splitting(p.a, SplittingKind.npsor(1.7)),
@@ -308,7 +317,8 @@ def test_residual_called_once_per_pass(monkeypatch):
                                 SolverConfig(max_iters=3)),
     ]
     for run in runs:
-        calls[0] = 0
+        calls[0] = matvecs[0] = 0
         report = run()
         assert calls[0] == report.iterations > 0
+        assert matvecs[0] == 3 * report.iterations
 

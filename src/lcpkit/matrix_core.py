@@ -1,11 +1,12 @@
 """Sparse CSR primitives, matrix classification, and spectral-radius estimation.
 
-Storage and kernels are scipy's CSR: assembly, addition, triangles,
-densification and the matrix-vector product all run in ``scipy.sparse``.
-lcpkit adds the invariants on top (square, sorted columns, no stored
-zeros, finite values, immutable arrays) and keeps everything
-deterministic: every reduction runs in a fixed order, and the only
-factorization on offer is triangular substitution.  Dense fallbacks
+A matrix is stored once, as a read-only scipy CSR handle with scipy's
+index dtype; assembly, addition, triangles, densification and the
+matrix-vector product all run in ``scipy.sparse``.  lcpkit adds the
+invariants on top (square, sorted columns, no stored zeros, finite
+values, immutable arrays) and keeps everything deterministic: every
+reduction runs in a fixed order, and the only factorization on offer is
+triangular substitution.  Dense fallbacks
 (inverses, principal minors) are reserved for certification and tests on
 small matrices, never for solver hot paths.
 """
@@ -26,66 +27,60 @@ class SingularMatrixError(ValueError):
 class SparseMatrix:
     """Square real matrix in compressed sparse row form.
 
-    The arrays and kernels are scipy's CSR; this type enforces lcpkit's
-    invariants on top of them.  Column indices are strictly increasing
-    within each row and no stored value is exactly zero; constructors
-    enforce both.  Every stored value is finite, which is checked on every
-    construction.  Instances are immutable (backing arrays, including
-    those of the cached scipy handle, are marked read-only) and safe to
-    share across threads.
+    The one storage is a scipy ``csr_matrix``, built once with read-only
+    arrays; ``row_starts``, ``col_indices`` and ``values`` are views onto
+    it, with scipy's index dtype (int32 while it fits).  This type adds
+    lcpkit's invariants: column indices are strictly increasing within
+    each row, no stored value is exactly zero and every stored value is
+    finite; every construction checks them.  Instances are immutable and
+    safe to share across threads.
     """
 
-    __slots__ = ("n", "row_starts", "col_indices", "values", "_row_index", "_scipy")
+    __slots__ = ("_h", "_row_index")
 
-    def __init__(self, n, row_starts, col_indices, values, validate=True):
+    def __init__(self, n, row_starts, col_indices, values):
         n = int(n)
         if n <= 0:
             raise ValueError("dimension must be positive")
-        row_starts = np.ascontiguousarray(row_starts, dtype=np.int64)
-        col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(values)):
+        row_starts = np.asarray(row_starts)
+        col_indices = np.asarray(col_indices)
+        values = np.asarray(values, dtype=np.float64)
+        # scipy silently prunes index and value arrays longer than the span
+        if row_starts.shape != (n + 1,):
+            raise ValueError("row_starts must have length n + 1")
+        if col_indices.size != values.size:
+            raise ValueError("col_indices and values length mismatch")
+        if row_starts[0] != 0 or row_starts[-1] != values.size:
+            raise ValueError("row_starts must span [0, nnz]")
+        if np.any(values == 0.0):
+            raise ValueError("explicit zero entries are not allowed")
+        h = scipy.sparse.csr_matrix((values, col_indices, row_starts), shape=(n, n), copy=True)
+        h.check_format(full_check=True)
+        if not h.has_canonical_format:
+            raise ValueError("column indices must be strictly increasing per row")
+        self._own(h)
+
+    def _own(self, h):
+        """Make h this matrix's storage: finite values, read-only arrays."""
+        if not np.all(np.isfinite(h.data)):
             raise ValueError("matrix entry is not finite (nan/inf input or overflow)")
-        if validate:
-            if row_starts.shape != (n + 1,):
-                raise ValueError("row_starts must have length n + 1")
-            if row_starts[0] != 0 or row_starts[-1] != values.size:
-                raise ValueError("row_starts must span [0, nnz]")
-            if np.any(np.diff(row_starts) < 0):
-                raise ValueError("row_starts must be nondecreasing")
-            if col_indices.size != values.size:
-                raise ValueError("col_indices and values length mismatch")
-            if col_indices.size:
-                if col_indices.min() < 0 or col_indices.max() >= n:
-                    raise ValueError("column index out of range")
-                inc = col_indices[1:] > col_indices[:-1]
-                # pairs straddling a row boundary are exempt from the ordering
-                ends = row_starts[1:-1]
-                ends = ends[(ends > 0) & (ends < values.size)]
-                inc[ends - 1] = True
-                if not inc.all():
-                    raise ValueError("column indices must be strictly increasing per row")
-            if np.any(values == 0.0):
-                raise ValueError("explicit zero entries are not allowed")
-        for arr in (row_starts, col_indices, values):
+        for arr in (h.indptr, h.indices, h.data):
             arr.setflags(write=False)
-        self.n = n
-        self.row_starts = row_starts
-        self.col_indices = col_indices
-        self.values = values
+        self._h = h
         self._row_index = None
-        self._scipy = None
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def _canonical(cls, h):
-        """Wrap a fresh scipy result: CSR, duplicates summed, exact zeros dropped."""
+        """Own a fresh scipy result: CSR, duplicates summed, exact zeros dropped."""
         h = h.tocsr()
         h.sum_duplicates()
         h.eliminate_zeros()
-        return cls(h.shape[0], h.indptr, h.indices, h.data, validate=False)
+        m = cls.__new__(cls)
+        m._own(h)
+        return m
 
     @classmethod
     def from_coo(cls, n, rows, cols, vals):
@@ -126,9 +121,12 @@ class SparseMatrix:
     # ------------------------------------------------------------------
     # basic queries
 
-    @property
-    def nnz(self):
-        return self.values.size
+    # read-only views onto the handle
+    n = property(lambda self: self._h.shape[0])
+    row_starts = property(lambda self: self._h.indptr)
+    col_indices = property(lambda self: self._h.indices)
+    values = property(lambda self: self._h.data)
+    nnz = property(lambda self: self._h.nnz)
 
     def __repr__(self):
         return f"SparseMatrix(n={self.n}, nnz={self.nnz})"
@@ -154,26 +152,18 @@ class SparseMatrix:
         return self._row_index
 
     def to_dense(self):
-        return self.to_scipy().toarray()
+        return self._h.toarray()
 
     def to_scipy(self):
-        """This matrix as a scipy ``csr_matrix``, built once and cached.
-
-        Every call returns the same handle; its ``indptr``, ``indices`` and
-        ``data`` are read-only, so it cannot be used to change the matrix.
-        """
-        if self._scipy is None:
-            h = scipy.sparse.csr_matrix(
-                (self.values, self.col_indices, self.row_starts), shape=(self.n, self.n)
-            )
-            for arr in (h.indptr, h.indices, h.data):
-                arr.setflags(write=False)
-            self._scipy = h
-        return self._scipy
+        """This matrix as a new scipy ``csr_matrix`` sharing its read-only
+        arrays: no copy is made, and rebinding the handle's attributes
+        cannot reach the matrix."""
+        h = self._h
+        return scipy.sparse.csr_matrix((h.data, h.indices, h.indptr), shape=h.shape)
 
     def diagonal_vector(self):
         """Diagonal entries as a dense vector (zeros where unstored)."""
-        return self.to_scipy().diagonal()
+        return self._h.diagonal()
 
     def max_abs(self):
         return float(np.abs(self.values).max()) if self.nnz else 0.0
@@ -190,43 +180,35 @@ class SparseMatrix:
     def matvec(self, x):
         """Deterministic y = A @ x: scipy's CSR product sums each row left
         to right in storage order."""
-        return self.to_scipy() @ np.asarray(x, dtype=np.float64)
+        return self._h @ np.asarray(x, dtype=np.float64)
 
     def scaled(self, c):
-        c = float(c)
-        if c == 0.0:
-            return SparseMatrix.zeros(self.n)
-        return SparseMatrix(
-            self.n, self.row_starts, self.col_indices, self.values * c, validate=False
-        )
+        return SparseMatrix._canonical(self._h * float(c))
 
     def _operand(self, other):
         if not isinstance(other, SparseMatrix) or other.n != self.n:
             raise ValueError("dimension mismatch in matrix addition")
-        return other.to_scipy()
+        return other._h
 
     def add(self, other):
-        return SparseMatrix._canonical(self.to_scipy() + self._operand(other))
+        return SparseMatrix._canonical(self._h + self._operand(other))
 
     def subtract(self, other):
-        return SparseMatrix._canonical(self.to_scipy() - self._operand(other))
+        return SparseMatrix._canonical(self._h - self._operand(other))
 
     def add_diagonal(self, d):
         """Return self + diag(d); d may be a scalar or a length-n vector."""
         d = np.broadcast_to(np.asarray(d, dtype=np.float64), (self.n,))
-        return SparseMatrix._canonical(self.to_scipy() + scipy.sparse.diags(d))
+        return SparseMatrix._canonical(self._h + scipy.sparse.diags(d))
 
     def abs_entrywise(self):
-        return SparseMatrix(
-            self.n, self.row_starts, self.col_indices, np.abs(self.values),
-            validate=False,
-        )
+        return SparseMatrix._canonical(abs(self._h))
 
     def strict_lower(self):
-        return SparseMatrix._canonical(scipy.sparse.tril(self.to_scipy(), k=-1))
+        return SparseMatrix._canonical(scipy.sparse.tril(self._h, k=-1))
 
     def strict_upper(self):
-        return SparseMatrix._canonical(scipy.sparse.triu(self.to_scipy(), k=1))
+        return SparseMatrix._canonical(scipy.sparse.triu(self._h, k=1))
 
 
 @dataclass(frozen=True)
@@ -259,9 +241,9 @@ def dlu_split(a):
 
 def comparison_matrix(a):
     """Entrywise comparison matrix: |diagonal| kept, off-diagonals to -|.|."""
-    diag_mask = a.col_indices == a._rows_expanded()
-    vals = np.where(diag_mask, np.abs(a.values), -np.abs(a.values))
-    return SparseMatrix(a.n, a.row_starts, a.col_indices, vals, validate=False)
+    h = abs(a._h)
+    h.data[a.col_indices != a._rows_expanded()] *= -1.0
+    return SparseMatrix._canonical(h)
 
 
 def _m_matrix_witness(a):
@@ -394,25 +376,33 @@ def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None):
     return RadiusEstimate(est, False, max_iters)
 
 
+def _pivots(m):
+    """The diagonal of m; SingularMatrixError names the first zero pivot."""
+    d = m.diagonal_vector()
+    if not d.all():
+        raise SingularMatrixError(f"zero diagonal in row {int(np.argmin(d != 0.0))}")
+    return d
+
+
 def lower_triangular_solve(m, b):
     """Solve m x = b by forward substitution in exact sequential order.
 
     m must be lower triangular; a zero or missing diagonal entry raises
-    SingularMatrixError naming the offending row.
+    SingularMatrixError naming the first such row.
     """
     if not m.is_lower_triangular():
         raise ValueError("matrix has entries above the diagonal")
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (m.n,):
         raise ValueError("right-hand side length mismatch")
+    _pivots(m)
     x = np.empty(m.n)
-    starts, cols, vals = m.row_starts, m.col_indices, m.values
+    starts = m.row_starts.tolist()
+    cols = m.col_indices.astype(np.intp)
+    vals = m.values
     for i in range(m.n):
-        lo, hi = starts[i], starts[i + 1]
-        if hi == lo or cols[hi - 1] != i or vals[hi - 1] == 0.0:
-            raise SingularMatrixError(f"zero diagonal in row {i}")
-        acc = b[i] - vals[lo:hi - 1] @ x[cols[lo:hi - 1]]
-        x[i] = acc / vals[hi - 1]
+        lo, hi = starts[i], starts[i + 1] - 1
+        x[i] = (b[i] - vals[lo:hi] @ x[cols[lo:hi]]) / vals[hi]
     return x
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .matrix_core import SingularMatrixError, SparseMatrix, lower_triangular_solve
+from .matrix_core import SingularMatrixError, SparseMatrix, _pivots, lower_triangular_solve
 from .splittings import Splitting, SplittingKind, make_splitting
 
 DENSE_FALLBACK_LIMIT = 2000
@@ -192,10 +192,7 @@ def _linear_solver_for(lhs):
     sparse method at scale.
     """
     if lhs.is_diagonal():
-        d = lhs.diagonal_vector()
-        if np.any(d == 0.0):
-            row = int(np.argmin(d != 0.0))
-            raise SingularMatrixError(f"zero diagonal in row {row}")
+        d = _pivots(lhs)
         return lambda b: b / d
     if lhs.is_lower_triangular():
         return lambda b: lower_triangular_solve(lhs, b)
@@ -212,8 +209,8 @@ def _linear_solver_for(lhs):
     return lambda b: scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
-def _guard(vec, k):
-    if not np.all(np.isfinite(vec)) or float(np.abs(vec).max()) > DIVERGENCE_NORM:
+def _guard(vec, k, bound):
+    if not np.all(np.isfinite(vec)) or float(np.abs(vec).max()) > bound:
         raise DivergenceError(f"iterate diverged at iteration {k}")
 
 
@@ -228,16 +225,18 @@ def _iterate(p, cfg, step, to_lambda, on_iterate):
 
     Starting from cfg's start vector, each pass replaces the state by
     step(state), guards it against divergence, maps it to lambda with
-    to_lambda and stops once Res(lambda) < tol.  Returns the SolveReport
-    fields the pass loop determines.
+    to_lambda and stops once Res(lambda) < tol.  The divergence bound is
+    DIVERGENCE_NORM relative to the scale of sigma, since the solution
+    grows with it.  Returns the SolveReport fields the pass loop determines.
     """
+    bound = DIVERGENCE_NORM * max(1.0, float(np.abs(p.sigma).max()))
     state = cfg.start_vector(p.n)
     residuals = []
     converged = False
     t0, c0 = time.perf_counter(), time.thread_time()
     for k in range(1, cfg.max_iters + 1):
         state = step(state)
-        _guard(state, k)
+        _guard(state, k, bound)
         lam = to_lambda(state)
         res = residual(p, lam)
         residuals.append(res)

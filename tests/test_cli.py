@@ -265,6 +265,15 @@ def test_non_finite_or_overflowing_matrix_is_input_error(capsys, tmp_path, comma
     _assert_input_error(capsys, [command, *files, "--method", "npgs"])
 
 
+@pytest.mark.parametrize("method", ["npgs", "mgs"])
+def test_large_solution_is_not_divergence(capsys, tmp_path, method):
+    # the divergence bound scales with sigma: [1] lam = 1e13 is well posed
+    files = _problem_files(tmp_path, "1 1 1\n1 1 1.0\n", sigma="-1e13\n")
+    code, out, _ = _run(capsys, ["solve", *files, "--method", method])
+    assert code == 0
+    assert "converged:     yes" in out
+
+
 def test_huge_declared_size_is_input_error(capsys, tmp_path):
     # the row pointers of a 10^12 x 10^12 matrix fail to allocate at once; a
     # size near 10^9 is not tried, since the allocation may be overcommitted

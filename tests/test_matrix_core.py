@@ -19,6 +19,9 @@ from lcpkit.matrix_core import (
     write_matrix_market,
     write_vector,
 )
+from lcpkit.problems import BenchSpec
+from lcpkit.solvers import shifted_system
+from lcpkit.splittings import SplittingKind, make_splitting
 
 
 def _dense(rows):
@@ -60,7 +63,7 @@ def test_invalid_construction_rejected():
         SparseMatrix(2, [0, 2], [0, 1], [1.0, 1.0])  # row_starts too short
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            SparseMatrix(1, [0, 1], [0], [bad], validate=False)
+            SparseMatrix(1, [0, 1], [0], [bad])
     with pytest.raises(ValueError, match="finite"):  # overflow while summing
         SparseMatrix.from_coo(1, [0, 0], [0, 0], [1e308, 1e308])
 
@@ -72,14 +75,39 @@ def test_matrices_are_immutable():
     with pytest.raises(ValueError):
         a.values[0] = 5.0
     h = a.to_scipy()
-    assert type(h) is scipy.sparse.csr_matrix and a.to_scipy() is h
+    assert type(h) is scipy.sparse.csr_matrix
     with pytest.raises(ValueError):
         h.indices[0] = 1
     with pytest.raises(ValueError):
         h.data[0] = 5.0
     with pytest.raises(ValueError):
         h.indptr[1] = 0
+    # the handle is a new view each call: rebinding its arrays leaves a alone
+    h.data = np.full(a.nnz, 5.0)
     npt.assert_array_equal(a.matvec(x), before)
+    npt.assert_array_equal(a.values, [2.0, 1.0, 3.0])
+
+
+@pytest.mark.parametrize("row_starts, col_indices, values, match", [
+    ([0, 2, 2], [1, 0], [1.0, 1.0], "strictly increasing"),  # unsorted columns
+    ([0, 2, 2], [0, 0], [1.0, 1.0], "strictly increasing"),  # duplicate column
+    ([0, 1, 1], [-1], [1.0], None),  # negative column
+    ([0, 1, 1], [2], [1.0], None),  # column >= n
+    ([0, 2, 1], [0], [1.0], None),  # decreasing row_starts
+    ([0, 1, 1], [0, 1], [1.0, 1.0], "span"),  # longer than row_starts[-1]
+    ([0, 1, 1], [0, 1], [1.0], "mismatch"),  # col_indices longer than values
+    ([0, 1, 1], [0], [0.0], "zero"),  # stored zero
+], ids=["unsorted", "duplicate", "negative", "too-large", "decreasing-starts",
+        "too-long", "cols-too-long", "stored-zero"])
+def test_constructor_rejects_malformed_storage(row_starts, col_indices, values, match):
+    with pytest.raises(ValueError, match=match):
+        SparseMatrix(2, row_starts, col_indices, values)
+
+
+def test_scaled_underflow_drops_the_entry():
+    a = SparseMatrix.diagonal([1e-200, 2.0]).scaled(1e-200)
+    assert a.nnz == 1
+    assert _canonical(a) == a
 
 
 def _canonical(m):
@@ -378,6 +406,47 @@ def test_forward_substitution_random_systems():
         b = rng.uniform(-5, 5, n)
         x = lower_triangular_solve(SparseMatrix.from_dense(d), b)
         npt.assert_allclose(d @ x, b, atol=1e-10)
+
+
+def _reference_trisolve(m, b):
+    """The per-row forward substitution that checked each pivot inside
+    the loop; the solve must stay bitwise equal to it."""
+    x = np.empty(m.n)
+    starts, cols, vals = m.row_starts, m.col_indices, m.values
+    for i in range(m.n):
+        lo, hi = starts[i], starts[i + 1]
+        if hi == lo or cols[hi - 1] != i or vals[hi - 1] == 0.0:
+            raise SingularMatrixError(f"zero diagonal in row {i}")
+        acc = b[i] - vals[lo:hi - 1] @ x[cols[lo:hi - 1]]
+        x[i] = acc / vals[hi - 1]
+    return x
+
+
+def _system_matrix_examples(test):
+    # the n = 16 system matrices M + 2I + D_A the benchmark tables solve with
+    rng = np.random.default_rng(47)
+    for family in ("example1", "example2"):
+        a = BenchSpec(family, 4).build().a
+        for kind in (SplittingKind.npgs(), SplittingKind.npsor(1.7)):
+            lhs = shifted_system(a, make_splitting(a, kind))[0]
+            test = example(d=lhs.to_dense(), b=rng.uniform(-3, 3, 16))(test)
+    return test
+
+
+_PIVOT = st.one_of(st.floats(0.5, 8.0), st.floats(-8.0, -0.5))
+_LOWER = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.float64, (n, n), elements=_SPARSE_ENTRY),
+    hnp.arrays(np.float64, n, elements=_PIVOT),
+)).map(lambda t: np.tril(t[0], -1) + np.diag(t[1]))
+
+
+@_EXACT
+@given(d=_LOWER, b=hnp.arrays(np.float64, 16, elements=_ENTRY))
+@_system_matrix_examples
+def test_forward_substitution_matches_reference_loop(d, b):
+    m = SparseMatrix.from_dense(d)
+    b = b[:m.n]
+    assert np.array_equal(lower_triangular_solve(m, b), _reference_trisolve(m, b))
 
 
 def test_forward_substitution_singular_names_row():

@@ -11,9 +11,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .convergence import check_spectral_condition
 from .matrix_core import read_matrix_market, read_vector, write_matrix_market, write_vector
@@ -268,16 +266,6 @@ def cmd_check(args):
     return 0
 
 
-def _thread_cap():
-    raw = os.environ.get("LCPKIT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"LCPKIT_THREADS must be an integer, got {raw!r}")
-
-
 def _parse_sizes(raw, default):
     if raw is None:
         return list(default)
@@ -291,91 +279,74 @@ def _parse_sizes(raw, default):
 
 
 def _table_cells(args):
+    """Run every cell, method-major, and return the sizes and the rows in
+    render order: (method, parameter, reports by size)."""
     setup = TABLE_SETUPS[args.which]
     sizes = _parse_sizes(args.sizes, setup["sizes"])
     for n in sizes:
         m = math.isqrt(n)
         if m * m != n or m < 2:
             raise UsageError(f"table sizes must be perfect squares >= 4, got {n}")
-    problems = {n: BenchSpec(setup["family"], math.isqrt(n), args.delta).build()
-                for n in sizes}
-    alphas = (1.0, setup["msor_alpha"], None, setup["npsor_alpha"])
-    methods = [
-        ("mgs", f"alpha=1;gamma={args.gamma:g}"),
-        ("msor", f"alpha={setup['msor_alpha']:g};gamma={args.gamma:g}"),
-        ("npgs", ""),
-        ("npsor", f"alpha={setup['npsor_alpha']:g}"),
-    ]
+    problems = [BenchSpec(setup["family"], math.isqrt(n), args.delta).build()
+                for n in sizes]
+    methods = (
+        ("mgs", 1.0, f"alpha=1;gamma={args.gamma:g}"),
+        ("msor", setup["msor_alpha"],
+         f"alpha={setup['msor_alpha']:g};gamma={args.gamma:g}"),
+        ("npgs", None, ""),
+        ("npsor", setup["npsor_alpha"], f"alpha={setup['npsor_alpha']:g}"),
+    )
     cfg = SolverConfig(tol=args.tol, max_iters=args.max_iters)
-
-    def run_cell(cell):
-        mi, ni = cell
-        return _solve(problems[sizes[ni]], methods[mi][0], alphas[mi], None, cfg, args.gamma)
-
-    cells = [(mi, ni) for mi in range(len(methods)) for ni in range(len(sizes))]
-    workers = min(_thread_cap(), len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_cell, cells))
-    else:
-        reports = [run_cell(c) for c in cells]
-    return sizes, methods, dict(zip(cells, reports))
+    return sizes, [
+        (method, parameter,
+         [_solve(problem, method, alpha, None, cfg, args.gamma) for problem in problems])
+        for method, alpha, parameter in methods
+    ]
 
 
-def _render_table_csv(which, sizes, methods, grid):
+def _render_table_csv(which, sizes, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["table", "method", "parameter", "n", "iterations",
                      "residual_final", "cpu_seconds", "converged"])
-    for mi, (method, parameter) in enumerate(methods):
-        for ni, n in enumerate(sizes):
-            r = grid[(mi, ni)]
+    for method, parameter, reports in rows:
+        for n, r in zip(sizes, reports):
             writer.writerow([which, method, parameter, n, r.iterations,
                              _g17(r.residual_final), f"{r.cpu_seconds:.6f}",
                              r.converged])
     return buf.getvalue()
 
 
-def _render_table_md(which, sizes, methods, grid):
+def _render_table_md(which, sizes, rows):
     header = ["method", "metric"] + [f"n={n}" for n in sizes]
     lines = [f"# {which}", "", "| " + " | ".join(header) + " |",
              "|" + "---|" * len(header)]
-    for mi, (method, parameter) in enumerate(methods):
-        label = method if not parameter else f"{method} ({parameter})"
-        rows = {"IT": [], "CPU(s)": [], "Res": []}
-        for ni in range(len(sizes)):
-            r = grid[(mi, ni)]
-            it = str(r.iterations) if r.converged else f"{r.iterations}*"
-            rows["IT"].append(it)
-            rows["CPU(s)"].append(f"{r.cpu_seconds:.4f}")
-            rows["Res"].append(f"{r.residual_final:.2e}")
-        for j, metric in enumerate(("IT", "CPU(s)", "Res")):
-            head = label if j == 0 else ""
-            lines.append("| " + " | ".join([head, metric] + rows[metric]) + " |")
+    for method, parameter, reports in rows:
+        head = method if not parameter else f"{method} ({parameter})"
+        for metric, values in (
+            ("IT", [str(r.iterations) if r.converged else f"{r.iterations}*"
+                    for r in reports]),
+            ("CPU(s)", [f"{r.cpu_seconds:.4f}" for r in reports]),
+            ("Res", [f"{r.residual_final:.2e}" for r in reports]),
+        ):
+            lines.append("| " + " | ".join([head, metric] + values) + " |")
+            head = ""
     lines.append("")
     lines.append("(* did not reach the residual threshold)")
     return "\n".join(lines) + "\n"
 
 
-def _render_table_json(which, sizes, methods, grid):
-    runs = []
-    for mi, (method, parameter) in enumerate(methods):
-        for ni, n in enumerate(sizes):
-            rec = {"table": which, "parameter": parameter}
-            rec.update(grid[(mi, ni)].to_json_dict())
-            runs.append(rec)
+def _render_table_json(which, sizes, rows):
+    runs = [{"table": which, "parameter": parameter, **r.to_json_dict()}
+            for _, parameter, reports in rows for r in reports]
     return json.dumps({"table": which, "sizes": sizes, "runs": runs}, indent=2) + "\n"
 
 
 def cmd_table(args):
-    sizes, methods, grid = _table_cells(args)
-    if args.format == "csv":
-        text = _render_table_csv(args.which, sizes, methods, grid)
-    elif args.format == "json":
-        text = _render_table_json(args.which, sizes, methods, grid)
-    else:
-        text = _render_table_md(args.which, sizes, methods, grid)
-    _emit(text, args)
+    sizes, rows = _table_cells(args)
+    render = {"csv": _render_table_csv, "md": _render_table_md,
+              "json": _render_table_json}[args.format]
+    _emit(render(args.which, sizes, rows), args)
     return 0
 
 

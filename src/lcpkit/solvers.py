@@ -21,10 +21,17 @@ from .splittings import Splitting, SplittingKind, make_splitting
 
 DENSE_FALLBACK_LIMIT = 2000
 DIVERGENCE_NORM = 1e12
+_SCALE_LIMIT = np.finfo(np.float64).max / 4
 
 
 class DivergenceError(RuntimeError):
     """Iterate became non-finite or unboundedly large."""
+
+
+def _divergence_bound(sigma):
+    """DIVERGENCE_NORM relative to the scale of sigma, since the solution
+    grows with it."""
+    return DIVERGENCE_NORM * max(1.0, float(np.abs(sigma).max()))
 
 
 def _readonly(v, n=None, name="vector"):
@@ -64,6 +71,15 @@ class LcpProblem:
         if not isinstance(self.a, SparseMatrix):
             raise ValueError("a must be a SparseMatrix")
         object.__setattr__(self, "sigma", _readonly(self.sigma, self.a.n, "sigma"))
+        # an iterate may grow to the divergence bound before the guard stops
+        # it; A times such an iterate, plus a few like terms, must stay finite
+        with np.errstate(over="ignore"):
+            row_sum = float(abs(self.a.to_scipy()).sum(axis=1).max())
+        if not _divergence_bound(self.sigma) * max(1.0, row_sum) < _SCALE_LIMIT:
+            raise ValueError(
+                f"problem scale not representable: {DIVERGENCE_NORM:g} * max(1, max|sigma|)"
+                f" * max(1, largest absolute row sum of A) must stay below {_SCALE_LIMIT:.3g}"
+            )
         if self.known_solution is not None:
             lam = _readonly(self.known_solution, self.a.n, "known_solution")
             w = self.a.matvec(lam) + self.sigma
@@ -225,11 +241,10 @@ def _iterate(p, cfg, step, to_lambda, on_iterate):
 
     Starting from cfg's start vector, each pass replaces the state by
     step(state), guards it against divergence, maps it to lambda with
-    to_lambda and stops once Res(lambda) < tol.  The divergence bound is
-    DIVERGENCE_NORM relative to the scale of sigma, since the solution
-    grows with it.  Returns the SolveReport fields the pass loop determines.
+    to_lambda and stops once Res(lambda) < tol.  Returns the SolveReport
+    fields the pass loop determines.
     """
-    bound = DIVERGENCE_NORM * max(1.0, float(np.abs(p.sigma).max()))
+    bound = _divergence_bound(p.sigma)
     state = cfg.start_vector(p.n)
     residuals = []
     converged = False

@@ -147,8 +147,9 @@ def _strip_cpu(csv_text):
     return ["," .join(row[:6] + row[7:]) for row in rows]
 
 
-def test_table_csv_deterministic(capsys, tmp_path):
-    argv = ["table", "table1", "--sizes", "100", "--format", "csv"]
+@pytest.mark.parametrize("which", ["table1", "table2"])
+def test_table_csv_deterministic(capsys, tmp_path, which):
+    argv = ["table", which, "--sizes", "100", "--format", "csv"]
     first = _run(capsys, argv + ["--output", str(tmp_path / "one.csv")])
     second = _run(capsys, argv + ["--output", str(tmp_path / "two.csv")])
     assert first[0] == 0 and second[0] == 0
@@ -158,23 +159,6 @@ def test_table_csv_deterministic(capsys, tmp_path):
     header = one.splitlines()[0]
     assert header == ("table,method,parameter,n,iterations,"
                       "residual_final,cpu_seconds,converged")
-
-
-def test_table_thread_cap_keeps_output(capsys, tmp_path, monkeypatch):
-    argv = ["table", "table2", "--sizes", "100", "--format", "csv"]
-    serial = _run(capsys, argv + ["--output", str(tmp_path / "serial.csv")])
-    monkeypatch.setenv("LCPKIT_THREADS", "3")
-    pooled = _run(capsys, argv + ["--output", str(tmp_path / "pooled.csv")])
-    assert serial[0] == 0 and pooled[0] == 0
-    assert (_strip_cpu((tmp_path / "serial.csv").read_text(encoding="ascii"))
-            == _strip_cpu((tmp_path / "pooled.csv").read_text(encoding="ascii")))
-
-
-def test_table_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("LCPKIT_THREADS", "many")
-    code, _, err = _run(capsys, ["table", "table1", "--sizes", "4"])
-    assert code == 1
-    assert "LCPKIT_THREADS" in err
 
 
 def test_table_rejects_non_square_size(capsys):
@@ -285,6 +269,21 @@ def test_huge_declared_size_is_input_error(capsys, tmp_path):
     assert err == "error: declared size 1000000000000 x 1000000000000 is too large to allocate\n"
 
 
+_OFF_DIAGONAL_HUGE = "2 2 3\n1 1 4.0\n2 2 4.0\n2 1 1e308\n"
+
+
+@pytest.mark.parametrize("entries, sigma, run", [
+    (_OFF_DIAGONAL_HUGE, "1\n1\n", ["solve", "--method", "npgs"]),
+    (_OFF_DIAGONAL_HUGE, "1\n1\n", ["solve", "--method", "mgs"]),
+    (_OFF_DIAGONAL_HUGE, "1\n1\n", ["check", "--method", "npgs"]),
+    ("1 1 1\n1 1 4.0\n", "-1e308\n", ["solve", "--method", "npgs"]),
+], ids=["matrix-solve-npgs", "matrix-solve-mgs", "matrix-check-npgs", "sigma-solve-npgs"])
+def test_unrepresentable_scale_is_input_error(capsys, tmp_path, entries, sigma, run):
+    # finite, but an iterate at the divergence bound times A would overflow
+    files = _problem_files(tmp_path, entries, sigma)
+    _assert_input_error(capsys, [*run, *files])
+
+
 @pytest.mark.parametrize("flag", ["--sigma", "--init"])
 def test_non_finite_vector_is_input_error(capsys, tmp_path, flag):
     files = _problem_files(tmp_path, "2 2 2\n1 1 4.0\n2 2 4.0\n")
@@ -350,3 +349,4 @@ def test_cli_never_prints_a_traceback(capsys, tmp_path, files, run, init):
     code, _, err = _run(capsys, argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    assert err.count("\n") <= 1 and "Warning" not in err

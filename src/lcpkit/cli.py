@@ -372,7 +372,7 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -421,17 +421,24 @@ def write_matrix_market(a, path):
             fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
 
 
+def _load_rows(fh, dtype):
+    """Parse the rest of fh as one record of dtype per line.
+
+    Lines starting with '%' (after leading whitespace) are dropped whole
+    and blank lines are skipped; a trailing '%' on a data line is not a
+    comment.  A row with a field count other than dtype's, or a field
+    its type cannot parse exactly, raises ValueError.
+    """
+    lines = (line for line in fh if not line.lstrip().startswith("%"))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+
+
 def read_matrix_market(path):
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
-        fields = header.lower().split()
-        if (
-            len(fields) != 5
-            or fields[0] != "%%matrixmarket"
-            or fields[1:3] != ["matrix", "coordinate"]
-            or fields[3] != "real"
-            or fields[4] != "general"
-        ):
+        if header.lower().split() != _MM_HEADER.lower().split():
             raise ValueError(
                 f"unsupported MatrixMarket header (need coordinate real general): {header!r}"
             )
@@ -451,28 +458,11 @@ def read_matrix_market(path):
             raise ValueError("matrix must be square")
         if nrows <= 0 or not 0 <= nnz <= nrows * nrows:
             raise ValueError(f"size line out of range: {size_line!r}")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        k = 0
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            if k >= nnz:
-                raise ValueError("more entries than declared")
-            i, j, v = stripped.split()
-            i, j = int(i), int(j)
-            if not (1 <= i <= nrows and 1 <= j <= nrows):
-                raise ValueError(f"entry index out of range: {stripped!r}")
-            rows[k] = i - 1
-            cols[k] = j - 1
-            vals[k] = float(v)
-            k += 1
-        if k != nnz:
-            raise ValueError(f"expected {nnz} entries, found {k}")
+        entries = _load_rows(fh, [("i", np.int64), ("j", np.int64), ("v", np.float64)])
+    if entries.size != nnz:
+        raise ValueError(f"expected {nnz} entries, found {entries.size}")
     try:
-        return SparseMatrix.from_coo(nrows, rows, cols, vals)
+        return SparseMatrix.from_coo(nrows, entries["i"] - 1, entries["j"] - 1, entries["v"])
     except MemoryError:
         # the row pointers alone take 8 (n + 1) bytes
         raise ValueError(f"declared size {nrows} x {nrows} is too large to allocate") from None
@@ -485,13 +475,9 @@ def write_vector(v, path):
 
 
 def read_vector(path):
-    out = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            out.append(float(stripped))
-    if not out:
+        # one field per row, so "1 2" on a line is an error, not two values
+        values = _load_rows(fh, [("v", np.float64)])["v"]
+    if not values.size:
         raise ValueError(f"no values found in {path}")
-    return np.asarray(out)
+    return values

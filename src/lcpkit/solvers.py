@@ -246,11 +246,15 @@ def _iterate(p, cfg, step, to_lambda, on_iterate):
     """
     bound = _divergence_bound(p.sigma)
     state = cfg.start_vector(p.n)
+    if float(np.abs(state).max()) > bound:
+        raise ValueError(f"initial vector exceeds the divergence bound {bound:.3g}")
     residuals = []
     converged = False
     t0, c0 = time.perf_counter(), time.thread_time()
     for k in range(1, cfg.max_iters + 1):
-        state = step(state)
+        # a step that overflows (a tiny pivot, say) is left to _guard
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = step(state)
         _guard(state, k, bound)
         lam = to_lambda(state)
         res = residual(p, lam)

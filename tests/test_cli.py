@@ -239,6 +239,7 @@ def _assert_input_error(capsys, argv):
     code, _, err = _run(capsys, argv)
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("command", ["solve", "check"])
@@ -256,6 +257,15 @@ def test_large_solution_is_not_divergence(capsys, tmp_path, method):
     code, out, _ = _run(capsys, ["solve", *files, "--method", method])
     assert code == 0
     assert "converged:     yes" in out
+
+
+def test_tiny_pivot_diverges_without_a_warning(capsys, tmp_path):
+    # (Omega + M)^-1 sigma overflows on a subnormal diagonal: that is the
+    # divergence _guard reports, not a numpy RuntimeWarning on stderr
+    files = _problem_files(tmp_path, "1 1 1\n1 1 1e-320\n", sigma="1\n")
+    code, _, err = _run(capsys, ["solve", *files, "--method", "msor", "--alpha", "0.9"])
+    assert code == 2
+    assert err == "did not converge: iterate diverged at iteration 1\n"
 
 
 def test_huge_declared_size_is_input_error(capsys, tmp_path):
@@ -292,13 +302,50 @@ def test_non_finite_vector_is_input_error(capsys, tmp_path, flag):
                                  flag, str(tmp_path / "bad.vec")])
 
 
+@pytest.mark.parametrize("method", ["npgs", "mgs"])
+@pytest.mark.parametrize("start", ["1e308", "1e13"])
+def test_start_vector_beyond_divergence_bound_is_input_error(capsys, tmp_path, method, start):
+    # with sigma = [1] the bound is 1e12: such a start is diverged before pass 1
+    files = _problem_files(tmp_path, "1 1 1\n1 1 4.0\n", sigma="1\n")
+    (tmp_path / "init.vec").write_text(start + "\n", encoding="ascii")
+    _assert_input_error(capsys, ["solve", *files, "--method", method,
+                                 "--init", str(tmp_path / "init.vec")])
+
+
+@pytest.mark.parametrize("family", ["example1", "random"])
+def test_huge_generated_family_is_input_error(capsys, family):
+    # 10^18 elements exceed the address space, so the allocation fails at once
+    _assert_input_error(capsys, ["solve", "--family", family, "--m", "1000000000",
+                                 "--method", "npgs"])
+
+
+@pytest.mark.parametrize("last_entry, sigma", [
+    ("2 2 4.0 1", "-1\n-1\n"),
+    ("2 2 4.0 % note", "-1\n-1\n"),
+    ("2 2 1,5", "-1\n-1\n"),
+    ("2 2 1.5abc", "-1\n-1\n"),
+    ("2 2 0x1p-2", "-1\n-1\n"),
+    ("2.0 2 4.0", "-1\n-1\n"),
+    ("99999999999999999999999 2 4.0", "-1\n-1\n"),
+    ("2 2 4.0", "-1 -1\n"),
+    ("2 2 4.0", "-1\n-1_0\n"),
+    ("2 2 4.0", "% no values\n"),
+], ids=["fourth-field", "trailing-comment", "comma", "suffix", "hex", "float-index",
+        "long-index", "two-per-line", "underscore", "empty-vector"])
+def test_malformed_file_is_input_error(capsys, tmp_path, last_entry, sigma):
+    files = _problem_files(tmp_path, f"2 2 2\n1 1 4.0\n{last_entry}\n", sigma)
+    _assert_input_error(capsys, ["solve", *files, "--method", "npgs"])
+
+
 def test_non_finite_parameter_is_input_error(capsys):
     _assert_input_error(capsys, ["check", "--family", "example1", "--m", "3",
                                  "--method", "npsor", "--alpha", "inf"])
 
 
 _FINITE = st.floats(-10.0, 10.0).map(repr)
-_BAD_VALUES = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "x", ""])
+_BAD_VALUES = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "x", "",
+                               "1,5", "1.5abc", "0x1p-2"])
+_FILLER = st.sampled_from(["", "% note", "  %"])
 
 
 def _mostly(draw, good, bad):
@@ -313,14 +360,19 @@ def _fuzzed_files(draw):
     n = draw(st.integers(1, 8))
     index = st.integers(1, n)
     entries = [(i, i, draw(_FINITE)) for i in range(1, n + 1) if draw(st.booleans())]
+    bad_index = st.sampled_from([0, n + 1, 99999999999999999999999])
     for _ in range(draw(st.integers(0, 2 * n))):
-        entries.append((_mostly(draw, index, st.sampled_from([0, n + 1])),
-                        _mostly(draw, index, st.sampled_from([0, n + 1])),
+        entries.append((_mostly(draw, index, bad_index),
+                        _mostly(draw, index, bad_index),
                         _mostly(draw, _FINITE, _BAD_VALUES)))
     nnz = _mostly(draw, st.just(len(entries)), st.integers(-1, 12))
     size_line = _mostly(draw, st.just(f"{n} {n} {nnz}"),
                         st.sampled_from([f"{n} {n + 1} {nnz}", f"{n - 1} {n - 1} {nnz}"]))
-    mtx = "\n".join([size_line] + [" ".join(map(str, e)) for e in entries]) + "\n"
+    lines = [size_line]
+    for e in entries:
+        lines += draw(st.lists(_FILLER, max_size=1))
+        lines.append(" ".join(map(str, e)) + _mostly(draw, st.just(""), st.just(" 1.0")))
+    mtx = "\n".join(lines) + "\n"
     length = _mostly(draw, st.just(n), st.integers(0, 9))
     vec = "\n".join(_mostly(draw, _FINITE, _BAD_VALUES) for _ in range(length)) + "\n"
     return mtx, vec

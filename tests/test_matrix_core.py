@@ -486,34 +486,65 @@ def test_matrix_market_round_trip(tmp_path, d):
     assert read_matrix_market(path) == a
 
 
-def test_matrix_market_rejects_other_layouts(tmp_path):
+_MM = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("text", [
+    "%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n1\n",
+    "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 1.0\n",
+    "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n",
+    "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 1\n",
+    "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.0 0.0\n",
+    "2 2 1\n1 1 1.0\n",
+], ids=["array", "symmetric", "pattern", "integer", "complex", "no-banner"])
+def test_matrix_market_rejects_other_layouts(tmp_path, text):
     path = tmp_path / "bad.mtx"
-    path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n1\n")
+    path.write_text(text)
+    with pytest.raises(ValueError, match="unsupported MatrixMarket header"):
+        read_matrix_market(path)
+
+
+@pytest.mark.parametrize("entry", [
+    "1 1 1.5 2",
+    "1 1 1.5 % note",
+    "1 1 1,5", "1 1 1.5abc", "1 1 1.0.0", "1 1 0x1p-2",
+    "1.0 1 1.5", "1x 1 1.5", "0 1 1.5", "1 3 1.5",
+], ids=["fourth-field", "trailing-comment", "comma", "suffix", "two-points", "hex",
+        "float-index", "suffixed-index", "zero-index", "index-above-n"])
+def test_matrix_market_rejects_malformed_entry(tmp_path, entry):
+    # '%' opens a comment only at the start of a line
+    path = tmp_path / "bad.mtx"
+    path.write_text(_MM + f"2 2 2\n2 2 4.0\n{entry}\n")
     with pytest.raises(ValueError):
         read_matrix_market(path)
 
 
+def test_matrix_market_skips_comment_and_blank_lines(tmp_path):
+    path = tmp_path / "a.mtx"
+    path.write_text(_MM + "% size next\n2 2 2\n\n1 1 1.5\n  % between\n\n2 2 4.0\n%\n")
+    assert read_matrix_market(path) == SparseMatrix.from_dense([[1.5, 0.0], [0.0, 4.0]])
+
+
 def test_matrix_market_entry_count_checked(tmp_path):
     path = tmp_path / "short.mtx"
-    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n")
+    path.write_text(_MM + "2 2 2\n1 1 1.0\n")
     with pytest.raises(ValueError):
         read_matrix_market(path)
 
 
 @pytest.mark.parametrize("size_line", ["2 2 1000000000000", "2 2 5", "2 2 -1", "0 0 0"])
 def test_matrix_market_size_line_checked_before_allocation(tmp_path, size_line):
-    # a declared nnz of 10^12 would ask numpy for terabytes if it were trusted
+    # impossible counts are rejected from the size line, before any entry is read
     path = tmp_path / "bad.mtx"
-    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size_line}\n1 1 1.0\n")
+    path.write_text(_MM + f"{size_line}\n1 1 1.0\n")
     with pytest.raises(ValueError, match="size line out of range"):
         read_matrix_market(path)
 
 
 def test_matrix_market_entry_index_checked(tmp_path):
     path = tmp_path / "idx.mtx"
-    path.write_text("%%MatrixMarket matrix coordinate real general\n"
-                    "2 2 1\n99999999999999999999999 1 1.0\n")
-    with pytest.raises(ValueError, match="index out of range"):
+    path.write_text(_MM + "2 2 1\n99999999999999999999999 1 1.0\n")
+    with pytest.raises(ValueError, match="99999999999999999999999"):
         read_matrix_market(path)
 
 
@@ -524,3 +555,16 @@ def test_vector_round_trip(tmp_path, v):
     path = tmp_path / "v.txt"
     write_vector(v, path)
     npt.assert_array_equal(read_vector(path), v)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("1 2\n", None),
+    ("1_0\n", None),
+    ("% only a comment\n\n", "no values"),
+], ids=["two-per-line", "underscore", "no-values"])
+def test_vector_rejects_malformed_lines(tmp_path, text, match):
+    # one value per line; Python's float() would read 1_0 as 10
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_vector(path)

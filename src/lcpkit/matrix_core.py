@@ -6,11 +6,16 @@ matrix-vector product all run in ``scipy.sparse``.  lcpkit adds the
 invariants on top (square, sorted columns, no stored zeros, finite
 values, immutable arrays) and keeps everything deterministic: every
 reduction runs in a fixed order, and the only factorization on offer is
-triangular substitution.  Dense fallbacks
-(inverses, principal minors) are reserved for certification and tests on
-small matrices, never for solver hot paths.
+triangular substitution.  A row sum, in the matrix-vector product and
+in forward substitution alike, adds the row's rounded products left to
+right in storage order.  Forward substitution runs in level order: the
+rows that depend only on rows already solved are computed together,
+with a schedule built on the first solve and cached on the (immutable)
+matrix.  Dense fallbacks (inverses, principal minors) are reserved for
+certification and tests on small matrices, never for solver hot paths.
 """
 
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
@@ -36,7 +41,7 @@ class SparseMatrix:
     safe to share across threads.
     """
 
-    __slots__ = ("_h", "_row_index")
+    __slots__ = ("_h", "_row_index", "_schedule")
 
     def __init__(self, n, row_starts, col_indices, values):
         n = int(n)
@@ -68,6 +73,7 @@ class SparseMatrix:
             arr.setflags(write=False)
         self._h = h
         self._row_index = None
+        self._schedule = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -151,6 +157,13 @@ class SparseMatrix:
             self._row_index.setflags(write=False)
         return self._row_index
 
+    def _level_schedule(self):
+        """The forward-substitution schedule, built on first use and kept
+        with the matrix; a matrix that cannot be solved caches nothing."""
+        if self._schedule is None:
+            self._schedule = _build_schedule(self)
+        return self._schedule
+
     def to_dense(self):
         return self._h.toarray()
 
@@ -169,10 +182,14 @@ class SparseMatrix:
         return float(np.abs(self.values).max()) if self.nnz else 0.0
 
     def is_lower_triangular(self):
-        return bool(np.all(self.col_indices <= self._rows_expanded()))
+        # columns are sorted, so a row's last stored column is its largest
+        ends = self.row_starts[1:]
+        stored = np.flatnonzero(ends > self.row_starts[:-1])
+        return bool(np.all(self.col_indices[ends[stored] - 1] <= stored))
 
     def is_diagonal(self):
-        return bool(np.all(self.col_indices == self._rows_expanded()))
+        per_row = np.diff(self.row_starts)
+        return bool(per_row.max() <= 1) and np.array_equal(self.col_indices, np.flatnonzero(per_row))
 
     # ------------------------------------------------------------------
     # algebra (all out-of-place; results share no storage with inputs)
@@ -384,26 +401,125 @@ def _pivots(m):
     return d
 
 
-def lower_triangular_solve(m, b):
-    """Solve m x = b by forward substitution in exact sequential order.
+class _LevelSchedule(NamedTuple):
+    """Forward substitution on a lower-triangular matrix, level by level.
 
-    m must be lower triangular; a zero or missing diagonal entry raises
-    SingularMatrixError naming the first such row.
+    A row's level is one more than the highest level among the rows its
+    off-diagonal entries refer to (0 when it has none), so the rows of a
+    level depend on earlier levels only and are solved together.
+    ``order`` lists the rows level by level, ascending within a level,
+    cut into levels by ``level_starts``; ``pivots`` is the diagonal in
+    that order.  The off-diagonal entries follow the same order, each
+    row's in storage order, cut into levels by ``entry_starts``: entry e
+    has value ``vals[e]``, refers to position ``cols[e]`` of the level
+    order, and belongs to row ``rows[e]`` of its level.  Every array is
+    read-only; the index arrays use the matrix's index dtype.
     """
+
+    order: np.ndarray
+    level_starts: np.ndarray
+    pivots: np.ndarray
+    entry_starts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def solve(self, b):
+        xs = np.empty(b.size)  # the solution in level order
+        bs = b[self.order]
+        rows, cols, vals, pivots = self.rows, self.cols, self.vals, self.pivots
+        levels = self.level_starts.tolist()
+        entries = self.entry_starts.tolist()
+        for k in range(len(levels) - 1):
+            lo, hi = levels[k], levels[k + 1]
+            a, e = entries[k], entries[k + 1]
+            # bincount adds the weights in index order onto 0.0, so each
+            # row's products are summed left to right in storage order
+            s = np.bincount(rows[a:e], weights=vals[a:e] * xs.take(cols[a:e]), minlength=hi - lo)
+            np.divide(bs[lo:hi] - s, pivots[lo:hi], out=xs[lo:hi])
+        x = np.empty(b.size)
+        x[self.order] = xs
+        return x
+
+
+def _levels(n, rows, cols, pending):
+    """Level of every row by a frontier sweep over the off-diagonal
+    entries (rows[e] depends on cols[e]); pending counts each row's
+    entries and is used up.  Returns (level, number of levels)."""
+    dependents = rows[np.argsort(cols, kind="stable")]
+    dep_count = np.bincount(cols, minlength=n)
+    dep_start = np.cumsum(dep_count) - dep_count
+    level = np.empty(n, dtype=rows.dtype)
+    frontier = np.flatnonzero(pending == 0)
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        counts = dep_count[frontier]
+        ends = counts.cumsum()
+        # the dependents of every frontier row, gathered by one index
+        children = dependents[np.arange(ends[-1]) + np.repeat(dep_start[frontier] - ends + counts, counts)]
+        np.subtract.at(pending, children, 1)
+        frontier = np.unique(children[pending[children] == 0])
+        depth += 1
+    return level, depth
+
+
+def _build_schedule(m):
+    """The level schedule of m, after checking that m is lower triangular
+    with a nonzero diagonal."""
     if not m.is_lower_triangular():
         raise ValueError("matrix has entries above the diagonal")
+    pivots = _pivots(m)
+    h = m._h
+    n, idx = m.n, h.indices.dtype
+    # columns are sorted, so each row's diagonal is its last stored entry
+    per_row = np.diff(h.indptr) - 1
+    level, depth = _levels(n, np.repeat(np.arange(n, dtype=idx), per_row),
+                           np.delete(h.indices, h.indptr[1:] - 1), per_row.copy())
+    order = np.argsort(level, kind="stable").astype(idx)
+    level_starts = np.zeros(depth + 1, dtype=idx)
+    np.cumsum(np.bincount(level, minlength=depth), out=level_starts[1:])
+    rank = np.empty(n, dtype=idx)
+    rank[order] = np.arange(n, dtype=idx)
+    per_row = per_row[order]
+    row_starts = np.zeros(n + 1, dtype=idx)  # of each row's entries, in level order
+    np.cumsum(per_row, out=row_starts[1:])
+    # the storage position of every entry, rows in level order
+    src = np.repeat(h.indptr[order] - row_starts[:-1], per_row) + np.arange(row_starts[-1], dtype=idx)
+    in_level = np.arange(n, dtype=idx) - np.repeat(level_starts[:-1], np.diff(level_starts))
+    schedule = _LevelSchedule(
+        order=order,
+        level_starts=level_starts,
+        pivots=pivots[order],
+        entry_starts=row_starts[level_starts],
+        rows=np.repeat(in_level, per_row),
+        cols=rank[h.indices[src]],
+        vals=h.data[src],
+    )
+    for arr in schedule:
+        arr.setflags(write=False)
+    return schedule
+
+
+def lower_triangular_solve(m, b):
+    """Solve m x = b by forward substitution, level by level.
+
+    m must be lower triangular: an entry above the diagonal raises
+    ValueError, and a zero or missing diagonal entry raises
+    SingularMatrixError naming the first such row.  Row i gives
+    x_i = (b_i - s_i) / m_ii, where s_i sums the rounded products
+    m_ij x_j of the row's off-diagonal entries left to right in storage
+    order, starting from 0.0, as ``SparseMatrix.matvec`` sums a row.
+    Rows of one level (see ``_LevelSchedule``) are computed together;
+    that changes no row's arithmetic, so x is bitwise the row-by-row
+    result.  The checks and the schedule run once per matrix: the first
+    call builds the schedule and caches it on m.
+    """
+    schedule = m._level_schedule()
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (m.n,):
         raise ValueError("right-hand side length mismatch")
-    _pivots(m)
-    x = np.empty(m.n)
-    starts = m.row_starts.tolist()
-    cols = m.col_indices.astype(np.intp)
-    vals = m.values
-    for i in range(m.n):
-        lo, hi = starts[i], starts[i + 1] - 1
-        x[i] = (b[i] - vals[lo:hi] @ x[cols[lo:hi]]) / vals[hi]
-    return x
+    return schedule.solve(b)
 
 
 # ----------------------------------------------------------------------
@@ -413,26 +529,61 @@ _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
 
 def write_matrix_market(a, path):
+    """Write a as 1-based coordinate entries in storage order, each value
+    as its shortest round-trip repr."""
+    rows = np.repeat(np.arange(1, a.n + 1), np.diff(a.row_starts)).tolist()
+    cols = (a.col_indices + 1).tolist()
+    body = "".join(f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, a.values.tolist()))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(_MM_HEADER + "\n")
-        fh.write(f"{a.n} {a.n} {a.nnz}\n")
-        rows = a._rows_expanded()
-        for r, c, v in zip(rows, a.col_indices, a.values):
-            fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
+        fh.write(f"{_MM_HEADER}\n{a.n} {a.n} {a.nnz}\n{body}")
 
 
-def _load_rows(fh, dtype):
-    """Parse the rest of fh as one record of dtype per line.
+def _data_lines(path, first_line):
+    """(1-based number, text) of every data line of path from first_line
+    on: lines that are neither blank nor start with '%'."""
+    with open(path, "r", encoding="ascii") as fh:
+        return [(number, line) for number, line in enumerate(fh, 1)
+                if number >= first_line and line.strip() and not line.lstrip().startswith("%")]
+
+
+# where numpy's parse message places a bad field: "... at row 0, column 3."
+_NUMPY_FIELD = re.compile(r" at row \d+, column (\d+)\.$")
+
+
+def _parse_error(path, first_line, dtype):
+    """ValueError '<path>:<line>: <reason>' for the first data line, from
+    first_line on, that is not one record of dtype; None if all parse."""
+    for number, line in _data_lines(path, first_line):
+        found = len(line.split())
+        if found != len(dtype):
+            reason = f"wrong number of fields: expected {len(dtype)}, found {found}"
+        else:
+            try:
+                np.loadtxt([line], dtype=dtype, comments=None)
+                continue
+            except ValueError as exc:
+                reason = _NUMPY_FIELD.sub(r" (field \1)", str(exc))
+        return ValueError(f"{path}:{number}: {reason}")
+    return None
+
+
+def _load_rows(fh, dtype, path, first_line):
+    """Parse the rest of fh, which is path from 1-based line first_line
+    on, as one record of dtype per line.
 
     Lines starting with '%' (after leading whitespace) are dropped whole
     and blank lines are skipped; a trailing '%' on a data line is not a
     comment.  A row with a field count other than dtype's, or a field
-    its type cannot parse exactly, raises ValueError.
+    its type cannot parse exactly, raises ValueError naming the file and
+    line; only then is the file read a second time, line by line.
     """
     lines = (line for line in fh if not line.lstrip().startswith("%"))
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise _parse_error(path, first_line, dtype) or exc from None
 
 
 def read_matrix_market(path):
@@ -443,7 +594,7 @@ def read_matrix_market(path):
                 f"unsupported MatrixMarket header (need coordinate real general): {header!r}"
             )
         size_line = None
-        for line in fh:
+        for number, line in enumerate(fh, 2):
             stripped = line.strip()
             if stripped and not stripped.startswith("%"):
                 size_line = stripped
@@ -458,26 +609,33 @@ def read_matrix_market(path):
             raise ValueError("matrix must be square")
         if nrows <= 0 or not 0 <= nnz <= nrows * nrows:
             raise ValueError(f"size line out of range: {size_line!r}")
-        entries = _load_rows(fh, [("i", np.int64), ("j", np.int64), ("v", np.float64)])
+        first_entry = number + 1
+        entries = _load_rows(fh, [("i", np.int64), ("j", np.int64), ("v", np.float64)],
+                             path, first_entry)
     if entries.size != nnz:
         raise ValueError(f"expected {nnz} entries, found {entries.size}")
+    rows, cols = entries["i"] - 1, entries["j"] - 1
+    outside = np.flatnonzero((rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= nrows))
+    if outside.size:
+        number, _ = _data_lines(path, first_entry)[outside[0]]
+        raise ValueError(f"{path}:{number}: entry index out of range 1..{nrows}")
     try:
-        return SparseMatrix.from_coo(nrows, entries["i"] - 1, entries["j"] - 1, entries["v"])
+        return SparseMatrix.from_coo(nrows, rows, cols, entries["v"])
     except MemoryError:
         # the row pointers alone take 8 (n + 1) bytes
         raise ValueError(f"declared size {nrows} x {nrows} is too large to allocate") from None
 
 
 def write_vector(v, path):
+    text = "".join(f"{x!r}\n" for x in np.asarray(v, dtype=np.float64).tolist())
     with open(path, "w", encoding="ascii") as fh:
-        for x in np.asarray(v, dtype=np.float64):
-            fh.write(f"{float(x)!r}\n")
+        fh.write(text)
 
 
 def read_vector(path):
     with open(path, "r", encoding="ascii") as fh:
         # one field per row, so "1 2" on a line is an error, not two values
-        values = _load_rows(fh, [("v", np.float64)])["v"]
+        values = _load_rows(fh, [("v", np.float64)], path, 1)["v"]
     if not values.size:
         raise ValueError(f"no values found in {path}")
     return values

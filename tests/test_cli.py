@@ -337,6 +337,27 @@ def test_malformed_file_is_input_error(capsys, tmp_path, last_entry, sigma):
     _assert_input_error(capsys, ["solve", *files, "--method", "npgs"])
 
 
+@pytest.mark.parametrize("body, number, reason", [
+    ("% comment\n2 2 2\n1 1 4.0\n\n2 2 1.5abc\n", 6,
+     "could not convert string '1.5abc' to float64 (field 3)"),
+    ("2 2 2\n1 1 4.0\n2 2 4.0 1\n", 4, "wrong number of fields: expected 3, found 4"),
+    ("2 2 2\n1 1 4.0\n  % note\n3 2 1.0\n", 5, "entry index out of range 1..2"),
+], ids=["bad-value", "fourth-field", "index-above-n"])
+def test_parse_error_names_file_and_line(capsys, tmp_path, body, number, reason):
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text(_MM + body, encoding="ascii")
+    code, _, err = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npgs"])
+    assert code == 1
+    assert err == f"error: {mtx}:{number}: {reason}\n"
+
+
+def test_vector_parse_error_names_file_and_line(capsys, tmp_path):
+    files = _problem_files(tmp_path, "2 2 2\n1 1 4.0\n2 2 4.0\n", sigma="-1\n% note\n-1 -1\n")
+    code, _, err = _run(capsys, ["solve", *files, "--method", "npgs"])
+    assert code == 1
+    assert err == f"error: {tmp_path / 's.vec'}:3: wrong number of fields: expected 1, found 2\n"
+
+
 def test_non_finite_parameter_is_input_error(capsys):
     _assert_input_error(capsys, ["check", "--family", "example1", "--m", "3",
                                  "--method", "npsor", "--alpha", "inf"])

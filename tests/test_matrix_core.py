@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lcpkit import matrix_core
 from lcpkit.matrix_core import (
     SingularMatrixError,
     SparseMatrix,
@@ -199,6 +200,14 @@ def test_structure_predicates():
     assert low.is_lower_triangular() and not low.is_diagonal()
     assert SparseMatrix.diagonal([1.0, 2.0]).is_diagonal()
     assert not SparseMatrix.from_dense([[0, 1], [0, 0]]).is_lower_triangular()
+
+
+@_EXACT
+@given(d=_SQUARE)
+def test_structure_predicates_match_dense(d):
+    a = SparseMatrix.from_dense(d)
+    assert a.is_lower_triangular() == np.array_equal(d, np.tril(d))
+    assert a.is_diagonal() == np.array_equal(d, np.diag(np.diag(d)))
 
 
 # ----------------------------------------------------------------------
@@ -409,16 +418,20 @@ def test_forward_substitution_random_systems():
 
 
 def _reference_trisolve(m, b):
-    """The per-row forward substitution that checked each pivot inside
-    the loop; the solve must stay bitwise equal to it."""
+    """Forward substitution one row at a time, checking each pivot inside
+    the loop: row i's rounded products are summed left to right in
+    storage order from 0.0, then x_i = (b_i - sum) / m_ii.  The solve
+    must stay bitwise equal to it."""
     x = np.empty(m.n)
     starts, cols, vals = m.row_starts, m.col_indices, m.values
     for i in range(m.n):
         lo, hi = starts[i], starts[i + 1]
         if hi == lo or cols[hi - 1] != i or vals[hi - 1] == 0.0:
             raise SingularMatrixError(f"zero diagonal in row {i}")
-        acc = b[i] - vals[lo:hi - 1] @ x[cols[lo:hi - 1]]
-        x[i] = acc / vals[hi - 1]
+        acc = 0.0
+        for k in range(lo, hi - 1):
+            acc += float(vals[k]) * float(x[cols[k]])
+        x[i] = (float(b[i]) - acc) / float(vals[hi - 1])
     return x
 
 
@@ -449,16 +462,81 @@ def test_forward_substitution_matches_reference_loop(d, b):
     assert np.array_equal(lower_triangular_solve(m, b), _reference_trisolve(m, b))
 
 
+def _raises_on_every_call(m, error, match):
+    for _ in range(2):
+        with pytest.raises(error, match=match):
+            lower_triangular_solve(m, np.ones(m.n))
+        assert m._schedule is None  # a failed build caches nothing
+
+
 def test_forward_substitution_singular_names_row():
     m = SparseMatrix.from_coo(2, [0], [0], [3.0])  # row 1 has no diagonal
-    with pytest.raises(SingularMatrixError, match="row 1"):
-        lower_triangular_solve(m, np.array([1.0, 1.0]))
+    _raises_on_every_call(m, SingularMatrixError, "zero diagonal in row 1")
+    m = SparseMatrix.from_coo(3, [0, 1, 2, 2], [0, 0, 1, 2], [1.0, 2.0, 3.0, 4.0])
+    _raises_on_every_call(m, SingularMatrixError, "zero diagonal in row 1")
 
 
 def test_forward_substitution_rejects_upper_entries():
     m = SparseMatrix.from_dense([[1, 1], [0, 1]])
-    with pytest.raises(ValueError):
-        lower_triangular_solve(m, np.array([1.0, 1.0]))
+    _raises_on_every_call(m, ValueError, "above the diagonal")
+    # the upper entry is reported before the missing pivots
+    m = SparseMatrix.from_dense([[1, 0, 0], [2, 0, 5], [0, 0, 0]])
+    _raises_on_every_call(m, ValueError, "above the diagonal")
+
+
+def test_forward_substitution_builds_the_schedule_once(monkeypatch):
+    builds = []
+    build = matrix_core._build_schedule
+    monkeypatch.setattr(matrix_core, "_build_schedule", lambda m: builds.append(m) or build(m))
+    m = SparseMatrix.from_dense([[2, 0, 0], [-1, 4, 0], [0, 3, 5]])
+    for b in (np.array([2.0, 3.0, 8.0]), np.array([1.0, 0.0, -1.0])):
+        assert np.array_equal(lower_triangular_solve(m, b), _reference_trisolve(m, b))
+    assert builds == [m]
+
+
+def test_schedule_arrays_are_read_only():
+    m = SparseMatrix.from_dense([[2, 0, 0], [-1, 4, 0], [0, 3, 5]])
+    lower_triangular_solve(m, np.ones(3))
+    schedule = m._level_schedule()
+    for arr in schedule:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        schedule.vals[0] = 1.0
+
+
+def test_forward_substitution_checks_b_on_every_call():
+    m = SparseMatrix.from_dense([[2, 0], [-1, 4]])
+    lower_triangular_solve(m, np.ones(2))  # the schedule is cached from here on
+    for b in (np.ones(3), np.ones(1), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="length mismatch"):
+            lower_triangular_solve(m, b)
+
+
+def _levels_by_loop(m):
+    """Each row's level: one more than the highest level among the rows
+    it stores an entry for, 0 for a row with none."""
+    level = []
+    for i in range(m.n):
+        deps = m.col_indices[m.row_starts[i]:m.row_starts[i + 1]]
+        level.append(1 + max((level[j] for j in deps if j < i), default=-1))
+    return level
+
+
+@_EXACT
+@given(d=_LOWER)
+@example(d=np.eye(1))
+@example(d=np.diag([2.0, -1.0, 3.0, 0.5]))
+@example(d=np.tril(np.ones((6, 6))))
+@example(d=np.eye(5) + np.diag([1.0, 0.0, 0.0, 1.0], -1))
+def test_levels_match_longest_dependency_chain(d):
+    m = SparseMatrix.from_dense(d)
+    s = m._level_schedule()
+    loop = _levels_by_loop(m)
+    assert len(s.level_starts) - 1 == max(loop) + 1
+    level = np.empty(m.n, dtype=int)
+    for k in range(len(s.level_starts) - 1):
+        level[s.order[s.level_starts[k]:s.level_starts[k + 1]]] = k
+    assert level.tolist() == loop
 
 
 # ----------------------------------------------------------------------
@@ -487,6 +565,33 @@ def test_matrix_market_round_trip(tmp_path, d):
 
 
 _MM = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def _per_entry_writes(a, v):
+    """The bytes of the per-entry writers the joined ones replaced."""
+    lines = [_MM, f"{a.n} {a.n} {a.nnz}\n"]
+    rows = np.repeat(np.arange(a.n, dtype=np.int64), np.diff(a.row_starts))
+    for r, c, x in zip(rows, a.col_indices, a.values):
+        lines.append(f"{r + 1} {c + 1} {float(x)!r}\n")
+    vector = [f"{float(x)!r}\n" for x in np.asarray(v, dtype=np.float64)]
+    return "".join(lines).encode("ascii"), "".join(vector).encode("ascii")
+
+
+_EDGE_FLOATS = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                         1.0 / 3.0, 1e-5, 123456789.0, 0.0])
+
+
+@_ROUND_TRIP
+@given(d=st.integers(1, 6).flatmap(lambda n: hnp.arrays(
+    np.float64, (n, n), elements=st.one_of(st.just(0.0), _ANY_FINITE))),
+    v=hnp.arrays(np.float64, st.integers(1, 10), elements=_ANY_FINITE))
+@example(d=np.diag(_EDGE_FLOATS), v=_EDGE_FLOATS)
+def test_writers_keep_the_per_entry_bytes(tmp_path, d, v):
+    a = SparseMatrix.from_dense(d)
+    write_matrix_market(a, tmp_path / "a.mtx")
+    write_vector(v, tmp_path / "v.txt")
+    written = (tmp_path / "a.mtx").read_bytes(), (tmp_path / "v.txt").read_bytes()
+    assert written == _per_entry_writes(a, v)
 
 
 @pytest.mark.parametrize("text", [

@@ -8,13 +8,16 @@ values, immutable arrays) and keeps everything deterministic: every
 reduction runs in a fixed order, and the only factorization on offer is
 triangular substitution.  A row sum, in the matrix-vector product and
 in forward substitution alike, adds the row's rounded products left to
-right in storage order.  Forward substitution runs in level order: the
-rows that depend only on rows already solved are computed together,
-with a schedule built on the first solve and cached on the (immutable)
-matrix.  Dense fallbacks (inverses, principal minors) are reserved for
-certification and tests on small matrices, never for solver hot paths.
+right in storage order.  Forward substitution follows a schedule built
+on the first solve and cached on the (immutable) matrix: in level order
+when a matrix has enough rows per level (the rows that depend only on
+rows already solved are computed together), else in row order, a block
+of rows at a time.  Dense fallbacks (inverses, principal minors) are
+reserved for certification and tests on small matrices, never for
+solver hot paths.
 """
 
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -157,7 +160,7 @@ class SparseMatrix:
             self._row_index.setflags(write=False)
         return self._row_index
 
-    def _level_schedule(self):
+    def _trisolve_schedule(self):
         """The forward-substitution schedule, built on first use and kept
         with the matrix; a matrix that cannot be solved caches nothing."""
         if self._schedule is None:
@@ -401,6 +404,15 @@ def _pivots(m):
     return d
 
 
+# The level schedule spends about 4 us of numpy calls on each level and the
+# block schedule 1-2 us of Python on each row; on banded and grid matrices
+# they break even at 4 to 6 rows per level.
+_ROWS_PER_LEVEL = 4
+
+# rows per block of a _BlockSchedule; its row-within-block indices are uint8
+_BLOCK = 16
+
+
 class _LevelSchedule(NamedTuple):
     """Forward substitution on a lower-triangular matrix, level by level.
 
@@ -442,10 +454,74 @@ class _LevelSchedule(NamedTuple):
         return x
 
 
-def _levels(n, rows, cols, pending):
+class _BlockSchedule(NamedTuple):
+    """Forward substitution on a lower-triangular matrix in row order,
+    ``_BLOCK`` rows at a time: the schedule for matrices with too few
+    rows per level for ``_LevelSchedule``.
+
+    Columns are sorted, so a row's entries that refer to rows of earlier
+    blocks come first in its storage order.  One bincount over all the
+    stored entries of a block's rows sums them, while the block's own
+    solution is still zero: the entries that refer to rows of the block,
+    the diagonal among them, add only products of zero, which leave a
+    sum started from 0.0 unchanged.  Each row's sum then goes on, one
+    product at a time in Python floats (the same double arithmetic),
+    over its inner entries, those that refer to earlier rows of its
+    block.  ``row_starts``, ``cols`` and ``vals`` are the matrix's own
+    arrays; stored entry e belongs to row ``block_rows[e]`` of its
+    block.  Row i's inner entries are ``inner_starts[i]:inner_starts[i
+    + 1]`` of ``inner_cols`` (a row of the block) and ``inner_vals``.
+    Every array is read-only.
+    """
+
+    row_starts: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    block_rows: np.ndarray
+    pivots: np.ndarray
+    inner_starts: np.ndarray
+    inner_cols: np.ndarray
+    inner_vals: np.ndarray
+
+    def solve(self, b):
+        n = b.size
+        x = np.zeros(n)
+        cols, vals, block_rows = self.cols, self.vals, self.block_rows
+        starts, bl, pivots = self.row_starts.tolist(), b.tolist(), self.pivots.tolist()
+        inner_starts = self.inner_starts.tolist()
+        inner_cols, inner_vals = self.inner_cols.tolist(), self.inner_vals.tolist()
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            a, e = starts[lo], starts[hi]
+            s = np.bincount(block_rows[a:e], weights=vals[a:e] * x.take(cols[a:e]),
+                            minlength=hi - lo).tolist()
+            xb = []  # the block's solution so far
+            for i in range(lo, hi):
+                acc = s[i - lo]
+                for k in range(inner_starts[i], inner_starts[i + 1]):
+                    acc += inner_vals[k] * xb[inner_cols[k]]
+                xb.append((bl[i] - acc) / pivots[i])
+            x[lo:hi] = xb
+        return x
+
+
+def _chain_length(h, per_row):
+    """Length of the longest run of consecutive rows each of which refers
+    to the row just above it: a lower bound on the number of levels."""
+    n = per_row.size
+    refers = np.flatnonzero(per_row)
+    # the diagonal is a row's last stored entry, so its last reference is
+    # the entry before it
+    on_prev = np.zeros(n, dtype=bool)
+    on_prev[refers] = h.indices[h.indptr[refers + 1] - 2] == refers - 1
+    return int(np.diff(np.flatnonzero(~on_prev), append=n).max())
+
+
+def _levels(n, rows, cols, pending, max_depth):
     """Level of every row by a frontier sweep over the off-diagonal
     entries (rows[e] depends on cols[e]); pending counts each row's
-    entries and is used up.  Returns (level, number of levels)."""
+    entries and is used up.  Returns (level, number of levels), or None
+    once there would be more than max_depth levels."""
     dependents = rows[np.argsort(cols, kind="stable")]
     dep_count = np.bincount(cols, minlength=n)
     dep_start = np.cumsum(dep_count) - dep_count
@@ -453,6 +529,8 @@ def _levels(n, rows, cols, pending):
     frontier = np.flatnonzero(pending == 0)
     depth = 0
     while frontier.size:
+        if depth == max_depth:
+            return None
         level[frontier] = depth
         counts = dep_count[frontier]
         ends = counts.cumsum()
@@ -464,18 +542,17 @@ def _levels(n, rows, cols, pending):
     return level, depth
 
 
-def _build_schedule(m):
-    """The level schedule of m, after checking that m is lower triangular
-    with a nonzero diagonal."""
-    if not m.is_lower_triangular():
-        raise ValueError("matrix has entries above the diagonal")
-    pivots = _pivots(m)
-    h = m._h
-    n, idx = m.n, h.indices.dtype
+def _level_schedule(h, pivots, per_row, max_depth):
+    """The level schedule of the lower-triangular CSR handle h with
+    diagonal pivots and per_row off-diagonal entries in each row, or None
+    if it has more than max_depth levels."""
+    n, idx = h.shape[0], h.indices.dtype
     # columns are sorted, so each row's diagonal is its last stored entry
-    per_row = np.diff(h.indptr) - 1
-    level, depth = _levels(n, np.repeat(np.arange(n, dtype=idx), per_row),
-                           np.delete(h.indices, h.indptr[1:] - 1), per_row.copy())
+    found = _levels(n, np.repeat(np.arange(n, dtype=idx), per_row),
+                    np.delete(h.indices, h.indptr[1:] - 1), per_row.copy(), max_depth)
+    if found is None:
+        return None
+    level, depth = found
     order = np.argsort(level, kind="stable").astype(idx)
     level_starts = np.zeros(depth + 1, dtype=idx)
     np.cumsum(np.bincount(level, minlength=depth), out=level_starts[1:])
@@ -501,8 +578,50 @@ def _build_schedule(m):
     return schedule
 
 
+def _block_schedule(h, pivots):
+    """The block schedule of the lower-triangular CSR handle h with
+    diagonal pivots."""
+    n, idx = h.shape[0], h.indices.dtype
+    row = np.repeat(np.arange(n, dtype=idx), np.diff(h.indptr))
+    block_row = row % _BLOCK
+    first = row - block_row  # the first row of the entry's block
+    inner = (h.indices >= first) & (h.indices < row)
+    inner_starts = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(row[inner], minlength=n), out=inner_starts[1:])
+    schedule = _BlockSchedule(
+        row_starts=h.indptr,
+        cols=h.indices,
+        vals=h.data,
+        block_rows=block_row.astype(np.uint8),
+        pivots=pivots,
+        inner_starts=inner_starts,
+        inner_cols=(h.indices[inner] - first[inner]).astype(np.uint8),
+        inner_vals=h.data[inner],
+    )
+    for arr in schedule:
+        arr.setflags(write=False)
+    return schedule
+
+
+def _build_schedule(m):
+    """The forward-substitution schedule of m, after checking that m is
+    lower triangular with a nonzero diagonal: the level schedule when m
+    has at least _ROWS_PER_LEVEL rows per level, else the block one."""
+    if not m.is_lower_triangular():
+        raise ValueError("matrix has entries above the diagonal")
+    pivots = _pivots(m)
+    per_row = np.diff(m.row_starts) - 1
+    max_depth = m.n // _ROWS_PER_LEVEL
+    # a long chain of rows rules the level schedule out before its sweep
+    if _chain_length(m._h, per_row) <= max_depth:
+        schedule = _level_schedule(m._h, pivots, per_row, max_depth)
+        if schedule is not None:
+            return schedule
+    return _block_schedule(m._h, pivots)
+
+
 def lower_triangular_solve(m, b):
-    """Solve m x = b by forward substitution, level by level.
+    """Solve m x = b by forward substitution.
 
     m must be lower triangular: an entry above the diagonal raises
     ValueError, and a zero or missing diagonal entry raises
@@ -510,12 +629,14 @@ def lower_triangular_solve(m, b):
     x_i = (b_i - s_i) / m_ii, where s_i sums the rounded products
     m_ij x_j of the row's off-diagonal entries left to right in storage
     order, starting from 0.0, as ``SparseMatrix.matvec`` sums a row.
-    Rows of one level (see ``_LevelSchedule``) are computed together;
-    that changes no row's arithmetic, so x is bitwise the row-by-row
-    result.  The checks and the schedule run once per matrix: the first
-    call builds the schedule and caches it on m.
+    With at least ``_ROWS_PER_LEVEL`` rows per dependency level the rows
+    of a level are computed together (``_LevelSchedule``), otherwise the
+    rows go in order, a block at a time (``_BlockSchedule``); neither
+    changes a row's arithmetic, so x is bitwise the row-by-row result.
+    The checks and the schedule run once per matrix: the first call
+    builds the schedule and caches it on m.
     """
-    schedule = m._level_schedule()
+    schedule = m._trisolve_schedule()
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (m.n,):
         raise ValueError("right-hand side length mismatch")
@@ -528,22 +649,43 @@ def lower_triangular_solve(m, b):
 _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
 
+# entries per write call: bounds the text a writer holds in memory
+_WRITE_CHUNK = 1 << 12
+
+
 def write_matrix_market(a, path):
     """Write a as 1-based coordinate entries in storage order, each value
     as its shortest round-trip repr."""
-    rows = np.repeat(np.arange(1, a.n + 1), np.diff(a.row_starts)).tolist()
-    cols = (a.col_indices + 1).tolist()
-    body = "".join(f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, a.values.tolist()))
+    rows = np.repeat(np.arange(1, a.n + 1), np.diff(a.row_starts))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_MM_HEADER}\n{a.n} {a.n} {a.nnz}\n{body}")
+        fh.write(f"{_MM_HEADER}\n{a.n} {a.n} {a.nnz}\n")
+        for lo in range(0, a.nnz, _WRITE_CHUNK):
+            part = slice(lo, lo + _WRITE_CHUNK)
+            fh.write("".join(f"{i} {j} {v!r}\n" for i, j, v in zip(
+                rows[part].tolist(), (a.col_indices[part] + 1).tolist(), a.values[part].tolist())))
 
 
-def _data_lines(path, first_line):
-    """(1-based number, text) of every data line of path from first_line
-    on: lines that are neither blank nor start with '%'."""
-    with open(path, "r", encoding="ascii") as fh:
-        return [(number, line) for number, line in enumerate(fh, 1)
-                if number >= first_line and line.strip() and not line.lstrip().startswith("%")]
+def _data_lines(fh, first_line, skipped):
+    """Yield the lines of fh, whose first is file line first_line, that
+    are neither blank nor start with '%' (after leading whitespace);
+    skipped gets the number of every other line."""
+    for number, line in enumerate(fh, first_line):
+        text = line.lstrip()
+        if text and text[0] != "%":
+            yield line
+        else:
+            skipped.append(number)
+
+
+def _file_line(first_line, skipped, k):
+    """The file line of data line k (from 0) of _data_lines, given the
+    numbers it skipped up to there."""
+    number = first_line + k
+    for s in skipped:
+        if s > number:
+            break
+        number += 1
+    return number
 
 
 # where numpy's parse message places a bad field: "... at row 0, column 3."
@@ -552,24 +694,30 @@ _NUMPY_FIELD = re.compile(r" at row \d+, column (\d+)\.$")
 
 def _parse_error(path, first_line, dtype):
     """ValueError '<path>:<line>: <reason>' for the first data line, from
-    first_line on, that is not one record of dtype; None if all parse."""
-    for number, line in _data_lines(path, first_line):
-        found = len(line.split())
-        if found != len(dtype):
-            reason = f"wrong number of fields: expected {len(dtype)}, found {found}"
-        else:
-            try:
-                np.loadtxt([line], dtype=dtype, comments=None)
-                continue
-            except ValueError as exc:
-                reason = _NUMPY_FIELD.sub(r" (field \1)", str(exc))
-        return ValueError(f"{path}:{number}: {reason}")
+    first_line on, that is not one record of dtype; None if all parse,
+    as when path cannot be read a second time (a pipe, say)."""
+    skipped = []
+    with open(path, "r", encoding="ascii") as fh:
+        lines = _data_lines(itertools.islice(fh, first_line - 1, None), first_line, skipped)
+        for k, line in enumerate(lines):
+            found = len(line.split())
+            if found != len(dtype):
+                reason = f"wrong number of fields: expected {len(dtype)}, found {found}"
+            else:
+                try:
+                    np.loadtxt([line], dtype=dtype, comments=None)
+                    continue
+                except ValueError as exc:
+                    reason = _NUMPY_FIELD.sub(r" (field \1)", str(exc))
+            return ValueError(f"{path}:{_file_line(first_line, skipped, k)}: {reason}")
     return None
 
 
 def _load_rows(fh, dtype, path, first_line):
     """Parse the rest of fh, which is path from 1-based line first_line
-    on, as one record of dtype per line.
+    on, as one record of dtype per line.  Returns the records and the
+    numbers of the lines skipped, from which ``_file_line`` finds the
+    line of a record.
 
     Lines starting with '%' (after leading whitespace) are dropped whole
     and blank lines are skipped; a trailing '%' on a data line is not a
@@ -577,13 +725,15 @@ def _load_rows(fh, dtype, path, first_line):
     its type cannot parse exactly, raises ValueError naming the file and
     line; only then is the file read a second time, line by line.
     """
-    lines = (line for line in fh if not line.lstrip().startswith("%"))
+    skipped = []
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+            records = np.loadtxt(_data_lines(fh, first_line, skipped), dtype=dtype,
+                                 comments=None, ndmin=1)
     except ValueError as exc:
         raise _parse_error(path, first_line, dtype) or exc from None
+    return records, skipped
 
 
 def read_matrix_market(path):
@@ -610,14 +760,14 @@ def read_matrix_market(path):
         if nrows <= 0 or not 0 <= nnz <= nrows * nrows:
             raise ValueError(f"size line out of range: {size_line!r}")
         first_entry = number + 1
-        entries = _load_rows(fh, [("i", np.int64), ("j", np.int64), ("v", np.float64)],
-                             path, first_entry)
+        entries, skipped = _load_rows(fh, [("i", np.int64), ("j", np.int64), ("v", np.float64)],
+                                      path, first_entry)
     if entries.size != nnz:
         raise ValueError(f"expected {nnz} entries, found {entries.size}")
     rows, cols = entries["i"] - 1, entries["j"] - 1
     outside = np.flatnonzero((rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= nrows))
     if outside.size:
-        number, _ = _data_lines(path, first_entry)[outside[0]]
+        number = _file_line(first_entry, skipped, int(outside[0]))
         raise ValueError(f"{path}:{number}: entry index out of range 1..{nrows}")
     try:
         return SparseMatrix.from_coo(nrows, rows, cols, entries["v"])
@@ -627,15 +777,16 @@ def read_matrix_market(path):
 
 
 def write_vector(v, path):
-    text = "".join(f"{x!r}\n" for x in np.asarray(v, dtype=np.float64).tolist())
+    v = np.asarray(v, dtype=np.float64)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+        for lo in range(0, v.size, _WRITE_CHUNK):
+            fh.write("".join(f"{x!r}\n" for x in v[lo:lo + _WRITE_CHUNK].tolist()))
 
 
 def read_vector(path):
     with open(path, "r", encoding="ascii") as fh:
         # one field per row, so "1 2" on a line is an error, not two values
-        values = _load_rows(fh, [("v", np.float64)], path, 1)["v"]
+        values = _load_rows(fh, [("v", np.float64)], path, 1)[0]["v"]
     if not values.size:
         raise ValueError(f"no values found in {path}")
     return values

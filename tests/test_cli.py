@@ -1,4 +1,5 @@
 import itertools
+import os
 import time
 
 import numpy as np
@@ -349,6 +350,28 @@ def test_parse_error_names_file_and_line(capsys, tmp_path, body, number, reason)
     code, _, err = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npgs"])
     assert code == 1
     assert err == f"error: {mtx}:{number}: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("body, message", [
+    ("2 2 2\n1 1 4.0\n  % note\n3 2 1.0\n", "{}:5: entry index out of range 1..2"),
+    ("2 2 2\n1 1 4.0\n2 2 1.5abc\n", None),
+], ids=["index-above-n", "bad-value"])
+def test_parse_error_from_a_pipe(capsys, body, message):
+    # a pipe cannot be read twice: the index check needs no second read,
+    # and a bad field keeps numpy's message when the second read finds nothing
+    read, write = os.pipe()
+    try:
+        os.write(write, (_MM + body).encode("ascii"))
+        os.close(write)
+        path = f"/dev/fd/{read}"
+        code, _, err = _run(capsys, ["check", "--matrix", path, "--method", "npgs"])
+    finally:
+        os.close(read)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert err == f"error: {message.format(path)}\n"
 
 
 def test_vector_parse_error_names_file_and_line(capsys, tmp_path):

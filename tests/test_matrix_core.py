@@ -20,7 +20,7 @@ from lcpkit.matrix_core import (
     write_matrix_market,
     write_vector,
 )
-from lcpkit.problems import BenchSpec
+from lcpkit.problems import BenchSpec, gen_random_hplus
 from lcpkit.solvers import shifted_system
 from lcpkit.splittings import SplittingKind, make_splitting
 
@@ -453,13 +453,39 @@ _LOWER = st.integers(1, 12).flatmap(lambda n: st.tuples(
 )).map(lambda t: np.tril(t[0], -1) + np.diag(t[1]))
 
 
+def _both_schedules(m):
+    """The level and the block schedule of a solvable lower-triangular m,
+    whichever of them the solve would pick."""
+    per_row = np.diff(m.row_starts) - 1
+    pivots = m.diagonal_vector()
+    return (matrix_core._level_schedule(m._h, pivots, per_row, m.n),
+            matrix_core._block_schedule(m._h, pivots))
+
+
+def _assert_solves_like_reference(m, b):
+    x = _reference_trisolve(m, b)
+    assert np.array_equal(lower_triangular_solve(m, b), x)
+    for schedule in _both_schedules(m):
+        assert np.array_equal(schedule.solve(b), x)
+
+
 @_EXACT
 @given(d=_LOWER, b=hnp.arrays(np.float64, 16, elements=_ENTRY))
 @_system_matrix_examples
 def test_forward_substitution_matches_reference_loop(d, b):
     m = SparseMatrix.from_dense(d)
-    b = b[:m.n]
-    assert np.array_equal(lower_triangular_solve(m, b), _reference_trisolve(m, b))
+    _assert_solves_like_reference(m, b[:m.n])
+
+
+@_EXACT
+@given(n=st.integers(1, 70), density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_forward_substitution_matches_reference_loop_across_blocks(n, density, seed):
+    # sizes past one block of the block schedule
+    rng = np.random.default_rng(seed)
+    d = np.tril(rng.uniform(-2.0, 2.0, (n, n)) * (rng.random((n, n)) < density), -1)
+    d += np.diag(rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 4.0, n))
+    _assert_solves_like_reference(SparseMatrix.from_dense(d), rng.uniform(-5.0, 5.0, n))
 
 
 def _raises_on_every_call(m, error, match):
@@ -497,11 +523,11 @@ def test_forward_substitution_builds_the_schedule_once(monkeypatch):
 def test_schedule_arrays_are_read_only():
     m = SparseMatrix.from_dense([[2, 0, 0], [-1, 4, 0], [0, 3, 5]])
     lower_triangular_solve(m, np.ones(3))
-    schedule = m._level_schedule()
-    for arr in schedule:
-        assert not arr.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        schedule.vals[0] = 1.0
+    for schedule in (m._trisolve_schedule(), *_both_schedules(m)):
+        for arr in schedule:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.vals[0] = 1.0
 
 
 def test_forward_substitution_checks_b_on_every_call():
@@ -528,15 +554,38 @@ def _levels_by_loop(m):
 @example(d=np.diag([2.0, -1.0, 3.0, 0.5]))
 @example(d=np.tril(np.ones((6, 6))))
 @example(d=np.eye(5) + np.diag([1.0, 0.0, 0.0, 1.0], -1))
+@example(d=np.eye(9) + np.diag(np.ones(7), -2))
 def test_levels_match_longest_dependency_chain(d):
     m = SparseMatrix.from_dense(d)
-    s = m._level_schedule()
+    per_row = np.diff(m.row_starts) - 1
+    s = matrix_core._level_schedule(m._h, m.diagonal_vector(), per_row, m.n)
     loop = _levels_by_loop(m)
-    assert len(s.level_starts) - 1 == max(loop) + 1
+    depth = max(loop) + 1
+    assert len(s.level_starts) - 1 == depth
     level = np.empty(m.n, dtype=int)
-    for k in range(len(s.level_starts) - 1):
+    for k in range(depth):
         level[s.order[s.level_starts[k]:s.level_starts[k + 1]]] = k
     assert level.tolist() == loop
+    # the sweep stops past max_depth levels; the chain bound never exceeds the depth
+    assert matrix_core._level_schedule(m._h, m.diagonal_vector(), per_row, depth - 1) is None
+    assert 1 <= matrix_core._chain_length(m._h, per_row) <= depth
+    # the solve picks the level schedule at _ROWS_PER_LEVEL rows per level or more
+    chosen = type(m._trisolve_schedule())
+    by_levels = depth * matrix_core._ROWS_PER_LEVEL <= m.n
+    assert chosen is (matrix_core._LevelSchedule if by_levels else matrix_core._BlockSchedule)
+
+
+def test_schedule_choice_on_the_benchmark_matrices():
+    # the table-1 grid has many rows per level; a dense matrix of the random
+    # family and a tridiagonal one have one row per level
+    tridiagonal = SparseMatrix.from_dense(3 * np.eye(50) - np.eye(50, k=-1) - np.eye(50, k=1))
+    for a, kind in ((BenchSpec("example1", 10).build().a, matrix_core._LevelSchedule),
+                    (gen_random_hplus(40, 3).a, matrix_core._BlockSchedule),
+                    (tridiagonal, matrix_core._BlockSchedule)):
+        lhs = shifted_system(a, make_splitting(a, SplittingKind.npgs()))[0]
+        assert type(lhs._trisolve_schedule()) is kind
+    # one chain of all the rows: the level sweep is skipped
+    assert matrix_core._chain_length(lhs._h, np.diff(lhs.row_starts) - 1) == 50
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +635,8 @@ _EDGE_FLOATS = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.79769
     np.float64, (n, n), elements=st.one_of(st.just(0.0), _ANY_FINITE))),
     v=hnp.arrays(np.float64, st.integers(1, 10), elements=_ANY_FINITE))
 @example(d=np.diag(_EDGE_FLOATS), v=_EDGE_FLOATS)
-def test_writers_keep_the_per_entry_bytes(tmp_path, d, v):
+def test_writers_keep_the_per_entry_bytes(tmp_path, monkeypatch, d, v):
+    monkeypatch.setattr(matrix_core, "_WRITE_CHUNK", 3)  # several writes per file
     a = SparseMatrix.from_dense(d)
     write_matrix_market(a, tmp_path / "a.mtx")
     write_vector(v, tmp_path / "v.txt")

@@ -5,11 +5,23 @@ The iteration contracts errors through the nonnegative operator
     T = |(M + 2I + D_A)^-1| (|N + I + D_A| + |A - I|)
 
 so rho(T) < 1 certifies convergence from any start.  This module builds
-T (exactly, as an upper bound, or matrix-free), estimates rho by power
-iteration, and evaluates two sufficient hypothesis sets: a spectral one
+T (exactly, as an upper bound, or matrix-free), runs power iteration on
+it, and evaluates two sufficient hypothesis sets: a spectral one
 (P-matrix plus rho(T) < 1) and a structural one for H-matrices with
 positive diagonal.  Both are sufficient, not necessary: a failed check
 never proves divergence.
+
+The spectral verdict rests on a bound, not on the power estimate: each
+pass of the power iteration yields a Collatz-Wielandt bracket
+min_i (Tv)_i/v_i <= rho(T) <= max_i (Tv)_i/v_i, and the check passes
+only when the upper end is below 1 - STRICTNESS_MARGIN.  It stops at the
+first pass whose bracket lies on one side of that threshold (the first
+pass, on the paper's tabulated setups and their scalings to diagonal
+0.9), or once the estimate settles with the bracket still straddling
+it, which fails.  By default T is applied matrix-free
+(a matvec and a forward solve) whenever the system matrix's sign pattern
+makes its inverse nonnegative: for NPJ when diag(A) > -1, and for NPGS,
+NPSOR and NPAOR with beta >= 0 when A is nonpositive below the diagonal.
 """
 
 import warnings
@@ -43,9 +55,11 @@ class ModeUnsupportedError(ValueError):
 class ConvergenceCertificate:
     """Evaluated sufficient conditions for one (matrix, splitting) pair.
 
-    rho_t and spectral_condition_ok are present only when a spectral
-    estimate was requested; rho_mode records how rho_t was obtained so a
-    bound is never mistaken for the exact value.  The structural branch:
+    The spectral fields are present only when a spectral check was
+    requested: [rho_lower, rho_upper] is the Collatz-Wielandt bracket on
+    rho(T) after power_iterations passes, rho_t the point estimate inside
+    it, and rho_mode records how T was applied so a bound is never
+    mistaken for the exact value.  The structural branch:
     hmatrix_conditions_ok = h_plus and h_compatible and
     (diag_geq_one and coupling_matrix_is_m, or diag_below_one), where the
     coupling matrix is <A> + 2I - D_A - |B| with B = L_A + U_A.
@@ -58,6 +72,9 @@ class ConvergenceCertificate:
     diag_below_one: bool
     hmatrix_conditions_ok: bool
     rho_t: Optional[float] = None
+    rho_lower: Optional[float] = None
+    rho_upper: Optional[float] = None
+    power_iterations: Optional[int] = None
     rho_mode: Optional[str] = None
     spectral_condition_ok: Optional[bool] = None
     notes: str = ""
@@ -65,6 +82,9 @@ class ConvergenceCertificate:
     def to_json_dict(self):
         return {
             "rho_t": self.rho_t,
+            "rho_lower": self.rho_lower,
+            "rho_upper": self.rho_upper,
+            "power_iterations": self.power_iterations,
             "rho_mode": self.rho_mode,
             "spectral_condition_ok": self.spectral_condition_ok,
             "h_plus": self.h_plus,
@@ -93,18 +113,27 @@ def _lhs_sign_pattern_ok(lhs):
     return bool(np.all(lhs.values[lhs.col_indices != lhs._rows_expanded()] <= 0.0))
 
 
-def _rho_estimate(a, s, mode):
-    if mode not in RHO_MODES:
+def _rho_estimate(a, s, mode, threshold=None):
+    """(mode, RadiusEstimate) for T, from one assembly of the shifted system.
+
+    mode None picks operator when the system matrix's sign pattern allows
+    it (or n is past the dense limit), else exact_dense; threshold goes to
+    spectral_radius_nonneg as its early stop.
+    """
+    if mode is not None and mode not in RHO_MODES:
         raise ValueError(f"mode must be one of {RHO_MODES}")
     lhs, reach = _shifted_parts(a, s)
+    operator_ok = mode in (None, "operator") and _lhs_sign_pattern_ok(lhs)
+    if mode is None:
+        mode = "operator" if operator_ok or a.n > EXACT_DENSE_LIMIT else "exact_dense"
     if mode == "operator":
-        if not _lhs_sign_pattern_ok(lhs):
+        if not operator_ok:
             raise ModeUnsupportedError(
                 "operator mode needs a lower-triangular system matrix with "
                 "positive diagonal and nonpositive off-diagonal"
             )
         apply_t = lambda x: lower_triangular_solve(lhs, reach.matvec(x))
-        return spectral_radius_nonneg(apply_t, n=a.n)
+        return mode, spectral_radius_nonneg(apply_t, n=a.n, threshold=threshold)
     if a.n > EXACT_DENSE_LIMIT:
         raise ValueError(f"{mode} mode limited to n <= {EXACT_DENSE_LIMIT}")
     if mode == "comparison_bound":
@@ -118,7 +147,7 @@ def _rho_estimate(a, s, mode):
     # inverse is nonnegative), but keeping the two pipelines identical means
     # the bound can never undercut the exact value through rounding alone.
     t_dense = np.abs(np.linalg.inv(lhs.to_dense())) @ reach.to_dense()
-    return spectral_radius_nonneg(t_dense)
+    return mode, spectral_radius_nonneg(t_dense, threshold=threshold)
 
 
 def iteration_operator_rho(a, s, mode="exact_dense"):
@@ -131,7 +160,7 @@ def iteration_operator_rho(a, s, mode="exact_dense"):
     requested mode raises ModeUnsupportedError rather than answering
     something else.
     """
-    est = _rho_estimate(a, s, mode)
+    _, est = _rho_estimate(a, s, mode)
     if not est.converged:
         warnings.warn(
             f"power iteration did not converge in {est.iterations} steps; "
@@ -170,16 +199,21 @@ def _structural_fields(a, s, p_matrix_limit=0):
 
 
 def check_spectral_condition(a, s, p_limit=12, mode=None):
-    """Certificate with rho(T) filled in and the structural fields evaluated.
+    """Certificate with the rho(T) bracket filled in and the structural
+    fields evaluated.
 
-    spectral_condition_ok holds when rho(T) < 1 - margin.  P-matrix
-    status goes to the notes when n <= p_limit (the enumeration is
-    exponential); the spectral verdict is computed either way.  mode
-    defaults to exact_dense when n permits, otherwise operator.
+    spectral_condition_ok holds when the upper end of the bracket is below
+    1 - margin, so a pass is sound whatever the point estimate says; the
+    power iteration stops as soon as the bracket is on one side of that
+    threshold.  rho_t is the point estimate clamped into the bracket.
+    P-matrix status goes to the notes when n <= p_limit (the enumeration
+    is exponential); the spectral verdict is computed either way.  mode
+    defaults to operator when the system matrix's sign pattern allows it,
+    else to exact_dense while n permits.
     """
-    if mode is None:
-        mode = "exact_dense" if a.n <= EXACT_DENSE_LIMIT else "operator"
-    est = _rho_estimate(a, s, mode)
+    threshold = 1.0 - STRICTNESS_MARGIN
+    mode, est = _rho_estimate(a, s, mode, threshold=threshold)
+    rho_t = min(max(est.value, est.lower), est.upper)
     report, fields = _structural_fields(a, s, p_matrix_limit=p_limit)
     notes = []
     if report.is_p is None:
@@ -190,12 +224,17 @@ def check_spectral_condition(a, s, p_limit=12, mode=None):
         notes.append("A is not a P-matrix; spectral verdict still evaluated")
     if not est.converged:
         notes.append("power iteration hit its cap; rho_t is the best estimate")
-    if fields["hmatrix_conditions_ok"] and est.value >= 1.0:
+    if est.lower < threshold <= est.upper:
+        notes.append("rho bracket straddles 1 - margin; spectral condition not certified")
+    if fields["hmatrix_conditions_ok"] and rho_t >= 1.0:
         notes.append("structural conditions passed but rho estimate >= 1")
     return ConvergenceCertificate(
-        rho_t=est.value,
+        rho_t=rho_t,
+        rho_lower=est.lower,
+        rho_upper=est.upper,
+        power_iterations=est.iterations,
         rho_mode=mode,
-        spectral_condition_ok=bool(est.value < 1.0 - STRICTNESS_MARGIN),
+        spectral_condition_ok=bool(est.upper < threshold),
         notes="; ".join(notes),
         **fields,
     )

@@ -340,11 +340,18 @@ def classify(a, p_matrix_limit=12):
 
 
 class RadiusEstimate(NamedTuple):
-    """Power-iteration output; value is the last Rayleigh-style ratio."""
+    """Power-iteration output.
+
+    value is the last Rayleigh-style ratio, a point estimate; [lower,
+    upper] is the Collatz-Wielandt bracket, which contains rho whatever
+    value says.  The defaults are the bracket before any pass.
+    """
 
     value: float
     converged: bool
     iterations: int
+    lower: float = 0.0
+    upper: float = float("inf")
 
 
 Operator = Union[SparseMatrix, np.ndarray, Callable[[np.ndarray], np.ndarray]]
@@ -364,7 +371,7 @@ def _as_apply(t, n=None):
     raise ValueError("unsupported operator type")
 
 
-def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None):
+def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None, threshold=None):
     """Estimate the spectral radius of an entrywise-nonnegative operator.
 
     Power iteration started from the all-ones vector; stops when successive
@@ -374,8 +381,20 @@ def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None):
     shifts by exactly one, while the shift breaks the periodicity that
     would otherwise make norm ratios oscillate (e.g. on permutations).
 
-    Returns a RadiusEstimate; ``converged`` is False when max_iters ran out,
-    in which case ``value`` is the best estimate so far.
+    Every pass also narrows a Collatz-Wielandt bracket: for nonnegative T
+    and v >= 0, v != 0, min over v_i > 0 of (Tv)_i / v_i <= rho(T), and for
+    v > 0, rho(T) <= max_i (Tv)_i / v_i (Berman & Plemmons, ch. 2).  Each
+    pass's bound holds on its own, so the bracket keeps the largest lower
+    and the smallest upper end seen; a pass in which some v_i has
+    underflowed to 0 gives no upper end.  With a threshold, the iteration
+    also stops as soon as the bracket lies wholly below it or wholly at or
+    above it, which decides rho < threshold soundly; without one it
+    refines to a point value.  The bracket is sound up to the rounding of
+    T v and of the division, a few units in the last place.
+
+    Returns a RadiusEstimate; ``converged`` is False when max_iters ran out
+    before either stop rule held, in which case ``value`` is the best
+    estimate so far.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -383,17 +402,25 @@ def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None):
     if max_iters is None:
         max_iters = 10 * dim + 1000
     v = np.ones(dim) / np.sqrt(dim)
-    est = np.inf
+    est, lower, upper = np.inf, 0.0, np.inf
     for k in range(1, max_iters + 1):
-        w = apply_t(v) + v
+        tv = apply_t(v)
+        positive = v > 0.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratio = tv / v
+        lower = max(lower, float(np.min(ratio, where=positive, initial=np.inf)))
+        if positive.all():
+            upper = min(upper, float(ratio.max()))
+        w = tv + v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:  # unreachable for nonnegative t, kept as a guard
-            return RadiusEstimate(0.0, True, k)
+            return RadiusEstimate(0.0, True, k, lower, upper)
         prev, est = est, norm - 1.0
-        if abs(est - prev) <= tol * max(1.0, abs(est)):
-            return RadiusEstimate(est, True, k)
+        decided = threshold is not None and (upper < threshold or lower >= threshold)
+        if decided or abs(est - prev) <= tol * max(1.0, abs(est)):
+            return RadiusEstimate(est, True, k, lower, upper)
         v = w / norm
-    return RadiusEstimate(est, False, max_iters)
+    return RadiusEstimate(est, False, max_iters, lower, upper)
 
 
 def _pivots(m):

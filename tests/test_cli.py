@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import time
 
@@ -121,7 +122,14 @@ def test_check_identity_reports_half(capsys, tmp_path):
     code, out, _ = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npj"])
     assert code == 0
     assert "rho(T):                    0.500000" in out
+    assert ("rho(T) bracket:            [0.500000, 0.500000] after 1 power iterations"
+            in out)
     assert "spectral condition rho<1:  pass" in out
+    code, out, _ = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npj",
+                                 "--format", "json"])
+    cert = json.loads(out)
+    assert (cert["rho_lower"], cert["rho_upper"], cert["power_iterations"]) == (0.5, 0.5, 1)
+    assert cert["rho_mode"] == "operator"
 
 
 def test_check_benchmark_structural_rendering(capsys):

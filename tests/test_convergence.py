@@ -2,16 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcpkit.convergence import (
+    STRICTNESS_MARGIN,
     ModeUnsupportedError,
+    _lhs_sign_pattern_ok,
     certify_rho_lt_one,
     check_hmatrix_conditions,
     check_spectral_condition,
     iteration_operator_rho,
 )
 from lcpkit.matrix_core import SparseMatrix, classify, comparison_matrix
-from lcpkit.problems import gen_example1, gen_random_hplus
+from lcpkit.problems import gen_example1, gen_example2, gen_random_hplus
+from lcpkit.solvers import shifted_system
 from lcpkit.splittings import SplittingKind, custom_splitting, make_splitting
 
 
@@ -95,9 +100,83 @@ def test_spectral_certificate_scalar():
     a, s = _gs([[4.0]])
     cert = check_spectral_condition(a, s)
     assert cert.rho_t == pytest.approx(0.8, abs=1e-9)
-    assert cert.rho_mode == "exact_dense"
+    assert cert.rho_mode == "operator"
     assert cert.spectral_condition_ok
     assert "P-matrix" in cert.notes
+    dense = check_spectral_condition(a, s, mode="exact_dense")
+    assert dense.rho_mode == "exact_dense"
+    assert dense.rho_t == pytest.approx(0.8, abs=1e-9)
+
+
+def _rho_eigvals(a, s):
+    return float(np.abs(np.linalg.eigvals(_t_dense(a, s))).max())
+
+
+def _modes(a, s):
+    """The rho modes that apply to (a, s): exact_dense always, operator
+    under the system matrix's sign pattern."""
+    lhs = shifted_system(a, s)[0]
+    return ("exact_dense", "operator") if _lhs_sign_pattern_ok(lhs) else ("exact_dense",)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5])
+@pytest.mark.parametrize("mode", ["exact_dense", "operator"])
+def test_spectral_check_never_passes_when_rho_reaches_one(eps, mode):
+    # T = diag(1 / (1 + a_1), 1 / (1 - 1e-9)): rho(T) = 1 + 1e-9, and the
+    # power estimate settles (or stalls) just below 1 on the slow mode
+    a = SparseMatrix.from_dense(np.diag([eps / (1.0 - eps), -1e-9]))
+    s = make_splitting(a, SplittingKind.npj())
+    rho = _rho_eigvals(a, s)
+    assert rho > 1.0
+    cert = check_spectral_condition(a, s, mode=mode)
+    assert cert.rho_mode == mode
+    assert cert.spectral_condition_ok is False
+    assert cert.rho_upper >= rho
+    assert cert.rho_lower <= cert.rho_t <= cert.rho_upper
+    assert "not certified" in cert.notes
+
+
+@pytest.mark.parametrize("family,kind,passes", [
+    (gen_example1, SplittingKind.npgs(), False),
+    (gen_example2, SplittingKind.npsor(1.7), False),
+    (gen_example1, SplittingKind.npgs(), True),
+    (gen_example2, SplittingKind.npsor(1.7), True),
+])
+def test_benchmark_setups_decided_in_one_pass(family, kind, passes):
+    a = family(6, 4.0).a
+    if passes:
+        a = a.scaled(0.9 / a.diagonal_vector().max())
+    s = make_splitting(a, kind)
+    rho = _rho_eigvals(a, s)
+    for mode in ("exact_dense", "operator"):
+        cert = check_spectral_condition(a, s, mode=mode)
+        assert cert.power_iterations == 1
+        assert cert.spectral_condition_ok is passes is (rho < 1.0)
+        assert cert.rho_lower <= rho <= cert.rho_upper
+        assert "cap" not in cert.notes and "straddles" not in cert.notes
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from([SplittingKind.npj(), SplittingKind.npgs(),
+                             SplittingKind.npsor(0.7), SplittingKind.npsor(1.5),
+                             SplittingKind.npaor(1.2, 0.8),
+                             SplittingKind.npaor(1.2, -0.5)]),
+       diag=st.sampled_from([None, 0.5, 0.9, 0.99]))
+def test_spectral_bracket_contains_rho(n, seed, kind, diag):
+    a = gen_random_hplus(n, seed).a
+    if diag is not None:
+        a = a.scaled(diag / a.diagonal_vector().max())
+    s = make_splitting(a, kind)
+    rho = _rho_eigvals(a, s)
+    slack = 1e-9 * max(1.0, rho)
+    for mode in _modes(a, s):
+        cert = check_spectral_condition(a, s, p_limit=0, mode=mode)
+        assert cert.rho_lower - slack <= rho <= cert.rho_upper + slack
+        assert cert.rho_lower <= cert.rho_t <= cert.rho_upper
+        assert cert.spectral_condition_ok == (cert.rho_upper < 1.0 - STRICTNESS_MARGIN)
+        if cert.spectral_condition_ok:
+            assert rho < 1.0
 
 
 def test_spectral_certificate_flags_non_p():
@@ -169,7 +248,8 @@ def test_certificate_json_field_order():
     a, s = _gs([[4.0]])
     rec = check_spectral_condition(a, s).to_json_dict()
     assert list(rec.keys()) == [
-        "rho_t", "rho_mode", "spectral_condition_ok", "h_plus", "h_compatible",
+        "rho_t", "rho_lower", "rho_upper", "power_iterations", "rho_mode",
+        "spectral_condition_ok", "h_plus", "h_compatible",
         "diag_geq_one", "coupling_matrix_is_m", "diag_below_one",
         "hmatrix_conditions_ok", "notes",
     ]

@@ -392,6 +392,45 @@ def test_spectral_radius_zero_operator():
     assert abs(est.value) < 1e-12 and est.converged
 
 
+def test_spectral_radius_bracket_and_threshold_stop():
+    t = np.diag([2.0, 3.0])
+    free = spectral_radius_nonneg(t)
+    # (Tv)_i / v_i is the diagonal, up to the rounding of T v and the division
+    assert (free.lower, free.upper) == pytest.approx((2.0, 3.0), rel=1e-15)
+    for threshold in (3.5, 1.5):  # the first pass decides either side
+        est = spectral_radius_nonneg(t, threshold=threshold)
+        assert est.converged and est.iterations == 1
+        assert (est.lower, est.upper) == pytest.approx((2.0, 3.0), rel=1e-15)
+    # a bracket that straddles the threshold leaves the point iteration as is
+    assert spectral_radius_nonneg(t, threshold=2.5) == free
+    # the bracket tightens as v approaches the Perron vector
+    est = spectral_radius_nonneg(np.array([[1.0, 2.0], [3.0, 1.0]]))
+    assert est.upper - est.lower < 1e-8
+    assert est.lower <= 1.0 + np.sqrt(6.0) <= est.upper
+
+
+def test_spectral_radius_bracket_after_underflow():
+    # v_0 underflows to 0 by the fifth pass while the other two components
+    # still converge: such a pass raises the lower end over the positive
+    # components only, and gives no upper end
+    est = spectral_radius_nonneg(np.diag([0.0, 1e80, 0.5e80]))
+    assert est.iterations > 5
+    assert (est.lower, est.upper) == pytest.approx((0.5e80, 1e80), rel=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=st.integers(1, 8).flatmap(lambda n: hnp.arrays(
+    np.float64, (n, n), elements=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))),
+    threshold=st.one_of(st.none(), st.floats(0.0, 20.0)))
+def test_spectral_radius_bracket_contains_rho(t, threshold):
+    rho = float(np.abs(np.linalg.eigvals(t)).max())
+    est = spectral_radius_nonneg(t, threshold=threshold)
+    slack = 1e-9 * max(1.0, rho)
+    assert est.lower - slack <= rho <= est.upper + slack
+    if threshold is not None and est.converged and est.upper < threshold:
+        assert rho < threshold + slack
+
+
 # ----------------------------------------------------------------------
 # triangular solve
 

@@ -244,7 +244,7 @@ def _render_certificate(cert, fmt):
     lines = []
     if cert.rho_t is not None:
         lines.append(f"rho(T):                    {cert.rho_t:.6f} (mode: {cert.rho_mode})")
-        lines.append(f"rho(T) bracket:            [{cert.rho_lower:.6f}, {cert.rho_upper:.6f}] "
+        lines.append(f"rho(T) bracket:            [{cert.rho_lower:.10g}, {cert.rho_upper:.10g}] "
                      f"after {cert.power_iterations} power iterations")
         lines.append(f"spectral condition rho<1:  {mark(cert.spectral_condition_ok)}")
     lines += [

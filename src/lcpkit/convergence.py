@@ -18,10 +18,9 @@ only when the upper end is below 1 - STRICTNESS_MARGIN.  It stops at the
 first pass whose bracket lies on one side of that threshold (the first
 pass, on the paper's tabulated setups and their scalings to diagonal
 0.9), or once the estimate settles with the bracket still straddling
-it, which fails.  By default T is applied matrix-free
-(a matvec and a forward solve) whenever the system matrix's sign pattern
-makes its inverse nonnegative: for NPJ when diag(A) > -1, and for NPGS,
-NPSOR and NPAOR with beta >= 0 when A is nonpositive below the diagonal.
+it, which fails.  While n <= EXACT_DENSE_LIMIT a pass of T is a sparse
+matvec and a product with the dense |inv(M + 2I + D_A)|; past it T is
+applied matrix-free (a sparse matvec and a forward solve).
 """
 
 import warnings
@@ -29,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .matrix_core import (
     _as_apply,
@@ -57,8 +57,8 @@ class ConvergenceCertificate:
 
     The spectral fields are present only when a spectral check was
     requested: [rho_lower, rho_upper] is the Collatz-Wielandt bracket on
-    rho(T) after power_iterations passes, rho_t the point estimate inside
-    it, and rho_mode records how T was applied so a bound is never
+    rho(T) after power_iterations passes (rho_lower is 0 in
+    comparison_bound mode), rho_t the point estimate inside it, and rho_mode records how T was applied so a bound is never
     mistaken for the exact value.  The structural branch:
     hmatrix_conditions_ok = h_plus and h_compatible and
     (diag_geq_one and coupling_matrix_is_m, or diag_below_one), where the
@@ -114,26 +114,19 @@ def _lhs_sign_pattern_ok(lhs):
 
 
 def _rho_estimate(a, s, mode, threshold=None):
-    """(mode, RadiusEstimate) for T, from one assembly of the shifted system.
-
-    mode None picks operator when the system matrix's sign pattern allows
-    it (or n is past the dense limit), else exact_dense; threshold goes to
-    spectral_radius_nonneg as its early stop.
-    """
-    if mode is not None and mode not in RHO_MODES:
+    """RadiusEstimate for T in the given mode; threshold goes to
+    spectral_radius_nonneg as its early stop."""
+    if mode not in RHO_MODES:
         raise ValueError(f"mode must be one of {RHO_MODES}")
     lhs, reach = _shifted_parts(a, s)
-    operator_ok = mode in (None, "operator") and _lhs_sign_pattern_ok(lhs)
-    if mode is None:
-        mode = "operator" if operator_ok or a.n > EXACT_DENSE_LIMIT else "exact_dense"
     if mode == "operator":
-        if not operator_ok:
+        if not _lhs_sign_pattern_ok(lhs):
             raise ModeUnsupportedError(
                 "operator mode needs a lower-triangular system matrix with "
                 "positive diagonal and nonpositive off-diagonal"
             )
         apply_t = lambda x: lower_triangular_solve(lhs, reach.matvec(x))
-        return mode, spectral_radius_nonneg(apply_t, n=a.n, threshold=threshold)
+        return spectral_radius_nonneg(apply_t, n=a.n, threshold=threshold)
     if a.n > EXACT_DENSE_LIMIT:
         raise ValueError(f"{mode} mode limited to n <= {EXACT_DENSE_LIMIT}")
     if mode == "comparison_bound":
@@ -146,8 +139,25 @@ def _rho_estimate(a, s, mode, threshold=None):
     # np.abs on the comparison-bound inverse is a mathematical no-op (the
     # inverse is nonnegative), but keeping the two pipelines identical means
     # the bound can never undercut the exact value through rounding alone.
-    t_dense = np.abs(np.linalg.inv(lhs.to_dense())) @ reach.to_dense()
-    return mode, spectral_radius_nonneg(t_dense, threshold=threshold)
+    inv_abs = _dense_inverse(lhs)
+    np.abs(inv_abs, out=inv_abs)
+    apply_t = lambda x: inv_abs @ reach.matvec(x)
+    return spectral_radius_nonneg(apply_t, n=a.n, threshold=threshold)
+
+
+def _dense_inverse(m):
+    """inv(m) as a dense array.  A lower-triangular m goes to LAPACK's
+    triangular inverse, in place: no LU, identity right-hand side or
+    copies of a general inverse."""
+    dense = m.to_dense()
+    if not m.is_lower_triangular():
+        return np.linalg.inv(dense)
+    # dense is C-ordered, so dense.T is a Fortran-ordered upper triangle,
+    # and inverting it in place leaves inv(m).T = inv(m.T) there
+    inv_t, info = dtrtri(dense.T, lower=0, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return inv_t.T
 
 
 def iteration_operator_rho(a, s, mode="exact_dense"):
@@ -160,7 +170,7 @@ def iteration_operator_rho(a, s, mode="exact_dense"):
     requested mode raises ModeUnsupportedError rather than answering
     something else.
     """
-    _, est = _rho_estimate(a, s, mode)
+    est = _rho_estimate(a, s, mode)
     if not est.converged:
         warnings.warn(
             f"power iteration did not converge in {est.iterations} steps; "
@@ -208,12 +218,18 @@ def check_spectral_condition(a, s, p_limit=12, mode=None):
     threshold.  rho_t is the point estimate clamped into the bracket.
     P-matrix status goes to the notes when n <= p_limit (the enumeration
     is exponential); the spectral verdict is computed either way.  mode
-    defaults to operator when the system matrix's sign pattern allows it,
-    else to exact_dense while n permits.
+    defaults to exact_dense when n permits, otherwise operator.  In
+    comparison_bound mode the bracket's lower end bounds the spectral
+    radius of the bound operator, which can exceed rho(T), so rho_lower
+    is reported as 0; the iteration still stops once that lower end
+    reaches the threshold, since the bound can then never certify.
     """
+    if mode is None:
+        mode = "exact_dense" if a.n <= EXACT_DENSE_LIMIT else "operator"
     threshold = 1.0 - STRICTNESS_MARGIN
-    mode, est = _rho_estimate(a, s, mode, threshold=threshold)
-    rho_t = min(max(est.value, est.lower), est.upper)
+    est = _rho_estimate(a, s, mode, threshold=threshold)
+    lower = 0.0 if mode == "comparison_bound" else est.lower
+    rho_t = min(max(est.value, lower), est.upper)
     report, fields = _structural_fields(a, s, p_matrix_limit=p_limit)
     notes = []
     if report.is_p is None:
@@ -224,13 +240,13 @@ def check_spectral_condition(a, s, p_limit=12, mode=None):
         notes.append("A is not a P-matrix; spectral verdict still evaluated")
     if not est.converged:
         notes.append("power iteration hit its cap; rho_t is the best estimate")
-    if est.lower < threshold <= est.upper:
+    if lower < threshold <= est.upper:
         notes.append("rho bracket straddles 1 - margin; spectral condition not certified")
     if fields["hmatrix_conditions_ok"] and rho_t >= 1.0:
         notes.append("structural conditions passed but rho estimate >= 1")
     return ConvergenceCertificate(
         rho_t=rho_t,
-        rho_lower=est.lower,
+        rho_lower=lower,
         rho_upper=est.upper,
         power_iterations=est.iterations,
         rho_mode=mode,

@@ -344,7 +344,8 @@ class RadiusEstimate(NamedTuple):
 
     value is the last Rayleigh-style ratio, a point estimate; [lower,
     upper] is the Collatz-Wielandt bracket, which contains rho whatever
-    value says.  The defaults are the bracket before any pass.
+    value says.  The defaults are the bracket before any pass, and stay
+    when no bracket was asked for.
     """
 
     value: float
@@ -381,16 +382,18 @@ def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None, threshold=None)
     shifts by exactly one, while the shift breaks the periodicity that
     would otherwise make norm ratios oscillate (e.g. on permutations).
 
-    Every pass also narrows a Collatz-Wielandt bracket: for nonnegative T
-    and v >= 0, v != 0, min over v_i > 0 of (Tv)_i / v_i <= rho(T), and for
-    v > 0, rho(T) <= max_i (Tv)_i / v_i (Berman & Plemmons, ch. 2).  Each
-    pass's bound holds on its own, so the bracket keeps the largest lower
-    and the smallest upper end seen; a pass in which some v_i has
-    underflowed to 0 gives no upper end.  With a threshold, the iteration
-    also stops as soon as the bracket lies wholly below it or wholly at or
-    above it, which decides rho < threshold soundly; without one it
-    refines to a point value.  The bracket is sound up to the rounding of
-    T v and of the division, a few units in the last place.
+    With a threshold, every pass also narrows a Collatz-Wielandt bracket:
+    for nonnegative T and v >= 0, v != 0, min over v_i > 0 of
+    (Tv)_i / v_i <= rho(T), and for v > 0, rho(T) <= max_i (Tv)_i / v_i
+    (Berman & Plemmons, ch. 2).  Each pass's bound holds on its own, so the
+    bracket keeps the largest lower and the smallest upper end seen; a pass
+    in which some v_i has underflowed to 0 gives no upper end.  The
+    iteration then also stops as soon as the bracket lies wholly below the
+    threshold or wholly at or above it, which decides rho < threshold
+    soundly.  The bracket is sound up to the rounding of T v and of the
+    division, a few units in the last place.  Without a threshold no
+    bracket is kept (lower and upper stay 0 and inf) and the iteration
+    refines to a point value.
 
     Returns a RadiusEstimate; ``converged`` is False when max_iters ran out
     before either stop rule held, in which case ``value`` is the best
@@ -405,12 +408,9 @@ def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None, threshold=None)
     est, lower, upper = np.inf, 0.0, np.inf
     for k in range(1, max_iters + 1):
         tv = apply_t(v)
-        positive = v > 0.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio = tv / v
-        lower = max(lower, float(np.min(ratio, where=positive, initial=np.inf)))
-        if positive.all():
-            upper = min(upper, float(ratio.max()))
+        if threshold is not None:
+            pass_lower, pass_upper = _collatz_wielandt(tv, v)
+            lower, upper = max(lower, pass_lower), min(upper, pass_upper)
         w = tv + v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:  # unreachable for nonnegative t, kept as a guard
@@ -421,6 +421,16 @@ def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None, threshold=None)
             return RadiusEstimate(est, True, k, lower, upper)
         v = w / norm
     return RadiusEstimate(est, False, max_iters, lower, upper)
+
+
+def _collatz_wielandt(tv, v):
+    """One pass's (lower, upper) bounds on rho from T v and v >= 0: the
+    upper end is inf when some v_i is 0."""
+    positive = v > 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = tv / v
+    lower = float(np.min(ratio, where=positive, initial=np.inf))
+    return lower, float(ratio.max()) if positive.all() else np.inf
 
 
 def _pivots(m):

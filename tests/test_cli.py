@@ -122,14 +122,29 @@ def test_check_identity_reports_half(capsys, tmp_path):
     code, out, _ = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npj"])
     assert code == 0
     assert "rho(T):                    0.500000" in out
-    assert ("rho(T) bracket:            [0.500000, 0.500000] after 1 power iterations"
-            in out)
+    assert "rho(T) bracket:            [0.5, 0.5] after 1 power iterations" in out
     assert "spectral condition rho<1:  pass" in out
     code, out, _ = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npj",
                                  "--format", "json"])
     cert = json.loads(out)
     assert (cert["rho_lower"], cert["rho_upper"], cert["power_iterations"]) == (0.5, 0.5, 1)
-    assert cert["rho_mode"] == "operator"
+    assert cert["rho_mode"] == "exact_dense"
+
+
+def test_check_prints_the_bracket_end_that_decides(capsys, tmp_path):
+    # rho(T) = 1 + 1e-9 with NPJ: the upper end has to show that it is not
+    # below 1 - 1e-8, which six decimals would round away
+    eps = 1e-4
+    mtx = tmp_path / "near_one.mtx"
+    mtx.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        f"2 2 2\n1 1 {eps / (1.0 - eps)!r}\n2 2 -1e-9\n",
+        encoding="ascii",
+    )
+    code, out, _ = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npj"])
+    assert code == 0
+    assert "rho(T) bracket:            [0.9999, 1.000000001] after " in out
+    assert "spectral condition rho<1:  fail" in out
 
 
 def test_check_benchmark_structural_rendering(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lcpkit.convergence import (
     STRICTNESS_MARGIN,
     ModeUnsupportedError,
+    _dense_inverse,
     _lhs_sign_pattern_ok,
     certify_rho_lt_one,
     check_hmatrix_conditions,
@@ -71,6 +72,18 @@ def test_bound_never_undercuts_exact():
             assert bound >= exact
 
 
+def test_dense_inverse_matches_numpy():
+    rng = np.random.default_rng(3)
+    lower = np.tril(rng.uniform(-1.0, 1.0, (7, 7))) + 4.0 * np.eye(7)
+    full = lower + np.triu(rng.uniform(-1.0, 1.0, (7, 7)), 1)
+    for dense in (lower, full):  # triangular inverse, then the general one
+        got = _dense_inverse(SparseMatrix.from_dense(dense))
+        np.testing.assert_allclose(got, np.linalg.inv(dense), rtol=1e-12, atol=1e-15)
+    lower[3, 3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _dense_inverse(SparseMatrix.from_dense(lower))
+
+
 def test_operator_mode_requires_sign_pattern():
     a = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
     # put strict-upper mass into M so the system matrix is not triangular
@@ -100,12 +113,9 @@ def test_spectral_certificate_scalar():
     a, s = _gs([[4.0]])
     cert = check_spectral_condition(a, s)
     assert cert.rho_t == pytest.approx(0.8, abs=1e-9)
-    assert cert.rho_mode == "operator"
+    assert cert.rho_mode == "exact_dense"
     assert cert.spectral_condition_ok
     assert "P-matrix" in cert.notes
-    dense = check_spectral_condition(a, s, mode="exact_dense")
-    assert dense.rho_mode == "exact_dense"
-    assert dense.rho_t == pytest.approx(0.8, abs=1e-9)
 
 
 def _rho_eigvals(a, s):
@@ -114,9 +124,15 @@ def _rho_eigvals(a, s):
 
 def _modes(a, s):
     """The rho modes that apply to (a, s): exact_dense always, operator
-    under the system matrix's sign pattern."""
+    under the system matrix's sign pattern, comparison_bound when the
+    comparison of the system matrix is an M-matrix."""
     lhs = shifted_system(a, s)[0]
-    return ("exact_dense", "operator") if _lhs_sign_pattern_ok(lhs) else ("exact_dense",)
+    modes = ["exact_dense"]
+    if _lhs_sign_pattern_ok(lhs):
+        modes.append("operator")
+    if classify(comparison_matrix(lhs), p_matrix_limit=0).is_m:
+        modes.append("comparison_bound")
+    return modes
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-5])
@@ -172,6 +188,9 @@ def test_spectral_bracket_contains_rho(n, seed, kind, diag):
     slack = 1e-9 * max(1.0, rho)
     for mode in _modes(a, s):
         cert = check_spectral_condition(a, s, p_limit=0, mode=mode)
+        # the bound operator's lower end says nothing about rho(T)
+        if mode == "comparison_bound":
+            assert cert.rho_lower == 0.0
         assert cert.rho_lower - slack <= rho <= cert.rho_upper + slack
         assert cert.rho_lower <= cert.rho_t <= cert.rho_upper
         assert cert.spectral_condition_ok == (cert.rho_upper < 1.0 - STRICTNESS_MARGIN)

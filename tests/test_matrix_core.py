@@ -395,27 +395,34 @@ def test_spectral_radius_zero_operator():
 def test_spectral_radius_bracket_and_threshold_stop():
     t = np.diag([2.0, 3.0])
     free = spectral_radius_nonneg(t)
-    # (Tv)_i / v_i is the diagonal, up to the rounding of T v and the division
-    assert (free.lower, free.upper) == pytest.approx((2.0, 3.0), rel=1e-15)
+    # no threshold, no bracket: the point iteration alone
+    assert (free.lower, free.upper) == (0.0, np.inf)
     for threshold in (3.5, 1.5):  # the first pass decides either side
         est = spectral_radius_nonneg(t, threshold=threshold)
         assert est.converged and est.iterations == 1
+        # (Tv)_i / v_i is the diagonal, up to the rounding of T v and the division
         assert (est.lower, est.upper) == pytest.approx((2.0, 3.0), rel=1e-15)
     # a bracket that straddles the threshold leaves the point iteration as is
-    assert spectral_radius_nonneg(t, threshold=2.5) == free
+    est = spectral_radius_nonneg(t, threshold=2.5)
+    assert est[:3] == free[:3]
+    assert (est.lower, est.upper) == pytest.approx((2.0, 3.0), rel=1e-15)
     # the bracket tightens as v approaches the Perron vector
-    est = spectral_radius_nonneg(np.array([[1.0, 2.0], [3.0, 1.0]]))
+    rho = 1.0 + np.sqrt(6.0)
+    est = spectral_radius_nonneg(np.array([[1.0, 2.0], [3.0, 1.0]]), threshold=rho + 1e-12)
     assert est.upper - est.lower < 1e-8
-    assert est.lower <= 1.0 + np.sqrt(6.0) <= est.upper
+    assert est.lower <= rho <= est.upper
 
 
 def test_spectral_radius_bracket_after_underflow():
     # v_0 underflows to 0 by the fifth pass while the other two components
     # still converge: such a pass raises the lower end over the positive
-    # components only, and gives no upper end
-    est = spectral_radius_nonneg(np.diag([0.0, 1e80, 0.5e80]))
+    # components only, and gives no upper end; the threshold stays inside
+    # the bracket, so the iteration runs to its point value
+    t = np.diag([0.0, 1e80, 0.5e80])
+    est = spectral_radius_nonneg(t, threshold=0.75e80)
     assert est.iterations > 5
     assert (est.lower, est.upper) == pytest.approx((0.5e80, 1e80), rel=1e-15)
+    assert est[:3] == spectral_radius_nonneg(t)[:3]
 
 
 @settings(max_examples=80, deadline=None)

@@ -18,9 +18,10 @@ only when the upper end is below 1 - STRICTNESS_MARGIN.  It stops at the
 first pass whose bracket lies on one side of that threshold (the first
 pass, on the paper's tabulated setups and their scalings to diagonal
 0.9), or once the estimate settles with the bracket still straddling
-it, which fails.  While n <= EXACT_DENSE_LIMIT a pass of T is a sparse
-matvec and a product with the dense |inv(M + 2I + D_A)|; past it T is
-applied matrix-free (a sparse matvec and a forward solve).
+it, which fails, as does a pass whose T v overflows.  While n <=
+EXACT_DENSE_LIMIT a pass of T is a sparse matvec and a product with the
+dense |inv(M + 2I + D_A)|; past it T is applied matrix-free (a sparse
+matvec and a forward solve).
 """
 
 import warnings
@@ -58,8 +59,9 @@ class ConvergenceCertificate:
     The spectral fields are present only when a spectral check was
     requested: [rho_lower, rho_upper] is the Collatz-Wielandt bracket on
     rho(T) after power_iterations passes (rho_lower is 0 in
-    comparison_bound mode), rho_t the point estimate inside it, and rho_mode records how T was applied so a bound is never
-    mistaken for the exact value.  The structural branch:
+    comparison_bound mode), rho_t the point estimate inside it, and
+    rho_mode records how T was applied so a bound is never mistaken for
+    the exact value.  The structural branch:
     hmatrix_conditions_ok = h_plus and h_compatible and
     (diag_geq_one and coupling_matrix_is_m, or diag_below_one), where the
     coupling matrix is <A> + 2I - D_A - |B| with B = L_A + U_A.
@@ -171,7 +173,13 @@ def iteration_operator_rho(a, s, mode="exact_dense"):
     something else.
     """
     est = _rho_estimate(a, s, mode)
-    if not est.converged:
+    if est.overflowed:
+        warnings.warn(
+            f"T v overflowed at power iteration {est.iterations}; "
+            "estimate may be inaccurate",
+            stacklevel=2,
+        )
+    elif not est.converged:
         warnings.warn(
             f"power iteration did not converge in {est.iterations} steps; "
             "estimate may be inaccurate",
@@ -238,9 +246,12 @@ def check_spectral_condition(a, s, p_limit=12, mode=None):
         notes.append("A is a P-matrix")
     else:
         notes.append("A is not a P-matrix; spectral verdict still evaluated")
-    if not est.converged:
+    if est.overflowed:
+        notes.append(f"T v overflowed at power iteration {est.iterations}; "
+                     "spectral condition not certified")
+    elif not est.converged:
         notes.append("power iteration hit its cap; rho_t is the best estimate")
-    if lower < threshold <= est.upper:
+    if lower < threshold <= est.upper and not est.overflowed:
         notes.append("rho bracket straddles 1 - margin; spectral condition not certified")
     if fields["hmatrix_conditions_ok"] and rho_t >= 1.0:
         notes.append("structural conditions passed but rho estimate >= 1")

@@ -8,13 +8,16 @@ values, immutable arrays) and keeps everything deterministic: every
 reduction runs in a fixed order, and the only factorization on offer is
 triangular substitution.  A row sum, in the matrix-vector product and
 in forward substitution alike, adds the row's rounded products left to
-right in storage order.  Forward substitution follows a schedule built
-on the first solve and cached on the (immutable) matrix: in level order
-when a matrix has enough rows per level (the rows that depend only on
-rows already solved are computed together), else in row order, a block
-of rows at a time.  Dense fallbacks (inverses, principal minors) are
-reserved for certification and tests on small matrices, never for
-solver hot paths.
+right in storage order.  Forward substitution follows one schedule,
+built on the first solve and cached on the (immutable) matrix: the rows
+in some order, cut into blocks, each block summed by one numpy pass over
+its entries that refer to earlier blocks.  The level cut (blocks are
+dependency levels, whose rows depend only on earlier levels) serves a
+matrix with enough rows per level; otherwise the row cut takes the rows
+in order, a block of 16 at a time, and finishes each row's sum over its
+own block in Python floats.  Dense fallbacks (inverses, principal
+minors) are reserved for certification and tests on small matrices,
+never for solver hot paths.
 """
 
 import itertools
@@ -313,7 +316,9 @@ def classify(a, p_matrix_limit=12):
 
     The M-matrix test solves A v = ones and checks v > 0, which is an exact
     characterization for Z-matrices; the witness is returned.  The H test
-    runs the same probe on the comparison matrix.  Principal minors are
+    runs the same probe on the comparison matrix, except on a Z-matrix
+    with nonnegative diagonal, which is its own comparison matrix, so
+    that one solve settles both.  Principal minors are
     enumerated only when n <= p_matrix_limit (capped at 20: there are
     2^n - 1 of them).
     """
@@ -325,8 +330,11 @@ def classify(a, p_matrix_limit=12):
     is_z = bool(np.all(a.values[offdiag] <= 0.0))
     witness = _m_matrix_witness(a) if is_z else None
     is_m = witness is not None
-    is_h = _m_matrix_witness(comparison_matrix(a)) is not None
     diag = a.diagonal_vector()
+    if is_z and np.all(diag >= 0.0):
+        is_h = is_m
+    else:
+        is_h = _m_matrix_witness(comparison_matrix(a)) is not None
     is_h_plus = is_h and bool(np.all(diag > 0.0))
     is_p = None
     if a.n <= p_matrix_limit:
@@ -345,7 +353,8 @@ class RadiusEstimate(NamedTuple):
     value is the last Rayleigh-style ratio, a point estimate; [lower,
     upper] is the Collatz-Wielandt bracket, which contains rho whatever
     value says.  The defaults are the bracket before any pass, and stay
-    when no bracket was asked for.
+    when no bracket was asked for.  overflowed says that the iteration
+    stopped at a pass whose T v was not finite.
     """
 
     value: float
@@ -353,6 +362,7 @@ class RadiusEstimate(NamedTuple):
     iterations: int
     lower: float = 0.0
     upper: float = float("inf")
+    overflowed: bool = False
 
 
 Operator = Union[SparseMatrix, np.ndarray, Callable[[np.ndarray], np.ndarray]]
@@ -395,9 +405,13 @@ def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None, threshold=None)
     bracket is kept (lower and upper stay 0 and inf) and the iteration
     refines to a point value.
 
+    A pass whose T v or its norm is not finite (it overflowed, or T holds
+    inf) gives no bracket end and no estimate: the iteration stops there,
+    undecided, with ``overflowed`` set.
+
     Returns a RadiusEstimate; ``converged`` is False when max_iters ran out
-    before either stop rule held, in which case ``value`` is the best
-    estimate so far.
+    or T v overflowed before either stop rule held, in which case
+    ``value`` is the best estimate so far (inf before any finite pass).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -407,12 +421,15 @@ def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None, threshold=None)
     v = np.ones(dim) / np.sqrt(dim)
     est, lower, upper = np.inf, 0.0, np.inf
     for k in range(1, max_iters + 1):
-        tv = apply_t(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tv = apply_t(v)
+            w = tv + v
+            norm = float(np.linalg.norm(w))
+        if not np.isfinite(norm):  # some (Tv)_i, or the norm, is not finite
+            return RadiusEstimate(est, False, k, lower, upper, overflowed=True)
         if threshold is not None:
             pass_lower, pass_upper = _collatz_wielandt(tv, v)
             lower, upper = max(lower, pass_lower), min(upper, pass_upper)
-        w = tv + v
-        norm = float(np.linalg.norm(w))
         if norm == 0.0:  # unreachable for nonnegative t, kept as a guard
             return RadiusEstimate(0.0, True, k, lower, upper)
         prev, est = est, norm - 1.0
@@ -441,104 +458,110 @@ def _pivots(m):
     return d
 
 
-# The level schedule spends about 4 us of numpy calls on each level and the
-# block schedule 1-2 us of Python on each row; on banded and grid matrices
-# they break even at 4 to 6 rows per level.
+# A level of the level cut costs about 4 us of numpy calls and a row of the
+# row cut 1-2 us of Python; on banded and grid matrices the two cuts break
+# even at 4 to 6 rows per level.
 _ROWS_PER_LEVEL = 4
 
-# rows per block of a _BlockSchedule; its row-within-block indices are uint8
+# rows per block of the row cut
 _BLOCK = 16
 
 
-class _LevelSchedule(NamedTuple):
-    """Forward substitution on a lower-triangular matrix, level by level.
+class _Schedule(NamedTuple):
+    """Forward substitution on a lower-triangular matrix, a block of rows
+    at a time.
 
-    A row's level is one more than the highest level among the rows its
-    off-diagonal entries refer to (0 when it has none), so the rows of a
-    level depend on earlier levels only and are solved together.
-    ``order`` lists the rows level by level, ascending within a level,
-    cut into levels by ``level_starts``; ``pivots`` is the diagonal in
-    that order.  The off-diagonal entries follow the same order, each
-    row's in storage order, cut into levels by ``entry_starts``: entry e
-    has value ``vals[e]``, refers to position ``cols[e]`` of the level
-    order, and belongs to row ``rows[e]`` of its level.  Every array is
-    read-only; the index arrays use the matrix's index dtype.
+    ``order`` lists the rows, each after every row it refers to, and
+    ``pivots`` is the diagonal in that order.  An off-diagonal entry is
+    outer when it refers to a row of an earlier block and inner when it
+    refers to an earlier row of its own block; a row's outer entries
+    come first in its storage order.  The outer entries follow the
+    order, each row's in storage order: entry e has value ``vals[e]``,
+    refers to position ``cols[e]`` of the order, and belongs to row
+    ``rows[e]`` of its block.  The inner entries of position i are
+    ``inner_starts[i]:inner_starts[i + 1]`` of ``inner_cols`` (a row of
+    the same block) and ``inner_vals``.  ``blocks`` holds one tuple
+    (lo, hi, a, e, has_inner) per block: its positions lo:hi of the
+    order, its outer entries a:e, and whether any of its rows has inner
+    entries.  The arrays are read-only and the index arrays use the
+    matrix's index dtype; ``blocks`` is Python ints, so that a solve
+    converts nothing on the way.
     """
 
     order: np.ndarray
-    level_starts: np.ndarray
     pivots: np.ndarray
-    entry_starts: np.ndarray
+    blocks: tuple
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-
-    def solve(self, b):
-        xs = np.empty(b.size)  # the solution in level order
-        bs = b[self.order]
-        rows, cols, vals, pivots = self.rows, self.cols, self.vals, self.pivots
-        levels = self.level_starts.tolist()
-        entries = self.entry_starts.tolist()
-        for k in range(len(levels) - 1):
-            lo, hi = levels[k], levels[k + 1]
-            a, e = entries[k], entries[k + 1]
-            # bincount adds the weights in index order onto 0.0, so each
-            # row's products are summed left to right in storage order
-            s = np.bincount(rows[a:e], weights=vals[a:e] * xs.take(cols[a:e]), minlength=hi - lo)
-            np.divide(bs[lo:hi] - s, pivots[lo:hi], out=xs[lo:hi])
-        x = np.empty(b.size)
-        x[self.order] = xs
-        return x
-
-
-class _BlockSchedule(NamedTuple):
-    """Forward substitution on a lower-triangular matrix in row order,
-    ``_BLOCK`` rows at a time: the schedule for matrices with too few
-    rows per level for ``_LevelSchedule``.
-
-    Columns are sorted, so a row's entries that refer to rows of earlier
-    blocks come first in its storage order.  One bincount over all the
-    stored entries of a block's rows sums them, while the block's own
-    solution is still zero: the entries that refer to rows of the block,
-    the diagonal among them, add only products of zero, which leave a
-    sum started from 0.0 unchanged.  Each row's sum then goes on, one
-    product at a time in Python floats (the same double arithmetic),
-    over its inner entries, those that refer to earlier rows of its
-    block.  ``row_starts``, ``cols`` and ``vals`` are the matrix's own
-    arrays; stored entry e belongs to row ``block_rows[e]`` of its
-    block.  Row i's inner entries are ``inner_starts[i]:inner_starts[i
-    + 1]`` of ``inner_cols`` (a row of the block) and ``inner_vals``.
-    Every array is read-only.
-    """
-
-    row_starts: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    block_rows: np.ndarray
-    pivots: np.ndarray
     inner_starts: np.ndarray
     inner_cols: np.ndarray
     inner_vals: np.ndarray
 
+    @classmethod
+    def build(cls, h, pivots, order, block_starts):
+        """The schedule of the lower-triangular CSR handle h with diagonal
+        pivots, its rows taken in order and cut at block_starts."""
+        n, idx = h.shape[0], h.indices.dtype
+        rank = np.empty(n, dtype=idx)  # the position of each row in the order
+        rank[order] = np.arange(n, dtype=idx)
+        # the storage index of every off-diagonal entry, rows in schedule
+        # order, each row's in storage order: columns are sorted, so each
+        # row's diagonal is its last entry
+        per_row = np.diff(h.indptr)[order] - 1
+        starts = np.zeros(n + 1, dtype=idx)
+        np.cumsum(per_row, out=starts[1:])
+        entries = np.repeat(h.indptr[order] - starts[:-1], per_row) + np.arange(starts[-1], dtype=idx)
+        pos = np.repeat(np.arange(n, dtype=idx), per_row)  # the position of its row
+        col = rank[h.indices[entries]]
+        # the first position of each entry's block
+        first = np.repeat(block_starts[:-1], np.diff(block_starts))[pos]
+        inner = col >= first
+        outer = ~inner
+        inner_starts = np.searchsorted(pos[inner], np.arange(n + 1)).astype(idx)
+        at = block_starts.tolist()
+        outer_at = np.searchsorted(pos[outer], block_starts).tolist()
+        has_inner = (np.diff(inner_starts[block_starts]) > 0).tolist()
+        arrays = dict(
+            order=order,
+            pivots=pivots[order],
+            rows=(pos - first)[outer],
+            cols=col[outer],
+            vals=h.data[entries[outer]],
+            inner_starts=inner_starts,
+            inner_cols=(col - first)[inner],
+            inner_vals=h.data[entries[inner]],
+        )
+        for arr in arrays.values():
+            arr.setflags(write=False)
+        return cls(blocks=tuple(zip(at, at[1:], outer_at, outer_at[1:], has_inner)), **arrays)
+
     def solve(self, b):
-        n = b.size
-        x = np.zeros(n)
-        cols, vals, block_rows = self.cols, self.vals, self.block_rows
-        starts, bl, pivots = self.row_starts.tolist(), b.tolist(), self.pivots.tolist()
-        inner_starts = self.inner_starts.tolist()
-        inner_cols, inner_vals = self.inner_cols.tolist(), self.inner_vals.tolist()
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            a, e = starts[lo], starts[hi]
-            s = np.bincount(block_rows[a:e], weights=vals[a:e] * x.take(cols[a:e]),
-                            minlength=hi - lo).tolist()
+        xs = np.empty(b.size)  # the solution in schedule order
+        bs = b[self.order]
+        rows, cols, vals, pivots = self.rows, self.cols, self.vals, self.pivots
+        lists = None  # the inner entries as Python lists, made once needed
+        for lo, hi, a, e, has_inner in self.blocks:
+            # bincount adds the weights in index order onto 0.0, so each
+            # row's outer products are summed left to right in storage order
+            s = np.bincount(rows[a:e], weights=vals[a:e] * xs.take(cols[a:e]), minlength=hi - lo)
+            if not has_inner:
+                np.divide(bs[lo:hi] - s, pivots[lo:hi], out=xs[lo:hi])
+                continue
+            if lists is None:
+                lists = (self.inner_starts.tolist(), self.inner_cols.tolist(),
+                         self.inner_vals.tolist(), bs.tolist(), pivots.tolist())
+            starts, inner_cols, inner_vals, bl, pl = lists
             xb = []  # the block's solution so far
-            for i in range(lo, hi):
-                acc = s[i - lo]
-                for k in range(inner_starts[i], inner_starts[i + 1]):
-                    acc += inner_vals[k] * xb[inner_cols[k]]
-                xb.append((bl[i] - acc) / pivots[i])
-            x[lo:hi] = xb
+            for i, acc in enumerate(s.tolist(), lo):
+                # the row's sum goes on over its inner entries, one product
+                # at a time in Python floats (the same double arithmetic)
+                for j in range(starts[i], starts[i + 1]):
+                    acc += inner_vals[j] * xb[inner_cols[j]]
+                xb.append((bl[i] - acc) / pl[i])
+            xs[lo:hi] = xb
+        x = np.empty(b.size)
+        x[self.order] = xs
         return x
 
 
@@ -554,15 +577,22 @@ def _chain_length(h, per_row):
     return int(np.diff(np.flatnonzero(~on_prev), append=n).max())
 
 
-def _levels(n, rows, cols, pending, max_depth):
-    """Level of every row by a frontier sweep over the off-diagonal
-    entries (rows[e] depends on cols[e]); pending counts each row's
-    entries and is used up.  Returns (level, number of levels), or None
-    once there would be more than max_depth levels."""
+def _level_cut(h, per_row, max_depth):
+    """The level cut of the lower-triangular CSR handle h with per_row
+    off-diagonal entries in each row: (order, block_starts) with the rows
+    level by level, ascending within a level, or None once there would
+    be more than max_depth levels.  A row's level is one more than the
+    highest level among the rows it refers to (0 when it has none), found
+    by a frontier sweep over the off-diagonal entries."""
+    n, idx = h.shape[0], h.indices.dtype
+    # columns are sorted, so each row's diagonal is its last stored entry
+    rows = np.repeat(np.arange(n, dtype=idx), per_row)
+    cols = np.delete(h.indices, h.indptr[1:] - 1)
     dependents = rows[np.argsort(cols, kind="stable")]
     dep_count = np.bincount(cols, minlength=n)
     dep_start = np.cumsum(dep_count) - dep_count
-    level = np.empty(n, dtype=rows.dtype)
+    pending = per_row.copy()
+    level = np.empty(n, dtype=idx)
     frontier = np.flatnonzero(pending == 0)
     depth = 0
     while frontier.size:
@@ -576,85 +606,32 @@ def _levels(n, rows, cols, pending, max_depth):
         np.subtract.at(pending, children, 1)
         frontier = np.unique(children[pending[children] == 0])
         depth += 1
-    return level, depth
+    block_starts = np.zeros(depth + 1, dtype=idx)
+    np.cumsum(np.bincount(level, minlength=depth), out=block_starts[1:])
+    return np.argsort(level, kind="stable").astype(idx), block_starts
 
 
-def _level_schedule(h, pivots, per_row, max_depth):
-    """The level schedule of the lower-triangular CSR handle h with
-    diagonal pivots and per_row off-diagonal entries in each row, or None
-    if it has more than max_depth levels."""
+def _row_cut(h):
+    """The row cut of the CSR handle h: (order, block_starts) with the
+    rows in order, _BLOCK at a time."""
     n, idx = h.shape[0], h.indices.dtype
-    # columns are sorted, so each row's diagonal is its last stored entry
-    found = _levels(n, np.repeat(np.arange(n, dtype=idx), per_row),
-                    np.delete(h.indices, h.indptr[1:] - 1), per_row.copy(), max_depth)
-    if found is None:
-        return None
-    level, depth = found
-    order = np.argsort(level, kind="stable").astype(idx)
-    level_starts = np.zeros(depth + 1, dtype=idx)
-    np.cumsum(np.bincount(level, minlength=depth), out=level_starts[1:])
-    rank = np.empty(n, dtype=idx)
-    rank[order] = np.arange(n, dtype=idx)
-    per_row = per_row[order]
-    row_starts = np.zeros(n + 1, dtype=idx)  # of each row's entries, in level order
-    np.cumsum(per_row, out=row_starts[1:])
-    # the storage position of every entry, rows in level order
-    src = np.repeat(h.indptr[order] - row_starts[:-1], per_row) + np.arange(row_starts[-1], dtype=idx)
-    in_level = np.arange(n, dtype=idx) - np.repeat(level_starts[:-1], np.diff(level_starts))
-    schedule = _LevelSchedule(
-        order=order,
-        level_starts=level_starts,
-        pivots=pivots[order],
-        entry_starts=row_starts[level_starts],
-        rows=np.repeat(in_level, per_row),
-        cols=rank[h.indices[src]],
-        vals=h.data[src],
-    )
-    for arr in schedule:
-        arr.setflags(write=False)
-    return schedule
-
-
-def _block_schedule(h, pivots):
-    """The block schedule of the lower-triangular CSR handle h with
-    diagonal pivots."""
-    n, idx = h.shape[0], h.indices.dtype
-    row = np.repeat(np.arange(n, dtype=idx), np.diff(h.indptr))
-    block_row = row % _BLOCK
-    first = row - block_row  # the first row of the entry's block
-    inner = (h.indices >= first) & (h.indices < row)
-    inner_starts = np.zeros(n + 1, dtype=idx)
-    np.cumsum(np.bincount(row[inner], minlength=n), out=inner_starts[1:])
-    schedule = _BlockSchedule(
-        row_starts=h.indptr,
-        cols=h.indices,
-        vals=h.data,
-        block_rows=block_row.astype(np.uint8),
-        pivots=pivots,
-        inner_starts=inner_starts,
-        inner_cols=(h.indices[inner] - first[inner]).astype(np.uint8),
-        inner_vals=h.data[inner],
-    )
-    for arr in schedule:
-        arr.setflags(write=False)
-    return schedule
+    return np.arange(n, dtype=idx), np.append(np.arange(0, n, _BLOCK), n).astype(idx)
 
 
 def _build_schedule(m):
     """The forward-substitution schedule of m, after checking that m is
-    lower triangular with a nonzero diagonal: the level schedule when m
-    has at least _ROWS_PER_LEVEL rows per level, else the block one."""
+    lower triangular with a nonzero diagonal: the level cut when m has at
+    least _ROWS_PER_LEVEL rows per level, else the row cut."""
     if not m.is_lower_triangular():
         raise ValueError("matrix has entries above the diagonal")
     pivots = _pivots(m)
     per_row = np.diff(m.row_starts) - 1
     max_depth = m.n // _ROWS_PER_LEVEL
-    # a long chain of rows rules the level schedule out before its sweep
+    cut = None
+    # a long chain of rows rules the level cut out before its sweep
     if _chain_length(m._h, per_row) <= max_depth:
-        schedule = _level_schedule(m._h, pivots, per_row, max_depth)
-        if schedule is not None:
-            return schedule
-    return _block_schedule(m._h, pivots)
+        cut = _level_cut(m._h, per_row, max_depth)
+    return _Schedule.build(m._h, pivots, *(cut or _row_cut(m._h)))
 
 
 def lower_triangular_solve(m, b):
@@ -666,12 +643,15 @@ def lower_triangular_solve(m, b):
     x_i = (b_i - s_i) / m_ii, where s_i sums the rounded products
     m_ij x_j of the row's off-diagonal entries left to right in storage
     order, starting from 0.0, as ``SparseMatrix.matvec`` sums a row.
-    With at least ``_ROWS_PER_LEVEL`` rows per dependency level the rows
-    of a level are computed together (``_LevelSchedule``), otherwise the
-    rows go in order, a block at a time (``_BlockSchedule``); neither
-    changes a row's arithmetic, so x is bitwise the row-by-row result.
-    The checks and the schedule run once per matrix: the first call
-    builds the schedule and caches it on m.
+    The rows go block by block (``_Schedule``): one bincount per block
+    sums the entries that refer to earlier blocks, and Python floats add
+    those that refer to earlier rows of the same block.  With at least
+    ``_ROWS_PER_LEVEL`` rows per dependency level the blocks are the
+    levels, which have no such entries; otherwise they are runs of
+    ``_BLOCK`` rows in order.  Neither cut changes a row's arithmetic, so
+    x is bitwise the row-by-row result.  The checks and the schedule run
+    once per matrix: the first call builds the schedule and caches it on
+    m.
     """
     schedule = m._trisolve_schedule()
     b = np.asarray(b, dtype=np.float64)

@@ -147,6 +147,28 @@ def test_check_prints_the_bracket_end_that_decides(capsys, tmp_path):
     assert "spectral condition rho<1:  fail" in out
 
 
+def test_check_reports_an_overflowing_t_v_without_warnings(capsys, tmp_path):
+    # A lower bidiagonal, diagonal 0.5 and subdiagonal -12: rho(T) = 2/3
+    # under NPGS, but |inv(M + 2I + D_A)| overflows, and so does T v
+    n = 600
+    mtx = tmp_path / "bidiagonal.mtx"
+    mtx.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        f"{n} {n} {2 * n - 1}\n"
+        + "".join(f"{i} {i} 0.5\n" for i in range(1, n + 1))
+        + "".join(f"{i + 1} {i} -12\n" for i in range(1, n)),
+        encoding="ascii",
+    )
+    code, out, err = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npgs",
+                                   "--format", "json"])
+    assert (code, err) == (0, "")
+    cert = json.loads(out)
+    assert cert["spectral_condition_ok"] is False
+    assert cert["rho_lower"] <= 2.0 / 3.0 <= cert["rho_upper"]
+    assert cert["rho_lower"] <= cert["rho_t"] <= cert["rho_upper"]
+    assert "T v overflowed" in cert["notes"]
+
+
 def test_check_benchmark_structural_rendering(capsys):
     code, out, _ = _run(capsys, [
         "check", "--family", "example1", "--m", "2", "--method", "npgs",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcpkit import matrix_core
 from lcpkit.convergence import (
     STRICTNESS_MARGIN,
     ModeUnsupportedError,
@@ -150,6 +151,39 @@ def test_spectral_check_never_passes_when_rho_reaches_one(eps, mode):
     assert cert.rho_upper >= rho
     assert cert.rho_lower <= cert.rho_t <= cert.rho_upper
     assert "not certified" in cert.notes
+
+
+def _overflowing_bidiagonal(n, sub):
+    """A = lower bidiagonal with diagonal 0.5 and subdiagonal sub: under
+    NPGS, T is lower triangular with diagonal 2/3, so rho(T) = 2/3, while
+    its entries grow like |sub / 3|^k below the diagonal."""
+    i = np.arange(n)
+    return SparseMatrix.from_coo(n, np.r_[i, i[1:]], np.r_[i, i[:-1]],
+                                 np.r_[np.full(n, 0.5), np.full(n - 1, sub)])
+
+
+@pytest.mark.parametrize("mode", ["exact_dense", "operator"])
+def test_spectral_check_stops_undecided_when_t_v_overflows(mode):
+    # T v overflows on the first pass: that pass gives no bracket end (and
+    # numpy no warning, which the test run would turn into an error)
+    a = _overflowing_bidiagonal(100, -1e4)
+    cert = check_spectral_condition(a, make_splitting(a, SplittingKind.npgs()), mode=mode)
+    assert cert.spectral_condition_ok is False
+    assert cert.rho_lower <= 2.0 / 3.0 <= cert.rho_upper
+    assert cert.rho_lower <= cert.rho_t <= cert.rho_upper
+    assert cert.power_iterations == 1
+    assert "T v overflowed at power iteration 1" in cert.notes
+
+
+def test_check_makes_one_witness_solve_per_classify(monkeypatch):
+    # A and the coupling matrix of the table-1 setup are Z-matrices with
+    # positive diagonal, their own comparison matrices: one solve each
+    solves = []
+    probe = matrix_core._m_matrix_witness
+    monkeypatch.setattr(matrix_core, "_m_matrix_witness", lambda m: solves.append(m) or probe(m))
+    a = gen_example1(4, 4.0).a
+    check_spectral_condition(a, make_splitting(a, SplittingKind.npgs()))
+    assert len(solves) == 2
 
 
 @pytest.mark.parametrize("family,kind,passes", [

@@ -360,6 +360,31 @@ def test_p_matrix_agrees_with_m_probe_on_z_matrices():
         assert rep.is_m == rep.is_p
 
 
+def _z_or_any(t):
+    """The square array, or with its off-diagonal made nonpositive (a
+    Z-matrix whose diagonal keeps its signs)."""
+    d, make_z = t
+    if not make_z:
+        return d
+    z = -np.abs(d)
+    np.fill_diagonal(z, np.diag(d))
+    return z
+
+
+@_EXACT
+@given(d=st.tuples(_SQUARE, st.booleans()).map(_z_or_any))
+@example(d=_random_dominant(np.random.default_rng(53), 5, signed=False))
+@example(d=_random_dominant(np.random.default_rng(53), 5, signed=False) * np.where(np.eye(5), -1.0, 1.0))
+@example(d=np.array([[2.0, -1.0], [-1.0, -2.0]]))
+@example(d=np.array([[2.0, 1.0], [1.0, 2.0]]))
+def test_classify_h_probe_is_the_comparison_probe(d):
+    # a Z-matrix with nonnegative diagonal is its own comparison matrix, and
+    # classify answers is_h there from the M probe alone
+    a = SparseMatrix.from_dense(d)
+    probe = matrix_core._m_matrix_witness(comparison_matrix(a)) is not None
+    assert classify(a, p_matrix_limit=0).is_h is probe
+
+
 # ----------------------------------------------------------------------
 # spectral radius estimation
 
@@ -500,12 +525,12 @@ _LOWER = st.integers(1, 12).flatmap(lambda n: st.tuples(
 
 
 def _both_schedules(m):
-    """The level and the block schedule of a solvable lower-triangular m,
-    whichever of them the solve would pick."""
+    """The schedules of both cuts of a solvable lower-triangular m, the
+    level cut and the row cut, whichever of them the solve would pick."""
     per_row = np.diff(m.row_starts) - 1
     pivots = m.diagonal_vector()
-    return (matrix_core._level_schedule(m._h, pivots, per_row, m.n),
-            matrix_core._block_schedule(m._h, pivots))
+    return [matrix_core._Schedule.build(m._h, pivots, *cut)
+            for cut in (matrix_core._level_cut(m._h, per_row, m.n), matrix_core._row_cut(m._h))]
 
 
 def _assert_solves_like_reference(m, b):
@@ -526,8 +551,9 @@ def test_forward_substitution_matches_reference_loop(d, b):
 @_EXACT
 @given(n=st.integers(1, 70), density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
        seed=st.integers(0, 2**32 - 1))
+@example(n=40, density=1.0, seed=0)
 def test_forward_substitution_matches_reference_loop_across_blocks(n, density, seed):
-    # sizes past one block of the block schedule
+    # sizes past one block of the row cut
     rng = np.random.default_rng(seed)
     d = np.tril(rng.uniform(-2.0, 2.0, (n, n)) * (rng.random((n, n)) < density), -1)
     d += np.diag(rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 4.0, n))
@@ -570,10 +596,13 @@ def test_schedule_arrays_are_read_only():
     m = SparseMatrix.from_dense([[2, 0, 0], [-1, 4, 0], [0, 3, 5]])
     lower_triangular_solve(m, np.ones(3))
     for schedule in (m._trisolve_schedule(), *_both_schedules(m)):
-        for arr in schedule:
+        for name, arr in schedule._asdict().items():
+            if name == "blocks":  # tuples of Python ints and bools
+                assert isinstance(arr, tuple) and all(type(b) is tuple for b in arr)
+                continue
             assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            schedule.vals[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 1
 
 
 def test_forward_substitution_checks_b_on_every_call():
@@ -604,32 +633,61 @@ def _levels_by_loop(m):
 def test_levels_match_longest_dependency_chain(d):
     m = SparseMatrix.from_dense(d)
     per_row = np.diff(m.row_starts) - 1
-    s = matrix_core._level_schedule(m._h, m.diagonal_vector(), per_row, m.n)
+    order, starts = matrix_core._level_cut(m._h, per_row, m.n)
     loop = _levels_by_loop(m)
     depth = max(loop) + 1
-    assert len(s.level_starts) - 1 == depth
+    assert len(starts) - 1 == depth
     level = np.empty(m.n, dtype=int)
     for k in range(depth):
-        level[s.order[s.level_starts[k]:s.level_starts[k + 1]]] = k
+        level[order[starts[k]:starts[k + 1]]] = k
     assert level.tolist() == loop
+    # ascending within a level
+    assert all(np.all(np.diff(order[starts[k]:starts[k + 1]]) > 0) for k in range(depth))
     # the sweep stops past max_depth levels; the chain bound never exceeds the depth
-    assert matrix_core._level_schedule(m._h, m.diagonal_vector(), per_row, depth - 1) is None
+    assert matrix_core._level_cut(m._h, per_row, depth - 1) is None
     assert 1 <= matrix_core._chain_length(m._h, per_row) <= depth
-    # the solve picks the level schedule at _ROWS_PER_LEVEL rows per level or more
-    chosen = type(m._trisolve_schedule())
+    # the solve takes the level cut at _ROWS_PER_LEVEL rows per level or more
     by_levels = depth * matrix_core._ROWS_PER_LEVEL <= m.n
-    assert chosen is (matrix_core._LevelSchedule if by_levels else matrix_core._BlockSchedule)
+    cut = (order, starts) if by_levels else matrix_core._row_cut(m._h)
+    expected = matrix_core._Schedule.build(m._h, m.diagonal_vector(), *cut)
+    assert all(np.array_equal(x, y) for x, y in zip(m._trisolve_schedule(), expected))
+
+
+@_EXACT
+@given(d=_LOWER)
+@example(d=np.tril(np.ones((6, 6))))
+@example(d=np.eye(9) + np.diag(np.ones(7), -2))
+def test_level_cut_stores_no_inner_entries(d):
+    # every entry of a level refers to an earlier level, so each block
+    # ends with one vectorised divide
+    m = SparseMatrix.from_dense(d)
+    level_cut, row_cut = _both_schedules(m)
+    assert level_cut.inner_cols.size == level_cut.inner_vals.size == 0
+    assert not level_cut.inner_starts.any()
+    assert not any(has_inner for *_, has_inner in level_cut.blocks)
+    assert level_cut.vals.size == m.nnz - m.n
+    # the row cut keeps every entry, outer or inner
+    assert row_cut.vals.size + row_cut.inner_vals.size == m.nnz - m.n
 
 
 def test_schedule_choice_on_the_benchmark_matrices():
-    # the table-1 grid has many rows per level; a dense matrix of the random
-    # family and a tridiagonal one have one row per level
+    # the table-1 grid has many rows per level: one block per level; a dense
+    # matrix of the random family and a tridiagonal one have one row per
+    # level: runs of _BLOCK rows in order
     tridiagonal = SparseMatrix.from_dense(3 * np.eye(50) - np.eye(50, k=-1) - np.eye(50, k=1))
-    for a, kind in ((BenchSpec("example1", 10).build().a, matrix_core._LevelSchedule),
-                    (gen_random_hplus(40, 3).a, matrix_core._BlockSchedule),
-                    (tridiagonal, matrix_core._BlockSchedule)):
+    for a, blocks in ((BenchSpec("example1", 10).build().a, 19),
+                      (gen_random_hplus(40, 3).a, 3),
+                      (tridiagonal, 4)):
         lhs = shifted_system(a, make_splitting(a, SplittingKind.npgs()))[0]
-        assert type(lhs._trisolve_schedule()) is kind
+        s = lhs._trisolve_schedule()
+        assert len(s.blocks) == blocks
+        if blocks == 19:
+            assert max(_levels_by_loop(lhs)) + 1 == 19
+            assert s.inner_vals.size == 0
+        else:
+            assert np.array_equal(s.order, np.arange(lhs.n))
+            assert [(lo, hi) for lo, hi, *_ in s.blocks] == [
+                (lo, min(lo + 16, lhs.n)) for lo in range(0, lhs.n, 16)]
     # one chain of all the rows: the level sweep is skipped
     assert matrix_core._chain_length(lhs._h, np.diff(lhs.row_starts) - 1) == 50
 

@@ -191,10 +191,24 @@ def _g17(x):
     return f"{x:.17g}"
 
 
+def _strict_json(value):
+    """value as indented strict JSON: every non-finite float (an interval
+    end of inf, say) becomes null, which any JSON parser reads."""
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return v
+    return json.dumps(finite(value), indent=2, allow_nan=False) + "\n"
+
+
 def _render_solve(report, fmt):
     rec = report.to_json_dict()
     if fmt == "json":
-        return json.dumps(rec, indent=2) + "\n"
+        return _strict_json(rec)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -230,7 +244,7 @@ def cmd_solve(args):
 def _render_certificate(cert, fmt):
     rec = cert.to_json_dict()
     if fmt == "json":
-        return json.dumps(rec, indent=2) + "\n"
+        return _strict_json(rec)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -341,7 +355,7 @@ def _render_table_md(which, sizes, rows):
 def _render_table_json(which, sizes, rows):
     runs = [{"table": which, "parameter": parameter, **r.to_json_dict()}
             for _, parameter, reports in rows for r in reports]
-    return json.dumps({"table": which, "sizes": sizes, "runs": runs}, indent=2) + "\n"
+    return _strict_json({"table": which, "sizes": sizes, "runs": runs})
 
 
 def cmd_table(args):

@@ -253,7 +253,7 @@ def check_spectral_condition(a, s, p_limit=12, mode=None):
         notes.append("power iteration hit its cap; rho_t is the best estimate")
     if lower < threshold <= est.upper and not est.overflowed:
         notes.append("rho bracket straddles 1 - margin; spectral condition not certified")
-    if fields["hmatrix_conditions_ok"] and rho_t >= 1.0:
+    if fields["hmatrix_conditions_ok"] and rho_t >= 1.0 and not est.overflowed:
         notes.append("structural conditions passed but rho estimate >= 1")
     return ConvergenceCertificate(
         rho_t=rho_t,

@@ -8,14 +8,17 @@ values, immutable arrays) and keeps everything deterministic: every
 reduction runs in a fixed order, and the only factorization on offer is
 triangular substitution.  A row sum, in the matrix-vector product and
 in forward substitution alike, adds the row's rounded products left to
-right in storage order.  Forward substitution follows one schedule,
-built on the first solve and cached on the (immutable) matrix: the rows
-in some order, cut into blocks, each block summed by one numpy pass over
-its entries that refer to earlier blocks.  The level cut (blocks are
-dependency levels, whose rows depend only on earlier levels) serves a
-matrix with enough rows per level; otherwise the row cut takes the rows
-in order, a block of 16 at a time, and finishes each row's sum over its
-own block in Python floats.  Dense fallbacks (inverses, principal
+right in storage order, in scipy's compiled CSR row kernel.  Forward
+substitution follows one schedule, built on the first solve and cached
+on the (immutable) matrix: the rows in some order, cut into blocks,
+each block summed by one kernel call over its entries that refer to
+earlier blocks.  The level cut (blocks are dependency levels, whose
+rows depend only on earlier levels) serves a matrix with enough rows
+per level; otherwise the row cut takes the rows in order, a block of 16
+at a time, and finishes each row's sum over its own block in Python
+floats.  The cut depends on the pattern only, so the system matrices
+of one problem, which share its lower triangle's pattern, share one
+cut, cached on the problem matrix.  Dense fallbacks (inverses, principal
 minors) are reserved for certification and tests on small matrices,
 never for solver hot paths.
 """
@@ -29,6 +32,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 
 class SingularMatrixError(ValueError):
@@ -47,7 +51,7 @@ class SparseMatrix:
     safe to share across threads.
     """
 
-    __slots__ = ("_h", "_row_index", "_schedule")
+    __slots__ = ("_h", "_row_index", "_cut", "_schedule")
 
     def __init__(self, n, row_starts, col_indices, values):
         n = int(n)
@@ -79,6 +83,7 @@ class SparseMatrix:
             arr.setflags(write=False)
         self._h = h
         self._row_index = None
+        self._cut = None
         self._schedule = None
 
     # ------------------------------------------------------------------
@@ -162,6 +167,27 @@ class SparseMatrix:
             )
             self._row_index.setflags(write=False)
         return self._row_index
+
+    def _lower_cut(self):
+        """The cut (``_Cut``) of forward substitution on this matrix's
+        lower triangle with a full diagonal, made on first use and kept
+        with the matrix."""
+        if self._cut is None:
+            h = self._h
+            if not (self.is_lower_triangular() and self.diagonal_vector().all()):
+                h = self.strict_lower().add_diagonal(1.0)._h
+            self._cut = _choose_cut(h)
+        return self._cut
+
+    def _share_cut(self, other):
+        """Take other's lower-triangle cut as this matrix's own when this
+        matrix's pattern is other's lower triangle with a full diagonal:
+        the system matrices of one problem then make one cut between
+        them."""
+        if self._cut is None:
+            cut = other._lower_cut()
+            if cut.fits(self):
+                self._cut = cut
 
     def _trisolve_schedule(self):
         """The forward-substitution schedule, built on first use and kept
@@ -287,6 +313,20 @@ def _m_matrix_witness(a):
     return v
 
 
+def _m_probe(z):
+    """(is_m, witness) for the Z-matrix z.  A triangular Z-matrix is a
+    nonsingular M-matrix exactly when its diagonal, which holds its
+    eigenvalues, is positive; that is read off without a solve, since
+    the solution of z v = ones can overflow there (it grows like 24^i
+    for diagonal 0.5 and subdiagonal -12), and no witness is given.
+    Any other Z-matrix is probed by ``_m_matrix_witness``."""
+    rows = z._rows_expanded()
+    if np.all(z.col_indices <= rows) or np.all(z.col_indices >= rows):
+        return bool(np.all(z.diagonal_vector() > 0.0)), None
+    witness = _m_matrix_witness(z)
+    return witness is not None, witness
+
+
 def _principal_minors_positive(dense):
     from itertools import combinations
 
@@ -308,6 +348,8 @@ class ClassificationReport:
     is_h: bool
     is_h_plus: bool
     is_p: Optional[bool] = None
+    # the positive v with A v = ones that the M test solved for; None when
+    # A is not an M-matrix or is triangular (decided without a solve)
     witness_v: Optional[np.ndarray] = None
 
 
@@ -315,10 +357,12 @@ def classify(a, p_matrix_limit=12):
     """Classify a square matrix as Z / M / H / H+ and, when small, P.
 
     The M-matrix test solves A v = ones and checks v > 0, which is an exact
-    characterization for Z-matrices; the witness is returned.  The H test
-    runs the same probe on the comparison matrix, except on a Z-matrix
-    with nonnegative diagonal, which is its own comparison matrix, so
-    that one solve settles both.  Principal minors are
+    characterization for Z-matrices; the witness is returned.  A
+    triangular Z-matrix is decided by the signs of its diagonal instead,
+    with no solve and no witness (``_m_probe``).  The H test runs the
+    same probe on the comparison matrix, except on a Z-matrix with
+    nonnegative diagonal, which is its own comparison matrix, so that
+    one probe settles both.  Principal minors are
     enumerated only when n <= p_matrix_limit (capped at 20: there are
     2^n - 1 of them).
     """
@@ -328,13 +372,12 @@ def classify(a, p_matrix_limit=12):
         raise ValueError("p_matrix_limit must be at most 20")
     offdiag = a.col_indices != a._rows_expanded()
     is_z = bool(np.all(a.values[offdiag] <= 0.0))
-    witness = _m_matrix_witness(a) if is_z else None
-    is_m = witness is not None
+    is_m, witness = _m_probe(a) if is_z else (False, None)
     diag = a.diagonal_vector()
     if is_z and np.all(diag >= 0.0):
         is_h = is_m
     else:
-        is_h = _m_matrix_witness(comparison_matrix(a)) is not None
+        is_h = _m_probe(comparison_matrix(a))[0]
     is_h_plus = is_h and bool(np.all(diag > 0.0))
     is_p = None
     if a.n <= p_matrix_limit:
@@ -458,111 +501,40 @@ def _pivots(m):
     return d
 
 
-# A level of the level cut costs about 4 us of numpy calls and a row of the
-# row cut 1-2 us of Python; on banded and grid matrices the two cuts break
-# even at 4 to 6 rows per level.
+# A level of the level cut costs about 4 us of numpy and kernel calls and a
+# row of the row cut 1-2 us of Python; on banded and grid matrices the two
+# cuts break even at 4 to 6 rows per level.
 _ROWS_PER_LEVEL = 4
 
 # rows per block of the row cut
 _BLOCK = 16
 
 
-class _Schedule(NamedTuple):
-    """Forward substitution on a lower-triangular matrix, a block of rows
-    at a time.
+def _ranges(starts, counts):
+    """The runs starts[i], starts[i] + 1, ... of counts[i] indices each,
+    one after another (starts is not empty)."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
 
-    ``order`` lists the rows, each after every row it refers to, and
-    ``pivots`` is the diagonal in that order.  An off-diagonal entry is
-    outer when it refers to a row of an earlier block and inner when it
-    refers to an earlier row of its own block; a row's outer entries
-    come first in its storage order.  The outer entries follow the
-    order, each row's in storage order: entry e has value ``vals[e]``,
-    refers to position ``cols[e]`` of the order, and belongs to row
-    ``rows[e]`` of its block.  The inner entries of position i are
-    ``inner_starts[i]:inner_starts[i + 1]`` of ``inner_cols`` (a row of
-    the same block) and ``inner_vals``.  ``blocks`` holds one tuple
-    (lo, hi, a, e, has_inner) per block: its positions lo:hi of the
-    order, its outer entries a:e, and whether any of its rows has inner
-    entries.  The arrays are read-only and the index arrays use the
-    matrix's index dtype; ``blocks`` is Python ints, so that a solve
-    converts nothing on the way.
-    """
 
-    order: np.ndarray
-    pivots: np.ndarray
-    blocks: tuple
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    inner_starts: np.ndarray
-    inner_cols: np.ndarray
-    inner_vals: np.ndarray
+class _Cut(NamedTuple):
+    """The rows of a lower-triangular CSR pattern with a full diagonal
+    (``row_starts``, ``col_indices``), taken in an order, each after
+    every row it refers to, and cut into blocks: block k is positions
+    ``block_starts[k]:block_starts[k + 1]`` of the order.  ``order`` is
+    None for the row cut, whose rows stay in storage order; otherwise
+    the blocks are dependency levels, so that no row refers to a row of
+    its own block.  A cut depends on the pattern only, so every matrix
+    with that pattern can take it."""
 
-    @classmethod
-    def build(cls, h, pivots, order, block_starts):
-        """The schedule of the lower-triangular CSR handle h with diagonal
-        pivots, its rows taken in order and cut at block_starts."""
-        n, idx = h.shape[0], h.indices.dtype
-        rank = np.empty(n, dtype=idx)  # the position of each row in the order
-        rank[order] = np.arange(n, dtype=idx)
-        # the storage index of every off-diagonal entry, rows in schedule
-        # order, each row's in storage order: columns are sorted, so each
-        # row's diagonal is its last entry
-        per_row = np.diff(h.indptr)[order] - 1
-        starts = np.zeros(n + 1, dtype=idx)
-        np.cumsum(per_row, out=starts[1:])
-        entries = np.repeat(h.indptr[order] - starts[:-1], per_row) + np.arange(starts[-1], dtype=idx)
-        pos = np.repeat(np.arange(n, dtype=idx), per_row)  # the position of its row
-        col = rank[h.indices[entries]]
-        # the first position of each entry's block
-        first = np.repeat(block_starts[:-1], np.diff(block_starts))[pos]
-        inner = col >= first
-        outer = ~inner
-        inner_starts = np.searchsorted(pos[inner], np.arange(n + 1)).astype(idx)
-        at = block_starts.tolist()
-        outer_at = np.searchsorted(pos[outer], block_starts).tolist()
-        has_inner = (np.diff(inner_starts[block_starts]) > 0).tolist()
-        arrays = dict(
-            order=order,
-            pivots=pivots[order],
-            rows=(pos - first)[outer],
-            cols=col[outer],
-            vals=h.data[entries[outer]],
-            inner_starts=inner_starts,
-            inner_cols=(col - first)[inner],
-            inner_vals=h.data[entries[inner]],
-        )
-        for arr in arrays.values():
-            arr.setflags(write=False)
-        return cls(blocks=tuple(zip(at, at[1:], outer_at, outer_at[1:], has_inner)), **arrays)
+    row_starts: np.ndarray
+    col_indices: np.ndarray
+    order: Optional[np.ndarray]
+    block_starts: np.ndarray
 
-    def solve(self, b):
-        xs = np.empty(b.size)  # the solution in schedule order
-        bs = b[self.order]
-        rows, cols, vals, pivots = self.rows, self.cols, self.vals, self.pivots
-        lists = None  # the inner entries as Python lists, made once needed
-        for lo, hi, a, e, has_inner in self.blocks:
-            # bincount adds the weights in index order onto 0.0, so each
-            # row's outer products are summed left to right in storage order
-            s = np.bincount(rows[a:e], weights=vals[a:e] * xs.take(cols[a:e]), minlength=hi - lo)
-            if not has_inner:
-                np.divide(bs[lo:hi] - s, pivots[lo:hi], out=xs[lo:hi])
-                continue
-            if lists is None:
-                lists = (self.inner_starts.tolist(), self.inner_cols.tolist(),
-                         self.inner_vals.tolist(), bs.tolist(), pivots.tolist())
-            starts, inner_cols, inner_vals, bl, pl = lists
-            xb = []  # the block's solution so far
-            for i, acc in enumerate(s.tolist(), lo):
-                # the row's sum goes on over its inner entries, one product
-                # at a time in Python floats (the same double arithmetic)
-                for j in range(starts[i], starts[i + 1]):
-                    acc += inner_vals[j] * xb[inner_cols[j]]
-                xb.append((bl[i] - acc) / pl[i])
-            xs[lo:hi] = xb
-        x = np.empty(b.size)
-        x[self.order] = xs
-        return x
+    def fits(self, m):
+        return (np.array_equal(m.row_starts, self.row_starts)
+                and np.array_equal(m.col_indices, self.col_indices))
 
 
 def _chain_length(h, per_row):
@@ -599,10 +571,7 @@ def _level_cut(h, per_row, max_depth):
         if depth == max_depth:
             return None
         level[frontier] = depth
-        counts = dep_count[frontier]
-        ends = counts.cumsum()
-        # the dependents of every frontier row, gathered by one index
-        children = dependents[np.arange(ends[-1]) + np.repeat(dep_start[frontier] - ends + counts, counts)]
+        children = dependents[_ranges(dep_start[frontier], dep_count[frontier])]
         np.subtract.at(pending, children, 1)
         frontier = np.unique(children[pending[children] == 0])
         depth += 1
@@ -612,26 +581,147 @@ def _level_cut(h, per_row, max_depth):
 
 
 def _row_cut(h):
-    """The row cut of the CSR handle h: (order, block_starts) with the
-    rows in order, _BLOCK at a time."""
+    """The row cut of the CSR handle h: (None, block_starts), the rows in
+    storage order, _BLOCK at a time."""
     n, idx = h.shape[0], h.indices.dtype
-    return np.arange(n, dtype=idx), np.append(np.arange(0, n, _BLOCK), n).astype(idx)
+    return None, np.append(np.arange(0, n, _BLOCK), n).astype(idx)
+
+
+def _choose_cut(h):
+    """The cut of the lower-triangular CSR handle h with a full diagonal:
+    the level cut when h has at least _ROWS_PER_LEVEL rows per level,
+    else the row cut."""
+    per_row = np.diff(h.indptr) - 1
+    max_depth = h.shape[0] // _ROWS_PER_LEVEL
+    cut = None
+    # a long chain of rows rules the level cut out before its sweep
+    if _chain_length(h, per_row) <= max_depth:
+        cut = _level_cut(h, per_row, max_depth)
+    order, block_starts = cut or _row_cut(h)
+    for arr in (order, block_starts):
+        if arr is not None:
+            arr.setflags(write=False)
+    return _Cut(h.indptr, h.indices, order, block_starts)
+
+
+class _Schedule(NamedTuple):
+    """Forward substitution on a lower-triangular matrix, a block of rows
+    at a time, following a ``_Cut``.
+
+    The schedule holds the matrix with its rows in the cut's order and
+    its columns renamed to positions of that order, as CSR arrays:
+    position i's entries are ``row_starts[i]:row_starts[i + 1]`` of
+    ``cols`` and ``vals``, in the matrix's storage order, and ``pivots``
+    is the diagonal in the order.  Under the row cut (``order`` None)
+    these are the matrix's own arrays, diagonal included; under the
+    level cut they are a copy of its off-diagonal entries.
+
+    A block is summed by one call of scipy's compiled CSR row kernel
+    while the block's own solution is still 0.0: an entry that refers to
+    a row of the block adds a product with 0.0, which leaves a sum
+    started from +0.0 as it is.  An entry is inner when it refers to an
+    earlier row of its own block, which only the row cut has; a row then
+    finishes its sum over its inner entries in Python floats.  The inner
+    entries of position i are ``inner_starts[i]:inner_starts[i + 1]`` of
+    ``inner_cols`` (a row of the block, from 0) and ``inner_vals``, in
+    storage order; the three are None under the level cut.  ``blocks``
+    holds one tuple (lo, hi, has_inner) per block: its positions lo:hi
+    and whether any of its rows has inner entries.  The arrays are
+    read-only and the index arrays use the matrix's index dtype;
+    ``blocks`` is Python ints, so that a solve converts nothing on the
+    way.
+    """
+
+    order: Optional[np.ndarray]
+    pivots: np.ndarray
+    blocks: tuple
+    row_starts: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    inner_starts: Optional[np.ndarray]
+    inner_cols: Optional[np.ndarray]
+    inner_vals: Optional[np.ndarray]
+
+    @classmethod
+    def build(cls, h, pivots, cut):
+        """The schedule of the lower-triangular CSR handle h with diagonal
+        pivots under cut, a ``_Cut`` of h's pattern."""
+        n, idx = h.shape[0], h.indices.dtype
+        order, block_starts = cut.order, cut.block_starts
+        if order is None:
+            row_starts, cols, vals = h.indptr, h.indices, h.data
+            first = np.repeat(block_starts[:-1], np.diff(block_starts))  # of each row's block
+            # columns are sorted and distinct, so a row's inner entries are
+            # among its last i - first[i] off-diagonal entries
+            count = np.minimum(np.arange(n, dtype=idx) - first, np.diff(h.indptr) - 1)
+            entries = _ranges(h.indptr[1:] - 1 - count, count)
+            row = np.repeat(np.arange(n, dtype=idx), count)
+            inner = h.indices[entries] >= first[row]
+            entries, row = entries[inner], row[inner]
+            inner_starts = np.zeros(n + 1, dtype=idx)
+            np.cumsum(np.bincount(row, minlength=n), out=inner_starts[1:])
+            inner_cols, inner_vals = h.indices[entries] - first[row], h.data[entries]
+            has_inner = (np.diff(inner_starts[block_starts]) > 0).tolist()
+        else:
+            rank = np.empty(n, dtype=idx)  # the position of each row in the order
+            rank[order] = np.arange(n, dtype=idx)
+            # each row's diagonal is its last stored entry
+            per_row = np.diff(h.indptr)[order] - 1
+            row_starts = np.zeros(n + 1, dtype=idx)
+            np.cumsum(per_row, out=row_starts[1:])
+            entries = _ranges(h.indptr[order], per_row)
+            cols, vals = rank[h.indices[entries]], h.data[entries]
+            pivots = pivots[order]
+            inner_starts = inner_cols = inner_vals = None
+            has_inner = [False] * (block_starts.size - 1)
+        arrays = dict(order=order, pivots=pivots, row_starts=row_starts, cols=cols, vals=vals,
+                      inner_starts=inner_starts, inner_cols=inner_cols, inner_vals=inner_vals)
+        for arr in arrays.values():
+            if arr is not None:
+                arr.setflags(write=False)
+        at = block_starts.tolist()
+        return cls(blocks=tuple(zip(at, at[1:], has_inner)), **arrays)
+
+    def solve(self, b):
+        n = b.size
+        xs = np.zeros(n)  # the solution in schedule order, 0.0 until solved
+        sums = np.zeros(n)
+        bs = b if self.order is None else b[self.order]
+        row_starts, cols, vals, pivots = self.row_starts, self.cols, self.vals, self.pivots
+        lists = None  # the inner entries as Python lists, made once needed
+        for lo, hi, has_inner in self.blocks:
+            s = sums[lo:hi]
+            # the kernel SparseMatrix.matvec runs adds each row's products
+            # left to right in storage order onto its 0.0 in s
+            _csr_matvec(hi - lo, n, row_starts[lo:hi + 1], cols, vals, xs, s)
+            if not has_inner:
+                np.divide(np.subtract(bs[lo:hi], s, out=s), pivots[lo:hi], out=xs[lo:hi])
+                continue
+            if lists is None:
+                lists = (self.inner_starts.tolist(), self.inner_cols.tolist(),
+                         self.inner_vals.tolist(), bs.tolist(), pivots.tolist())
+            starts, inner_cols, inner_vals, bl, pl = lists
+            xb = []  # the block's solution so far
+            for i, acc in enumerate(s.tolist(), lo):
+                # the row's sum goes on over its inner entries, one product
+                # at a time in Python floats (the same double arithmetic)
+                for j in range(starts[i], starts[i + 1]):
+                    acc += inner_vals[j] * xb[inner_cols[j]]
+                xb.append((bl[i] - acc) / pl[i])
+            xs[lo:hi] = xb
+        if self.order is None:
+            return xs
+        x = np.empty(n)
+        x[self.order] = xs
+        return x
 
 
 def _build_schedule(m):
     """The forward-substitution schedule of m, after checking that m is
-    lower triangular with a nonzero diagonal: the level cut when m has at
-    least _ROWS_PER_LEVEL rows per level, else the row cut."""
+    lower triangular with a nonzero diagonal, under m's cut."""
     if not m.is_lower_triangular():
         raise ValueError("matrix has entries above the diagonal")
-    pivots = _pivots(m)
-    per_row = np.diff(m.row_starts) - 1
-    max_depth = m.n // _ROWS_PER_LEVEL
-    cut = None
-    # a long chain of rows rules the level cut out before its sweep
-    if _chain_length(m._h, per_row) <= max_depth:
-        cut = _level_cut(m._h, per_row, max_depth)
-    return _Schedule.build(m._h, pivots, *(cut or _row_cut(m._h)))
+    return _Schedule.build(m._h, _pivots(m), m._lower_cut())
 
 
 def lower_triangular_solve(m, b):
@@ -643,15 +733,18 @@ def lower_triangular_solve(m, b):
     x_i = (b_i - s_i) / m_ii, where s_i sums the rounded products
     m_ij x_j of the row's off-diagonal entries left to right in storage
     order, starting from 0.0, as ``SparseMatrix.matvec`` sums a row.
-    The rows go block by block (``_Schedule``): one bincount per block
-    sums the entries that refer to earlier blocks, and Python floats add
-    those that refer to earlier rows of the same block.  With at least
-    ``_ROWS_PER_LEVEL`` rows per dependency level the blocks are the
-    levels, which have no such entries; otherwise they are runs of
-    ``_BLOCK`` rows in order.  Neither cut changes a row's arithmetic, so
-    x is bitwise the row-by-row result.  The checks and the schedule run
+    The rows go block by block (``_Schedule``): one call of scipy's
+    compiled CSR row kernel, the one ``SparseMatrix.matvec`` runs, sums
+    each block's rows over the entries that refer to earlier blocks,
+    and Python floats add those that refer to earlier rows of the same
+    block.  With at least ``_ROWS_PER_LEVEL`` rows per dependency level
+    the blocks are the levels, which have no such entries; otherwise
+    they are runs of ``_BLOCK`` rows in order, and the kernel reads the
+    matrix's own arrays.  Neither cut changes a row's arithmetic, so x
+    is bitwise the row-by-row result.  The checks and the schedule run
     once per matrix: the first call builds the schedule and caches it on
-    m.
+    m.  The cut depends only on m's pattern; a system matrix that took
+    its problem matrix's cut (``SparseMatrix._share_cut``) uses that.
     """
     schedule = m._trisolve_schedule()
     b = np.asarray(b, dtype=np.float64)

@@ -199,10 +199,13 @@ def residual(p, lam):
     return float(np.linalg.norm(np.minimum(lam, w)))
 
 
-def _linear_solver_for(lhs):
-    """Pick the cheapest exact solver the structure of lhs admits.
+def _linear_solver_for(lhs, a):
+    """Pick the cheapest exact solver the structure of lhs, a system
+    matrix of the problem matrix a, admits.
 
-    Diagonal and lower-triangular systems go to substitution; anything
+    Diagonal and lower-triangular systems go to substitution; a
+    lower-triangular lhs with the pattern of a's lower triangle takes
+    a's cut of it, which the problem's other system matrices share; anything
     else (custom splittings) gets a one-time dense LU, capped at
     n <= DENSE_FALLBACK_LIMIT so the fallback can't masquerade as a
     sparse method at scale.
@@ -211,6 +214,7 @@ def _linear_solver_for(lhs):
         d = _pivots(lhs)
         return lambda b: b / d
     if lhs.is_lower_triangular():
+        lhs._share_cut(a)
         return lambda b: lower_triangular_solve(lhs, b)
     if lhs.n > DENSE_FALLBACK_LIMIT:
         raise ValueError(
@@ -288,7 +292,7 @@ def projected_solve(p, s, cfg, on_iterate=None):
     if s.m.n != p.n:
         raise ValueError("splitting dimension mismatch")
     lhs, rhs_mat, shifted = shifted_system(p.a, s)
-    solve = _linear_solver_for(lhs)
+    solve = _linear_solver_for(lhs, p.a)
     sigma = p.sigma
 
     def step(zeta):
@@ -321,7 +325,7 @@ def modulus_solve(p, cfg, mcfg, on_iterate=None):
     omega = mcfg.effective_omega_scale() * p.a.diagonal_vector()
     if np.any(omega <= 0.0):
         raise ValueError("Omega must be a positive diagonal; matrix diagonal is not")
-    solve = _linear_solver_for(s.m.add_diagonal(omega))
+    solve = _linear_solver_for(s.m.add_diagonal(omega), p.a)
     omega_minus_a = p.a.scaled(-1.0).add_diagonal(omega)
     gamma = mcfg.gamma
     sigma_term = gamma * p.sigma

@@ -2,12 +2,14 @@ import itertools
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lcpkit import matrix_core
 from lcpkit.cli import main
 from lcpkit.matrix_core import read_matrix_market, read_vector
 from lcpkit.solvers import LcpProblem, residual
@@ -162,11 +164,36 @@ def test_check_reports_an_overflowing_t_v_without_warnings(capsys, tmp_path):
     code, out, err = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npgs",
                                    "--format", "json"])
     assert (code, err) == (0, "")
-    cert = json.loads(out)
+    cert = _strict_loads(out)
     assert cert["spectral_condition_ok"] is False
-    assert cert["rho_lower"] <= 2.0 / 3.0 <= cert["rho_upper"]
-    assert cert["rho_lower"] <= cert["rho_t"] <= cert["rho_upper"]
+    # no pass gave an upper end or a finite estimate: inf, written as null
+    assert cert["rho_upper"] is cert["rho_t"] is None
+    assert cert["rho_lower"] <= 2.0 / 3.0
     assert "T v overflowed" in cert["notes"]
+    assert "rho estimate >= 1" not in cert["notes"]
+    # a lower-triangular Z-matrix with positive diagonal is an M-matrix,
+    # although the solution of A v = 1 overflows
+    assert cert["h_plus"] is True
+
+
+def _strict_loads(text):
+    """json.loads that rejects the tokens Infinity, -Infinity and NaN,
+    which are not JSON."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "example1", "--m", "4", "--method", "npgs"],
+    ["check", "--family", "example1", "--m", "4", "--method", "npgs"],
+    ["table", "table2", "--sizes", "16"],
+], ids=["solve", "check", "table"])
+def test_json_with_finite_values_is_the_default_encoding(capsys, argv):
+    # non-finite floats become null; every other output keeps its bytes
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert out == json.dumps(_strict_loads(out), indent=2) + "\n"
 
 
 def test_check_benchmark_structural_rendering(capsys):
@@ -205,6 +232,31 @@ def test_table_csv_deterministic(capsys, tmp_path, which):
     header = one.splitlines()[0]
     assert header == ("table,method,parameter,n,iterations,"
                       "residual_final,cpu_seconds,converged")
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("which,sizes", [("table1", "100,900"), ("table2", "100,400")])
+def test_table_csv_matches_golden(capsys, which, sizes):
+    # the golden files hold the output of an earlier, separately built
+    # version with cpu_seconds dropped: iteration counts and residuals
+    # must stay bitwise the same through any speed-up
+    code, out, _ = _run(capsys, ["table", which, "--sizes", sizes, "--format", "csv"])
+    assert code == 0
+    golden = (_GOLDEN / f"{which}_sizes_{sizes.replace(',', '_')}.csv").read_text(encoding="ascii")
+    assert _strip_cpu(out) == golden.splitlines()
+
+
+def test_table_makes_one_level_sweep_for_its_four_methods(capsys, monkeypatch):
+    # the four system matrices of a size share the pattern of the problem
+    # matrix's lower triangle, and with it the problem matrix's cut
+    sweeps = []
+    level_cut = matrix_core._level_cut
+    monkeypatch.setattr(matrix_core, "_level_cut", lambda *args: sweeps.append(args) or level_cut(*args))
+    code, out, _ = _run(capsys, ["table", "table1", "--sizes", "100", "--format", "csv"])
+    assert code == 0 and len(out.splitlines()) == 5
+    assert len(sweeps) == 1
 
 
 def test_table_rejects_non_square_size(capsys):

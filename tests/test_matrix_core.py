@@ -21,8 +21,8 @@ from lcpkit.matrix_core import (
     write_vector,
 )
 from lcpkit.problems import BenchSpec, gen_random_hplus
-from lcpkit.solvers import shifted_system
-from lcpkit.splittings import SplittingKind, make_splitting
+from lcpkit.solvers import _linear_solver_for, shifted_system
+from lcpkit.splittings import SplittingKind, custom_splitting, make_splitting
 
 
 def _dense(rows):
@@ -381,8 +381,25 @@ def test_classify_h_probe_is_the_comparison_probe(d):
     # a Z-matrix with nonnegative diagonal is its own comparison matrix, and
     # classify answers is_h there from the M probe alone
     a = SparseMatrix.from_dense(d)
-    probe = matrix_core._m_matrix_witness(comparison_matrix(a)) is not None
-    assert classify(a, p_matrix_limit=0).is_h is probe
+    assert classify(a, p_matrix_limit=0).is_h is matrix_core._m_probe(comparison_matrix(a))[0]
+
+
+def test_classify_decides_triangular_z_matrices_without_a_solve(monkeypatch):
+    # the solution of A v = 1 grows like 24^i here and overflows, but a
+    # triangular Z-matrix is an M-matrix exactly when its diagonal is positive
+    monkeypatch.setattr(matrix_core, "_m_matrix_witness", lambda m: pytest.fail("solved"))
+    n = 600
+    lower = SparseMatrix.from_coo(n, [*range(n), *range(1, n)], [*range(n), *range(n - 1)],
+                                  [0.5] * n + [-12.0] * (n - 1))
+    for a in (lower, SparseMatrix._canonical(lower.to_scipy().T)):
+        rep = classify(a, p_matrix_limit=0)
+        assert rep.is_z and rep.is_m and rep.is_h and rep.is_h_plus
+        assert rep.witness_v is None
+    # a nonpositive pivot: not an M-matrix, but an H-matrix while no pivot is 0
+    for pivots, is_h in (([0.5, -1.0, 2.0], True), ([0.5, 0.0, 2.0], False)):
+        a = SparseMatrix.from_dense(np.diag(pivots) - np.eye(3, k=-1))
+        rep = classify(a, p_matrix_limit=0)
+        assert rep.is_z and not rep.is_m and rep.is_h is is_h and not rep.is_h_plus
 
 
 # ----------------------------------------------------------------------
@@ -527,10 +544,9 @@ _LOWER = st.integers(1, 12).flatmap(lambda n: st.tuples(
 def _both_schedules(m):
     """The schedules of both cuts of a solvable lower-triangular m, the
     level cut and the row cut, whichever of them the solve would pick."""
-    per_row = np.diff(m.row_starts) - 1
-    pivots = m.diagonal_vector()
-    return [matrix_core._Schedule.build(m._h, pivots, *cut)
-            for cut in (matrix_core._level_cut(m._h, per_row, m.n), matrix_core._row_cut(m._h))]
+    h, per_row = m._h, np.diff(m.row_starts) - 1
+    return [matrix_core._Schedule.build(h, m.diagonal_vector(), matrix_core._Cut(h.indptr, h.indices, *cut))
+            for cut in (matrix_core._level_cut(h, per_row, m.n), matrix_core._row_cut(h))]
 
 
 def _assert_solves_like_reference(m, b):
@@ -558,6 +574,45 @@ def test_forward_substitution_matches_reference_loop_across_blocks(n, density, s
     d = np.tril(rng.uniform(-2.0, 2.0, (n, n)) * (rng.random((n, n)) < density), -1)
     d += np.diag(rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 4.0, n))
     _assert_solves_like_reference(SparseMatrix.from_dense(d), rng.uniform(-5.0, 5.0, n))
+
+
+@_EXACT
+@given(d=st.integers(1, 12).flatmap(lambda n: hnp.arrays(np.float64, (n, n), elements=_SPARSE_ENTRY)),
+       x=hnp.arrays(np.float64, 12, elements=_ENTRY), cut=st.integers(0, 12))
+@example(d=np.zeros((3, 3)), x=np.ones(12), cut=1)
+@example(d=np.diag([0.0, 2.0, 0.0, -1.0]) + np.eye(4, k=-1), x=np.arange(12.0), cut=2)
+def test_csr_kernel_into_zeros_is_matvec(d, x, cut):
+    # the forward substitution sums with scipy's compiled CSR row kernel,
+    # called on row ranges into slices of a zeroed buffer; a scipy release
+    # that changes the kernel's entry point or its sum order fails here
+    a = SparseMatrix.from_dense(d)
+    assert a.col_indices.dtype == a.row_starts.dtype == np.int32
+    x, cut = x[:a.n], min(cut, a.n)
+    y = np.zeros(a.n)
+    for lo, hi in ((0, cut), (cut, a.n)):
+        matrix_core._csr_matvec(hi - lo, a.n, a.row_starts[lo:hi + 1], a.col_indices, a.values,
+                                x, y[lo:hi])
+    assert np.array_equal(y.view(np.int64), a.matvec(x).view(np.int64))
+
+
+def test_custom_splitting_with_another_pattern_makes_its_own_cut():
+    # M has an entry where A's lower triangle has none, so the system
+    # matrix cannot take A's cut; it cuts its own pattern and solves as
+    # the row-by-row loop does
+    a = BenchSpec("example1", 4).build().a
+    m = np.tril(a.to_dense())
+    m[5, 0] = -0.5
+    m = SparseMatrix.from_dense(m)
+    lhs = shifted_system(a, custom_splitting(a, m, m.subtract(a)))[0]
+    solve = _linear_solver_for(lhs, a)
+    assert not a._lower_cut().fits(lhs)
+    b = np.random.default_rng(59).uniform(-3.0, 3.0, lhs.n)
+    assert np.array_equal(solve(b), _reference_trisolve(lhs, b))
+    assert lhs._cut is not a._cut and lhs._cut.fits(lhs)
+    # a named splitting's system matrix takes A's cut itself
+    lhs = shifted_system(a, make_splitting(a, SplittingKind.npgs()))[0]
+    _linear_solver_for(lhs, a)
+    assert lhs._cut is a._cut
 
 
 def _raises_on_every_call(m, error, match):
@@ -595,10 +650,13 @@ def test_forward_substitution_builds_the_schedule_once(monkeypatch):
 def test_schedule_arrays_are_read_only():
     m = SparseMatrix.from_dense([[2, 0, 0], [-1, 4, 0], [0, 3, 5]])
     lower_triangular_solve(m, np.ones(3))
-    for schedule in (m._trisolve_schedule(), *_both_schedules(m)):
+    for schedule in (m._trisolve_schedule(), *_both_schedules(m), m._lower_cut()):
         for name, arr in schedule._asdict().items():
             if name == "blocks":  # tuples of Python ints and bools
                 assert isinstance(arr, tuple) and all(type(b) is tuple for b in arr)
+                continue
+            if arr is None:  # no order under the row cut, no inner entries under the level cut
+                assert name in ("order", "inner_starts", "inner_cols", "inner_vals")
                 continue
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -648,9 +706,13 @@ def test_levels_match_longest_dependency_chain(d):
     assert 1 <= matrix_core._chain_length(m._h, per_row) <= depth
     # the solve takes the level cut at _ROWS_PER_LEVEL rows per level or more
     by_levels = depth * matrix_core._ROWS_PER_LEVEL <= m.n
-    cut = (order, starts) if by_levels else matrix_core._row_cut(m._h)
-    expected = matrix_core._Schedule.build(m._h, m.diagonal_vector(), *cut)
-    assert all(np.array_equal(x, y) for x, y in zip(m._trisolve_schedule(), expected))
+    order, starts = (order, starts) if by_levels else matrix_core._row_cut(m._h)
+    lower_triangular_solve(m, np.ones(m.n))
+    cut = m._lower_cut()
+    assert cut.row_starts is m.row_starts and cut.col_indices is m.col_indices  # m's own arrays
+    assert (cut.order is None) == (order is None)
+    assert order is None or np.array_equal(cut.order, order)
+    assert np.array_equal(cut.block_starts, starts)
 
 
 @_EXACT
@@ -662,12 +724,25 @@ def test_level_cut_stores_no_inner_entries(d):
     # ends with one vectorised divide
     m = SparseMatrix.from_dense(d)
     level_cut, row_cut = _both_schedules(m)
-    assert level_cut.inner_cols.size == level_cut.inner_vals.size == 0
-    assert not level_cut.inner_starts.any()
+    assert level_cut.inner_starts is level_cut.inner_cols is level_cut.inner_vals is None
     assert not any(has_inner for *_, has_inner in level_cut.blocks)
     assert level_cut.vals.size == m.nnz - m.n
-    # the row cut keeps every entry, outer or inner
-    assert row_cut.vals.size + row_cut.inner_vals.size == m.nnz - m.n
+    # the row cut reads the matrix's own arrays, and its inner entries are
+    # those that refer to an earlier row of their block, in storage order
+    assert row_cut.row_starts is m.row_starts
+    assert row_cut.cols is m.col_indices and row_cut.vals is m.values
+    inner_cols, inner_vals = [], []
+    for i in range(m.n):
+        first = i - i % matrix_core._BLOCK
+        for k in range(m.row_starts[i], m.row_starts[i + 1]):
+            if first <= m.col_indices[k] < i:
+                inner_cols.append(m.col_indices[k] - first)
+                inner_vals.append(m.values[k])
+        assert row_cut.inner_starts[i + 1] == len(inner_vals)
+    assert row_cut.inner_cols.tolist() == inner_cols
+    assert row_cut.inner_vals.tolist() == inner_vals
+    assert all(has_inner == (row_cut.inner_starts[hi] > row_cut.inner_starts[lo])
+               for lo, hi, has_inner in row_cut.blocks)
 
 
 def test_schedule_choice_on_the_benchmark_matrices():
@@ -683,9 +758,9 @@ def test_schedule_choice_on_the_benchmark_matrices():
         assert len(s.blocks) == blocks
         if blocks == 19:
             assert max(_levels_by_loop(lhs)) + 1 == 19
-            assert s.inner_vals.size == 0
+            assert s.inner_vals is None
         else:
-            assert np.array_equal(s.order, np.arange(lhs.n))
+            assert s.order is None
             assert [(lo, hi) for lo, hi, *_ in s.blocks] == [
                 (lo, min(lo + 16, lhs.n)) for lo in range(0, lhs.n, 16)]
     # one chain of all the rows: the level sweep is skipped

@@ -368,11 +368,12 @@ def cmd_table(args):
 
 def cmd_gen(args):
     problem = _generated_problem(args)
+    # checked before anything is written, so that an error leaves no files
+    if args.solution and problem.known_solution is None:
+        raise UsageError("this family carries no reference solution")
     write_matrix_market(problem.a, args.matrix)
     write_vector(problem.sigma, args.sigma)
     if args.solution:
-        if problem.known_solution is None:
-            raise UsageError("this family carries no reference solution")
         write_vector(problem.known_solution, args.solution)
     return 0
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .matrix_core import (
     _as_apply,
@@ -112,7 +111,7 @@ def _lhs_sign_pattern_ok(lhs):
         return False
     if np.any(lhs.diagonal_vector() <= 0.0):
         return False
-    return bool(np.all(lhs.values[lhs.col_indices != lhs._rows_expanded()] <= 0.0))
+    return bool(np.all(lhs.values[lhs._triangle() != 0] <= 0.0))
 
 
 def _rho_estimate(a, s, mode, threshold=None):
@@ -151,6 +150,8 @@ def _dense_inverse(m):
     """inv(m) as a dense array.  A lower-triangular m goes to LAPACK's
     triangular inverse, in place: no LU, identity right-hand side or
     copies of a general inverse."""
+    from scipy.linalg.lapack import dtrtri
+
     dense = m.to_dense()
     if not m.is_lower_triangular():
         return np.linalg.inv(dense)
@@ -196,12 +197,10 @@ def _structural_fields(a, s, p_matrix_limit=0):
     )
     diag_geq_one = bool(np.all(d >= 1.0))
     diag_below_one = bool(np.all(d < 1.0))
-    # coupling matrix <A> + 2I - D_A - |B|, B the off-diagonal part; for a
-    # positive diagonal this collapses to 2I - 2|B|
-    b_abs = a.strict_lower().abs_entrywise().add(a.strict_upper().abs_entrywise())
-    coupling = (
-        comparison_matrix(a).add_diagonal(2.0 - d).subtract(b_abs)
-    )
+    # coupling matrix <A> + 2I - D_A - |B|, B the off-diagonal part: |d| +
+    # (2 - d) on the diagonal and -2|b| off it; for a positive diagonal this
+    # collapses to 2I - 2|B|
+    coupling = a.abs_entrywise()._by_triangle(np.abs(d) + (2.0 - d), -2.0, -2.0)
     coupling_is_m = classify(coupling, p_matrix_limit=0).is_m
     ok = report.is_h_plus and h_compatible and (
         (diag_geq_one and coupling_is_m) or diag_below_one

@@ -31,7 +31,6 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 
@@ -51,7 +50,7 @@ class SparseMatrix:
     safe to share across threads.
     """
 
-    __slots__ = ("_h", "_row_index", "_cut", "_schedule")
+    __slots__ = ("_h", "_cut", "_schedule")
 
     def __init__(self, n, row_starts, col_indices, values):
         n = int(n)
@@ -82,7 +81,6 @@ class SparseMatrix:
         for arr in (h.indptr, h.indices, h.data):
             arr.setflags(write=False)
         self._h = h
-        self._row_index = None
         self._cut = None
         self._schedule = None
 
@@ -160,23 +158,18 @@ class SparseMatrix:
 
     __hash__ = None
 
-    def _rows_expanded(self):
-        if self._row_index is None:
-            self._row_index = np.repeat(
-                np.arange(self.n, dtype=np.int64), np.diff(self.row_starts)
-            )
-            self._row_index.setflags(write=False)
-        return self._row_index
+    def _triangle(self):
+        """Each stored entry's triangle, in storage order: -1 below the
+        diagonal, 0 on it and 1 above it."""
+        rows = np.repeat(np.arange(self.n, dtype=self.col_indices.dtype), np.diff(self.row_starts))
+        return np.sign(self.col_indices - rows)
 
     def _lower_cut(self):
         """The cut (``_Cut``) of forward substitution on this matrix's
         lower triangle with a full diagonal, made on first use and kept
         with the matrix."""
         if self._cut is None:
-            h = self._h
-            if not (self.is_lower_triangular() and self.diagonal_vector().all()):
-                h = self.strict_lower().add_diagonal(1.0)._h
-            self._cut = _choose_cut(h)
+            self._cut = _choose_cut(self._by_triangle(1.0, 1.0, 0.0)._h)
         return self._cut
 
     def _share_cut(self, other):
@@ -214,14 +207,10 @@ class SparseMatrix:
         return float(np.abs(self.values).max()) if self.nnz else 0.0
 
     def is_lower_triangular(self):
-        # columns are sorted, so a row's last stored column is its largest
-        ends = self.row_starts[1:]
-        stored = np.flatnonzero(ends > self.row_starts[:-1])
-        return bool(np.all(self.col_indices[ends[stored] - 1] <= stored))
+        return not np.any(self._triangle() > 0)
 
     def is_diagonal(self):
-        per_row = np.diff(self.row_starts)
-        return bool(per_row.max() <= 1) and np.array_equal(self.col_indices, np.flatnonzero(per_row))
+        return not np.any(self._triangle())
 
     # ------------------------------------------------------------------
     # algebra (all out-of-place; results share no storage with inputs)
@@ -259,6 +248,16 @@ class SparseMatrix:
     def strict_upper(self):
         return SparseMatrix._canonical(scipy.sparse.triu(self._h, k=1))
 
+    def _by_triangle(self, diag, lower, upper):
+        """diag(diag) + lower * (strict lower part) + upper * (strict upper
+        part), diag a scalar or a length-n vector, in one build: one product
+        per stored entry, bitwise what the chain of ``strict_lower``,
+        ``scaled`` and ``add`` gives, since its adds meet no common entry."""
+        h = self._h
+        coefficient = np.array([lower, 0.0, upper])[self._triangle() + 1]
+        off = scipy.sparse.csr_matrix((h.data * coefficient, h.indices, h.indptr), shape=h.shape)
+        return SparseMatrix._canonical(off + scipy.sparse.diags(np.broadcast_to(diag, (self.n,))))
+
 
 @dataclass(frozen=True)
 class DluParts:
@@ -285,13 +284,13 @@ def dlu_split(a):
     """
     d = a.diagonal_vector()
     d.setflags(write=False)
-    return DluParts(d=d, l=a.strict_lower().scaled(-1), u=a.strict_upper().scaled(-1))
+    return DluParts(d=d, l=a._by_triangle(0.0, -1.0, 0.0), u=a._by_triangle(0.0, 0.0, -1.0))
 
 
 def comparison_matrix(a):
     """Entrywise comparison matrix: |diagonal| kept, off-diagonals to -|.|."""
     h = abs(a._h)
-    h.data[a.col_indices != a._rows_expanded()] *= -1.0
+    h.data[a._triangle() != 0] *= -1.0
     return SparseMatrix._canonical(h)
 
 
@@ -301,6 +300,8 @@ def _m_matrix_witness(a):
     For a Z-matrix, existence of such v is equivalent to A being a
     nonsingular M-matrix, so one sparse solve settles the question.
     """
+    import scipy.sparse.linalg
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.sparse.linalg.MatrixRankWarning)
@@ -320,19 +321,17 @@ def _m_probe(z):
     the solution of z v = ones can overflow there (it grows like 24^i
     for diagonal 0.5 and subdiagonal -12), and no witness is given.
     Any other Z-matrix is probed by ``_m_matrix_witness``."""
-    rows = z._rows_expanded()
-    if np.all(z.col_indices <= rows) or np.all(z.col_indices >= rows):
+    triangle = z._triangle()
+    if np.all(triangle <= 0) or np.all(triangle >= 0):
         return bool(np.all(z.diagonal_vector() > 0.0)), None
     witness = _m_matrix_witness(z)
     return witness is not None, witness
 
 
 def _principal_minors_positive(dense):
-    from itertools import combinations
-
     n = dense.shape[0]
     for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
+        for subset in itertools.combinations(range(n), size):
             idx = np.asarray(subset)
             if np.linalg.det(dense[np.ix_(idx, idx)]) <= 0.0:
                 return False
@@ -370,7 +369,7 @@ def classify(a, p_matrix_limit=12):
         raise ValueError("expected a SparseMatrix")
     if p_matrix_limit > 20:
         raise ValueError("p_matrix_limit must be at most 20")
-    offdiag = a.col_indices != a._rows_expanded()
+    offdiag = a._triangle() != 0
     is_z = bool(np.all(a.values[offdiag] <= 0.0))
     is_m, witness = _m_probe(a) if is_z else (False, None)
     diag = a.diagonal_vector()

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .matrix_core import SingularMatrixError, SparseMatrix, _pivots, lower_triangular_solve
 from .splittings import Splitting, SplittingKind, make_splitting
@@ -221,6 +220,8 @@ def _linear_solver_for(lhs, a):
             f"system matrix is not triangular and n > {DENSE_FALLBACK_LIMIT}; "
             "dense factorization refused"
         )
+    import scipy.linalg
+
     lu, piv = scipy.linalg.lu_factor(lhs.to_dense(), check_finite=False)
     udiag = np.abs(np.diag(lu))
     if np.any(udiag == 0.0):
@@ -322,11 +323,12 @@ def modulus_solve(p, cfg, mcfg, on_iterate=None):
     else:
         kind = SplittingKind.npsor(mcfg.alpha)
     s = make_splitting(p.a, kind)
-    omega = mcfg.effective_omega_scale() * p.a.diagonal_vector()
+    d = p.a.diagonal_vector()
+    omega = mcfg.effective_omega_scale() * d
     if np.any(omega <= 0.0):
         raise ValueError("Omega must be a positive diagonal; matrix diagonal is not")
     solve = _linear_solver_for(s.m.add_diagonal(omega), p.a)
-    omega_minus_a = p.a.scaled(-1.0).add_diagonal(omega)
+    omega_minus_a = p.a._by_triangle(omega - d, -1.0, -1.0)
     gamma = mcfg.gamma
     sigma_term = gamma * p.sigma
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix_core import SparseMatrix, comparison_matrix, classify, dlu_split
+from .matrix_core import SparseMatrix, comparison_matrix, classify
 
 _TAGS = ("npj", "npgs", "npsor", "npaor", "custom")
 
@@ -94,16 +94,14 @@ def _family_parts(a, alpha, beta):
 
     Zero coefficients drop their terms entirely (construction discards
     exact zeros), which is what makes the pinned-parameter reductions
-    reproduce npj/npgs/npsor storage exactly.
+    reproduce npj/npgs/npsor storage exactly.  L and U are the negated
+    strict triangles of A, so a coefficient c on L or U is -c on A's own
+    entries: (-x) c = x (-c) exactly.
     """
-    parts = dlu_split(a)
+    d = a.diagonal_vector()
     inv = 1.0 / alpha
-    m = SparseMatrix.diagonal(parts.d * inv).add(parts.l.scaled(-beta * inv))
-    n = (
-        SparseMatrix.diagonal(parts.d * ((1.0 - alpha) * inv))
-        .add(parts.l.scaled((alpha - beta) * inv))
-        .add(parts.u.scaled(alpha * inv))
-    )
+    m = a._by_triangle(d * inv, beta * inv, 0.0)
+    n = a._by_triangle(d * ((1.0 - alpha) * inv), -((alpha - beta) * inv), -(alpha * inv))
     return m, n
 
 

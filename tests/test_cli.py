@@ -1,6 +1,8 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from lcpkit import matrix_core
 from lcpkit.cli import main
 from lcpkit.matrix_core import read_matrix_market, read_vector
+from lcpkit.problems import BenchSpec
 from lcpkit.solvers import LcpProblem, residual
 
 
@@ -149,10 +152,9 @@ def test_check_prints_the_bracket_end_that_decides(capsys, tmp_path):
     assert "spectral condition rho<1:  fail" in out
 
 
-def test_check_reports_an_overflowing_t_v_without_warnings(capsys, tmp_path):
-    # A lower bidiagonal, diagonal 0.5 and subdiagonal -12: rho(T) = 2/3
-    # under NPGS, but |inv(M + 2I + D_A)| overflows, and so does T v
-    n = 600
+def _bidiagonal_mtx(tmp_path, n=600):
+    """A lower bidiagonal, diagonal 0.5 and subdiagonal -12: rho(T) = 2/3
+    under NPGS, but |inv(M + 2I + D_A)| overflows, and so does T v."""
     mtx = tmp_path / "bidiagonal.mtx"
     mtx.write_text(
         "%%MatrixMarket matrix coordinate real general\n"
@@ -161,8 +163,12 @@ def test_check_reports_an_overflowing_t_v_without_warnings(capsys, tmp_path):
         + "".join(f"{i + 1} {i} -12\n" for i in range(1, n)),
         encoding="ascii",
     )
-    code, out, err = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npgs",
-                                   "--format", "json"])
+    return str(mtx)
+
+
+def test_check_reports_an_overflowing_t_v_without_warnings(capsys, tmp_path):
+    code, out, err = _run(capsys, ["check", "--matrix", _bidiagonal_mtx(tmp_path),
+                                   "--method", "npgs", "--format", "json"])
     assert (code, err) == (0, "")
     cert = _strict_loads(out)
     assert cert["spectral_condition_ok"] is False
@@ -248,6 +254,45 @@ def test_table_csv_matches_golden(capsys, which, sizes):
     assert _strip_cpu(out) == golden.splitlines()
 
 
+def _scaled_mtx(tmp_path, family):
+    """The m = 30 problem matrix of family scaled to diagonal 0.9, as a file."""
+    a = BenchSpec(family, 30).build().a
+    path = tmp_path / f"{family}_scaled.mtx"
+    matrix_core.write_matrix_market(a.scaled(0.9 / a.diagonal_vector().max()), str(path))
+    return str(path)
+
+
+_TABLE1_NPGS = ["--method", "npgs"]
+_TABLE2_NPSOR = ["--method", "npsor", "--alpha", "1.7"]
+
+# name -> argv of a check, given a directory for its input file
+_CHECK_SETUPS = {
+    "table1_npgs": lambda tmp: ["--family", "example1", "--m", "30", *_TABLE1_NPGS],
+    "table2_npsor": lambda tmp: ["--family", "example2", "--m", "30", *_TABLE2_NPSOR],
+    "table1_npgs_scaled": lambda tmp: ["--matrix", _scaled_mtx(tmp, "example1"), *_TABLE1_NPGS],
+    "table2_npsor_scaled": lambda tmp: ["--matrix", _scaled_mtx(tmp, "example2"), *_TABLE2_NPSOR],
+    "bidiagonal_overflow": lambda tmp: ["--matrix", _bidiagonal_mtx(tmp), "--method", "npgs"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHECK_SETUPS))
+def test_check_json_matches_golden(capsys, tmp_path, name):
+    # the golden files hold an earlier, separately built version's output;
+    # the rho floats are compared to 1e-12 relative, since the dense
+    # product's add order (dgemv) depends on the CPU, and every other field
+    # exactly
+    code, out, _ = _run(capsys, ["check", *_CHECK_SETUPS[name](tmp_path), "--format", "json"])
+    assert code == 0
+    got = _strict_loads(out)
+    want = _strict_loads((_GOLDEN / f"check_{name}.json").read_text(encoding="ascii"))
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if key in ("rho_t", "rho_lower", "rho_upper") and value is not None:
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        else:
+            assert got[key] == value, key
+
+
 def test_table_makes_one_level_sweep_for_its_four_methods(capsys, monkeypatch):
     # the four system matrices of a size share the pattern of the problem
     # matrix's lower triangle, and with it the problem matrix's cut
@@ -294,6 +339,18 @@ def test_gen_random_has_no_reference_solution(capsys, tmp_path):
     ])
     assert code == 1
     assert "no reference solution" in err
+    assert list(tmp_path.iterdir()) == []  # checked before anything is written
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # scipy.linalg (the dense LU fallback, dtrtri) and scipy.sparse.linalg
+    # (spsolve) are imported where they are used, off the default paths
+    src = str(Path(matrix_core.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, lcpkit.cli; "
+            "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 def test_missing_matrix_file(capsys, tmp_path):

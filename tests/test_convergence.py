@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcpkit import matrix_core
+from lcpkit import convergence, matrix_core
 from lcpkit.convergence import (
     STRICTNESS_MARGIN,
     ModeUnsupportedError,
@@ -173,6 +173,23 @@ def test_spectral_check_stops_undecided_when_t_v_overflows(mode):
     assert cert.rho_lower <= cert.rho_t <= cert.rho_upper
     assert cert.power_iterations == 1
     assert "T v overflowed at power iteration 1" in cert.notes
+
+
+def test_coupling_matrix_is_the_chain_bitwise(monkeypatch):
+    # <A> + 2I - D_A - |B| as an earlier version built it, one build per
+    # step; the second matrix classify sees is the coupling matrix
+    seen = []
+    monkeypatch.setattr(convergence, "classify",
+                        lambda m, p_matrix_limit: seen.append(m) or classify(m, p_matrix_limit))
+    rng = np.random.default_rng(61)
+    dense = [rng.uniform(-3, 3, (n, n)) * (rng.random((n, n)) < 0.6) for n in (1, 2, 5, 9)]
+    for a in [gen_example1(4, 4.0).a, gen_random_hplus(6, 3).a,
+              *(SparseMatrix.from_dense(d) for d in dense if d.any())]:
+        seen.clear()
+        convergence._structural_fields(a, make_splitting(a, SplittingKind.npgs()))
+        b_abs = a.strict_lower().abs_entrywise().add(a.strict_upper().abs_entrywise())
+        chain = comparison_matrix(a).add_diagonal(2.0 - a.diagonal_vector()).subtract(b_abs)
+        assert seen[1] == chain
 
 
 def test_check_makes_one_witness_solve_per_classify(monkeypatch):

@@ -64,6 +64,32 @@ def test_m_minus_n_reproduces_random_h_plus(n, seed, alpha, beta):
         assert s.m.subtract(s.n_part).subtract(a).max_abs() <= 1e-12 * scale
 
 
+def _chained_parts(a, alpha, beta):
+    """M and N as an earlier version built them: the negated triangles L
+    and U, scaled and added to the diagonal one build at a time."""
+    d = a.diagonal_vector()
+    lo, up = a.strict_lower().scaled(-1), a.strict_upper().scaled(-1)
+    inv = 1.0 / alpha
+    m = SparseMatrix.diagonal(d * inv).add(lo.scaled(-beta * inv))
+    n = (SparseMatrix.diagonal(d * ((1.0 - alpha) * inv))
+         .add(lo.scaled((alpha - beta) * inv)).add(up.scaled(alpha * inv)))
+    return m, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       alpha=st.one_of(st.sampled_from([1.0, 1.7, 1e-3]), st.floats(0.1, 1.9)),
+       beta=st.one_of(st.sampled_from([0.0, 1.0, -0.7, 1e-300]), st.floats(-2.0, 2.0)))
+def test_family_parts_are_the_chain_bitwise(n, seed, alpha, beta):
+    # missing diagonals and empty rows included; no stored value is 0.0,
+    # so == compares bits
+    rng = np.random.default_rng(seed)
+    dense = rng.uniform(-3, 3, (n, n)) * (rng.random((n, n)) < 0.6)
+    a = SparseMatrix.from_dense(dense)
+    s = make_splitting(a, SplittingKind.npaor(alpha, beta))
+    assert (s.m, s.n_part) == _chained_parts(a, alpha, beta)
+
+
 def test_reductions_are_bitwise():
     rng = np.random.default_rng(9)
     dense = rng.uniform(-2, 2, (6, 6)) * (rng.random((6, 6)) < 0.6)

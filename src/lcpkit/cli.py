@@ -7,10 +7,12 @@ usage and input errors.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import sys
 
 from .convergence import check_spectral_condition
@@ -366,15 +368,37 @@ def cmd_table(args):
     return 0
 
 
+def _write_all(outputs):
+    """Write each (writer, value, path) of outputs to path + '.partial',
+    then rename them into place once all are written: an error leaves no
+    output file behind, and each path as it was.  An OSError names the
+    path, not its partial file."""
+    parts = []
+    try:
+        for write, value, path in outputs:
+            parts.append(path + ".partial")
+            try:
+                write(value, parts[-1])
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for part, (_, _, path) in zip(parts, outputs):
+            os.replace(part, path)
+    finally:
+        for part in parts:
+            with contextlib.suppress(OSError):
+                os.remove(part)
+
+
 def cmd_gen(args):
     problem = _generated_problem(args)
     # checked before anything is written, so that an error leaves no files
     if args.solution and problem.known_solution is None:
         raise UsageError("this family carries no reference solution")
-    write_matrix_market(problem.a, args.matrix)
-    write_vector(problem.sigma, args.sigma)
+    outputs = [(write_matrix_market, problem.a, args.matrix),
+               (write_vector, problem.sigma, args.sigma)]
     if args.solution:
-        write_vector(problem.known_solution, args.solution)
+        outputs.append((write_vector, problem.known_solution, args.solution))
+    _write_all(outputs)
     return 0
 
 

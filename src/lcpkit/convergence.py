@@ -32,13 +32,14 @@ import numpy as np
 
 from .matrix_core import (
     _as_apply,
-    classify,
+    _classify,
+    _m_probe,
     comparison_matrix,
     lower_triangular_solve,
     spectral_radius_nonneg,
 )
 from .solvers import shifted_system
-from .splittings import is_h_compatible
+from .splittings import _h_compatible
 
 RHO_MODES = ("exact_dense", "comparison_bound", "operator")
 EXACT_DENSE_LIMIT = 2000
@@ -132,7 +133,7 @@ def _rho_estimate(a, s, mode, threshold=None):
         raise ValueError(f"{mode} mode limited to n <= {EXACT_DENSE_LIMIT}")
     if mode == "comparison_bound":
         lhs = comparison_matrix(lhs)
-        if not classify(lhs, p_matrix_limit=0).is_m:
+        if not _m_probe(lhs)[0]:
             raise ModeUnsupportedError(
                 "comparison bound needs the comparison of the system matrix "
                 "to be an M-matrix"
@@ -190,18 +191,17 @@ def iteration_operator_rho(a, s, mode="exact_dense"):
 
 
 def _structural_fields(a, s, p_matrix_limit=0):
-    report = classify(a, p_matrix_limit=p_matrix_limit)
+    # the M tests need verdicts only, not classify's witness solve
+    report = _classify(a, p_matrix_limit, witness=False)
     d = a.diagonal_vector()
-    h_compatible = is_h_compatible(
-        a, s.m.add_diagonal(d + 1.0), s.n_part.add_diagonal(d + 1.0)
-    )
+    h_compatible = _h_compatible(a, s.m, s.n_part, d + 1.0)
     diag_geq_one = bool(np.all(d >= 1.0))
     diag_below_one = bool(np.all(d < 1.0))
     # coupling matrix <A> + 2I - D_A - |B|, B the off-diagonal part: |d| +
     # (2 - d) on the diagonal and -2|b| off it; for a positive diagonal this
     # collapses to 2I - 2|B|
     coupling = a.abs_entrywise()._by_triangle(np.abs(d) + (2.0 - d), -2.0, -2.0)
-    coupling_is_m = classify(coupling, p_matrix_limit=0).is_m
+    coupling_is_m = _m_probe(coupling)[0]
     ok = report.is_h_plus and h_compatible and (
         (diag_geq_one and coupling_is_m) or diag_below_one
     )

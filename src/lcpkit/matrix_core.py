@@ -294,11 +294,85 @@ def comparison_matrix(a):
     return SparseMatrix._canonical(h)
 
 
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+# Jacobi passes before the bracket leaves the M test to the solve
+_JACOBI_PASSES = 16
+
+
+def _gamma(z):
+    """Higham's gamma_2k = 2k u / (1 - 2k u) (*Accuracy and Stability of
+    Numerical Algorithms*, section 3.1), u the unit roundoff and k the
+    most entries in a row of z.  A row sum of k products is off by at
+    most gamma_k times the sum of their magnitudes; gamma_2k bounds
+    gamma_k / (1 - gamma_k), which covers the rounding of that sum of
+    magnitudes too, with room for the rounding of gamma and of its
+    product with the sum."""
+    ku = 2 * int(np.diff(z.row_starts).max()) * (np.finfo(np.float64).eps / 2)
+    return ku / (1.0 - ku)
+
+
+def _verified_positive(z, u):
+    """True only if u > 0 and z u > 0 hold exactly for the float vector u.
+
+    Each computed (z u)_i is off from the exact one by at most
+    gamma_k (|z| u)_i, plus a smallest subnormal per product where
+    products underflow; the check passes when every (z u)_i exceeds that
+    bound, taken with gamma_2k (``_gamma``) on the computed |z| u.  It
+    costs two matvecs.  This is the positive-vector check of Rump,
+    "Verification methods", *Acta Numerica* 2010: for a Z-matrix z it
+    proves that z is a nonsingular M-matrix, however u was found."""
+    if u.shape != (z.n,) or not np.all(u > 0.0) or not np.all(np.isfinite(u)):
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        zu = z.matvec(u)
+        bound = _gamma(z) * (abs(z._h) @ u) + np.diff(z.row_starts) * _TINY
+    return bool(np.all(zu > bound) and np.all(np.isfinite(bound)))
+
+
+def _jacobi_verdict(z, triangle):
+    """Whether the Z-matrix z (whose entries lie in ``triangle``) is a
+    nonsingular M-matrix, decided by a Collatz-Wielandt bracket on the
+    Jacobi operator J = inv(D) B, where z = D - B with D its diagonal and
+    B >= 0; None when the bracket does not decide.
+
+    A nonpositive diagonal entry rules an M-matrix out.  Otherwise z is
+    one exactly when rho(J) < 1 (Berman & Plemmons, ch. 6), and the
+    bracket comes from ``spectral_radius_nonneg`` with threshold 1 and
+    at most _JACOBI_PASSES passes.  An upper end below 1 is a pass's
+    vector u with J u < u, that is z u > 0, which ``_verified_positive``
+    then checks against rounding: only a verified u gives True.  A lower
+    end at or above 1 + gamma_2k, past the rounding of the pass's ratios,
+    gives False.  Anything else (an unverified u, a bracket that still
+    straddles 1, an overflowed pass) is None."""
+    d = z.diagonal_vector()
+    if not np.all(d > 0.0):
+        return False
+    h = z._h
+    b = scipy.sparse.csr_matrix((np.where(triangle != 0, -h.data, 0.0), h.indices, h.indptr),
+                                shape=h.shape)
+    applied = []
+
+    def apply_j(x):
+        applied.append(x)
+        return (b @ x) / d
+
+    est = spectral_radius_nonneg(apply_j, n=z.n, max_iters=_JACOBI_PASSES, threshold=1.0)
+    if est.upper < 1.0:
+        # the bracket stops at the first pass whose upper end is below 1
+        return _verified_positive(z, applied[-1]) or None
+    if est.lower >= 1.0 + _gamma(z):
+        return False
+    return None
+
+
 def _m_matrix_witness(a):
-    """Positive v with A v = ones, or None.
+    """Positive v with A v = ones, verified by ``_verified_positive``, or
+    None.
 
     For a Z-matrix, existence of such v is equivalent to A being a
-    nonsingular M-matrix, so one sparse solve settles the question.
+    nonsingular M-matrix, so one sparse solve settles the question
+    whenever the solution it gives passes the check.
     """
     import scipy.sparse.linalg
 
@@ -309,23 +383,30 @@ def _m_matrix_witness(a):
     except Exception:
         return None
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    if not np.all(np.isfinite(v)) or not np.all(v > 0.0):
-        return None
-    return v
+    return v if _verified_positive(a, v) else None
 
 
-def _m_probe(z):
-    """(is_m, witness) for the Z-matrix z.  A triangular Z-matrix is a
-    nonsingular M-matrix exactly when its diagonal, which holds its
-    eigenvalues, is positive; that is read off without a solve, since
-    the solution of z v = ones can overflow there (it grows like 24^i
-    for diagonal 0.5 and subdiagonal -12), and no witness is given.
-    Any other Z-matrix is probed by ``_m_matrix_witness``."""
+def _m_probe(z, witness=False):
+    """(is_m, v) for the Z-matrix z, the one M test behind ``classify``
+    and ``check``.
+
+    A triangular Z-matrix is a nonsingular M-matrix exactly when its
+    diagonal, which holds its eigenvalues, is positive; that is read off
+    without a solve, since the solution of z v = ones can overflow there
+    (it grows like 24^i for diagonal 0.5 and subdiagonal -12), and v is
+    None.  Any other Z-matrix goes to the verified Jacobi bracket
+    (``_jacobi_verdict``), and only when that does not decide to the
+    sparse solve (``_m_matrix_witness``).  With witness, an M-matrix also
+    gets the solve's v with z v = ones (None if that v does not verify).
+    """
     triangle = z._triangle()
     if np.all(triangle <= 0) or np.all(triangle >= 0):
         return bool(np.all(z.diagonal_vector() > 0.0)), None
-    witness = _m_matrix_witness(z)
-    return witness is not None, witness
+    is_m = _jacobi_verdict(z, triangle)
+    if is_m is False or (is_m and not witness):
+        return is_m, None
+    v = _m_matrix_witness(z)
+    return bool(is_m) or v is not None, v
 
 
 def _principal_minors_positive(dense):
@@ -347,31 +428,39 @@ class ClassificationReport:
     is_h: bool
     is_h_plus: bool
     is_p: Optional[bool] = None
-    # the positive v with A v = ones that the M test solved for; None when
-    # A is not an M-matrix or is triangular (decided without a solve)
+    # the positive v with A v = ones that the M test solved for, verified;
+    # None when A is not an M-matrix, is triangular (decided without a
+    # solve) or the solve's v did not verify
     witness_v: Optional[np.ndarray] = None
 
 
 def classify(a, p_matrix_limit=12):
     """Classify a square matrix as Z / M / H / H+ and, when small, P.
 
-    The M-matrix test solves A v = ones and checks v > 0, which is an exact
-    characterization for Z-matrices; the witness is returned.  A
-    triangular Z-matrix is decided by the signs of its diagonal instead,
-    with no solve and no witness (``_m_probe``).  The H test runs the
-    same probe on the comparison matrix, except on a Z-matrix with
-    nonnegative diagonal, which is its own comparison matrix, so that
-    one probe settles both.  Principal minors are
-    enumerated only when n <= p_matrix_limit (capped at 20: there are
-    2^n - 1 of them).
+    For a Z-matrix the M test is ``_m_probe``: a triangular one is
+    decided by the signs of its diagonal, any other by a verified bracket
+    on its Jacobi operator, or by solving A v = ones when the bracket
+    does not decide.  A positive v with A v > 0, verified against
+    rounding, characterizes a nonsingular M-matrix exactly.  For a
+    non-triangular M-matrix the v solved from A v = ones is returned as
+    the witness.  The H test runs the same probe on the comparison
+    matrix, except on a Z-matrix with nonnegative diagonal, which is its
+    own comparison matrix, so that one probe settles both.  Principal
+    minors are enumerated only when n <= p_matrix_limit (capped at 20:
+    there are 2^n - 1 of them).
     """
     if not isinstance(a, SparseMatrix):
         raise ValueError("expected a SparseMatrix")
     if p_matrix_limit > 20:
         raise ValueError("p_matrix_limit must be at most 20")
+    return _classify(a, p_matrix_limit, witness=True)
+
+
+def _classify(a, p_matrix_limit, witness):
+    """``classify``, with the witness solve only when witness is set."""
     offdiag = a._triangle() != 0
     is_z = bool(np.all(a.values[offdiag] <= 0.0))
-    is_m, witness = _m_probe(a) if is_z else (False, None)
+    is_m, v = _m_probe(a, witness) if is_z else (False, None)
     diag = a.diagonal_vector()
     if is_z and np.all(diag >= 0.0):
         is_h = is_m
@@ -381,11 +470,11 @@ def classify(a, p_matrix_limit=12):
     is_p = None
     if a.n <= p_matrix_limit:
         is_p = _principal_minors_positive(a.to_dense())
-    if witness is not None:
-        witness.setflags(write=False)
+    if v is not None:
+        v.setflags(write=False)
     return ClassificationReport(
         is_z=is_z, is_m=is_m, is_h=is_h, is_h_plus=is_h_plus,
-        is_p=is_p, witness_v=witness,
+        is_p=is_p, witness_v=v,
     )
 
 

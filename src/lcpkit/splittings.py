@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix_core import SparseMatrix, comparison_matrix, classify
+import numpy as np
+
+from .matrix_core import SparseMatrix, classify
 
 _TAGS = ("npj", "npgs", "npsor", "npaor", "custom")
 
@@ -140,9 +142,42 @@ def _entrywise_close(x, y, tol=EQ_TOL):
 
 def is_h_compatible(a, m, n_part):
     """<M> - |N| equals <A> entrywise, within EQ_TOL."""
-    return _entrywise_close(
-        comparison_matrix(m).subtract(n_part.abs_entrywise()), comparison_matrix(a)
-    )
+    return _h_compatible(a, m, n_part, 0.0)
+
+
+def _h_compatible(a, m, n_part, shift):
+    """``is_h_compatible`` of a and M + diag(shift), N + diag(shift),
+    shift a scalar or a length-n vector, with no matrix built.
+
+    The entries of M, N and A are laid out on the union of their
+    patterns and the diagonal, where each entry of <M'> - |N'| and of
+    its difference with <A> is the one rounded operation that the
+    chain of ``add_diagonal``, ``comparison_matrix``, ``abs_entrywise``
+    and ``subtract`` makes, so the verdict is bitwise that chain's.
+    Like that chain, an entry that overflows raises ValueError.
+    """
+    n = a.n
+    keys = [np.repeat(np.arange(n, dtype=np.int64), np.diff(x.row_starts)) * n + x.col_indices
+            for x in (m, n_part, a)]
+    diagonal = np.arange(n, dtype=np.int64) * (n + 1)
+    # sorted and deduplicated by hand: np.unique hashes, several times slower
+    union = np.sort(np.concatenate([*keys, diagonal]))
+    union = union[np.append(True, union[1:] != union[:-1])]
+    mv, nv, av = (np.zeros(union.size) for _ in range(3))
+    for v, x, key in zip((mv, nv, av), (m, n_part, a), keys):
+        v[np.searchsorted(union, key)] = x.values
+    on_diagonal = np.searchsorted(union, diagonal)
+    sign = np.full(union.size, -1.0)  # turns |.| into the comparison matrix
+    sign[on_diagonal] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mv[on_diagonal] += shift
+        nv[on_diagonal] += shift
+        x = sign * np.abs(mv) - np.abs(nv)
+        diff = x - sign * np.abs(av)
+    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(diff)):
+        raise ValueError("matrix entry is not finite (nan/inf input or overflow)")
+    scale = max(1.0, float(np.abs(x).max()), a.max_abs())
+    return float(np.abs(diff).max()) <= EQ_TOL * scale
 
 
 def analyze_splitting(a, s):

@@ -342,6 +342,35 @@ def test_gen_random_has_no_reference_solution(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []  # checked before anything is written
 
 
+def test_gen_error_leaves_no_files(capsys, tmp_path):
+    # the sigma path cannot be written: the matrix written before it must
+    # not stay behind, and the message names the path given
+    code, _, err = _run(capsys, [
+        "gen", "--family", "example1", "--m", "3",
+        "--matrix", str(tmp_path / "a.mtx"), "--sigma", str(tmp_path / "nodir" / "s.vec"),
+    ])
+    assert code == 1
+    assert err.startswith("error:") and "nodir/s.vec'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_check_leaves_sparse_solvers_unloaded(tmp_path):
+    # the verified Jacobi bracket decides both M tests of a check on the
+    # table-1 NPGS setup and on its 0.9-diagonal scaling, so SuperLU's
+    # module is never imported
+    a = BenchSpec("example1", 6).build().a
+    path = tmp_path / "scaled.mtx"
+    matrix_core.write_matrix_market(a.scaled(0.9 / a.diagonal_vector().max()), str(path))
+    src = str(Path(matrix_core.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for problem in (["--family", "example1", "--m", "6"], ["--matrix", str(path)]):
+        argv = ["check", *problem, "--method", "npgs", "--format", "json"]
+        code = (f"import sys, lcpkit.cli; code = lcpkit.cli.main({argv!r}); "
+                "print(code, 'scipy.sparse.linalg' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+
+
 def test_cli_import_leaves_scipy_solvers_unloaded():
     # scipy.linalg (the dense LU fallback, dtrtri) and scipy.sparse.linalg
     # (spsolve) are imported where they are used, off the default paths

@@ -177,10 +177,10 @@ def test_spectral_check_stops_undecided_when_t_v_overflows(mode):
 
 def test_coupling_matrix_is_the_chain_bitwise(monkeypatch):
     # <A> + 2I - D_A - |B| as an earlier version built it, one build per
-    # step; the second matrix classify sees is the coupling matrix
+    # step; the coupling matrix is the one matrix that check probes itself
     seen = []
-    monkeypatch.setattr(convergence, "classify",
-                        lambda m, p_matrix_limit: seen.append(m) or classify(m, p_matrix_limit))
+    probe = convergence._m_probe
+    monkeypatch.setattr(convergence, "_m_probe", lambda m: seen.append(m) or probe(m))
     rng = np.random.default_rng(61)
     dense = [rng.uniform(-3, 3, (n, n)) * (rng.random((n, n)) < 0.6) for n in (1, 2, 5, 9)]
     for a in [gen_example1(4, 4.0).a, gen_random_hplus(6, 3).a,
@@ -189,18 +189,28 @@ def test_coupling_matrix_is_the_chain_bitwise(monkeypatch):
         convergence._structural_fields(a, make_splitting(a, SplittingKind.npgs()))
         b_abs = a.strict_lower().abs_entrywise().add(a.strict_upper().abs_entrywise())
         chain = comparison_matrix(a).add_diagonal(2.0 - a.diagonal_vector()).subtract(b_abs)
-        assert seen[1] == chain
+        assert seen == [chain]
 
 
-def test_check_makes_one_witness_solve_per_classify(monkeypatch):
-    # A and the coupling matrix of the table-1 setup are Z-matrices with
-    # positive diagonal, their own comparison matrices: one solve each
+def test_check_makes_no_witness_solve_on_the_certify_setups(monkeypatch):
+    # the verified Jacobi bracket decides the M tests of A and of the
+    # coupling matrix on the benchmark's four check setups (n = 900), so
+    # SuperLU never runs; classify, which returns a witness, still solves
+    import scipy.sparse.linalg
+
     solves = []
-    probe = matrix_core._m_matrix_witness
-    monkeypatch.setattr(matrix_core, "_m_matrix_witness", lambda m: solves.append(m) or probe(m))
-    a = gen_example1(4, 4.0).a
-    check_spectral_condition(a, make_splitting(a, SplittingKind.npgs()))
-    assert len(solves) == 2
+    spsolve = scipy.sparse.linalg.spsolve
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
+                        lambda *args, **kwargs: solves.append(args) or spsolve(*args, **kwargs))
+    for family, kind in ((gen_example1, SplittingKind.npgs()),
+                         (gen_example2, SplittingKind.npsor(1.7))):
+        a = family(30, 4.0).a
+        for z in (a, a.scaled(0.9 / a.diagonal_vector().max())):
+            cert = check_spectral_condition(z, make_splitting(z, kind))
+            assert cert.h_plus and cert.h_compatible
+            assert solves == []
+    assert classify(a, p_matrix_limit=0).witness_v is not None
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("family,kind,passes", [

@@ -427,6 +427,81 @@ def test_classify_decides_triangular_z_matrices_without_a_solve(monkeypatch):
         assert rep.is_z and not rep.is_m and rep.is_h is is_h and not rep.is_h_plus
 
 
+def test_solve_witness_must_verify(monkeypatch):
+    # singular, z @ ones = 0: the Jacobi bracket sits on 1 and leaves the
+    # verdict to the solve, whose positive v must then pass z v > 0
+    import scipy.sparse.linalg
+
+    z = SparseMatrix.from_dense(3.0 * np.eye(3) - np.ones((3, 3)))
+    assert matrix_core._jacobi_verdict(z, z._triangle()) is None
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda m, b: np.ones(3))
+    rep = classify(z, p_matrix_limit=0)
+    assert rep.is_z and not rep.is_m and rep.witness_v is None
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda m, b: np.array([1.0, 1.0, 2.0]))
+    assert not classify(z, p_matrix_limit=0).is_m  # z v = (-1, -1, 2)
+
+
+def _z_matrix(n, seed, delta):
+    """A random n x n Z-matrix; with delta, s I - B with its rows and
+    columns scaled, where B >= 0 has a zero diagonal and s = rho(B)
+    (1 + delta), so that rho(inv(D) B) = 1 / (1 + delta) up to rounding."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
+    np.fill_diagonal(b, 0.0)
+    rho = float(np.abs(np.linalg.eigvals(b)).max())
+    if delta is None or rho == 0.0:
+        return np.diag(rng.uniform(0.1, 3.0, n)) - b
+    z = rho * (1.0 + delta) * np.eye(n) - b
+    return rng.uniform(0.5, 2.0, (n, 1)) * z * rng.uniform(0.5, 2.0, n)
+
+
+_NEAR_ONE = st.one_of(st.none(), st.sampled_from([-1e-12, -1e-13, 0.0, 1e-13, 1e-12]),
+                      st.floats(-1e-12, 1e-12))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), delta=_NEAR_ONE)
+def test_verified_m_verdicts_hold_in_exact_arithmetic(n, seed, delta):
+    from fractions import Fraction
+    from unittest import mock
+
+    z = SparseMatrix.from_dense(_z_matrix(n, seed, delta))
+    verified = []
+    check = matrix_core._verified_positive
+
+    def record(m, u):
+        if check(m, u):
+            verified.append((m, u.copy()))
+            return True
+        return False
+
+    with mock.patch.object(matrix_core, "_verified_positive", record):
+        is_m, _ = matrix_core._m_probe(z, witness=True)
+    triangle = z._triangle()
+    if is_m and not (np.all(triangle <= 0) or np.all(triangle >= 0)):
+        assert verified  # off the triangular path, only a verified u says M
+    for m, u in verified:
+        exact = [Fraction(x) for x in u.tolist()]
+        assert all(x > 0 for x in exact)
+        for row in m.to_dense().tolist():
+            assert sum(Fraction(a) * x for a, x in zip(row, exact) if a) > 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), delta=_NEAR_ONE)
+def test_jacobi_bracket_agrees_with_the_solve(n, seed, delta):
+    dense = _z_matrix(n, seed, delta)
+    z = SparseMatrix.from_dense(dense)
+    bracket = matrix_core._jacobi_verdict(z, z._triangle())
+    if bracket is None:
+        return
+    assert bracket is (matrix_core._m_matrix_witness(z) is not None)
+    d = np.diag(dense)
+    if np.all(d > 0.0):
+        rho = float(np.abs(np.linalg.eigvals((np.diag(d) - dense) / d[:, None])).max())
+        assert bracket is (rho < 1.0) or abs(rho - 1.0) < 1e-9
+
+
 # ----------------------------------------------------------------------
 # spectral radius estimation
 

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from lcpkit.matrix_core import SparseMatrix, classify, comparison_matrix
 from lcpkit.problems import gen_random_hplus
 from lcpkit.splittings import (
+    EQ_TOL,
     SplittingKind,
+    _h_compatible,
     analyze_splitting,
     custom_splitting,
     make_splitting,
@@ -167,6 +169,44 @@ def test_h_compatible_pairs_leave_an_m_matrix():
                 diff = comparison_matrix(s.m).subtract(s.n_part.abs_entrywise())
                 assert classify(diff, p_matrix_limit=0).is_m
     assert hits > 0
+
+
+def _chained_h_compatible(a, m, n_part, shift):
+    """is_h_compatible(a, M + diag(shift), N + diag(shift)) as an earlier
+    version computed it, one build per step."""
+    m, n_part = m.add_diagonal(shift), n_part.add_diagonal(shift)
+    x = comparison_matrix(m).subtract(n_part.abs_entrywise())
+    y = comparison_matrix(a)
+    scale = max(1.0, x.max_abs(), y.max_abs())
+    return x.subtract(y).max_abs() <= EQ_TOL * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from([SplittingKind.npj(), SplittingKind.npgs(),
+                             SplittingKind.npsor(1.7), SplittingKind.npaor(1.2, -0.5)]),
+       z=st.booleans(), custom=st.booleans(), shifted=st.booleans(),
+       t=st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 2**-40, 1.0 + 2**-40]), st.floats(0.0, 3.0)))
+def test_h_compatible_is_the_chain(n, seed, kind, z, custom, shifted, t):
+    # t scales a perturbation of one entry of N to about the tolerance,
+    # so that the verdict rests on the last bits of the comparison; the
+    # named splittings of a Z-matrix with positive diagonal are compatible
+    rng = np.random.default_rng(seed)
+    dense = rng.uniform(-3, 3, (n, n)) * (rng.random((n, n)) < 0.6)
+    if z:
+        dense = -np.abs(dense)
+        np.fill_diagonal(dense, rng.uniform(0.5, 3.0, n))
+    a = SparseMatrix.from_dense(dense)
+    s = make_splitting(a, kind)
+    m, n_part = s.m, s.n_part
+    if custom:  # a pair with other patterns, M - N = A still
+        m = SparseMatrix.from_dense(rng.uniform(-3, 3, (n, n)) * (rng.random((n, n)) < 0.5))
+        n_part = m.subtract(a)
+    i, j = (int(k) for k in rng.integers(0, n, 2))
+    bump = SparseMatrix.from_coo(n, [i], [j], [t * EQ_TOL * max(1.0, a.max_abs())])
+    n_part = n_part.add(bump)
+    shift = a.diagonal_vector() + 1.0 if shifted else 0.0
+    assert _h_compatible(a, m, n_part, shift) is _chained_h_compatible(a, m, n_part, shift)
 
 
 def test_effective_parameters_mapping():

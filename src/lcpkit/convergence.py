@@ -19,20 +19,25 @@ first pass whose bracket lies on one side of that threshold (the first
 pass, on the paper's tabulated setups and their scalings to diagonal
 0.9), or once the estimate settles with the bracket still straddling
 it, which fails, as does a pass whose T v overflows.  While n <=
-EXACT_DENSE_LIMIT a pass of T is a sparse matvec and a product with the
-dense |inv(M + 2I + D_A)|; past it T is applied matrix-free (a sparse
-matvec and a forward solve).
+matrix_core.DENSE_LIMIT a pass of T is a sparse matvec and a product
+with the dense |inv(M + 2I + D_A)|; past it T is applied matrix-free (a
+sparse matvec and a forward solve).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .matrix_core import (
+    _TINY,
+    DENSE_LIMIT,
+    SparseMatrix,
     _as_apply,
     _classify,
+    _gamma,
+    _is_z,
     _m_probe,
     comparison_matrix,
     lower_triangular_solve,
@@ -42,7 +47,6 @@ from .solvers import shifted_system
 from .splittings import _h_compatible
 
 RHO_MODES = ("exact_dense", "comparison_bound", "operator")
-EXACT_DENSE_LIMIT = 2000
 
 # margin under 1.0 so power-iteration noise cannot flip a boundary verdict
 STRICTNESS_MARGIN = 1e-8
@@ -52,7 +56,7 @@ class ModeUnsupportedError(ValueError):
     """The requested rho mode does not apply to this operator's structure."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ConvergenceCertificate:
     """Evaluated sufficient conditions for one (matrix, splitting) pair.
 
@@ -64,55 +68,31 @@ class ConvergenceCertificate:
     the exact value.  The structural branch:
     hmatrix_conditions_ok = h_plus and h_compatible and
     (diag_geq_one and coupling_matrix_is_m, or diag_below_one), where the
-    coupling matrix is <A> + 2I - D_A - |B| with B = L_A + U_A.
+    coupling matrix is <A> + 2I - D_A - |B| with B = L_A + U_A.  The
+    fields are declared in the order of the JSON record.
     """
 
-    h_plus: bool
-    h_compatible: bool
-    diag_geq_one: bool
-    coupling_matrix_is_m: bool
-    diag_below_one: bool
-    hmatrix_conditions_ok: bool
     rho_t: Optional[float] = None
     rho_lower: Optional[float] = None
     rho_upper: Optional[float] = None
     power_iterations: Optional[int] = None
     rho_mode: Optional[str] = None
     spectral_condition_ok: Optional[bool] = None
+    h_plus: bool
+    h_compatible: bool
+    diag_geq_one: bool
+    coupling_matrix_is_m: bool
+    diag_below_one: bool
+    hmatrix_conditions_ok: bool
     notes: str = ""
 
     def to_json_dict(self):
-        return {
-            "rho_t": self.rho_t,
-            "rho_lower": self.rho_lower,
-            "rho_upper": self.rho_upper,
-            "power_iterations": self.power_iterations,
-            "rho_mode": self.rho_mode,
-            "spectral_condition_ok": self.spectral_condition_ok,
-            "h_plus": self.h_plus,
-            "h_compatible": self.h_compatible,
-            "diag_geq_one": self.diag_geq_one,
-            "coupling_matrix_is_m": self.coupling_matrix_is_m,
-            "diag_below_one": self.diag_below_one,
-            "hmatrix_conditions_ok": self.hmatrix_conditions_ok,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _shifted_parts(a, s):
     lhs, rhs_mat, shifted = shifted_system(a, s)
     return lhs, rhs_mat.abs_entrywise().add(shifted.abs_entrywise())
-
-
-def _lhs_sign_pattern_ok(lhs):
-    """Lower triangular, positive diagonal, nonpositive off-diagonal:
-    exactly the pattern under which inv(lhs) >= 0 entrywise, making
-    |inv| application a plain forward solve."""
-    if not lhs.is_lower_triangular():
-        return False
-    if np.any(lhs.diagonal_vector() <= 0.0):
-        return False
-    return bool(np.all(lhs.values[lhs._triangle() != 0] <= 0.0))
 
 
 def _rho_estimate(a, s, mode, threshold=None):
@@ -122,15 +102,17 @@ def _rho_estimate(a, s, mode, threshold=None):
         raise ValueError(f"mode must be one of {RHO_MODES}")
     lhs, reach = _shifted_parts(a, s)
     if mode == "operator":
-        if not _lhs_sign_pattern_ok(lhs):
+        # inv(lhs) >= 0, making |inv| a plain forward solve, when lhs is a
+        # lower-triangular M-matrix (_m_probe reads its diagonal's signs)
+        if not (lhs.is_lower_triangular() and _is_z(lhs) and _m_probe(lhs)[0]):
             raise ModeUnsupportedError(
                 "operator mode needs a lower-triangular system matrix with "
                 "positive diagonal and nonpositive off-diagonal"
             )
         apply_t = lambda x: lower_triangular_solve(lhs, reach.matvec(x))
         return spectral_radius_nonneg(apply_t, n=a.n, threshold=threshold)
-    if a.n > EXACT_DENSE_LIMIT:
-        raise ValueError(f"{mode} mode limited to n <= {EXACT_DENSE_LIMIT}")
+    if a.n > DENSE_LIMIT:
+        raise ValueError(f"{mode} mode limited to n <= {DENSE_LIMIT}")
     if mode == "comparison_bound":
         lhs = comparison_matrix(lhs)
         if not _m_probe(lhs)[0]:
@@ -232,7 +214,7 @@ def check_spectral_condition(a, s, p_limit=12, mode=None):
     reaches the threshold, since the bound can then never certify.
     """
     if mode is None:
-        mode = "exact_dense" if a.n <= EXACT_DENSE_LIMIT else "operator"
+        mode = "exact_dense" if a.n <= DENSE_LIMIT else "operator"
     threshold = 1.0 - STRICTNESS_MARGIN
     est = _rho_estimate(a, s, mode, threshold=threshold)
     lower = 0.0 if mode == "comparison_bound" else est.lower
@@ -284,15 +266,24 @@ def check_hmatrix_conditions(a, s):
     return ConvergenceCertificate(notes="; ".join(notes), **fields)
 
 
-def certify_rho_lt_one(t, v, n=None):
-    """Sound one-sided certificate: T v < v strictly for some v > 0.
+def certify_rho_lt_one(t, v):
+    """Sound one-sided certificate: T v < v exactly for the float v > 0.
 
-    t may be a SparseMatrix, a dense array, or a callable; v must be
-    strictly positive.  True guarantees rho(T) < 1 for nonnegative T;
-    False certifies nothing.
+    t is a SparseMatrix or a dense array (a callable's rounding cannot be
+    bounded).  For T >= 0, |T| v = T v, so the check passes only when
+    v - T v exceeds gamma_2k (``matrix_core._gamma``) times T v plus a
+    smallest subnormal per product, k the most entries in a row (n for
+    an array).  True guarantees rho(T) < 1 for nonnegative T; False
+    certifies nothing.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0 or v.min() <= 0.0:
         raise ValueError("v must be strictly positive componentwise")
-    apply_t, _ = _as_apply(t, v.size)
-    return bool(np.all(apply_t(v) < v))
+    if not isinstance(t, (SparseMatrix, np.ndarray)):
+        raise ValueError("t must be a SparseMatrix or an array, not a callable")
+    apply_t, n = _as_apply(t)
+    k = int(np.diff(t.row_starts).max()) if isinstance(t, SparseMatrix) else n
+    with np.errstate(over="ignore", invalid="ignore"):
+        tv = apply_t(v)
+        bound = _gamma(k) * tv + k * _TINY
+        return bool(np.all(v - tv > bound))

@@ -20,18 +20,20 @@ floats.  The cut depends on the pattern only, so the system matrices
 of one problem, which share its lower triangle's pattern, share one
 cut, cached on the problem matrix.  Dense fallbacks (inverses, principal
 minors) are reserved for certification and tests on small matrices,
-never for solver hot paths.
+never for solver hot paths; a dense inverse or LU needs n <= DENSE_LIMIT.
 """
 
 import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+
+DENSE_LIMIT = 2000
 
 
 class SingularMatrixError(ValueError):
@@ -300,15 +302,15 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 _JACOBI_PASSES = 16
 
 
-def _gamma(z):
+def _gamma(k):
     """Higham's gamma_2k = 2k u / (1 - 2k u) (*Accuracy and Stability of
     Numerical Algorithms*, section 3.1), u the unit roundoff and k the
-    most entries in a row of z.  A row sum of k products is off by at
-    most gamma_k times the sum of their magnitudes; gamma_2k bounds
+    most entries in a row.  A row sum of k products is off by at most
+    gamma_k times the sum of their magnitudes; gamma_2k bounds
     gamma_k / (1 - gamma_k), which covers the rounding of that sum of
     magnitudes too, with room for the rounding of gamma and of its
     product with the sum."""
-    ku = 2 * int(np.diff(z.row_starts).max()) * (np.finfo(np.float64).eps / 2)
+    ku = 2 * k * (np.finfo(np.float64).eps / 2)
     return ku / (1.0 - ku)
 
 
@@ -324,9 +326,10 @@ def _verified_positive(z, u):
     proves that z is a nonsingular M-matrix, however u was found."""
     if u.shape != (z.n,) or not np.all(u > 0.0) or not np.all(np.isfinite(u)):
         return False
+    per_row = np.diff(z.row_starts)
     with np.errstate(over="ignore", invalid="ignore"):
         zu = z.matvec(u)
-        bound = _gamma(z) * (abs(z._h) @ u) + np.diff(z.row_starts) * _TINY
+        bound = _gamma(int(per_row.max())) * (abs(z._h) @ u) + per_row * _TINY
     return bool(np.all(zu > bound) and np.all(np.isfinite(bound)))
 
 
@@ -351,17 +354,13 @@ def _jacobi_verdict(z, triangle):
     h = z._h
     b = scipy.sparse.csr_matrix((np.where(triangle != 0, -h.data, 0.0), h.indices, h.indptr),
                                 shape=h.shape)
-    applied = []
-
-    def apply_j(x):
-        applied.append(x)
-        return (b @ x) / d
-
-    est = spectral_radius_nonneg(apply_j, n=z.n, max_iters=_JACOBI_PASSES, threshold=1.0)
+    est = spectral_radius_nonneg(lambda x: (b @ x) / d, n=z.n, max_iters=_JACOBI_PASSES,
+                                 threshold=1.0)
     if est.upper < 1.0:
-        # the bracket stops at the first pass whose upper end is below 1
-        return _verified_positive(z, applied[-1]) or None
-    if est.lower >= 1.0 + _gamma(z):
+        # the bracket stops at the first pass whose upper end is below 1,
+        # so the last vector applied is the one that decided
+        return _verified_positive(z, est.vector) or None
+    if est.lower >= 1.0 + _gamma(int(np.diff(z.row_starts).max())):
         return False
     return None
 
@@ -384,6 +383,11 @@ def _m_matrix_witness(a):
         return None
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     return v if _verified_positive(a, v) else None
+
+
+def _is_z(a):
+    """Whether every off-diagonal entry of a is <= 0."""
+    return bool(np.all(a.values[a._triangle() != 0] <= 0.0))
 
 
 def _m_probe(z, witness=False):
@@ -458,8 +462,7 @@ def classify(a, p_matrix_limit=12):
 
 def _classify(a, p_matrix_limit, witness):
     """``classify``, with the witness solve only when witness is set."""
-    offdiag = a._triangle() != 0
-    is_z = bool(np.all(a.values[offdiag] <= 0.0))
+    is_z = _is_z(a)
     is_m, v = _m_probe(a, witness) if is_z else (False, None)
     diag = a.diagonal_vector()
     if is_z and np.all(diag >= 0.0):
@@ -485,7 +488,9 @@ class RadiusEstimate(NamedTuple):
     upper] is the Collatz-Wielandt bracket, which contains rho whatever
     value says.  The defaults are the bracket before any pass, and stay
     when no bracket was asked for.  overflowed says that the iteration
-    stopped at a pass whose T v was not finite.
+    stopped at a pass whose T v was not finite.  vector is the read-only
+    v of the last pass applied (None if none ran): when the bracket
+    decided, the v of the deciding pass.
     """
 
     value: float
@@ -494,9 +499,7 @@ class RadiusEstimate(NamedTuple):
     lower: float = 0.0
     upper: float = float("inf")
     overflowed: bool = False
-
-
-Operator = Union[SparseMatrix, np.ndarray, Callable[[np.ndarray], np.ndarray]]
+    vector: Optional[np.ndarray] = None
 
 
 def _as_apply(t, n=None):
@@ -549,26 +552,27 @@ def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None, threshold=None)
     apply_t, dim = _as_apply(t, n)
     if max_iters is None:
         max_iters = 10 * dim + 1000
-    v = np.ones(dim) / np.sqrt(dim)
+    w, norm, v = np.ones(dim), np.sqrt(dim), None
     est, lower, upper = np.inf, 0.0, np.inf
     for k in range(1, max_iters + 1):
+        v = w / norm
+        v.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
             tv = apply_t(v)
             w = tv + v
             norm = float(np.linalg.norm(w))
         if not np.isfinite(norm):  # some (Tv)_i, or the norm, is not finite
-            return RadiusEstimate(est, False, k, lower, upper, overflowed=True)
+            return RadiusEstimate(est, False, k, lower, upper, overflowed=True, vector=v)
         if threshold is not None:
             pass_lower, pass_upper = _collatz_wielandt(tv, v)
             lower, upper = max(lower, pass_lower), min(upper, pass_upper)
         if norm == 0.0:  # unreachable for nonnegative t, kept as a guard
-            return RadiusEstimate(0.0, True, k, lower, upper)
+            return RadiusEstimate(0.0, True, k, lower, upper, vector=v)
         prev, est = est, norm - 1.0
         decided = threshold is not None and (upper < threshold or lower >= threshold)
         if decided or abs(est - prev) <= tol * max(1.0, abs(est)):
-            return RadiusEstimate(est, True, k, lower, upper)
-        v = w / norm
-    return RadiusEstimate(est, False, max_iters, lower, upper)
+            return RadiusEstimate(est, True, k, lower, upper, vector=v)
+    return RadiusEstimate(est, False, max_iters, lower, upper, vector=v)
 
 
 def _collatz_wielandt(tv, v):
@@ -941,13 +945,10 @@ def read_matrix_market(path):
             raise ValueError(
                 f"unsupported MatrixMarket header (need coordinate real general): {header!r}"
             )
-        size_line = None
-        for number, line in enumerate(fh, 2):
-            stripped = line.strip()
-            if stripped and not stripped.startswith("%"):
-                size_line = stripped
-                break
-        if size_line is None:
+        skipped = []
+        # _data_lines yields no blank line, so "" means there was none
+        size_line = next(_data_lines(fh, 2, skipped), "").strip()
+        if not size_line:
             raise ValueError("missing size line")
         parts = size_line.split()
         if len(parts) != 3:
@@ -957,7 +958,8 @@ def read_matrix_market(path):
             raise ValueError("matrix must be square")
         if nrows <= 0 or not 0 <= nnz <= nrows * nrows:
             raise ValueError(f"size line out of range: {size_line!r}")
-        first_entry = number + 1
+        # every line between the header and the size line was skipped
+        first_entry = 3 + len(skipped)
         entries, skipped = _load_rows(fh, [("i", np.int64), ("j", np.int64), ("v", np.float64)],
                                       path, first_entry)
     if entries.size != nnz:

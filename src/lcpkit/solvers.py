@@ -15,10 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_core import SingularMatrixError, SparseMatrix, _pivots, lower_triangular_solve
+from .matrix_core import (DENSE_LIMIT, SingularMatrixError, SparseMatrix, _pivots,
+                          lower_triangular_solve)
 from .splittings import Splitting, SplittingKind, make_splitting
 
-DENSE_FALLBACK_LIMIT = 2000
 DIVERGENCE_NORM = 1e12
 _SCALE_LIMIT = np.finfo(np.float64).max / 4
 
@@ -206,7 +206,7 @@ def _linear_solver_for(lhs, a):
     lower-triangular lhs with the pattern of a's lower triangle takes
     a's cut of it, which the problem's other system matrices share; anything
     else (custom splittings) gets a one-time dense LU, capped at
-    n <= DENSE_FALLBACK_LIMIT so the fallback can't masquerade as a
+    n <= DENSE_LIMIT so the fallback can't masquerade as a
     sparse method at scale.
     """
     if lhs.is_diagonal():
@@ -215,9 +215,9 @@ def _linear_solver_for(lhs, a):
     if lhs.is_lower_triangular():
         lhs._share_cut(a)
         return lambda b: lower_triangular_solve(lhs, b)
-    if lhs.n > DENSE_FALLBACK_LIMIT:
+    if lhs.n > DENSE_LIMIT:
         raise ValueError(
-            f"system matrix is not triangular and n > {DENSE_FALLBACK_LIMIT}; "
+            f"system matrix is not triangular and n > {DENSE_LIMIT}; "
             "dense factorization refused"
         )
     import scipy.linalg

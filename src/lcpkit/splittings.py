@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_core import SparseMatrix, classify
+from .matrix_core import SparseMatrix, _is_z, _m_probe
 
 _TAGS = ("npj", "npgs", "npsor", "npaor", "custom")
 
@@ -190,7 +190,8 @@ def analyze_splitting(a, s):
         raise ValueError("dimension mismatch")
     is_valid = _entrywise_close(s.m.subtract(s.n_part), a)
     n_nonneg = bool((s.n_part.values >= 0.0).all()) if s.n_part.nnz else True
-    is_m_splitting = n_nonneg and classify(s.m, p_matrix_limit=0).is_m
+    # the verdict only: classify would also solve for a witness
+    is_m_splitting = n_nonneg and _is_z(s.m) and _m_probe(s.m)[0]
     return SplittingAnalysis(
         is_valid=is_valid,
         is_m_splitting=is_m_splitting,

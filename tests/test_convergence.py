@@ -1,22 +1,23 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lcpkit import convergence, matrix_core
 from lcpkit.convergence import (
     STRICTNESS_MARGIN,
     ModeUnsupportedError,
     _dense_inverse,
-    _lhs_sign_pattern_ok,
     certify_rho_lt_one,
     check_hmatrix_conditions,
     check_spectral_condition,
     iteration_operator_rho,
 )
-from lcpkit.matrix_core import SparseMatrix, classify, comparison_matrix
+from lcpkit.matrix_core import SparseMatrix, _is_z, _m_probe, classify, comparison_matrix
 from lcpkit.problems import gen_example1, gen_example2, gen_random_hplus
 from lcpkit.solvers import shifted_system
 from lcpkit.splittings import SplittingKind, custom_splitting, make_splitting
@@ -125,11 +126,11 @@ def _rho_eigvals(a, s):
 
 def _modes(a, s):
     """The rho modes that apply to (a, s): exact_dense always, operator
-    under the system matrix's sign pattern, comparison_bound when the
-    comparison of the system matrix is an M-matrix."""
+    when the system matrix is a lower-triangular M-matrix, comparison_bound
+    when the comparison of the system matrix is an M-matrix."""
     lhs = shifted_system(a, s)[0]
     modes = ["exact_dense"]
-    if _lhs_sign_pattern_ok(lhs):
+    if lhs.is_lower_triangular() and _is_z(lhs) and _m_probe(lhs)[0]:
         modes.append("operator")
     if classify(comparison_matrix(lhs), p_matrix_limit=0).is_m:
         modes.append("comparison_bound")
@@ -333,6 +334,63 @@ def test_certificate_json_field_order():
         "diag_geq_one", "coupling_matrix_is_m", "diag_below_one",
         "hmatrix_conditions_ok", "notes",
     ]
+
+
+def test_certificate_json_keys_are_the_fields():
+    a, s = _gs([[4.0]])
+    names = [f.name for f in dataclasses.fields(convergence.ConvergenceCertificate)]
+    assert list(check_spectral_condition(a, s).to_json_dict()) == names
+    assert list(check_hmatrix_conditions(a, s).to_json_dict()) == names
+
+
+# cyclic shifts of W: every exact row sum is >= 1, so rho >= 1, while the
+# float T v falls below v in every row
+_W = [0.01684460687924554, 0.17648440357838202, 0.04677785548821703, 0.14467120364677635,
+      0.17160518155961216, 0.1825409118913637, 0.23391096924747548, 0.027164867708927714]
+_CIRCULANT = np.array([_W[-s:] + _W[:-s] if s else _W for s in range(8)])
+
+
+def _exactly_below(t, v):
+    """T v < v in exact rational arithmetic."""
+    v = [Fraction(x) for x in v]
+    return all(sum(Fraction(x) * y for x, y in zip(row, v)) < vi
+               for row, vi in zip(t.tolist(), v))
+
+
+@pytest.mark.parametrize("as_sparse", [False, True], ids=["array", "sparse"])
+def test_certify_rho_lt_one_refuses_a_rounding_pass(as_sparse):
+    assert all(sum(map(Fraction, row)) >= 1 for row in _CIRCULANT.tolist())
+    assert not _exactly_below(_CIRCULANT, np.ones(8))
+    t = SparseMatrix.from_dense(_CIRCULANT) if as_sparse else _CIRCULANT
+    assert not certify_rho_lt_one(t, np.ones(8))
+
+
+def test_certify_rho_lt_one_refuses_callables():
+    with pytest.raises(ValueError, match="callable"):
+        certify_rho_lt_one(lambda x: 0.5 * x, np.ones(2))
+
+
+def _matrix_and_vector(n):
+    t = hnp.arrays(np.float64, (n, n), elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    v = st.one_of(st.floats(0.5, 2.0).map(lambda c: np.full(n, c)),
+                  hnp.arrays(np.float64, n, elements=st.floats(0.5, 2.0)))
+    return st.tuples(t, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tv=st.integers(1, 6).flatmap(_matrix_and_vector),
+       scale=st.one_of(st.none(), st.just(1.0), st.floats(0.5, 1.5)), as_sparse=st.booleans())
+@example(tv=(_CIRCULANT, np.ones(8)), scale=None, as_sparse=False)
+@example(tv=(_CIRCULANT, np.ones(8)), scale=None, as_sparse=True)
+def test_certify_rho_lt_one_holds_in_exact_arithmetic(tv, scale, as_sparse):
+    t, v = tv
+    if scale is not None:
+        # rows scaled to sum near 1 and a constant v put T v near v, where
+        # rounding decides
+        t = t * (scale / np.maximum(t.sum(axis=1, keepdims=True), 1e-300))
+    operator = SparseMatrix.from_dense(t) if as_sparse else t
+    if certify_rho_lt_one(operator, v):
+        assert _exactly_below(t, v)
 
 
 def test_certify_rho_lt_one_examples():

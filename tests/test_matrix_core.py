@@ -567,6 +567,23 @@ def test_spectral_radius_bracket_after_underflow():
     assert est[:3] == spectral_radius_nonneg(t)[:3]
 
 
+def test_spectral_radius_vector_is_the_deciding_pass_input():
+    t = np.array([[0.3, 0.2, 0.0], [0.1, 0.4, 0.3], [0.0, 0.5, 0.2]])
+    est = spectral_radius_nonneg(t, threshold=0.75)
+    # decided by its upper end after more than one pass
+    assert est.converged and est.iterations > 1 and est.upper < 0.75
+    assert not est.vector.flags.writeable
+    # the bracket of T applied to the vector is the one that decided
+    assert matrix_core._collatz_wielandt(t @ est.vector, est.vector)[1] == est.upper
+    # the undecided and the capped runs report the last vector applied too
+    first = np.ones(3) / np.sqrt(3)
+    np.testing.assert_array_equal(spectral_radius_nonneg(t, max_iters=1).vector, first)
+    w = t @ first + first
+    np.testing.assert_array_equal(spectral_radius_nonneg(t, max_iters=2).vector,
+                                  w / float(np.linalg.norm(w)))
+    assert spectral_radius_nonneg(t, max_iters=0).vector is None
+
+
 @settings(max_examples=80, deadline=None)
 @given(t=st.integers(1, 8).flatmap(lambda n: hnp.arrays(
     np.float64, (n, n), elements=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))),
@@ -957,6 +974,23 @@ def test_matrix_market_skips_comment_and_blank_lines(tmp_path):
     path = tmp_path / "a.mtx"
     path.write_text(_MM + "% size next\n2 2 2\n\n1 1 1.5\n  % between\n\n2 2 4.0\n%\n")
     assert read_matrix_market(path) == SparseMatrix.from_dense([[1.5, 0.0], [0.0, 4.0]])
+
+
+def test_matrix_market_finds_the_size_line_past_comments_and_blanks(tmp_path):
+    path = tmp_path / "a.mtx"
+    head = _MM + "% one\n\n   \n  % two\n%\n\n2 2 1\n"
+    path.write_text(head + "2 2 4.0\n")
+    assert read_matrix_market(path) == SparseMatrix.from_dense([[0.0, 0.0], [0.0, 4.0]])
+    # an entry's line number counts the lines before the size line
+    path.write_text(head + "2 2 1,5\n")
+    with pytest.raises(ValueError, match=r"a\.mtx:9: "):
+        read_matrix_market(path)
+    path.write_text(head.replace("2 2 1\n", "2 2\n"))
+    with pytest.raises(ValueError, match="malformed size line: '2 2'"):
+        read_matrix_market(path)
+    path.write_text(_MM + "% only\n\n")
+    with pytest.raises(ValueError, match="missing size line"):
+        read_matrix_market(path)
 
 
 def test_matrix_market_entry_count_checked(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcpkit import matrix_core
 from lcpkit.matrix_core import SparseMatrix, classify, comparison_matrix
 from lcpkit.problems import gen_random_hplus
 from lcpkit.splittings import (
@@ -136,6 +137,15 @@ def test_analyze_textbook_cases():
     ident = SparseMatrix.identity(2)
     rec = analyze_splitting(ident, make_splitting(ident, SplittingKind.npj()))
     assert rec.is_valid and rec.is_m_splitting and rec.is_h_compatible
+
+
+def test_analyze_splitting_decides_a_custom_m_without_a_solve(monkeypatch):
+    n = 6
+    m = SparseMatrix.from_dense(4 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+    a = m.subtract(SparseMatrix.identity(n))
+    s = custom_splitting(a, m, SparseMatrix.identity(n))
+    monkeypatch.setattr(matrix_core, "_m_matrix_witness", lambda z: pytest.fail("solved"))
+    assert analyze_splitting(a, s).is_m_splitting
 
 
 def test_custom_splitting_validates():

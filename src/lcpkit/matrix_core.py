@@ -27,7 +27,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 import scipy.sparse
@@ -593,9 +593,9 @@ def _pivots(m):
     return d
 
 
-# A level of the level cut costs about 4 us of numpy and kernel calls and a
-# row of the row cut 1-2 us of Python; on banded and grid matrices the two
-# cuts break even at 4 to 6 rows per level.
+# A level of the level cut costs about 2 us of kernel and numpy calls and a
+# row of the row cut 0.5-1 us of Python; on banded matrices the two cuts
+# break even at about 3 rows per level.
 _ROWS_PER_LEVEL = 4
 
 # rows per block of the row cut
@@ -607,6 +607,16 @@ def _ranges(starts, counts):
     one after another (starts is not empty)."""
     ends = np.cumsum(counts)
     return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+
+
+def _take_rows(indptr, rows, dtype):
+    """The given rows (not empty) of a CSR pattern with row pointer
+    indptr, in that order: their row pointer, of dtype, and the indices
+    of their entries."""
+    count = indptr[rows + 1] - indptr[rows]
+    starts = np.zeros(rows.size + 1, dtype=dtype)
+    np.cumsum(count, out=starts[1:])
+    return starts, _ranges(indptr[rows], count)
 
 
 class _Cut(NamedTuple):
@@ -703,45 +713,58 @@ class _Schedule(NamedTuple):
     The schedule holds the matrix with its rows in the cut's order and
     its columns renamed to positions of that order, as CSR arrays:
     position i's entries are ``row_starts[i]:row_starts[i + 1]`` of
-    ``cols`` and ``vals``, in the matrix's storage order, and ``pivots``
-    is the diagonal in the order.  Under the row cut (``order`` None)
-    these are the matrix's own arrays, diagonal included; under the
-    level cut they are a copy of its off-diagonal entries.
+    ``cols`` and ``vals``, in the matrix's storage order.  A block is
+    summed by one call of scipy's compiled CSR row kernel.
 
-    A block is summed by one call of scipy's compiled CSR row kernel
-    while the block's own solution is still 0.0: an entry that refers to
-    a row of the block adds a product with 0.0, which leaves a sum
-    started from +0.0 as it is.  An entry is inner when it refers to an
-    earlier row of its own block, which only the row cut has; a row then
-    finishes its sum over its inner entries in Python floats.  The inner
-    entries of position i are ``inner_starts[i]:inner_starts[i + 1]`` of
-    ``inner_cols`` (a row of the block, from 0) and ``inner_vals``, in
-    storage order; the three are None under the level cut.  ``blocks``
-    holds one tuple (lo, hi, has_inner) per block: its positions lo:hi
-    and whether any of its rows has inner entries.  The arrays are
-    read-only and the index arrays use the matrix's index dtype;
-    ``blocks`` is Python ints, so that a solve converts nothing on the
-    way.
+    Under the level cut the arrays are a copy with each row's diagonal
+    replaced: the off-diagonal entries negated, then coefficient 1.0 on
+    column n + i, where b_i waits in a solve's work vector
+    (x in schedule order, then b in schedule order).  No row refers to
+    a row of its own level, so the kernel writes each level's sums
+    straight into that level's 0.0 entries of the vector it reads:
+    +0.0 + sum(-m_ij x_j) + b_i, which is b_i - s_i bitwise for every
+    b_i but -0.0 (see ``solve``).  ``pivots`` is the diagonal in the
+    order, and ``blocks`` holds one tuple (lo, hi, row_starts[lo:hi + 1],
+    pivots[lo:hi]) per level, the views made once.  With int32 indices
+    that is 12 bytes per stored entry, the diagonal's included, and 12
+    per row for the row pointer and the pivot.
+
+    Under the row cut (``order`` None) the arrays are the matrix's own,
+    diagonal included.  A block is summed while its own solution is
+    still 0.0: an entry that refers to a row of the block adds a product
+    with 0.0, which leaves a sum started from +0.0 as it is.  An entry
+    is inner when it refers to an earlier row of its own block; a row
+    then finishes its sum over its inner entries in Python floats.  The
+    inner entries of position i are ``inner_starts[i]:inner_starts[i +
+    1]`` of ``inner_cols`` (a row of the block, from 0) and
+    ``inner_vals``, in storage order; these three and ``pivots`` are
+    tuples of Python numbers, so that a solve converts none of them.
+    ``blocks`` holds one tuple (lo, hi, has_inner) per block: its
+    positions lo:hi and whether any of its rows has inner entries.
+
+    The arrays are read-only, and the index arrays use the matrix's
+    index dtype (widened when 2n does not fit in it); the inner entries
+    are None under the level cut.
     """
 
     order: Optional[np.ndarray]
-    pivots: np.ndarray
+    pivots: Union[np.ndarray, tuple]
     blocks: tuple
     row_starts: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    inner_starts: Optional[np.ndarray]
-    inner_cols: Optional[np.ndarray]
-    inner_vals: Optional[np.ndarray]
+    inner_starts: Optional[tuple] = None
+    inner_cols: Optional[tuple] = None
+    inner_vals: Optional[tuple] = None
 
     @classmethod
     def build(cls, h, pivots, cut):
         """The schedule of the lower-triangular CSR handle h with diagonal
         pivots under cut, a ``_Cut`` of h's pattern."""
         n, idx = h.shape[0], h.indices.dtype
-        order, block_starts = cut.order, cut.block_starts
+        order, at = cut.order, cut.block_starts.tolist()
         if order is None:
-            row_starts, cols, vals = h.indptr, h.indices, h.data
+            block_starts = cut.block_starts
             first = np.repeat(block_starts[:-1], np.diff(block_starts))  # of each row's block
             # columns are sorted and distinct, so a row's inner entries are
             # among its last i - first[i] off-diagonal entries
@@ -752,60 +775,84 @@ class _Schedule(NamedTuple):
             entries, row = entries[inner], row[inner]
             inner_starts = np.zeros(n + 1, dtype=idx)
             np.cumsum(np.bincount(row, minlength=n), out=inner_starts[1:])
-            inner_cols, inner_vals = h.indices[entries] - first[row], h.data[entries]
             has_inner = (np.diff(inner_starts[block_starts]) > 0).tolist()
-        else:
-            rank = np.empty(n, dtype=idx)  # the position of each row in the order
-            rank[order] = np.arange(n, dtype=idx)
-            # each row's diagonal is its last stored entry
-            per_row = np.diff(h.indptr)[order] - 1
-            row_starts = np.zeros(n + 1, dtype=idx)
-            np.cumsum(per_row, out=row_starts[1:])
-            entries = _ranges(h.indptr[order], per_row)
-            cols, vals = rank[h.indices[entries]], h.data[entries]
-            pivots = pivots[order]
-            inner_starts = inner_cols = inner_vals = None
-            has_inner = [False] * (block_starts.size - 1)
-        arrays = dict(order=order, pivots=pivots, row_starts=row_starts, cols=cols, vals=vals,
-                      inner_starts=inner_starts, inner_cols=inner_cols, inner_vals=inner_vals)
-        for arr in arrays.values():
-            if arr is not None:
-                arr.setflags(write=False)
-        at = block_starts.tolist()
-        return cls(blocks=tuple(zip(at, at[1:], has_inner)), **arrays)
+            return cls(order=None, pivots=tuple(pivots.tolist()),
+                       blocks=tuple(zip(at, at[1:], has_inner)),
+                       row_starts=h.indptr, cols=h.indices, vals=h.data,
+                       inner_starts=tuple(inner_starts.tolist()),
+                       inner_cols=tuple((h.indices[entries] - first[row]).tolist()),
+                       inner_vals=tuple(h.data[entries].tolist()))
+        # the work vector has 2n entries, so its positions must fit
+        idx = np.promote_types(idx, np.min_scalar_type(2 * n))
+        rank = np.empty(n, dtype=idx)  # the position of each row in the order
+        rank[order] = np.arange(n, dtype=idx)
+        row_starts, entries = _take_rows(h.indptr, order, idx)
+        cols, vals = rank[h.indices[entries]], np.negative(h.data[entries])
+        # each row's diagonal is its last stored entry, on column rank = i:
+        # it becomes the entry 1.0 on column n + i
+        cols[row_starts[1:] - 1] += n
+        vals[row_starts[1:] - 1] = 1.0
+        pivots = pivots[order]
+        for arr in (order, row_starts, cols, vals, pivots):
+            arr.setflags(write=False)
+        blocks = tuple((lo, hi, row_starts[lo:hi + 1], pivots[lo:hi]) for lo, hi in zip(at, at[1:]))
+        return cls(order=order, pivots=pivots, blocks=blocks,
+                   row_starts=row_starts, cols=cols, vals=vals)
 
     def solve(self, b):
+        if self.order is None:
+            return self._solve_by_rows(b)
         n = b.size
-        xs = np.zeros(n)  # the solution in schedule order, 0.0 until solved
+        cols, vals = self.cols, self.vals
+        # the solution in schedule order, 0.0 until solved, then b
+        xe = np.zeros(2 * n)
+        xs, bs = xe[:n], xe[n:]
+        np.take(b, self.order, out=bs)
+        for lo, hi, row_starts, pivots in self.blocks:
+            xv = xe[lo:hi]
+            # the kernel SparseMatrix.matvec runs adds each row's products
+            # left to right in storage order onto its 0.0 in xv
+            _csr_matvec(hi - lo, 2 * n, row_starts, cols, vals, xe, xv)
+            np.divide(xv, pivots, out=xv)
+        # where b_i is -0.0 and the sum is zero, the row gave +0.0 + -0.0,
+        # which is +0.0, where b_i - s_i is -0.0: sum those rows once more
+        # and negate x_i where the sum is zero
+        signed = np.flatnonzero(bs == 0.0)
+        signed = signed[np.signbit(bs[signed])]
+        if signed.size:
+            starts, entries = _take_rows(self.row_starts, signed, cols.dtype)
+            sums = np.zeros(signed.size)
+            _csr_matvec(signed.size, 2 * n, starts, cols[entries], vals[entries], xe, sums)
+            signed = signed[sums == 0.0]
+            xs[signed] = np.negative(xs[signed])
+        x = np.empty(n)
+        x[self.order] = xs
+        return x
+
+    def _solve_by_rows(self, b):
+        n = b.size
+        xs = np.zeros(n)  # the solution, 0.0 until solved
         sums = np.zeros(n)
-        bs = b if self.order is None else b[self.order]
         row_starts, cols, vals, pivots = self.row_starts, self.cols, self.vals, self.pivots
-        lists = None  # the inner entries as Python lists, made once needed
+        starts, inner_cols, inner_vals = self.inner_starts, self.inner_cols, self.inner_vals
+        bl = None  # b as a Python list, made once needed
         for lo, hi, has_inner in self.blocks:
             s = sums[lo:hi]
-            # the kernel SparseMatrix.matvec runs adds each row's products
-            # left to right in storage order onto its 0.0 in s
             _csr_matvec(hi - lo, n, row_starts[lo:hi + 1], cols, vals, xs, s)
             if not has_inner:
-                np.divide(np.subtract(bs[lo:hi], s, out=s), pivots[lo:hi], out=xs[lo:hi])
+                np.divide(np.subtract(b[lo:hi], s, out=s), pivots[lo:hi], out=xs[lo:hi])
                 continue
-            if lists is None:
-                lists = (self.inner_starts.tolist(), self.inner_cols.tolist(),
-                         self.inner_vals.tolist(), bs.tolist(), pivots.tolist())
-            starts, inner_cols, inner_vals, bl, pl = lists
+            if bl is None:
+                bl = b.tolist()
             xb = []  # the block's solution so far
             for i, acc in enumerate(s.tolist(), lo):
                 # the row's sum goes on over its inner entries, one product
                 # at a time in Python floats (the same double arithmetic)
                 for j in range(starts[i], starts[i + 1]):
                     acc += inner_vals[j] * xb[inner_cols[j]]
-                xb.append((bl[i] - acc) / pl[i])
+                xb.append((bl[i] - acc) / pivots[i])
             xs[lo:hi] = xb
-        if self.order is None:
-            return xs
-        x = np.empty(n)
-        x[self.order] = xs
-        return x
+        return xs
 
 
 def _build_schedule(m):
@@ -827,16 +874,18 @@ def lower_triangular_solve(m, b):
     order, starting from 0.0, as ``SparseMatrix.matvec`` sums a row.
     The rows go block by block (``_Schedule``): one call of scipy's
     compiled CSR row kernel, the one ``SparseMatrix.matvec`` runs, sums
-    each block's rows over the entries that refer to earlier blocks,
-    and Python floats add those that refer to earlier rows of the same
-    block.  With at least ``_ROWS_PER_LEVEL`` rows per dependency level
-    the blocks are the levels, which have no such entries; otherwise
-    they are runs of ``_BLOCK`` rows in order, and the kernel reads the
-    matrix's own arrays.  Neither cut changes a row's arithmetic, so x
-    is bitwise the row-by-row result.  The checks and the schedule run
-    once per matrix: the first call builds the schedule and caches it on
-    m.  The cut depends only on m's pattern; a system matrix that took
-    its problem matrix's cut (``SparseMatrix._share_cut``) uses that.
+    each block's rows over the entries that refer to earlier blocks.
+    With at least ``_ROWS_PER_LEVEL`` rows per dependency level the
+    blocks are the levels, and a level is that one call, which also
+    adds b_i, and one divide.  Otherwise the blocks are runs of
+    ``_BLOCK`` rows in order, the kernel reads the matrix's own arrays,
+    and Python floats add the entries that refer to earlier rows of the
+    same block.  Neither cut changes a row's arithmetic, so x is
+    bitwise the row-by-row result, signed zeros included.  The checks
+    and the schedule run once per matrix: the first call builds the
+    schedule and caches it on m.  The cut depends only on m's pattern; a
+    system matrix that took its problem matrix's cut
+    (``SparseMatrix._share_cut``) uses that.
     """
     schedule = m._trisolve_schedule()
     b = np.asarray(b, dtype=np.float64)

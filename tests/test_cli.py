@@ -243,7 +243,8 @@ def test_table_csv_deterministic(capsys, tmp_path, which):
 _GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("which,sizes", [("table1", "100,900"), ("table2", "100,400")])
+@pytest.mark.parametrize("which,sizes", [("table1", "100,900"), ("table2", "100,400"),
+                                         ("table1", "100,900,2500,3600,4900,10000")])
 def test_table_csv_matches_golden(capsys, which, sizes):
     # the golden files hold the output of an earlier, separately built
     # version with cpu_seconds dropped: iteration counts and residuals

@@ -667,15 +667,27 @@ def _both_schedules(m):
 
 
 def _assert_solves_like_reference(m, b):
-    x = _reference_trisolve(m, b)
-    assert np.array_equal(lower_triangular_solve(m, b), x)
+    # compared bit by bit, so that -0.0 and +0.0 differ
+    x = _reference_trisolve(m, b).view(np.int64)
+    assert np.array_equal(lower_triangular_solve(m, b).view(np.int64), x)
     for schedule in _both_schedules(m):
-        assert np.array_equal(schedule.solve(b), x)
+        assert np.array_equal(schedule.solve(b).view(np.int64), x)
+
+
+def _grid_system_matrix():
+    """The m = 10 table-1 system matrix M + 2I + D_A: 100 rows on 19 levels."""
+    a = BenchSpec("example1", 10).build().a
+    return shifted_system(a, make_splitting(a, SplittingKind.npgs()))[0].to_dense()
+
+
+_GRID = _grid_system_matrix()
 
 
 @_EXACT
-@given(d=_LOWER, b=hnp.arrays(np.float64, 16, elements=_ENTRY))
+@given(d=_LOWER, b=hnp.arrays(np.float64, 16, elements=st.one_of(st.just(-0.0), _ENTRY)))
 @_system_matrix_examples
+@example(d=_GRID, b=np.full(100, -0.0))
+@example(d=_GRID, b=np.where(np.arange(100) % 3, -0.0, 1.0))
 def test_forward_substitution_matches_reference_loop(d, b):
     m = SparseMatrix.from_dense(d)
     _assert_solves_like_reference(m, b[:m.n])
@@ -710,6 +722,29 @@ def test_csr_kernel_into_zeros_is_matvec(d, x, cut):
         matrix_core._csr_matvec(hi - lo, a.n, a.row_starts[lo:hi + 1], a.col_indices, a.values,
                                 x, y[lo:hi])
     assert np.array_equal(y.view(np.int64), a.matvec(x).view(np.int64))
+
+
+@_EXACT
+@given(d=st.integers(1, 12).flatmap(lambda n: hnp.arrays(np.float64, (n, n), elements=_SPARSE_ENTRY)),
+       x=hnp.arrays(np.float64, 12, elements=_ENTRY), lo=st.integers(0, 12), rows=st.integers(0, 12))
+@example(d=np.ones((4, 4)), x=np.arange(12.0), lo=1, rows=2)
+def test_csr_kernel_into_its_own_x_is_matvec(d, x, lo, rows):
+    # the level cut's solve has the kernel write each level's sums into
+    # the 0.0 entries of the vector it reads, rows whose columns all lie
+    # outside the slice written: that must be what matvec gives, and
+    # leave the rest of the vector as it was
+    n = d.shape[0]
+    lo = min(lo, n)
+    hi = min(lo + rows, n)
+    d = d.copy()
+    d[:, lo:hi] = 0.0
+    a = SparseMatrix.from_dense(d)
+    x = x[:n].copy()
+    x[lo:hi] = 0.0
+    want = np.concatenate([x[:lo], a.matvec(x)[lo:hi], x[hi:]])
+    matrix_core._csr_matvec(hi - lo, n, a.row_starts[lo:hi + 1], a.col_indices, a.values,
+                            x, x[lo:hi])
+    assert np.array_equal(x.view(np.int64), want.view(np.int64))
 
 
 def test_custom_splitting_with_another_pattern_makes_its_own_cut():
@@ -769,8 +804,14 @@ def test_schedule_arrays_are_read_only():
     lower_triangular_solve(m, np.ones(3))
     for schedule in (m._trisolve_schedule(), *_both_schedules(m), m._lower_cut()):
         for name, arr in schedule._asdict().items():
-            if name == "blocks":  # tuples of Python ints and bools
+            if name == "blocks":  # tuples of Python ints and bools, or of views
                 assert isinstance(arr, tuple) and all(type(b) is tuple for b in arr)
+                for view in (v for b in arr for v in b if isinstance(v, np.ndarray)):
+                    assert not view.flags.writeable
+                continue
+            if isinstance(arr, tuple):  # the row cut's Python numbers
+                assert schedule.order is None
+                assert name in ("pivots", "inner_starts", "inner_cols", "inner_vals")
                 continue
             if arr is None:  # no order under the row cut, no inner entries under the level cut
                 assert name in ("order", "inner_starts", "inner_cols", "inner_vals")
@@ -838,12 +879,24 @@ def test_levels_match_longest_dependency_chain(d):
 @example(d=np.eye(9) + np.diag(np.ones(7), -2))
 def test_level_cut_stores_no_inner_entries(d):
     # every entry of a level refers to an earlier level, so each block
-    # ends with one vectorised divide
+    # ends with one vectorised divide; each row's diagonal becomes the
+    # entry 1.0 on its b_i, after its off-diagonal entries negated
     m = SparseMatrix.from_dense(d)
     level_cut, row_cut = _both_schedules(m)
     assert level_cut.inner_starts is level_cut.inner_cols is level_cut.inner_vals is None
-    assert not any(has_inner for *_, has_inner in level_cut.blocks)
-    assert level_cut.vals.size == m.nnz - m.n
+    assert level_cut.vals.size == m.nnz
+    ends = level_cut.row_starts[1:] - 1
+    assert level_cut.cols[ends].tolist() == list(range(m.n, 2 * m.n))
+    assert level_cut.vals[ends].tolist() == [1.0] * m.n
+    off = np.ones(m.nnz, dtype=bool)
+    off[ends] = False
+    rows = level_cut.order[np.repeat(np.arange(m.n), np.diff(level_cut.row_starts))[off]]
+    cols = level_cut.order[level_cut.cols[off]]
+    assert np.array_equal(level_cut.vals[off], -m.to_dense()[rows, cols])
+    for lo, hi, starts, pivots in level_cut.blocks:
+        assert np.shares_memory(starts, level_cut.row_starts) and starts.size == hi - lo + 1
+        assert np.array_equal(starts, level_cut.row_starts[lo:hi + 1])
+        assert np.array_equal(pivots, m.diagonal_vector()[level_cut.order[lo:hi]])
     # the row cut reads the matrix's own arrays, and its inner entries are
     # those that refer to an earlier row of their block, in storage order
     assert row_cut.row_starts is m.row_starts
@@ -856,8 +909,8 @@ def test_level_cut_stores_no_inner_entries(d):
                 inner_cols.append(m.col_indices[k] - first)
                 inner_vals.append(m.values[k])
         assert row_cut.inner_starts[i + 1] == len(inner_vals)
-    assert row_cut.inner_cols.tolist() == inner_cols
-    assert row_cut.inner_vals.tolist() == inner_vals
+    assert list(row_cut.inner_cols) == inner_cols
+    assert list(row_cut.inner_vals) == inner_vals
     assert all(has_inner == (row_cut.inner_starts[hi] > row_cut.inner_starts[lo])
                for lo, hi, has_inner in row_cut.blocks)
 

@@ -18,7 +18,8 @@ per level; otherwise the row cut takes the rows in order, a block of 16
 at a time, and finishes each row's sum over its own block in Python
 floats.  The cut depends on the pattern only, so the system matrices
 of one problem, which share its lower triangle's pattern, share one
-cut, cached on the problem matrix.  Dense fallbacks (inverses, principal
+cut, cached on the problem matrix, and under the level cut also the
+pattern half of their schedules.  Dense fallbacks (inverses, principal
 minors) are reserved for certification and tests on small matrices,
 never for solver hot paths; a dense inverse or LU needs n <= DENSE_LIMIT.
 """
@@ -217,10 +218,25 @@ class SparseMatrix:
     # ------------------------------------------------------------------
     # algebra (all out-of-place; results share no storage with inputs)
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
         """Deterministic y = A @ x: scipy's CSR product sums each row left
-        to right in storage order."""
-        return self._h @ np.asarray(x, dtype=np.float64)
+        to right in storage order.  With out, a float64 vector of length
+        n that does not overlap x, y is written there and out returned:
+        out is zeroed and the same kernel adds each row onto its 0.0, as
+        scipy does into a fresh zeroed vector, so the bits are the same."""
+        x = np.asarray(x, dtype=np.float64)
+        if out is None:
+            return self._h @ x
+        n = self.n
+        if (not isinstance(out, np.ndarray) or out.shape != (n,) or out.dtype != np.float64
+                or x.shape != (n,)):
+            raise ValueError(f"matvec needs x and out of shape ({n},), out float64")
+        if np.may_share_memory(x, out):
+            raise ValueError("matvec out must not overlap x")
+        out.fill(0.0)
+        h = self._h
+        _csr_matvec(n, n, h.indptr, h.indices, h.data, x, out)
+        return out
 
     def scaled(self, c):
         return SparseMatrix._canonical(self._h * float(c))
@@ -594,8 +610,10 @@ def _pivots(m):
 
 
 # A level of the level cut costs about 2 us of kernel and numpy calls and a
-# row of the row cut 0.5-1 us of Python; on banded matrices the two cuts
-# break even at about 3 rows per level.
+# row of the row cut 0.5-1 us of Python.  On banded n = 2400 triangles the
+# two cuts break even at 3 rows per level: there the row cut is faster
+# with one band (level/row 1.06-1.08) and slower with three (0.94); at 4
+# the level cut is faster with both.
 _ROWS_PER_LEVEL = 4
 
 # rows per block of the row cut
@@ -627,12 +645,49 @@ class _Cut(NamedTuple):
     None for the row cut, whose rows stay in storage order; otherwise
     the blocks are dependency levels, so that no row refers to a row of
     its own block.  A cut depends on the pattern only, so every matrix
-    with that pattern can take it."""
+    with that pattern can take it.
+
+    The level cut also holds the pattern half of its schedules
+    (``_Schedule``), made once for all the matrices that take it:
+    ``rank``, the position of each row in the order; ``starts`` and
+    ``cols``, the row pointer and the columns, renamed to positions, of
+    the rows in the order, each row's diagonal slot moved to column
+    n + i; ``entries``, the index of each of those entries in a
+    matrix's ``data``; and ``levels``, one tuple (lo, hi,
+    starts[lo:hi + 1]) per level.  They are None under the row cut."""
 
     row_starts: np.ndarray
     col_indices: np.ndarray
     order: Optional[np.ndarray]
     block_starts: np.ndarray
+    rank: Optional[np.ndarray] = None
+    starts: Optional[np.ndarray] = None
+    cols: Optional[np.ndarray] = None
+    entries: Optional[np.ndarray] = None
+    levels: Optional[tuple] = None
+
+    @classmethod
+    def make(cls, h, order, block_starts):
+        """The cut of the CSR pattern of h under order (None for the row
+        cut) and block_starts, with the level cut's pattern half."""
+        block_starts.setflags(write=False)
+        if order is None:
+            return cls(h.indptr, h.indices, None, block_starts)
+        # a work vector of a solve has 2n entries, so its positions must fit
+        n = h.shape[0]
+        idx = np.promote_types(h.indices.dtype, np.min_scalar_type(2 * n))
+        rank = np.empty(n, dtype=idx)
+        rank[order] = np.arange(n, dtype=idx)
+        starts, entries = _take_rows(h.indptr, order, idx)
+        entries = entries.astype(idx)
+        cols = rank[h.indices[entries]]
+        # each row's diagonal is its last stored entry, on column rank = i
+        cols[starts[1:] - 1] += n
+        for arr in (order, rank, starts, cols, entries):
+            arr.setflags(write=False)
+        at = block_starts.tolist()
+        levels = tuple((lo, hi, starts[lo:hi + 1]) for lo, hi in zip(at, at[1:]))
+        return cls(h.indptr, h.indices, order, block_starts, rank, starts, cols, entries, levels)
 
     def fits(self, m):
         return (np.array_equal(m.row_starts, self.row_starts)
@@ -699,11 +754,7 @@ def _choose_cut(h):
     # a long chain of rows rules the level cut out before its sweep
     if _chain_length(h, per_row) <= max_depth:
         cut = _level_cut(h, per_row, max_depth)
-    order, block_starts = cut or _row_cut(h)
-    for arr in (order, block_starts):
-        if arr is not None:
-            arr.setflags(write=False)
-    return _Cut(h.indptr, h.indices, order, block_starts)
+    return _Cut.make(h, *(cut or _row_cut(h)))
 
 
 class _Schedule(NamedTuple):
@@ -725,9 +776,11 @@ class _Schedule(NamedTuple):
     +0.0 + sum(-m_ij x_j) + b_i, which is b_i - s_i bitwise for every
     b_i but -0.0 (see ``solve``).  ``pivots`` is the diagonal in the
     order, and ``blocks`` holds one tuple (lo, hi, row_starts[lo:hi + 1],
-    pivots[lo:hi]) per level, the views made once.  With int32 indices
-    that is 12 bytes per stored entry, the diagonal's included, and 12
-    per row for the row pointer and the pivot.
+    pivots[lo:hi]) per level, the views made once.  ``row_starts``,
+    ``cols``, ``order``, ``rank`` and the row-pointer views are the
+    cut's (``_Cut``), shared by every matrix that takes it: a schedule
+    gathers its own ``vals`` and ``pivots`` only, 8 bytes per stored
+    entry, the diagonal's included, and 8 per row.
 
     Under the row cut (``order`` None) the arrays are the matrix's own,
     diagonal included.  A block is summed while its own solution is
@@ -744,7 +797,7 @@ class _Schedule(NamedTuple):
 
     The arrays are read-only, and the index arrays use the matrix's
     index dtype (widened when 2n does not fit in it); the inner entries
-    are None under the level cut.
+    are None under the level cut, and ``rank`` under the row cut.
     """
 
     order: Optional[np.ndarray]
@@ -756,6 +809,7 @@ class _Schedule(NamedTuple):
     inner_starts: Optional[tuple] = None
     inner_cols: Optional[tuple] = None
     inner_vals: Optional[tuple] = None
+    rank: Optional[np.ndarray] = None
 
     @classmethod
     def build(cls, h, pivots, cut):
@@ -782,22 +836,15 @@ class _Schedule(NamedTuple):
                        inner_starts=tuple(inner_starts.tolist()),
                        inner_cols=tuple((h.indices[entries] - first[row]).tolist()),
                        inner_vals=tuple(h.data[entries].tolist()))
-        # the work vector has 2n entries, so its positions must fit
-        idx = np.promote_types(idx, np.min_scalar_type(2 * n))
-        rank = np.empty(n, dtype=idx)  # the position of each row in the order
-        rank[order] = np.arange(n, dtype=idx)
-        row_starts, entries = _take_rows(h.indptr, order, idx)
-        cols, vals = rank[h.indices[entries]], np.negative(h.data[entries])
-        # each row's diagonal is its last stored entry, on column rank = i:
-        # it becomes the entry 1.0 on column n + i
-        cols[row_starts[1:] - 1] += n
-        vals[row_starts[1:] - 1] = 1.0
+        vals = np.negative(h.data[cut.entries])
+        # each row's diagonal, its last entry, becomes the entry 1.0 on b_i
+        vals[cut.starts[1:] - 1] = 1.0
         pivots = pivots[order]
-        for arr in (order, row_starts, cols, vals, pivots):
+        for arr in (vals, pivots):
             arr.setflags(write=False)
-        blocks = tuple((lo, hi, row_starts[lo:hi + 1], pivots[lo:hi]) for lo, hi in zip(at, at[1:]))
-        return cls(order=order, pivots=pivots, blocks=blocks,
-                   row_starts=row_starts, cols=cols, vals=vals)
+        blocks = tuple((lo, hi, starts, pivots[lo:hi]) for lo, hi, starts in cut.levels)
+        return cls(order=order, pivots=pivots, blocks=blocks, row_starts=cut.starts,
+                   cols=cut.cols, vals=vals, rank=cut.rank)
 
     def solve(self, b):
         if self.order is None:
@@ -807,7 +854,7 @@ class _Schedule(NamedTuple):
         # the solution in schedule order, 0.0 until solved, then b
         xe = np.zeros(2 * n)
         xs, bs = xe[:n], xe[n:]
-        np.take(b, self.order, out=bs)
+        np.take(b, self.order, out=bs, mode="clip")
         for lo, hi, row_starts, pivots in self.blocks:
             xv = xe[lo:hi]
             # the kernel SparseMatrix.matvec runs adds each row's products
@@ -825,9 +872,7 @@ class _Schedule(NamedTuple):
             _csr_matvec(signed.size, 2 * n, starts, cols[entries], vals[entries], xe, sums)
             signed = signed[sums == 0.0]
             xs[signed] = np.negative(xs[signed])
-        x = np.empty(n)
-        x[self.order] = xs
-        return x
+        return np.take(xs, self.rank, mode="clip")
 
     def _solve_by_rows(self, b):
         n = b.size

@@ -189,13 +189,17 @@ class ModulusConfig:
         return 1.0 / (2.0 * self.alpha)
 
 
-def residual(p, lam):
-    """Res(lambda) = || min(lambda, A lambda + sigma) ||_2."""
+def residual(p, lam, work=None):
+    """Res(lambda) = || min(lambda, A lambda + sigma) ||_2.
+
+    work, a float64 vector of length n that does not overlap lambda,
+    takes the intermediate A lambda + sigma in place of a fresh vector."""
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (p.n,):
         raise ValueError("lambda length mismatch")
-    w = p.a.matvec(lam) + p.sigma
-    return float(np.linalg.norm(np.minimum(lam, w)))
+    w = p.a.matvec(lam, out=work)
+    np.add(w, p.sigma, out=w)
+    return float(np.linalg.norm(np.minimum(lam, w, out=w)))
 
 
 def _linear_solver_for(lhs, a):
@@ -231,7 +235,8 @@ def _linear_solver_for(lhs, a):
 
 
 def _guard(vec, k, bound):
-    if not np.all(np.isfinite(vec)) or float(np.abs(vec).max()) > bound:
+    # a nan or inf entry fails the test as a large one does
+    if not np.abs(vec).max() <= bound:
         raise DivergenceError(f"iterate diverged at iteration {k}")
 
 
@@ -245,24 +250,30 @@ def _iterate(p, cfg, step, to_lambda, on_iterate):
     """Fixed-point driver shared by both method families.
 
     Starting from cfg's start vector, each pass replaces the state by
-    step(state), guards it against divergence, maps it to lambda with
-    to_lambda and stops once Res(lambda) < tol.  Returns the SolveReport
-    fields the pass loop determines.
+    step(state, work), guards it against divergence, maps it to lambda
+    with to_lambda and stops once Res(lambda) < tol.  Returns the
+    SolveReport fields the pass loop determines.
+
+    work is a vector made once per call, which Res also takes for its
+    intermediate vector; step may overwrite it and the state it is
+    given, which no one else holds.  step and to_lambda return fresh
+    vectors, so each lambda handed to on_iterate stays as it was.
     """
     bound = _divergence_bound(p.sigma)
     state = cfg.start_vector(p.n)
     if float(np.abs(state).max()) > bound:
         raise ValueError(f"initial vector exceeds the divergence bound {bound:.3g}")
     residuals = []
+    work = np.empty(p.n)
     converged = False
     t0, c0 = time.perf_counter(), time.thread_time()
     for k in range(1, cfg.max_iters + 1):
         # a step that overflows (a tiny pivot, say) is left to _guard
         with np.errstate(over="ignore", invalid="ignore"):
-            state = step(state)
+            state = step(state, work)
         _guard(state, k, bound)
         lam = to_lambda(state)
-        res = residual(p, lam)
+        res = residual(p, lam, work=work)
         residuals.append(res)
         if on_iterate is not None:
             on_iterate(k, lam)
@@ -295,10 +306,16 @@ def projected_solve(p, s, cfg, on_iterate=None):
     lhs, rhs_mat, shifted = shifted_system(p.a, s)
     solve = _linear_solver_for(lhs, p.a)
     sigma = p.sigma
+    # every solver returns a fresh vector, so the state never shares rhs
+    rhs = np.empty(p.n)
 
-    def step(zeta):
-        lam = np.maximum(0.0, zeta)
-        return solve(rhs_mat.matvec(lam) + np.abs(shifted.matvec(lam) + sigma) - sigma)
+    def step(zeta, w):
+        lam = np.maximum(0.0, zeta, out=zeta)
+        rhs_mat.matvec(lam, out=rhs)
+        shifted.matvec(lam, out=w)
+        np.add(w, sigma, out=w)
+        np.add(rhs, np.abs(w, out=w), out=rhs)
+        return solve(np.subtract(rhs, sigma, out=rhs))
 
     kind = s.kind
     return SolveReport(
@@ -331,12 +348,20 @@ def modulus_solve(p, cfg, mcfg, on_iterate=None):
     omega_minus_a = p.a._by_triangle(omega - d, -1.0, -1.0)
     gamma = mcfg.gamma
     sigma_term = gamma * p.sigma
+    rhs = np.empty(p.n)  # as in projected_solve
 
-    def step(x):
-        return solve(s.n_part.matvec(x) + omega_minus_a.matvec(np.abs(x)) - sigma_term)
+    def step(x, w):
+        s.n_part.matvec(x, out=rhs)
+        omega_minus_a.matvec(np.abs(x, out=x), out=w)
+        np.add(rhs, w, out=rhs)
+        return solve(np.subtract(rhs, sigma_term, out=rhs))
+
+    def to_lambda(x):
+        lam = np.abs(x)  # (|x| + x) / gamma in one fresh vector
+        return np.divide(np.add(lam, x, out=lam), gamma, out=lam)
 
     return SolveReport(
-        **_iterate(p, cfg, step, lambda x: (np.abs(x) + x) / gamma, on_iterate),
+        **_iterate(p, cfg, step, to_lambda, on_iterate),
         method=mcfg.variant,
         alpha=mcfg.alpha,
         gamma=gamma,

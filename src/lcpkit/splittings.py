@@ -92,7 +92,9 @@ class SplittingAnalysis:
 
 
 def _family_parts(a, alpha, beta):
-    """M = (1/a)(D - bL), N = (1/a)[(1-a)D + (a-b)L + aU] from A = D - L - U.
+    """M = (1/a)(D - bL), N = (1/a)[(1-a)D + (a-b)L + aU] from A = D - L - U,
+    as the (diagonal, lower, upper) arguments of ``SparseMatrix._by_triangle``
+    that build M and N from A.
 
     Zero coefficients drop their terms entirely (construction discards
     exact zeros), which is what makes the pinned-parameter reductions
@@ -102,9 +104,8 @@ def _family_parts(a, alpha, beta):
     """
     d = a.diagonal_vector()
     inv = 1.0 / alpha
-    m = a._by_triangle(d * inv, beta * inv, 0.0)
-    n = a._by_triangle(d * ((1.0 - alpha) * inv), -((alpha - beta) * inv), -(alpha * inv))
-    return m, n
+    return ((d * inv, beta * inv, 0.0),
+            (d * ((1.0 - alpha) * inv), -((alpha - beta) * inv), -(alpha * inv)))
 
 
 def make_splitting(a, kind):
@@ -118,12 +119,11 @@ def make_splitting(a, kind):
         raise ValueError("expected a SparseMatrix")
     if kind.tag == "custom":
         raise ValueError("use custom_splitting for caller-provided pairs")
-    alpha, beta = kind.effective_parameters()
-    m, n = _family_parts(a, alpha, beta)
-    s = Splitting(m=m, n_part=n, kind=kind)
-    if not _entrywise_close(m.subtract(n), a):
+    m_parts, n_parts = _family_parts(a, *kind.effective_parameters())
+    # checked before M and N are built: their values are known already
+    if not _difference_close(a, m_parts, n_parts):
         raise AssertionError("splitting failed the M - N = A identity")
-    return s
+    return Splitting(m=a._by_triangle(*m_parts), n_part=a._by_triangle(*n_parts), kind=kind)
 
 
 def custom_splitting(a, m, n_part):
@@ -138,6 +138,41 @@ def custom_splitting(a, m, n_part):
 def _entrywise_close(x, y, tol=EQ_TOL):
     scale = max(1.0, x.max_abs(), y.max_abs())
     return x.subtract(y).max_abs() <= tol * scale
+
+
+def _difference_close(a, m_parts, n_parts):
+    """``_entrywise_close(M.subtract(N), a)`` for M and N built from a by
+    ``_by_triangle(*m_parts)`` and ``_by_triangle(*n_parts)``, with no
+    matrix built.
+
+    Each entry of M and N is one of a's off-diagonal entries times its
+    triangle's coefficient, or an entry of a diagonal vector, so each
+    entry of M - N and of its difference with a is the one rounded
+    operation the chain makes: an entry the chain drops as zero is a
+    signed zero here, which changes no magnitude.  The verdict, the
+    scale and the ValueError on a non-finite entry are bitwise the
+    chain's."""
+    triangle = a._triangle()
+    off = triangle != 0
+    diff = a.values[off]  # a copy, which becomes (M - N) - A off the diagonal
+    lower = triangle[off] < 0
+    (m_diag, *m_off), (n_diag, *n_off) = m_parts, n_parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = diff * np.where(lower, *m_off)
+        x -= diff * np.where(lower, *n_off)
+        np.subtract(x, diff, out=diff)
+        x_diag = m_diag - n_diag
+        diff_diag = x_diag - a.diagonal_vector()
+    if not all(np.all(np.isfinite(v)) for v in (x, diff, x_diag, diff_diag)):
+        raise ValueError("matrix entry is not finite (nan/inf input or overflow)")
+    scale = max(1.0, _max_abs(x), _max_abs(x_diag), a.max_abs())
+    return max(_max_abs(diff), _max_abs(diff_diag)) <= EQ_TOL * scale
+
+
+def _max_abs(v):
+    """max |v_i| of a finite vector (0.0 if empty), with no temporary:
+    temporaries in make_splitting raised table1's peak RSS."""
+    return float(max(v.max(initial=0.0), -v.min(initial=0.0)))
 
 
 def is_h_compatible(a, m, n_part):

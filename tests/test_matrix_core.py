@@ -150,6 +150,42 @@ def test_matvec_matches_dense(d, x):
     assert np.array_equal(a.matvec(x), expected)
 
 
+# signed zeros, subnormals and products that overflow, besides plain values
+_EDGE_ENTRY = st.one_of(_ENTRY, st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300]))
+
+
+@_EXACT
+@given(d=st.integers(1, 8).flatmap(lambda n: hnp.arrays(
+           np.float64, (n, n), elements=st.one_of(st.just(0.0), _EDGE_ENTRY))),
+       x=hnp.arrays(np.float64, 8, elements=_EDGE_ENTRY))
+@example(d=np.full((2, 2), 1e300), x=np.array([1e300, -1e300] * 4))
+@example(d=np.diag([5e-324, -1.0]), x=np.array([-0.0, -0.0] * 4))
+def test_matvec_into_out_is_matvec(d, x):
+    # out is zeroed and summed into by the kernel scipy's product runs on
+    # a fresh zeroed vector, whatever out held before, NaN included
+    a = SparseMatrix.from_dense(d)
+    x = x[:a.n]
+    buf = np.full(a.n, np.nan)
+    assert a.matvec(x, out=buf) is buf
+    assert np.array_equal(buf.view(np.int64), a.matvec(x).view(np.int64))
+
+
+def test_matvec_rejects_an_out_that_does_not_fit():
+    a = SparseMatrix.from_dense([[2.0, 1.0], [0.0, 3.0]])
+    x = np.array([1.0, 10.0])
+    read_only = np.zeros(2)
+    read_only.setflags(write=False)
+    for out in (np.zeros(3), np.zeros(1), np.zeros((2, 1)), np.zeros(2, dtype=np.float32),
+                np.zeros(2, dtype=np.int64), [0.0, 0.0], x, read_only):
+        before = np.array(out, copy=True)
+        with pytest.raises(ValueError):
+            a.matvec(x, out=out)
+        assert np.array_equal(np.asarray(out), before)  # nothing half-written
+    with pytest.raises(ValueError):  # x of the wrong length
+        a.matvec(np.ones(3), out=np.zeros(2))
+    assert np.array_equal(x, [1.0, 10.0])
+
+
 def _seeded_pair():
     rng = np.random.default_rng(11)
     da = rng.uniform(-1, 1, (4, 4))
@@ -662,7 +698,7 @@ def _both_schedules(m):
     """The schedules of both cuts of a solvable lower-triangular m, the
     level cut and the row cut, whichever of them the solve would pick."""
     h, per_row = m._h, np.diff(m.row_starts) - 1
-    return [matrix_core._Schedule.build(h, m.diagonal_vector(), matrix_core._Cut(h.indptr, h.indices, *cut))
+    return [matrix_core._Schedule.build(h, m.diagonal_vector(), matrix_core._Cut.make(h, *cut))
             for cut in (matrix_core._level_cut(h, per_row, m.n), matrix_core._row_cut(h))]
 
 
@@ -767,6 +803,27 @@ def test_custom_splitting_with_another_pattern_makes_its_own_cut():
     assert lhs._cut is a._cut
 
 
+def test_system_matrices_share_the_level_pattern():
+    # the level cut holds the pattern half of the schedules made from it,
+    # so each system matrix of a problem gathers only its values and pivots
+    a = BenchSpec("example1", 10).build().a
+    cut = a._lower_cut()
+    assert np.array_equal(cut.order[cut.rank], np.arange(a.n))
+    b = np.random.default_rng(61).uniform(-3.0, 3.0, a.n)
+    schedules = []
+    for kind in (SplittingKind.npgs(), SplittingKind.npsor(1.7)):
+        lhs = shifted_system(a, make_splitting(a, kind))[0]
+        x = _linear_solver_for(lhs, a)(b)
+        assert np.array_equal(x.view(np.int64), _reference_trisolve(lhs, b).view(np.int64))
+        s = lhs._trisolve_schedule()
+        assert s.order is cut.order and s.rank is cut.rank
+        assert s.row_starts is cut.starts and s.cols is cut.cols
+        assert len(s.blocks) == len(cut.levels) == 19
+        assert all(mine is theirs for (*_, mine, _), (*_, theirs) in zip(s.blocks, cut.levels))
+        schedules.append(s)
+    assert not np.shares_memory(schedules[0].vals, schedules[1].vals)
+
+
 def _raises_on_every_call(m, error, match):
     for _ in range(2):
         with pytest.raises(error, match=match):
@@ -800,25 +857,32 @@ def test_forward_substitution_builds_the_schedule_once(monkeypatch):
 
 
 def test_schedule_arrays_are_read_only():
-    m = SparseMatrix.from_dense([[2, 0, 0], [-1, 4, 0], [0, 3, 5]])
-    lower_triangular_solve(m, np.ones(3))
-    for schedule in (m._trisolve_schedule(), *_both_schedules(m), m._lower_cut()):
-        for name, arr in schedule._asdict().items():
-            if name == "blocks":  # tuples of Python ints and bools, or of views
-                assert isinstance(arr, tuple) and all(type(b) is tuple for b in arr)
-                for view in (v for b in arr for v in b if isinstance(v, np.ndarray)):
-                    assert not view.flags.writeable
-                continue
-            if isinstance(arr, tuple):  # the row cut's Python numbers
-                assert schedule.order is None
-                assert name in ("pivots", "inner_starts", "inner_cols", "inner_vals")
-                continue
-            if arr is None:  # no order under the row cut, no inner entries under the level cut
-                assert name in ("order", "inner_starts", "inner_cols", "inner_vals")
-                continue
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 1
+    # a matrix on the row cut and one on the level cut (the grid)
+    for m in (SparseMatrix.from_dense([[2, 0, 0], [-1, 4, 0], [0, 3, 5]]),
+              SparseMatrix.from_dense(_GRID)):
+        lower_triangular_solve(m, np.ones(m.n))
+        for schedule in (m._trisolve_schedule(), *_both_schedules(m), m._lower_cut()):
+            for name, arr in schedule._asdict().items():
+                if name in ("blocks", "levels") and arr is not None:
+                    # tuples of Python ints and bools, or of views
+                    assert isinstance(arr, tuple) and all(type(b) is tuple for b in arr)
+                    for view in (v for b in arr for v in b if isinstance(v, np.ndarray)):
+                        assert not view.flags.writeable
+                    continue
+                if isinstance(arr, tuple):  # the row cut's Python numbers
+                    assert schedule.order is None
+                    assert name in ("pivots", "inner_starts", "inner_cols", "inner_vals")
+                    continue
+                if arr is None:
+                    # no order nor level pattern under the row cut, no inner
+                    # entries under the level cut
+                    assert name in (("inner_starts", "inner_cols", "inner_vals")
+                                    if schedule.order is not None else
+                                    ("order", "rank", "starts", "cols", "entries", "levels"))
+                    continue
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 1
 
 
 def test_forward_substitution_checks_b_on_every_call():

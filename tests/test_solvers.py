@@ -298,13 +298,13 @@ def test_residual_called_once_per_pass(monkeypatch):
     calls = [0]
     matvecs = [0]
 
-    def counting(p, lam):
+    def counting(p, lam, **kwargs):
         calls[0] += 1
-        return real(p, lam)
+        return real(p, lam, **kwargs)
 
-    def counting_matvec(self, x):
+    def counting_matvec(self, x, **kwargs):
         matvecs[0] += 1
-        return real_matvec(self, x)
+        return real_matvec(self, x, **kwargs)
 
     monkeypatch.setattr(solvers, "residual", counting)
     monkeypatch.setattr(SparseMatrix, "matvec", counting_matvec)
@@ -322,3 +322,52 @@ def test_residual_called_once_per_pass(monkeypatch):
         assert calls[0] == report.iterations > 0
         assert matvecs[0] == 3 * report.iterations
 
+
+
+def test_pass_buffers_never_reach_lambda(monkeypatch):
+    # a pass writes its products and Res's intermediate vector into two
+    # vectors made once per solve, and overwrites its old state; every
+    # lambda_k handed to on_iterate, and report.lam, must be a vector of
+    # its own that no later pass overwrites
+    real_matvec, real_residual = SparseMatrix.matvec, solvers.residual
+    buffers = {}
+
+    def recording_matvec(self, x, out=None):
+        if out is not None:
+            buffers[id(out)] = out
+        return real_matvec(self, x, out=out)
+
+    def recording_residual(p, lam, work=None):
+        if work is not None:
+            buffers[id(work)] = work
+        return real_residual(p, lam, work=work)
+
+    monkeypatch.setattr(SparseMatrix, "matvec", recording_matvec)
+    monkeypatch.setattr(solvers, "residual", recording_residual)
+    p = gen_example1(5, 4.0)
+    runs = [
+        lambda hook: projected_solve(p, make_splitting(p.a, SplittingKind.npgs()),
+                                     SolverConfig(), hook),
+        lambda hook: projected_solve(p, make_splitting(p.a, SplittingKind.npsor(1.7)),
+                                     SolverConfig(), hook),
+        lambda hook: modulus_solve(p, SolverConfig(), ModulusConfig("mgs"), hook),
+        lambda hook: modulus_solve(p, SolverConfig(), ModulusConfig("msor", 0.85), hook),
+    ]
+    for run in runs:
+        buffers.clear()
+        seen = []  # kept alive, so that no two iterates can share an id
+        report = run(lambda k, lam: seen.append((lam, lam.copy())))
+        assert len(seen) == report.iterations > 1 and len(buffers) == 2
+        assert len({id(lam) for lam, _ in seen}) == len(seen)
+        for lam, copy in seen:
+            assert np.array_equal(lam.view(np.int64), copy.view(np.int64))
+            assert not any(np.shares_memory(lam, b) for b in buffers.values())
+        assert not any(np.shares_memory(report.lam, b) for b in buffers.values())
+        assert np.array_equal(report.lam, seen[-1][1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e12])
+def test_guard_stops_a_non_finite_or_large_iterate(bad):
+    solvers._guard(np.array([1.0, -1e12]), 1, 1e12)
+    with pytest.raises(DivergenceError, match="iteration 7"):
+        solvers._guard(np.array([1.0, bad]), 7, 1e12)

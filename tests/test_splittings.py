@@ -1,15 +1,18 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcpkit import matrix_core
+from lcpkit import matrix_core, splittings
 from lcpkit.matrix_core import SparseMatrix, classify, comparison_matrix
 from lcpkit.problems import gen_random_hplus
 from lcpkit.splittings import (
     EQ_TOL,
     SplittingKind,
+    _difference_close,
+    _entrywise_close,
+    _family_parts,
     _h_compatible,
     analyze_splitting,
     custom_splitting,
@@ -91,6 +94,64 @@ def test_family_parts_are_the_chain_bitwise(n, seed, alpha, beta):
     a = SparseMatrix.from_dense(dense)
     s = make_splitting(a, SplittingKind.npaor(alpha, beta))
     assert (s.m, s.n_part) == _chained_parts(a, alpha, beta)
+
+
+def _verdict(check):
+    """check()'s verdict, or ValueError if it raised one."""
+    try:
+        return check()
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       alpha=st.one_of(st.sampled_from([1.0, 1.7, 1e-3]), st.floats(0.1, 1.9)),
+       beta=st.one_of(st.sampled_from([0.0, 1.0, -0.7, 1e-300]), st.floats(-2.0, 2.0)),
+       which=st.integers(0, 5),
+       t=st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 2**-40, 1.0 + 2**-40]), st.floats(0.0, 3.0)))
+@example(n=1, seed=0, alpha=1.0, beta=1e-300, which=0, t=0.0)
+@example(n=1, seed=3, alpha=1.7, beta=-0.7, which=4, t=1.0)
+def test_difference_check_is_the_chain(n, seed, alpha, beta, which, t):
+    # one of the six coefficients of M and N moves by t * EQ_TOL, so that
+    # the verdict rests on the last bits of the comparison; missing
+    # diagonals and empty rows included
+    rng = np.random.default_rng(seed)
+    dense = rng.uniform(-3, 3, (n, n)) * (rng.random((n, n)) < 0.6)
+    a = SparseMatrix.from_dense(dense)
+    parts = [list(p) for p in _family_parts(a, alpha, beta)]
+    side, k = divmod(which, 3)
+    parts[side][k] = parts[side][k] + t * EQ_TOL
+    m, n_part = a._by_triangle(*parts[0]), a._by_triangle(*parts[1])
+    want = _verdict(lambda: _entrywise_close(m.subtract(n_part), a))
+    assert _verdict(lambda: _difference_close(a, *parts)) is want
+
+
+def test_difference_check_raises_where_the_chain_overflows():
+    # M and N are finite, M - N is not
+    a = SparseMatrix.from_dense([[1.0, 0.0], [1.5e308, 1.0]])
+    parts = ((np.ones(2), 1.0, 0.0), (np.zeros(2), -1.0, 0.0))
+    m, n_part = a._by_triangle(*parts[0]), a._by_triangle(*parts[1])
+    with pytest.raises(ValueError, match="not finite"):
+        _entrywise_close(m.subtract(n_part), a)
+    with pytest.raises(ValueError, match="not finite"):
+        _difference_close(a, *parts)
+
+
+@pytest.mark.parametrize("which", range(6))
+def test_make_splitting_catches_a_wrong_coefficient(monkeypatch, which):
+    real = splittings._family_parts
+
+    def mutated(a, alpha, beta):
+        parts = [list(p) for p in real(a, alpha, beta)]
+        side, k = divmod(which, 3)
+        parts[side][k] = parts[side][k] + 0.5
+        return parts
+
+    monkeypatch.setattr(splittings, "_family_parts", mutated)
+    a = SparseMatrix.from_dense([[4, -1, -2], [-1, 4, -1], [-3, -1, 4]])
+    with pytest.raises(AssertionError, match="M - N = A"):
+        make_splitting(a, SplittingKind.npsor(1.5))
 
 
 def test_reductions_are_bitwise():

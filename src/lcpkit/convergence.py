@@ -39,6 +39,7 @@ from .matrix_core import (
     _gamma,
     _is_z,
     _m_probe,
+    _pivots,
     comparison_matrix,
     lower_triangular_solve,
     spectral_radius_nonneg,
@@ -135,15 +136,12 @@ def _dense_inverse(m):
     copies of a general inverse."""
     from scipy.linalg.lapack import dtrtri
 
-    dense = m.to_dense()
     if not m.is_lower_triangular():
-        return np.linalg.inv(dense)
-    # dense is C-ordered, so dense.T is a Fortran-ordered upper triangle,
-    # and inverting it in place leaves inv(m).T = inv(m.T) there
-    inv_t, info = dtrtri(dense.T, lower=0, overwrite_c=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return inv_t.T
+        return np.linalg.inv(m.to_dense())
+    _pivots(m)  # names the first zero pivot, dtrtri's one failure
+    # to_dense is C-ordered, so its transpose is a Fortran-ordered upper
+    # triangle, and inverting that in place leaves inv(m).T = inv(m.T)
+    return dtrtri(m.to_dense().T, lower=0, overwrite_c=1)[0].T
 
 
 def iteration_operator_rho(a, s, mode="exact_dense"):

@@ -8,18 +8,17 @@ values, immutable arrays) and keeps everything deterministic: every
 reduction runs in a fixed order, and the only factorization on offer is
 triangular substitution.  A row sum, in the matrix-vector product and
 in forward substitution alike, adds the row's rounded products left to
-right in storage order, in scipy's compiled CSR row kernel.  Forward
-substitution follows one schedule, built on the first solve and cached
-on the (immutable) matrix: the rows in some order, cut into blocks,
-each block summed by one kernel call over its entries that refer to
-earlier blocks.  The level cut (blocks are dependency levels, whose
-rows depend only on earlier levels) serves a matrix with enough rows
-per level; otherwise the row cut takes the rows in order, a block of 16
-at a time, and finishes each row's sum over its own block in Python
-floats.  The cut depends on the pattern only, so the system matrices
-of one problem, which share its lower triangle's pattern, share one
-cut, cached on the problem matrix, and under the level cut also the
-pattern half of their schedules.  Dense fallbacks (inverses, principal
+right in storage order, in scipy's compiled CSR row kernel.
+
+Forward substitution follows one of two plans, each a cut, the rows cut
+into blocks, and a schedule, which adds a matrix's values to its cut:
+the level cut (``_LevelCut``, ``_LevelSchedule``) takes the rows level
+by level and serves a matrix with enough rows per level; the row cut
+(``_RowCut``, ``_RowSchedule``) takes them in order, 16 at a time.  A
+schedule is built on the first solve and cached on the (immutable)
+matrix.  A cut depends on the pattern only, so the system matrices of
+one problem, which share its lower triangle's pattern, share one cut,
+cached on the problem matrix.  Dense fallbacks (inverses, principal
 minors) are reserved for certification and tests on small matrices,
 never for solver hot paths; a dense inverse or LU needs n <= DENSE_LIMIT.
 """
@@ -28,7 +27,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse
@@ -168,9 +167,9 @@ class SparseMatrix:
         return np.sign(self.col_indices - rows)
 
     def _lower_cut(self):
-        """The cut (``_Cut``) of forward substitution on this matrix's
-        lower triangle with a full diagonal, made on first use and kept
-        with the matrix."""
+        """The cut (``_LevelCut`` or ``_RowCut``) of forward substitution
+        on this matrix's lower triangle with a full diagonal, made on
+        first use and kept with the matrix."""
         if self._cut is None:
             self._cut = _choose_cut(self._by_triangle(1.0, 1.0, 0.0)._h)
         return self._cut
@@ -637,42 +636,41 @@ def _take_rows(indptr, rows, dtype):
     return starts, _ranges(indptr[rows], count)
 
 
-class _Cut(NamedTuple):
-    """The rows of a lower-triangular CSR pattern with a full diagonal
-    (``row_starts``, ``col_indices``), taken in an order, each after
-    every row it refers to, and cut into blocks: block k is positions
-    ``block_starts[k]:block_starts[k + 1]`` of the order.  ``order`` is
-    None for the row cut, whose rows stay in storage order; otherwise
-    the blocks are dependency levels, so that no row refers to a row of
-    its own block.  A cut depends on the pattern only, so every matrix
-    with that pattern can take it.
+def _fits(cut, m):
+    """Whether m has the CSR pattern that cut was made from."""
+    return (np.array_equal(m.row_starts, cut.row_starts)
+            and np.array_equal(m.col_indices, cut.col_indices))
 
-    The level cut also holds the pattern half of its schedules
-    (``_Schedule``), made once for all the matrices that take it:
-    ``rank``, the position of each row in the order; ``starts`` and
-    ``cols``, the row pointer and the columns, renamed to positions, of
-    the rows in the order, each row's diagonal slot moved to column
-    n + i; ``entries``, the index of each of those entries in a
-    matrix's ``data``; and ``levels``, one tuple (lo, hi,
-    starts[lo:hi + 1]) per level.  They are None under the row cut."""
+
+class _LevelCut(NamedTuple):
+    """The level cut of a lower-triangular CSR pattern with a full
+    diagonal (``row_starts``, ``col_indices``): its rows level by level,
+    so that no row refers to a row of its own level.
+
+    It is the pattern half of the schedule (``_LevelSchedule``) of every
+    matrix with that pattern, made once for all of them: ``order``, the
+    rows level by level, ascending within a level, and ``rank``, the
+    position of each row in it; ``starts`` and ``cols``, the row pointer
+    and the columns, renamed to positions, of the rows in the order, each
+    row's diagonal slot moved to column n + i; ``entries``, the index of
+    each of those entries in a matrix's ``data``; and ``levels``, one
+    tuple (lo, hi, starts[lo:hi + 1]) per level, the views made once.
+    The arrays are read-only, and the index arrays use the pattern's
+    index dtype, widened when 2n does not fit in it."""
 
     row_starts: np.ndarray
     col_indices: np.ndarray
-    order: Optional[np.ndarray]
-    block_starts: np.ndarray
-    rank: Optional[np.ndarray] = None
-    starts: Optional[np.ndarray] = None
-    cols: Optional[np.ndarray] = None
-    entries: Optional[np.ndarray] = None
-    levels: Optional[tuple] = None
+    order: np.ndarray
+    rank: np.ndarray
+    starts: np.ndarray
+    cols: np.ndarray
+    entries: np.ndarray
+    levels: tuple
 
     @classmethod
     def make(cls, h, order, block_starts):
-        """The cut of the CSR pattern of h under order (None for the row
-        cut) and block_starts, with the level cut's pattern half."""
-        block_starts.setflags(write=False)
-        if order is None:
-            return cls(h.indptr, h.indices, None, block_starts)
+        """The level cut of the CSR pattern of h, level k at positions
+        block_starts[k]:block_starts[k + 1] of order."""
         # a work vector of a solve has 2n entries, so its positions must fit
         n = h.shape[0]
         idx = np.promote_types(h.indices.dtype, np.min_scalar_type(2 * n))
@@ -687,11 +685,151 @@ class _Cut(NamedTuple):
             arr.setflags(write=False)
         at = block_starts.tolist()
         levels = tuple((lo, hi, starts[lo:hi + 1]) for lo, hi in zip(at, at[1:]))
-        return cls(h.indptr, h.indices, order, block_starts, rank, starts, cols, entries, levels)
+        return cls(h.indptr, h.indices, order, rank, starts, cols, entries, levels)
 
-    def fits(self, m):
-        return (np.array_equal(m.row_starts, self.row_starts)
-                and np.array_equal(m.col_indices, self.col_indices))
+    fits = _fits
+
+    def schedule(self, data, pivots):
+        """The schedule of a matrix with this pattern, data and pivots."""
+        vals = np.negative(data[self.entries])
+        # each row's diagonal, its last entry, becomes the entry 1.0 on b_i
+        vals[self.starts[1:] - 1] = 1.0
+        pivots = pivots[self.order]
+        for arr in (vals, pivots):
+            arr.setflags(write=False)
+        return _LevelSchedule(self, vals, tuple(
+            (lo, hi, starts, pivots[lo:hi]) for lo, hi, starts in self.levels))
+
+
+class _LevelSchedule(NamedTuple):
+    """Forward substitution on a lower-triangular matrix, a level of its
+    ``_LevelCut`` (``cut``) at a time.  ``vals`` holds the matrix in the
+    cut's order, on the cut's ``starts`` and ``cols``: the off-diagonal
+    entries negated, then coefficient 1.0 on column n + i, where b_i
+    waits in a solve's work vector (x in the cut's order, then b in it).
+    ``blocks`` holds one tuple (lo, hi, starts[lo:hi + 1], pivots) per
+    level.  A schedule holds 8 bytes per stored entry and 8 per row of
+    its own; the rest is the cut's."""
+
+    cut: _LevelCut
+    vals: np.ndarray
+    blocks: tuple
+
+    def solve(self, b):
+        """x with m x = b: per level, one kernel call and one divide.  No
+        row refers to a row of its own level, so the kernel writes each
+        level's sums straight into that level's 0.0 entries of the vector
+        it reads: +0.0 + sum(-m_ij x_j) + b_i, which is b_i - s_i bitwise
+        for every b_i but -0.0, which the end of the solve mends."""
+        n = b.size
+        cut, vals = self.cut, self.vals
+        cols = cut.cols
+        # the solution in the cut's order, 0.0 until solved, then b
+        xe = np.zeros(2 * n)
+        xs, bs = xe[:n], xe[n:]
+        np.take(b, cut.order, out=bs, mode="clip")
+        for lo, hi, row_starts, pivots in self.blocks:
+            xv = xe[lo:hi]
+            # the kernel SparseMatrix.matvec runs adds each row's products
+            # left to right in storage order onto its 0.0 in xv
+            _csr_matvec(hi - lo, 2 * n, row_starts, cols, vals, xe, xv)
+            np.divide(xv, pivots, out=xv)
+        # where b_i is -0.0 and the sum is zero, the row gave +0.0 + -0.0,
+        # which is +0.0, where b_i - s_i is -0.0: sum those rows once more
+        # and negate x_i where the sum is zero
+        signed = np.flatnonzero(bs == 0.0)
+        signed = signed[np.signbit(bs[signed])]
+        if signed.size:
+            starts, entries = _take_rows(cut.starts, signed, cols.dtype)
+            sums = np.zeros(signed.size)
+            _csr_matvec(signed.size, 2 * n, starts, cols[entries], vals[entries], xe, sums)
+            signed = signed[sums == 0.0]
+            xs[signed] = np.negative(xs[signed])
+        return np.take(xs, cut.rank, mode="clip")
+
+
+class _RowCut(NamedTuple):
+    """The row cut of a lower-triangular CSR pattern with a full diagonal
+    (``row_starts``, ``col_indices``): its rows in storage order, _BLOCK
+    at a time, ``blocks`` holding one tuple (lo, hi, row_starts[lo:hi +
+    1]) per block.  It is the pattern half of the schedule
+    (``_RowSchedule``) of every matrix with that pattern.
+
+    An entry is inner when it refers to an earlier row of its own block.
+    Row i's inner entries are ``inner_starts[i]:inner_starts[i + 1]`` of
+    ``inner_cols`` (a row of the block, from 0) and of ``inner_entries``
+    (their indices in a matrix's ``data``), in storage order; the first
+    two are tuples of Python ints, which a solve need not convert."""
+
+    row_starts: np.ndarray
+    col_indices: np.ndarray
+    blocks: tuple
+    inner_starts: tuple
+    inner_cols: tuple
+    inner_entries: np.ndarray
+
+    @classmethod
+    def make(cls, h):
+        """The row cut of the CSR pattern of h."""
+        n, idx = h.shape[0], h.indices.dtype
+        rows = np.arange(n, dtype=idx)
+        first = rows - rows % _BLOCK  # the first row of each row's block
+        # columns are sorted and distinct, so a row's inner entries are
+        # among its last i - first[i] off-diagonal entries
+        count = np.minimum(rows - first, np.diff(h.indptr) - 1)
+        entries = _ranges(h.indptr[1:] - 1 - count, count)
+        row = np.repeat(rows, count)
+        inner = h.indices[entries] >= first[row]
+        entries, row = entries[inner].astype(idx), row[inner]
+        entries.setflags(write=False)
+        inner_starts = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(row, minlength=n), out=inner_starts[1:])
+        at = list(range(0, n, _BLOCK)) + [n]
+        blocks = tuple((lo, hi, h.indptr[lo:hi + 1]) for lo, hi in zip(at, at[1:]))
+        return cls(h.indptr, h.indices, blocks, tuple(inner_starts.tolist()),
+                   tuple((h.indices[entries] - first[row]).tolist()), entries)
+
+    fits = _fits
+
+    def schedule(self, data, pivots):
+        """The schedule of a matrix with this pattern, data and pivots."""
+        return _RowSchedule(self, data, tuple(pivots.tolist()),
+                            tuple(data[self.inner_entries].tolist()))
+
+
+class _RowSchedule(NamedTuple):
+    """Forward substitution on a lower-triangular matrix, a block of its
+    ``_RowCut`` (``cut``) at a time.  ``vals`` is the matrix's ``data``;
+    ``pivots``, its diagonal, and ``inner_vals``, the values of the cut's
+    inner entries, are tuples of Python floats."""
+
+    cut: _RowCut
+    vals: np.ndarray
+    pivots: tuple
+    inner_vals: tuple
+
+    def solve(self, b):
+        """x with m x = b.  A block is summed while its own solution is
+        still 0.0: an inner entry or the diagonal adds a product with
+        0.0, which leaves a sum started from +0.0 as it is.  Each row then
+        finishes its sum over its inner entries in Python floats (the same
+        double arithmetic), subtracts it from b_i and divides."""
+        n = b.size
+        cut, vals, pivots, inner_vals = self.cut, self.vals, self.pivots, self.inner_vals
+        cols, starts, inner_cols = cut.col_indices, cut.inner_starts, cut.inner_cols
+        xs = np.zeros(n)  # the solution, 0.0 until solved
+        sums = np.zeros(n)
+        bl = b.tolist()
+        for lo, hi, row_starts in cut.blocks:
+            s = sums[lo:hi]
+            _csr_matvec(hi - lo, n, row_starts, cols, vals, xs, s)
+            xb = []  # the block's solution so far
+            for i, acc in enumerate(s.tolist(), lo):
+                for j in range(starts[i], starts[i + 1]):
+                    acc += inner_vals[j] * xb[inner_cols[j]]
+                xb.append((bl[i] - acc) / pivots[i])
+            xs[lo:hi] = xb
+        return xs
 
 
 def _chain_length(h, per_row):
@@ -707,12 +845,13 @@ def _chain_length(h, per_row):
 
 
 def _level_cut(h, per_row, max_depth):
-    """The level cut of the lower-triangular CSR handle h with per_row
+    """The levels of the lower-triangular CSR handle h with per_row
     off-diagonal entries in each row: (order, block_starts) with the rows
-    level by level, ascending within a level, or None once there would
-    be more than max_depth levels.  A row's level is one more than the
-    highest level among the rows it refers to (0 when it has none), found
-    by a frontier sweep over the off-diagonal entries."""
+    level by level, ascending within a level, level k at positions
+    block_starts[k]:block_starts[k + 1], or None once there would be more
+    than max_depth levels.  A row's level is one more than the highest
+    level among the rows it refers to (0 when it has none), found by a
+    frontier sweep over the off-diagonal entries."""
     n, idx = h.shape[0], h.indices.dtype
     # columns are sorted, so each row's diagonal is its last stored entry
     rows = np.repeat(np.arange(n, dtype=idx), per_row)
@@ -737,175 +876,26 @@ def _level_cut(h, per_row, max_depth):
     return np.argsort(level, kind="stable").astype(idx), block_starts
 
 
-def _row_cut(h):
-    """The row cut of the CSR handle h: (None, block_starts), the rows in
-    storage order, _BLOCK at a time."""
-    n, idx = h.shape[0], h.indices.dtype
-    return None, np.append(np.arange(0, n, _BLOCK), n).astype(idx)
-
-
 def _choose_cut(h):
     """The cut of the lower-triangular CSR handle h with a full diagonal:
     the level cut when h has at least _ROWS_PER_LEVEL rows per level,
     else the row cut."""
     per_row = np.diff(h.indptr) - 1
     max_depth = h.shape[0] // _ROWS_PER_LEVEL
-    cut = None
+    levels = None
     # a long chain of rows rules the level cut out before its sweep
     if _chain_length(h, per_row) <= max_depth:
-        cut = _level_cut(h, per_row, max_depth)
-    return _Cut.make(h, *(cut or _row_cut(h)))
-
-
-class _Schedule(NamedTuple):
-    """Forward substitution on a lower-triangular matrix, a block of rows
-    at a time, following a ``_Cut``.
-
-    The schedule holds the matrix with its rows in the cut's order and
-    its columns renamed to positions of that order, as CSR arrays:
-    position i's entries are ``row_starts[i]:row_starts[i + 1]`` of
-    ``cols`` and ``vals``, in the matrix's storage order.  A block is
-    summed by one call of scipy's compiled CSR row kernel.
-
-    Under the level cut the arrays are a copy with each row's diagonal
-    replaced: the off-diagonal entries negated, then coefficient 1.0 on
-    column n + i, where b_i waits in a solve's work vector
-    (x in schedule order, then b in schedule order).  No row refers to
-    a row of its own level, so the kernel writes each level's sums
-    straight into that level's 0.0 entries of the vector it reads:
-    +0.0 + sum(-m_ij x_j) + b_i, which is b_i - s_i bitwise for every
-    b_i but -0.0 (see ``solve``).  ``pivots`` is the diagonal in the
-    order, and ``blocks`` holds one tuple (lo, hi, row_starts[lo:hi + 1],
-    pivots[lo:hi]) per level, the views made once.  ``row_starts``,
-    ``cols``, ``order``, ``rank`` and the row-pointer views are the
-    cut's (``_Cut``), shared by every matrix that takes it: a schedule
-    gathers its own ``vals`` and ``pivots`` only, 8 bytes per stored
-    entry, the diagonal's included, and 8 per row.
-
-    Under the row cut (``order`` None) the arrays are the matrix's own,
-    diagonal included.  A block is summed while its own solution is
-    still 0.0: an entry that refers to a row of the block adds a product
-    with 0.0, which leaves a sum started from +0.0 as it is.  An entry
-    is inner when it refers to an earlier row of its own block; a row
-    then finishes its sum over its inner entries in Python floats.  The
-    inner entries of position i are ``inner_starts[i]:inner_starts[i +
-    1]`` of ``inner_cols`` (a row of the block, from 0) and
-    ``inner_vals``, in storage order; these three and ``pivots`` are
-    tuples of Python numbers, so that a solve converts none of them.
-    ``blocks`` holds one tuple (lo, hi, has_inner) per block: its
-    positions lo:hi and whether any of its rows has inner entries.
-
-    The arrays are read-only, and the index arrays use the matrix's
-    index dtype (widened when 2n does not fit in it); the inner entries
-    are None under the level cut, and ``rank`` under the row cut.
-    """
-
-    order: Optional[np.ndarray]
-    pivots: Union[np.ndarray, tuple]
-    blocks: tuple
-    row_starts: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    inner_starts: Optional[tuple] = None
-    inner_cols: Optional[tuple] = None
-    inner_vals: Optional[tuple] = None
-    rank: Optional[np.ndarray] = None
-
-    @classmethod
-    def build(cls, h, pivots, cut):
-        """The schedule of the lower-triangular CSR handle h with diagonal
-        pivots under cut, a ``_Cut`` of h's pattern."""
-        n, idx = h.shape[0], h.indices.dtype
-        order, at = cut.order, cut.block_starts.tolist()
-        if order is None:
-            block_starts = cut.block_starts
-            first = np.repeat(block_starts[:-1], np.diff(block_starts))  # of each row's block
-            # columns are sorted and distinct, so a row's inner entries are
-            # among its last i - first[i] off-diagonal entries
-            count = np.minimum(np.arange(n, dtype=idx) - first, np.diff(h.indptr) - 1)
-            entries = _ranges(h.indptr[1:] - 1 - count, count)
-            row = np.repeat(np.arange(n, dtype=idx), count)
-            inner = h.indices[entries] >= first[row]
-            entries, row = entries[inner], row[inner]
-            inner_starts = np.zeros(n + 1, dtype=idx)
-            np.cumsum(np.bincount(row, minlength=n), out=inner_starts[1:])
-            has_inner = (np.diff(inner_starts[block_starts]) > 0).tolist()
-            return cls(order=None, pivots=tuple(pivots.tolist()),
-                       blocks=tuple(zip(at, at[1:], has_inner)),
-                       row_starts=h.indptr, cols=h.indices, vals=h.data,
-                       inner_starts=tuple(inner_starts.tolist()),
-                       inner_cols=tuple((h.indices[entries] - first[row]).tolist()),
-                       inner_vals=tuple(h.data[entries].tolist()))
-        vals = np.negative(h.data[cut.entries])
-        # each row's diagonal, its last entry, becomes the entry 1.0 on b_i
-        vals[cut.starts[1:] - 1] = 1.0
-        pivots = pivots[order]
-        for arr in (vals, pivots):
-            arr.setflags(write=False)
-        blocks = tuple((lo, hi, starts, pivots[lo:hi]) for lo, hi, starts in cut.levels)
-        return cls(order=order, pivots=pivots, blocks=blocks, row_starts=cut.starts,
-                   cols=cut.cols, vals=vals, rank=cut.rank)
-
-    def solve(self, b):
-        if self.order is None:
-            return self._solve_by_rows(b)
-        n = b.size
-        cols, vals = self.cols, self.vals
-        # the solution in schedule order, 0.0 until solved, then b
-        xe = np.zeros(2 * n)
-        xs, bs = xe[:n], xe[n:]
-        np.take(b, self.order, out=bs, mode="clip")
-        for lo, hi, row_starts, pivots in self.blocks:
-            xv = xe[lo:hi]
-            # the kernel SparseMatrix.matvec runs adds each row's products
-            # left to right in storage order onto its 0.0 in xv
-            _csr_matvec(hi - lo, 2 * n, row_starts, cols, vals, xe, xv)
-            np.divide(xv, pivots, out=xv)
-        # where b_i is -0.0 and the sum is zero, the row gave +0.0 + -0.0,
-        # which is +0.0, where b_i - s_i is -0.0: sum those rows once more
-        # and negate x_i where the sum is zero
-        signed = np.flatnonzero(bs == 0.0)
-        signed = signed[np.signbit(bs[signed])]
-        if signed.size:
-            starts, entries = _take_rows(self.row_starts, signed, cols.dtype)
-            sums = np.zeros(signed.size)
-            _csr_matvec(signed.size, 2 * n, starts, cols[entries], vals[entries], xe, sums)
-            signed = signed[sums == 0.0]
-            xs[signed] = np.negative(xs[signed])
-        return np.take(xs, self.rank, mode="clip")
-
-    def _solve_by_rows(self, b):
-        n = b.size
-        xs = np.zeros(n)  # the solution, 0.0 until solved
-        sums = np.zeros(n)
-        row_starts, cols, vals, pivots = self.row_starts, self.cols, self.vals, self.pivots
-        starts, inner_cols, inner_vals = self.inner_starts, self.inner_cols, self.inner_vals
-        bl = None  # b as a Python list, made once needed
-        for lo, hi, has_inner in self.blocks:
-            s = sums[lo:hi]
-            _csr_matvec(hi - lo, n, row_starts[lo:hi + 1], cols, vals, xs, s)
-            if not has_inner:
-                np.divide(np.subtract(b[lo:hi], s, out=s), pivots[lo:hi], out=xs[lo:hi])
-                continue
-            if bl is None:
-                bl = b.tolist()
-            xb = []  # the block's solution so far
-            for i, acc in enumerate(s.tolist(), lo):
-                # the row's sum goes on over its inner entries, one product
-                # at a time in Python floats (the same double arithmetic)
-                for j in range(starts[i], starts[i + 1]):
-                    acc += inner_vals[j] * xb[inner_cols[j]]
-                xb.append((bl[i] - acc) / pivots[i])
-            xs[lo:hi] = xb
-        return xs
+        levels = _level_cut(h, per_row, max_depth)
+    return _RowCut.make(h) if levels is None else _LevelCut.make(h, *levels)
 
 
 def _build_schedule(m):
-    """The forward-substitution schedule of m, after checking that m is
-    lower triangular with a nonzero diagonal, under m's cut."""
+    """The forward-substitution schedule of m under m's cut, after
+    checking that m is lower triangular with a nonzero diagonal."""
     if not m.is_lower_triangular():
         raise ValueError("matrix has entries above the diagonal")
-    return _Schedule.build(m._h, _pivots(m), m._lower_cut())
+    pivots = _pivots(m)
+    return m._lower_cut().schedule(m.values, pivots)
 
 
 def lower_triangular_solve(m, b):
@@ -917,20 +907,15 @@ def lower_triangular_solve(m, b):
     x_i = (b_i - s_i) / m_ii, where s_i sums the rounded products
     m_ij x_j of the row's off-diagonal entries left to right in storage
     order, starting from 0.0, as ``SparseMatrix.matvec`` sums a row.
-    The rows go block by block (``_Schedule``): one call of scipy's
-    compiled CSR row kernel, the one ``SparseMatrix.matvec`` runs, sums
-    each block's rows over the entries that refer to earlier blocks.
-    With at least ``_ROWS_PER_LEVEL`` rows per dependency level the
-    blocks are the levels, and a level is that one call, which also
-    adds b_i, and one divide.  Otherwise the blocks are runs of
-    ``_BLOCK`` rows in order, the kernel reads the matrix's own arrays,
-    and Python floats add the entries that refer to earlier rows of the
-    same block.  Neither cut changes a row's arithmetic, so x is
-    bitwise the row-by-row result, signed zeros included.  The checks
-    and the schedule run once per matrix: the first call builds the
-    schedule and caches it on m.  The cut depends only on m's pattern; a
-    system matrix that took its problem matrix's cut
-    (``SparseMatrix._share_cut``) uses that.
+    The first call checks m and caches its schedule on m: with at least
+    ``_ROWS_PER_LEVEL`` rows per dependency level a ``_LevelSchedule``,
+    one call of the matrix-vector product's CSR row kernel and one divide
+    per level; otherwise a ``_RowSchedule``, one kernel call per
+    ``_BLOCK`` rows.  Neither changes a row's arithmetic, so x is bitwise
+    the row-by-row result, signed zeros included.  The schedule's
+    pattern half, its cut, depends on m's pattern only; a system matrix
+    that took its problem matrix's cut (``SparseMatrix._share_cut``)
+    uses that.
     """
     schedule = m._trisolve_schedule()
     b = np.asarray(b, dtype=np.float64)

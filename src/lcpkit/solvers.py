@@ -268,12 +268,15 @@ def _iterate(p, cfg, step, to_lambda, on_iterate):
     converged = False
     t0, c0 = time.perf_counter(), time.thread_time()
     for k in range(1, cfg.max_iters + 1):
-        # a step that overflows (a tiny pivot, say) is left to _guard
+        # a step that overflows (a tiny pivot, say) is left to _guard, and
+        # a lambda or Res that overflows (a tiny gamma) to the test of Res
         with np.errstate(over="ignore", invalid="ignore"):
             state = step(state, work)
-        _guard(state, k, bound)
-        lam = to_lambda(state)
-        res = residual(p, lam, work=work)
+            _guard(state, k, bound)
+            lam = to_lambda(state)
+            res = residual(p, lam, work=work)
+        if not np.isfinite(res):
+            raise DivergenceError(f"Res(lambda) is not finite at iteration {k}")
         residuals.append(res)
         if on_iterate is not None:
             on_iterate(k, lam)

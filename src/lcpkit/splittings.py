@@ -112,17 +112,20 @@ def make_splitting(a, kind):
     """Construct the named splitting of a.
 
     The matrices always come from the splitting definitions (the M - N = A
-    identity is checked on every construction); parameterized display
-    shortcuts are never used.
+    identity is checked on every construction, and parameters under which
+    rounding breaks it raise ValueError); parameterized display shortcuts
+    are never used.
     """
     if not isinstance(a, SparseMatrix):
         raise ValueError("expected a SparseMatrix")
     if kind.tag == "custom":
         raise ValueError("use custom_splitting for caller-provided pairs")
-    m_parts, n_parts = _family_parts(a, *kind.effective_parameters())
+    alpha, beta = kind.effective_parameters()
+    m_parts, n_parts = _family_parts(a, alpha, beta)
     # checked before M and N are built: their values are known already
     if not _difference_close(a, m_parts, n_parts):
-        raise AssertionError("splitting failed the M - N = A identity")
+        raise ValueError(f"{kind.tag} splitting with alpha = {alpha:g}, beta = {beta:g}"
+                         " fails M - N = A within tolerance")
     return Splitting(m=a._by_triangle(*m_parts), n_part=a._by_triangle(*n_parts), kind=kind)
 
 

@@ -425,6 +425,7 @@ def _assert_input_error(capsys, argv):
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Warning" not in err
+    return err
 
 
 @pytest.mark.parametrize("command", ["solve", "check"])
@@ -568,6 +569,39 @@ def test_vector_parse_error_names_file_and_line(capsys, tmp_path):
 def test_non_finite_parameter_is_input_error(capsys):
     _assert_input_error(capsys, ["check", "--family", "example1", "--m", "3",
                                  "--method", "npsor", "--alpha", "inf"])
+
+
+_EXAMPLE1_M3 = ["--family", "example1", "--m", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *_EXAMPLE1_M3, "--method", "npsor", "--alpha", "1e-300"],
+    ["solve", *_EXAMPLE1_M3, "--method", "msor", "--alpha", "1e-300"],
+    ["solve", *_EXAMPLE1_M3, "--method", "npaor", "--alpha", "1", "--beta", "1e308"],
+    ["check", "--family", "random", "--m", "5", "--method", "npsor", "--alpha", "1e-300"],
+], ids=["solve-npsor", "solve-msor", "solve-npaor", "check-npsor"])
+def test_splitting_that_fails_m_minus_n_is_input_error(capsys, argv):
+    # finite parameters so extreme that rounding breaks M - N = A
+    err = _assert_input_error(capsys, argv)
+    assert "M - N = A" in err and "alpha = " in err and "Traceback" not in err
+
+
+def test_overflowing_modulus_lambda_is_divergence(capsys):
+    # lambda = (|x| + x) / gamma overflows while x stays inside the
+    # divergence bound: divergence, as with gamma = 1e300, and no numpy
+    # RuntimeWarning on stderr
+    code, _, err = _run(capsys, ["solve", *_EXAMPLE1_M3, "--method", "mgs", "--gamma", "1e-300"])
+    assert code == 2
+    assert err == "did not converge: Res(lambda) is not finite at iteration 1\n"
+
+
+def test_check_names_the_zero_pivot(capsys, tmp_path):
+    # npj's M + 2I + D_A is diag(-1, -1) + 2I + diag(-1, -1) = 0: check
+    # names the row, as solve does, before any dense inverse
+    files = _problem_files(tmp_path, "2 2 3\n1 1 -1\n2 1 0.5\n2 2 -1\n")
+    for command in ("check", "solve"):
+        code, _, err = _run(capsys, [command, *files, "--method", "npj"])
+        assert (code, err) == (1, "error: zero diagonal in row 0\n")
 
 
 _FINITE = st.floats(-10.0, 10.0).map(repr)

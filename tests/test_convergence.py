@@ -17,7 +17,8 @@ from lcpkit.convergence import (
     check_spectral_condition,
     iteration_operator_rho,
 )
-from lcpkit.matrix_core import SparseMatrix, _is_z, _m_probe, classify, comparison_matrix
+from lcpkit.matrix_core import (SingularMatrixError, SparseMatrix, _is_z, _m_probe, classify,
+                               comparison_matrix)
 from lcpkit.problems import gen_example1, gen_example2, gen_random_hplus
 from lcpkit.solvers import shifted_system
 from lcpkit.splittings import SplittingKind, custom_splitting, make_splitting
@@ -82,7 +83,8 @@ def test_dense_inverse_matches_numpy():
         got = _dense_inverse(SparseMatrix.from_dense(dense))
         np.testing.assert_allclose(got, np.linalg.inv(dense), rtol=1e-12, atol=1e-15)
     lower[3, 3] = 0.0
-    with pytest.raises(np.linalg.LinAlgError):
+    # named as the forward solve names it, before dtrtri runs
+    with pytest.raises(SingularMatrixError, match="zero diagonal in row 3"):
         _dense_inverse(SparseMatrix.from_dense(lower))
 
 

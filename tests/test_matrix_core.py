@@ -21,7 +21,7 @@ from lcpkit.matrix_core import (
     write_vector,
 )
 from lcpkit.problems import BenchSpec, gen_random_hplus
-from lcpkit.solvers import _linear_solver_for, shifted_system
+from lcpkit.solvers import ModulusConfig, _linear_solver_for, shifted_system
 from lcpkit.splittings import SplittingKind, custom_splitting, make_splitting
 
 
@@ -698,8 +698,9 @@ def _both_schedules(m):
     """The schedules of both cuts of a solvable lower-triangular m, the
     level cut and the row cut, whichever of them the solve would pick."""
     h, per_row = m._h, np.diff(m.row_starts) - 1
-    return [matrix_core._Schedule.build(h, m.diagonal_vector(), matrix_core._Cut.make(h, *cut))
-            for cut in (matrix_core._level_cut(h, per_row, m.n), matrix_core._row_cut(h))]
+    cuts = (matrix_core._LevelCut.make(h, *matrix_core._level_cut(h, per_row, m.n)),
+            matrix_core._RowCut.make(h))
+    return [cut.schedule(m.values, m.diagonal_vector()) for cut in cuts]
 
 
 def _assert_solves_like_reference(m, b):
@@ -816,11 +817,35 @@ def test_system_matrices_share_the_level_pattern():
         x = _linear_solver_for(lhs, a)(b)
         assert np.array_equal(x.view(np.int64), _reference_trisolve(lhs, b).view(np.int64))
         s = lhs._trisolve_schedule()
-        assert s.order is cut.order and s.rank is cut.rank
-        assert s.row_starts is cut.starts and s.cols is cut.cols
+        # order, rank, the row pointer and the columns are the cut's
+        assert isinstance(s, matrix_core._LevelSchedule) and s.cut is cut
         assert len(s.blocks) == len(cut.levels) == 19
         assert all(mine is theirs for (*_, mine, _), (*_, theirs) in zip(s.blocks, cut.levels))
         schedules.append(s)
+    assert not np.shares_memory(schedules[0].vals, schedules[1].vals)
+
+
+def test_system_matrices_share_the_row_pattern():
+    # a dense random-family matrix has one row per level: its npgs and mgs
+    # system matrices take A's row cut, inner entries included, and each
+    # gathers only its pivots and the values of those entries
+    a = gen_random_hplus(40, 5).a
+    cut = a._lower_cut()
+    assert isinstance(cut, matrix_core._RowCut) and len(cut.blocks) == 3
+    assert cut.inner_entries.size == len(cut.inner_cols) > 0
+    npgs = make_splitting(a, SplittingKind.npgs())
+    omega = ModulusConfig("mgs").effective_omega_scale() * a.diagonal_vector()
+    b = np.random.default_rng(67).uniform(-3.0, 3.0, a.n)
+    schedules = []
+    for lhs in (shifted_system(a, npgs)[0], npgs.m.add_diagonal(omega)):
+        x = _linear_solver_for(lhs, a)(b)
+        assert np.array_equal(x.view(np.int64), _reference_trisolve(lhs, b).view(np.int64))
+        s = lhs._trisolve_schedule()
+        assert isinstance(s, matrix_core._RowSchedule) and s.cut is cut
+        assert s.vals is lhs.values
+        assert s.inner_vals == tuple(lhs.values[cut.inner_entries].tolist())
+        schedules.append(s)
+    assert schedules[0].pivots != schedules[1].pivots
     assert not np.shares_memory(schedules[0].vals, schedules[1].vals)
 
 
@@ -856,33 +881,30 @@ def test_forward_substitution_builds_the_schedule_once(monkeypatch):
     assert builds == [m]
 
 
+def _leaves(value):
+    """What value holds, through its tuples: a cut or a schedule (and the
+    schedule's cut) down to its arrays and Python numbers."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 def test_schedule_arrays_are_read_only():
     # a matrix on the row cut and one on the level cut (the grid)
     for m in (SparseMatrix.from_dense([[2, 0, 0], [-1, 4, 0], [0, 3, 5]]),
               SparseMatrix.from_dense(_GRID)):
         lower_triangular_solve(m, np.ones(m.n))
-        for schedule in (m._trisolve_schedule(), *_both_schedules(m), m._lower_cut()):
-            for name, arr in schedule._asdict().items():
-                if name in ("blocks", "levels") and arr is not None:
-                    # tuples of Python ints and bools, or of views
-                    assert isinstance(arr, tuple) and all(type(b) is tuple for b in arr)
-                    for view in (v for b in arr for v in b if isinstance(v, np.ndarray)):
-                        assert not view.flags.writeable
-                    continue
-                if isinstance(arr, tuple):  # the row cut's Python numbers
-                    assert schedule.order is None
-                    assert name in ("pivots", "inner_starts", "inner_cols", "inner_vals")
-                    continue
-                if arr is None:
-                    # no order nor level pattern under the row cut, no inner
-                    # entries under the level cut
-                    assert name in (("inner_starts", "inner_cols", "inner_vals")
-                                    if schedule.order is not None else
-                                    ("order", "rank", "starts", "cols", "entries", "levels"))
-                    continue
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[...] = 1
+        for plan in (m._trisolve_schedule(), *_both_schedules(m), m._lower_cut()):
+            # every field is set: read-only arrays and views, and tuples of
+            # them or of Python numbers, which a solve converts none of
+            for leaf in _leaves(plan):
+                assert type(leaf) in (int, float, np.ndarray)
+                if type(leaf) is np.ndarray:
+                    assert not leaf.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        leaf[...] = 1
 
 
 def test_forward_substitution_checks_b_on_every_call():
@@ -926,15 +948,19 @@ def test_levels_match_longest_dependency_chain(d):
     # the sweep stops past max_depth levels; the chain bound never exceeds the depth
     assert matrix_core._level_cut(m._h, per_row, depth - 1) is None
     assert 1 <= matrix_core._chain_length(m._h, per_row) <= depth
-    # the solve takes the level cut at _ROWS_PER_LEVEL rows per level or more
-    by_levels = depth * matrix_core._ROWS_PER_LEVEL <= m.n
-    order, starts = (order, starts) if by_levels else matrix_core._row_cut(m._h)
+    # the solve takes the level cut at _ROWS_PER_LEVEL rows per level or
+    # more, else the row cut, runs of _BLOCK rows in order
     lower_triangular_solve(m, np.ones(m.n))
     cut = m._lower_cut()
     assert cut.fits(m)  # m's own pattern
-    assert (cut.order is None) == (order is None)
-    assert order is None or np.array_equal(cut.order, order)
-    assert np.array_equal(cut.block_starts, starts)
+    if depth * matrix_core._ROWS_PER_LEVEL <= m.n:
+        assert isinstance(cut, matrix_core._LevelCut)
+        assert np.array_equal(cut.order, order)
+        assert [(lo, hi) for lo, hi, _ in cut.levels] == list(zip(starts[:-1], starts[1:]))
+    else:
+        assert isinstance(cut, matrix_core._RowCut)
+        assert [(lo, hi) for lo, hi, _ in cut.blocks] == [
+            (lo, min(lo + matrix_core._BLOCK, m.n)) for lo in range(0, m.n, matrix_core._BLOCK)]
 
 
 @_EXACT
@@ -946,25 +972,30 @@ def test_level_cut_stores_no_inner_entries(d):
     # ends with one vectorised divide; each row's diagonal becomes the
     # entry 1.0 on its b_i, after its off-diagonal entries negated
     m = SparseMatrix.from_dense(d)
-    level_cut, row_cut = _both_schedules(m)
-    assert level_cut.inner_starts is level_cut.inner_cols is level_cut.inner_vals is None
-    assert level_cut.vals.size == m.nnz
-    ends = level_cut.row_starts[1:] - 1
-    assert level_cut.cols[ends].tolist() == list(range(m.n, 2 * m.n))
-    assert level_cut.vals[ends].tolist() == [1.0] * m.n
+    level, row = _both_schedules(m)
+    cut = level.cut
+    assert level.vals.size == m.nnz
+    ends = cut.starts[1:] - 1
+    assert cut.cols[ends].tolist() == list(range(m.n, 2 * m.n))
+    assert level.vals[ends].tolist() == [1.0] * m.n
     off = np.ones(m.nnz, dtype=bool)
     off[ends] = False
-    rows = level_cut.order[np.repeat(np.arange(m.n), np.diff(level_cut.row_starts))[off]]
-    cols = level_cut.order[level_cut.cols[off]]
-    assert np.array_equal(level_cut.vals[off], -m.to_dense()[rows, cols])
-    for lo, hi, starts, pivots in level_cut.blocks:
-        assert np.shares_memory(starts, level_cut.row_starts) and starts.size == hi - lo + 1
-        assert np.array_equal(starts, level_cut.row_starts[lo:hi + 1])
-        assert np.array_equal(pivots, m.diagonal_vector()[level_cut.order[lo:hi]])
-    # the row cut reads the matrix's own arrays, and its inner entries are
-    # those that refer to an earlier row of their block, in storage order
-    assert row_cut.row_starts is m.row_starts
-    assert row_cut.cols is m.col_indices and row_cut.vals is m.values
+    position = np.repeat(np.arange(m.n), np.diff(cut.starts))[off]
+    rows, cols = cut.order[position], cut.order[cut.cols[off]]
+    assert np.array_equal(level.vals[off], -m.to_dense()[rows, cols])
+    level_lo = np.empty(m.n, dtype=int)
+    for lo, hi, starts, pivots in level.blocks:
+        assert np.shares_memory(starts, cut.starts) and starts.size == hi - lo + 1
+        assert np.array_equal(starts, cut.starts[lo:hi + 1])
+        assert np.array_equal(pivots, m.diagonal_vector()[cut.order[lo:hi]])
+        level_lo[lo:hi] = lo
+    # no entry refers to a position of its own level
+    assert np.all(cut.cols[off] < level_lo[position])
+    # the row cut's schedule reads the matrix's own arrays, and its inner
+    # entries are those that refer to an earlier row of their block, in
+    # storage order
+    assert row.cut.row_starts is m.row_starts
+    assert row.cut.col_indices is m.col_indices and row.vals is m.values
     inner_cols, inner_vals = [], []
     for i in range(m.n):
         first = i - i % matrix_core._BLOCK
@@ -972,11 +1003,10 @@ def test_level_cut_stores_no_inner_entries(d):
             if first <= m.col_indices[k] < i:
                 inner_cols.append(m.col_indices[k] - first)
                 inner_vals.append(m.values[k])
-        assert row_cut.inner_starts[i + 1] == len(inner_vals)
-    assert list(row_cut.inner_cols) == inner_cols
-    assert list(row_cut.inner_vals) == inner_vals
-    assert all(has_inner == (row_cut.inner_starts[hi] > row_cut.inner_starts[lo])
-               for lo, hi, has_inner in row_cut.blocks)
+        assert row.cut.inner_starts[i + 1] == len(inner_vals)
+    assert list(row.cut.inner_cols) == inner_cols
+    assert list(row.inner_vals) == inner_vals
+    assert row.pivots == tuple(m.diagonal_vector().tolist())
 
 
 def test_schedule_choice_on_the_benchmark_matrices():
@@ -989,14 +1019,16 @@ def test_schedule_choice_on_the_benchmark_matrices():
                       (tridiagonal, 4)):
         lhs = shifted_system(a, make_splitting(a, SplittingKind.npgs()))[0]
         s = lhs._trisolve_schedule()
-        assert len(s.blocks) == blocks
         if blocks == 19:
             assert max(_levels_by_loop(lhs)) + 1 == 19
-            assert s.inner_vals is None
+            assert isinstance(s, matrix_core._LevelSchedule) and len(s.blocks) == 19
         else:
-            assert s.order is None
-            assert [(lo, hi) for lo, hi, *_ in s.blocks] == [
+            assert isinstance(s, matrix_core._RowSchedule)
+            assert [(lo, hi) for lo, hi, _ in s.cut.blocks] == [
                 (lo, min(lo + 16, lhs.n)) for lo in range(0, lhs.n, 16)]
+            # every block has inner entries, which a row finishes in floats
+            starts = s.cut.inner_starts
+            assert all(starts[hi] > starts[lo] for lo, hi, _ in s.cut.blocks)
     # one chain of all the rows: the level sweep is skipped
     assert matrix_core._chain_length(lhs._h, np.diff(lhs.row_starts) - 1) == 50
 

@@ -150,7 +150,7 @@ def test_make_splitting_catches_a_wrong_coefficient(monkeypatch, which):
 
     monkeypatch.setattr(splittings, "_family_parts", mutated)
     a = SparseMatrix.from_dense([[4, -1, -2], [-1, 4, -1], [-3, -1, 4]])
-    with pytest.raises(AssertionError, match="M - N = A"):
+    with pytest.raises(ValueError, match="M - N = A"):
         make_splitting(a, SplittingKind.npsor(1.5))
 
 

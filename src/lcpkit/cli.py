@@ -302,8 +302,7 @@ def _table_cells(args):
     setup = TABLE_SETUPS[args.which]
     sizes = _parse_sizes(args.sizes, setup["sizes"])
     for n in sizes:
-        m = math.isqrt(n)
-        if m * m != n or m < 2:
+        if n < 4 or math.isqrt(n) ** 2 != n:
             raise UsageError(f"table sizes must be perfect squares >= 4, got {n}")
     problems = [BenchSpec(setup["family"], math.isqrt(n), args.delta).build()
                 for n in sizes]

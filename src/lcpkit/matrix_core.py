@@ -16,11 +16,12 @@ the level cut (``_LevelCut``, ``_LevelSchedule``) takes the rows level
 by level and serves a matrix with enough rows per level; the row cut
 (``_RowCut``, ``_RowSchedule``) takes them in order, 16 at a time.  A
 schedule is built on the first solve and cached on the (immutable)
-matrix.  A cut depends on the pattern only, so the system matrices of
-one problem, which share its lower triangle's pattern, share one cut,
-cached on the problem matrix.  Dense fallbacks (inverses, principal
-minors) are reserved for certification and tests on small matrices,
-never for solver hot paths; a dense inverse or LU needs n <= DENSE_LIMIT.
+matrix.  A cut depends on the pattern only, which it reads from the
+matrix it was cut from; the system matrices of one problem share the
+first cut made for one of them, which the problem matrix keeps.  Dense
+fallbacks (inverses, principal minors) are reserved for certification
+and tests on small matrices, never for solver hot paths; a dense
+inverse or LU needs n <= DENSE_LIMIT.
 """
 
 import itertools
@@ -40,6 +41,16 @@ class SingularMatrixError(ValueError):
     """A triangular or diagonal system has a zero (or missing) pivot."""
 
 
+def _integers(x, what):
+    """x, a number or array, as int64; a fraction, which a cast would
+    truncate, raises ValueError naming what.  2.0 is taken as 2."""
+    x = np.asarray(x)
+    kind = x.dtype.kind
+    if kind not in "biu" and not (kind == "f" and np.all(np.isfinite(x) & (np.trunc(x) == x))):
+        raise ValueError(f"{what} must be integral")
+    return x.astype(np.int64, copy=False)
+
+
 class SparseMatrix:
     """Square real matrix in compressed sparse row form.
 
@@ -55,11 +66,11 @@ class SparseMatrix:
     __slots__ = ("_h", "_cut", "_schedule")
 
     def __init__(self, n, row_starts, col_indices, values):
-        n = int(n)
+        n = int(_integers(n, "dimension"))
         if n <= 0:
             raise ValueError("dimension must be positive")
-        row_starts = np.asarray(row_starts)
-        col_indices = np.asarray(col_indices)
+        row_starts = _integers(row_starts, "row_starts")
+        col_indices = _integers(col_indices, "col_indices")
         values = np.asarray(values, dtype=np.float64)
         # scipy silently prunes index and value arrays longer than the span
         if row_starts.shape != (n + 1,):
@@ -102,11 +113,11 @@ class SparseMatrix:
     @classmethod
     def from_coo(cls, n, rows, cols, vals):
         """Build from triplets; duplicates are summed, exact zeros dropped."""
-        n = int(n)
+        n = int(_integers(n, "dimension"))
         if n <= 0:
             raise ValueError("dimension must be positive")
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        rows = _integers(rows, "entry indices")
+        cols = _integers(cols, "entry indices")
         if rows.size:
             if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
                 raise ValueError("entry index out of range")
@@ -165,31 +176,6 @@ class SparseMatrix:
         diagonal, 0 on it and 1 above it."""
         rows = np.repeat(np.arange(self.n, dtype=self.col_indices.dtype), np.diff(self.row_starts))
         return np.sign(self.col_indices - rows)
-
-    def _lower_cut(self):
-        """The cut (``_LevelCut`` or ``_RowCut``) of forward substitution
-        on this matrix's lower triangle with a full diagonal, made on
-        first use and kept with the matrix."""
-        if self._cut is None:
-            self._cut = _choose_cut(self._by_triangle(1.0, 1.0, 0.0)._h)
-        return self._cut
-
-    def _share_cut(self, other):
-        """Take other's lower-triangle cut as this matrix's own when this
-        matrix's pattern is other's lower triangle with a full diagonal:
-        the system matrices of one problem then make one cut between
-        them."""
-        if self._cut is None:
-            cut = other._lower_cut()
-            if cut.fits(self):
-                self._cut = cut
-
-    def _trisolve_schedule(self):
-        """The forward-substitution schedule, built on first use and kept
-        with the matrix; a matrix that cannot be solved caches nothing."""
-        if self._schedule is None:
-            self._schedule = _build_schedule(self)
-        return self._schedule
 
     def to_dense(self):
         return self._h.toarray()
@@ -644,8 +630,9 @@ def _fits(cut, m):
 
 class _LevelCut(NamedTuple):
     """The level cut of a lower-triangular CSR pattern with a full
-    diagonal (``row_starts``, ``col_indices``): its rows level by level,
-    so that no row refers to a row of its own level.
+    diagonal (``row_starts``, ``col_indices``, the arrays of the matrix
+    it was cut from): its rows level by level, so that no row refers to
+    a row of its own level.
 
     It is the pattern half of the schedule (``_LevelSchedule``) of every
     matrix with that pattern, made once for all of them: ``order``, the
@@ -750,10 +737,11 @@ class _LevelSchedule(NamedTuple):
 
 class _RowCut(NamedTuple):
     """The row cut of a lower-triangular CSR pattern with a full diagonal
-    (``row_starts``, ``col_indices``): its rows in storage order, _BLOCK
-    at a time, ``blocks`` holding one tuple (lo, hi, row_starts[lo:hi +
-    1]) per block.  It is the pattern half of the schedule
-    (``_RowSchedule``) of every matrix with that pattern.
+    (``row_starts``, ``col_indices``, the arrays of the matrix it was
+    cut from): its rows in storage order, _BLOCK at a time, ``blocks``
+    holding one tuple (lo, hi, row_starts[lo:hi + 1]) per block.  It is
+    the pattern half of the schedule (``_RowSchedule``) of every matrix
+    with that pattern.
 
     An entry is inner when it refers to an earlier row of its own block.
     Row i's inner entries are ``inner_starts[i]:inner_starts[i + 1]`` of
@@ -889,13 +877,23 @@ def _choose_cut(h):
     return _RowCut.make(h) if levels is None else _LevelCut.make(h, *levels)
 
 
-def _build_schedule(m):
-    """The forward-substitution schedule of m under m's cut, after
-    checking that m is lower triangular with a nonzero diagonal."""
-    if not m.is_lower_triangular():
-        raise ValueError("matrix has entries above the diagonal")
-    pivots = _pivots(m)
-    return m._lower_cut().schedule(m.values, pivots)
+def _schedule(m, problem=None):
+    """m's forward-substitution schedule, built once after checking that
+    m is lower triangular with a nonzero diagonal (a failed check caches
+    nothing) and kept with m.  It takes the cut problem holds when that
+    fits m, else cuts m's own pattern and leaves the cut with a problem
+    that holds none, so a problem's system matrices make one cut."""
+    if m._schedule is None:
+        if not m.is_lower_triangular():
+            raise ValueError("matrix has entries above the diagonal")
+        pivots = _pivots(m)
+        cut = None if problem is None else problem._cut
+        if cut is None or not cut.fits(m):
+            cut = _choose_cut(m._h)
+            if problem is not None and problem._cut is None:
+                problem._cut = cut
+        m._schedule = cut.schedule(m.values, pivots)
+    return m._schedule
 
 
 def lower_triangular_solve(m, b):
@@ -913,11 +911,9 @@ def lower_triangular_solve(m, b):
     per level; otherwise a ``_RowSchedule``, one kernel call per
     ``_BLOCK`` rows.  Neither changes a row's arithmetic, so x is bitwise
     the row-by-row result, signed zeros included.  The schedule's
-    pattern half, its cut, depends on m's pattern only; a system matrix
-    that took its problem matrix's cut (``SparseMatrix._share_cut``)
-    uses that.
+    pattern half, its cut, may be shared (``_schedule``).
     """
-    schedule = m._trisolve_schedule()
+    schedule = _schedule(m)
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (m.n,):
         raise ValueError("right-hand side length mismatch")

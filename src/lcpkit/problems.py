@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import SparseMatrix
+from .matrix_core import SparseMatrix, _integers
 from .solvers import LcpProblem, alternating_solution
 
 ORACLE_LIMIT = 20
@@ -29,7 +29,7 @@ class BenchSpec:
     def __post_init__(self):
         if self.family not in ("example1", "example2"):
             raise ValueError("family must be 'example1' or 'example2'")
-        if self.m < 2:
+        if _integers(self.m, "block order m") < 2:
             raise ValueError("block order m must be at least 2")
         if not 0.0 <= self.delta1 < np.inf:
             raise ValueError("delta1 must be nonnegative and finite")
@@ -42,6 +42,7 @@ class BenchSpec:
 def _block_tridiag(m, delta1, sub, sup):
     """A = P1 + delta1*I with tridiag(-1, 4, -1) diagonal blocks and
     sub*I / sup*I off-diagonal blocks; n = m*m."""
+    m = int(_integers(m, "block order m"))
     if m < 2:
         raise ValueError("block order m must be at least 2")
     if delta1 < 0.0:
@@ -86,6 +87,7 @@ def gen_random_hplus(n, seed):
     positive diagonal.  sigma is uniform on [-5, 5].  Draw order is
     fixed (off-diagonals, bumps, sigma) so instances are reproducible.
     """
+    n = int(_integers(n, "n"))
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_core import (DENSE_LIMIT, SingularMatrixError, SparseMatrix, _pivots,
+from .matrix_core import (DENSE_LIMIT, SingularMatrixError, SparseMatrix, _pivots, _schedule,
                           lower_triangular_solve)
 from .splittings import Splitting, SplittingKind, make_splitting
 
@@ -206,18 +206,18 @@ def _linear_solver_for(lhs, a):
     """Pick the cheapest exact solver the structure of lhs, a system
     matrix of the problem matrix a, admits.
 
-    Diagonal and lower-triangular systems go to substitution; a
-    lower-triangular lhs with the pattern of a's lower triangle takes
-    a's cut of it, which the problem's other system matrices share; anything
-    else (custom splittings) gets a one-time dense LU, capped at
-    n <= DENSE_LIMIT so the fallback can't masquerade as a
-    sparse method at scale.
+    Diagonal and lower-triangular systems go to substitution, the latter
+    with its schedule built here, sharing a's cut (``_schedule``);
+    anything else (custom splittings) gets a one-time dense LU, capped at
+    n <= DENSE_LIMIT so the fallback can't masquerade as a sparse method
+    at scale.
     """
-    if lhs.is_diagonal():
-        d = _pivots(lhs)
-        return lambda b: b / d
     if lhs.is_lower_triangular():
-        lhs._share_cut(a)
+        if lhs.nnz == lhs.n:
+            # n entries: all on the diagonal, or a pivot is zero and _pivots raises
+            d = _pivots(lhs)
+            return lambda b: b / d
+        _schedule(lhs, a)
         return lambda b: lower_triangular_solve(lhs, b)
     if lhs.n > DENSE_LIMIT:
         raise ValueError(

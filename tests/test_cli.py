@@ -311,6 +311,12 @@ def test_table_rejects_non_square_size(capsys):
     assert "perfect squares" in err
 
 
+@pytest.mark.parametrize("sizes", ["-4", "4,-9"])
+def test_table_rejects_negative_size(capsys, sizes):
+    err = _assert_input_error(capsys, ["table", "table1", "--sizes", sizes])
+    assert "table sizes must be perfect squares >= 4, got -" in err
+
+
 def test_table_rejects_malformed_sizes(capsys):
     code, _, err = _run(capsys, ["table", "table1", "--sizes", "100,abc"])
     assert code == 1

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lcpkit import matrix_core
+from lcpkit import matrix_core, solvers
 from lcpkit.matrix_core import (
     SingularMatrixError,
     SparseMatrix,
@@ -21,7 +21,7 @@ from lcpkit.matrix_core import (
     write_vector,
 )
 from lcpkit.problems import BenchSpec, gen_random_hplus
-from lcpkit.solvers import ModulusConfig, _linear_solver_for, shifted_system
+from lcpkit.solvers import ModulusConfig, SolverConfig, _linear_solver_for, shifted_system
 from lcpkit.splittings import SplittingKind, custom_splitting, make_splitting
 
 
@@ -67,6 +67,27 @@ def test_invalid_construction_rejected():
             SparseMatrix(1, [0, 1], [0], [bad])
     with pytest.raises(ValueError, match="finite"):  # overflow while summing
         SparseMatrix.from_coo(1, [0, 0], [0, 0], [1e308, 1e308])
+
+
+def test_constructors_reject_fractional_dimensions_and_indices():
+    # a fraction is refused, not truncated; an integral float is taken
+    with pytest.raises(ValueError, match="entry indices must be integral"):
+        SparseMatrix.from_coo(2, [0.7, 1], [1.9, 1], [1.0, 2.0])
+    for bad in ([np.nan], ["1"], [None]):
+        with pytest.raises(ValueError, match="entry indices must be integral"):
+            SparseMatrix.from_coo(2, bad, [0], [1.0])
+    with pytest.raises(ValueError, match="row_starts must be integral"):
+        SparseMatrix(2, [0.0, 1.5, 2.0], [0, 1], [1.0, 2.0])
+    with pytest.raises(ValueError, match="col_indices must be integral"):
+        SparseMatrix(2, [0, 1, 2], [0.5, 1], [1.0, 2.0])
+    for n in (2.7, np.inf):
+        with pytest.raises(ValueError, match="dimension must be integral"):
+            SparseMatrix(n, [0, 1, 2], [0, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="dimension must be integral"):
+            SparseMatrix.from_coo(n, [0], [0], [1.0])
+    m = SparseMatrix(2.0, [0.0, 1.0, 2.0], [0.0, 1.0], [1.0, 2.0])
+    assert m == SparseMatrix.diagonal([1.0, 2.0]) and m.row_starts.dtype == np.int32
+    assert SparseMatrix.from_coo(2.0, [1.0], [0.0], [3.0]).to_dense()[1, 0] == 3.0
 
 
 def test_matrices_are_immutable():
@@ -784,67 +805,117 @@ def test_csr_kernel_into_its_own_x_is_matvec(d, x, lo, rows):
     assert np.array_equal(x.view(np.int64), want.view(np.int64))
 
 
-def test_custom_splitting_with_another_pattern_makes_its_own_cut():
-    # M has an entry where A's lower triangle has none, so the system
-    # matrix cannot take A's cut; it cuts its own pattern and solves as
-    # the row-by-row loop does
-    a = BenchSpec("example1", 4).build().a
+def _custom_system_matrix(a):
+    """A custom splitting's system matrix whose M has an entry, (5, 0),
+    where A's lower triangle has none, so that its pattern is not the
+    named splittings'."""
     m = np.tril(a.to_dense())
     m[5, 0] = -0.5
     m = SparseMatrix.from_dense(m)
-    lhs = shifted_system(a, custom_splitting(a, m, m.subtract(a)))[0]
-    solve = _linear_solver_for(lhs, a)
-    assert not a._lower_cut().fits(lhs)
-    b = np.random.default_rng(59).uniform(-3.0, 3.0, lhs.n)
-    assert np.array_equal(solve(b), _reference_trisolve(lhs, b))
-    assert lhs._cut is not a._cut and lhs._cut.fits(lhs)
-    # a named splitting's system matrix takes A's cut itself
-    lhs = shifted_system(a, make_splitting(a, SplittingKind.npgs()))[0]
-    _linear_solver_for(lhs, a)
-    assert lhs._cut is a._cut
+    return shifted_system(a, custom_splitting(a, m, m.subtract(a)))[0]
+
+
+def _named_system_matrices(a):
+    """The system matrices of table 1's mgs, msor, npgs and npsor solves
+    of a, built as the solvers build them."""
+    d = a.diagonal_vector()
+    lhs = []
+    for variant, alpha, kind in (("mgs", 1.0, SplittingKind.npgs()),
+                                 ("msor", 0.85, SplittingKind.npsor(0.85))):
+        omega = ModulusConfig(variant, alpha).effective_omega_scale() * d
+        lhs.append(make_splitting(a, kind).m.add_diagonal(omega))
+    for kind in (SplittingKind.npgs(), SplittingKind.npsor(1.7)):
+        lhs.append(shifted_system(a, make_splitting(a, kind))[0])
+    return lhs
+
+
+def test_custom_splitting_with_another_pattern_makes_its_own_cut():
+    # A keeps the first cut made for one of its system matrices.  Solved
+    # after the named system matrices, the custom one cannot take their
+    # cut and cuts its own pattern; solved before them, its cut stays
+    # with A and the named ones each cut their own.  Either way every
+    # solve is bitwise the row-by-row loop's
+    b = np.random.default_rng(59).uniform(-3.0, 3.0, 16)
+    for custom_first in (False, True):
+        a = BenchSpec("example1", 4).build().a
+        custom, named = _custom_system_matrix(a), _named_system_matrices(a)
+        for lhs in [custom, *named] if custom_first else [*named, custom]:
+            x = _linear_solver_for(lhs, a)(b)
+            assert np.array_equal(x.view(np.int64), _reference_trisolve(lhs, b).view(np.int64))
+        own = matrix_core._schedule(custom).cut
+        cuts = [matrix_core._schedule(lhs).cut for lhs in named]
+        assert own.fits(custom) and not own.fits(named[0])
+        assert all(cut.fits(lhs) for cut, lhs in zip(cuts, named))
+        if custom_first:
+            assert a._cut is own and len({id(cut) for cut in cuts}) == 4
+        else:
+            assert own is not a._cut and all(cut is a._cut for cut in cuts)
+
+
+def test_table1_methods_make_one_cut(monkeypatch):
+    # the mgs, msor, npgs and npsor solves of one table-1 problem, run as
+    # the table runs them, make one cut between their system matrices;
+    # it reads the pattern from the first system matrix's own arrays
+    cuts, schedules = [], []
+    choose = matrix_core._choose_cut
+    monkeypatch.setattr(matrix_core, "_choose_cut", lambda h: cuts.append(choose(h)) or cuts[-1])
+    monkeypatch.setattr(solvers, "_schedule",
+                        lambda m, a: schedules.append((m, matrix_core._schedule(m, a))))
+    p = BenchSpec("example1", 10).build()
+    cfg = SolverConfig()
+    for variant, alpha in (("mgs", 1.0), ("msor", 0.85)):
+        solvers.modulus_solve(p, cfg, ModulusConfig(variant, alpha))
+    for kind in (SplittingKind.npgs(), SplittingKind.npsor(1.7)):
+        solvers.projected_solve(p, make_splitting(p.a, kind), cfg)
+    assert len(cuts) == 1 and len(schedules) == 4
+    cut = cuts[0]
+    assert p.a._cut is cut and all(s.cut is cut for _, s in schedules)
+    first = schedules[0][0]
+    assert cut.row_starts is first.row_starts and cut.col_indices is first.col_indices
 
 
 def test_system_matrices_share_the_level_pattern():
     # the level cut holds the pattern half of the schedules made from it,
     # so each system matrix of a problem gathers only its values and pivots
     a = BenchSpec("example1", 10).build().a
-    cut = a._lower_cut()
-    assert np.array_equal(cut.order[cut.rank], np.arange(a.n))
     b = np.random.default_rng(61).uniform(-3.0, 3.0, a.n)
     schedules = []
     for kind in (SplittingKind.npgs(), SplittingKind.npsor(1.7)):
         lhs = shifted_system(a, make_splitting(a, kind))[0]
         x = _linear_solver_for(lhs, a)(b)
         assert np.array_equal(x.view(np.int64), _reference_trisolve(lhs, b).view(np.int64))
-        s = lhs._trisolve_schedule()
+        schedules.append(matrix_core._schedule(lhs))
+    cut = a._cut
+    assert np.array_equal(cut.order[cut.rank], np.arange(a.n))
+    for s in schedules:
         # order, rank, the row pointer and the columns are the cut's
         assert isinstance(s, matrix_core._LevelSchedule) and s.cut is cut
         assert len(s.blocks) == len(cut.levels) == 19
         assert all(mine is theirs for (*_, mine, _), (*_, theirs) in zip(s.blocks, cut.levels))
-        schedules.append(s)
     assert not np.shares_memory(schedules[0].vals, schedules[1].vals)
 
 
 def test_system_matrices_share_the_row_pattern():
     # a dense random-family matrix has one row per level: its npgs and mgs
-    # system matrices take A's row cut, inner entries included, and each
+    # system matrices share one row cut, inner entries included, and each
     # gathers only its pivots and the values of those entries
     a = gen_random_hplus(40, 5).a
-    cut = a._lower_cut()
-    assert isinstance(cut, matrix_core._RowCut) and len(cut.blocks) == 3
-    assert cut.inner_entries.size == len(cut.inner_cols) > 0
     npgs = make_splitting(a, SplittingKind.npgs())
     omega = ModulusConfig("mgs").effective_omega_scale() * a.diagonal_vector()
     b = np.random.default_rng(67).uniform(-3.0, 3.0, a.n)
+    system_matrices = (shifted_system(a, npgs)[0], npgs.m.add_diagonal(omega))
     schedules = []
-    for lhs in (shifted_system(a, npgs)[0], npgs.m.add_diagonal(omega)):
+    for lhs in system_matrices:
         x = _linear_solver_for(lhs, a)(b)
         assert np.array_equal(x.view(np.int64), _reference_trisolve(lhs, b).view(np.int64))
-        s = lhs._trisolve_schedule()
+        schedules.append(matrix_core._schedule(lhs))
+    cut = a._cut
+    assert isinstance(cut, matrix_core._RowCut) and len(cut.blocks) == 3
+    assert cut.inner_entries.size == len(cut.inner_cols) > 0
+    for lhs, s in zip(system_matrices, schedules):
         assert isinstance(s, matrix_core._RowSchedule) and s.cut is cut
         assert s.vals is lhs.values
         assert s.inner_vals == tuple(lhs.values[cut.inner_entries].tolist())
-        schedules.append(s)
     assert schedules[0].pivots != schedules[1].pivots
     assert not np.shares_memory(schedules[0].vals, schedules[1].vals)
 
@@ -872,13 +943,15 @@ def test_forward_substitution_rejects_upper_entries():
 
 
 def test_forward_substitution_builds_the_schedule_once(monkeypatch):
-    builds = []
-    build = matrix_core._build_schedule
-    monkeypatch.setattr(matrix_core, "_build_schedule", lambda m: builds.append(m) or build(m))
+    cuts = []
+    choose = matrix_core._choose_cut
+    monkeypatch.setattr(matrix_core, "_choose_cut", lambda h: cuts.append(h) or choose(h))
     m = SparseMatrix.from_dense([[2, 0, 0], [-1, 4, 0], [0, 3, 5]])
+    schedules = []
     for b in (np.array([2.0, 3.0, 8.0]), np.array([1.0, 0.0, -1.0])):
         assert np.array_equal(lower_triangular_solve(m, b), _reference_trisolve(m, b))
-    assert builds == [m]
+        schedules.append(m._schedule)
+    assert cuts == [m._h] and schedules[0] is schedules[1]
 
 
 def _leaves(value):
@@ -896,7 +969,8 @@ def test_schedule_arrays_are_read_only():
     for m in (SparseMatrix.from_dense([[2, 0, 0], [-1, 4, 0], [0, 3, 5]]),
               SparseMatrix.from_dense(_GRID)):
         lower_triangular_solve(m, np.ones(m.n))
-        for plan in (m._trisolve_schedule(), *_both_schedules(m), m._lower_cut()):
+        # a schedule holds its cut
+        for plan in (matrix_core._schedule(m), *_both_schedules(m)):
             # every field is set: read-only arrays and views, and tuples of
             # them or of Python numbers, which a solve converts none of
             for leaf in _leaves(plan):
@@ -951,8 +1025,9 @@ def test_levels_match_longest_dependency_chain(d):
     # the solve takes the level cut at _ROWS_PER_LEVEL rows per level or
     # more, else the row cut, runs of _BLOCK rows in order
     lower_triangular_solve(m, np.ones(m.n))
-    cut = m._lower_cut()
-    assert cut.fits(m)  # m's own pattern
+    cut = matrix_core._schedule(m).cut
+    # m's own pattern, read from m's own arrays
+    assert cut.row_starts is m.row_starts and cut.col_indices is m.col_indices
     if depth * matrix_core._ROWS_PER_LEVEL <= m.n:
         assert isinstance(cut, matrix_core._LevelCut)
         assert np.array_equal(cut.order, order)
@@ -1018,7 +1093,7 @@ def test_schedule_choice_on_the_benchmark_matrices():
                       (gen_random_hplus(40, 3).a, 3),
                       (tridiagonal, 4)):
         lhs = shifted_system(a, make_splitting(a, SplittingKind.npgs()))[0]
-        s = lhs._trisolve_schedule()
+        s = matrix_core._schedule(lhs)
         if blocks == 19:
             assert max(_levels_by_loop(lhs)) + 1 == 19
             assert isinstance(s, matrix_core._LevelSchedule) and len(s.blocks) == 19

@@ -102,6 +102,16 @@ def test_random_hplus_is_deterministic_and_h_plus():
     assert rep.is_h_plus and rep.is_p
 
 
+def test_generators_reject_fractional_sizes():
+    # the generators' own checks refuse a fraction; an integral float is taken
+    for build in (lambda m: BenchSpec("example1", m).build(),
+                  lambda m: gen_example2(m, 4.0),
+                  lambda m: gen_random_hplus(m, 0)):
+        with pytest.raises(ValueError, match="must be integral"):
+            build(3.5)
+        assert build(3.0).a == build(3).a
+
+
 def test_random_hplus_scalar_case():
     p = gen_random_hplus(1, 0)
     assert p.n == 1 and p.a.to_dense()[0, 0] > 0.0

@@ -1,14 +1,15 @@
 """Sparse CSR primitives, matrix classification, and spectral-radius estimation.
 
-A matrix is stored once, as a read-only scipy CSR handle with scipy's
-index dtype; assembly, addition, triangles, densification and the
-matrix-vector product all run in ``scipy.sparse``.  lcpkit adds the
-invariants on top (square, sorted columns, no stored zeros, finite
-values, immutable arrays) and keeps everything deterministic: every
-reduction runs in a fixed order, and the only factorization on offer is
-triangular substitution.  A row sum, in the matrix-vector product and
-in forward substitution alike, adds the row's rounded products left to
-right in storage order, in scipy's compiled CSR row kernel.
+A matrix is stored once, as its own read-only CSR arrays with scipy's
+index dtype.  Every operation is numpy, or the compiled kernels scipy's
+sparse layer calls (``scipy.sparse._sparsetools``) in its order, so the
+results are bitwise scipy's, while ``scipy.sparse`` itself is imported
+only by ``to_scipy`` and the witness solve.  lcpkit keeps the
+invariants (square, sorted columns, no stored zeros, finite values,
+immutable arrays) and every reduction in a fixed order; the only
+factorization on offer is triangular substitution.  A row sum, in the
+matrix-vector product and in forward substitution alike, adds the row's
+rounded products left to right in storage order, in ``csr_matvec``.
 
 Forward substitution follows one of two plans, each a cut, the rows cut
 into blocks, and a schedule, which adds a matrix's values to its cut:
@@ -24,17 +25,43 @@ and tests on small matrices, never for solver hot paths; a dense
 inverse or LU needs n <= DENSE_LIMIT.
 """
 
+import importlib.machinery
+import importlib.util
 import itertools
+import os
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 DENSE_LIMIT = 2000
+
+
+def _load_kernels():
+    """``scipy.sparse._sparsetools``, loaded from its file in scipy's
+    install and registered under its own name, where a later ``import
+    scipy.sparse`` finds it: importing it by name would run that costly
+    package import first.  Without the file, it is imported by name."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy_dir, "sparse", "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            sys.modules[name] = module
+            loader.exec_module(module)
+            return module
+    return importlib.import_module(name)
+
+
+_kernels = _load_kernels()
+_csr_matvec = _kernels.csr_matvec
 
 
 class SingularMatrixError(ValueError):
@@ -51,19 +78,32 @@ def _integers(x, what):
     return x.astype(np.int64, copy=False)
 
 
+def _index_dtype(maxval):
+    """scipy's index dtype for indices up to maxval: int32 while it fits."""
+    return np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
+
+
+def _product(m, values, x):
+    """(m's pattern with these values) @ x in a fresh vector, each row
+    summed onto 0.0 by ``csr_matvec``, as scipy's product sums it."""
+    y = np.zeros(m.n)
+    _csr_matvec(m.n, m.n, m.row_starts, m.col_indices, values, x, y)
+    return y
+
+
 class SparseMatrix:
     """Square real matrix in compressed sparse row form.
 
-    The one storage is a scipy ``csr_matrix``, built once with read-only
-    arrays; ``row_starts``, ``col_indices`` and ``values`` are views onto
-    it, with scipy's index dtype (int32 while it fits).  This type adds
-    lcpkit's invariants: column indices are strictly increasing within
-    each row, no stored value is exactly zero and every stored value is
-    finite; every construction checks them.  Instances are immutable and
-    safe to share across threads.
+    ``row_starts``, ``col_indices`` and ``values`` are the matrix's own
+    read-only arrays, with scipy's index dtype (int32 while it fits); a
+    matrix built from another one's pattern shares its index arrays.
+    This type keeps lcpkit's invariants: column indices are strictly
+    increasing within each row, no stored value is exactly zero and
+    every stored value is finite; every construction checks them.
+    Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("_h", "_cut", "_schedule")
+    __slots__ = ("_n", "_row_starts", "_col_indices", "_values", "_tri", "_cut", "_schedule")
 
     def __init__(self, n, row_starts, col_indices, values):
         n = int(_integers(n, "dimension"))
@@ -71,58 +111,80 @@ class SparseMatrix:
             raise ValueError("dimension must be positive")
         row_starts = _integers(row_starts, "row_starts")
         col_indices = _integers(col_indices, "col_indices")
-        values = np.asarray(values, dtype=np.float64)
-        # scipy silently prunes index and value arrays longer than the span
+        values = np.array(values, dtype=np.float64)
         if row_starts.shape != (n + 1,):
             raise ValueError("row_starts must have length n + 1")
-        if col_indices.size != values.size:
+        if col_indices.ndim != 1 or col_indices.shape != values.shape:
             raise ValueError("col_indices and values length mismatch")
         if row_starts[0] != 0 or row_starts[-1] != values.size:
             raise ValueError("row_starts must span [0, nnz]")
         if np.any(values == 0.0):
             raise ValueError("explicit zero entries are not allowed")
-        h = scipy.sparse.csr_matrix((values, col_indices, row_starts), shape=(n, n), copy=True)
-        h.check_format(full_check=True)
-        if not h.has_canonical_format:
+        if np.any(np.diff(row_starts) < 0):
+            raise ValueError("row_starts must be nondecreasing")
+        if values.size and (col_indices.min() < 0 or col_indices.max() >= n):
+            raise ValueError("column index out of range")
+        first = np.zeros(values.size + 1, dtype=bool)  # a row's first entry may take any column
+        first[row_starts] = True
+        if np.any((np.diff(col_indices) <= 0) & ~first[1:-1]):
             raise ValueError("column indices must be strictly increasing per row")
-        self._own(h)
+        idx = _index_dtype(max(n, values.size))
+        self._own(n, row_starts.astype(idx), col_indices.astype(idx), values)
 
-    def _own(self, h):
-        """Make h this matrix's storage: finite values, read-only arrays."""
-        if not np.all(np.isfinite(h.data)):
+    def _own(self, n, row_starts, col_indices, values, tri=None):
+        """Take these CSR arrays, and tri, their entries' triangles, as
+        storage: zeros dropped (from values in place) by scipy's
+        ``csr_eliminate_zeros``, values checked finite, arrays made
+        read-only."""
+        keep = values != 0.0
+        if not keep.all():
+            tri = None if tri is None else tri[keep]
+            row_starts, col_indices = row_starts.copy(), col_indices.copy()
+            _kernels.csr_eliminate_zeros(n, n, row_starts, col_indices, values)
+            nnz = row_starts[-1]
+            col_indices, values = col_indices[:nnz].copy(), values[:nnz].copy()
+        if not np.all(np.isfinite(values)):
             raise ValueError("matrix entry is not finite (nan/inf input or overflow)")
-        for arr in (h.indptr, h.indices, h.data):
+        for arr in (row_starts, col_indices, values):
             arr.setflags(write=False)
-        self._h = h
-        self._cut = None
-        self._schedule = None
+        self._n, self._row_starts, self._col_indices, self._values = (
+            n, row_starts, col_indices, values)
+        self._tri, self._cut, self._schedule = tri, None, None
+        return self
+
+    @classmethod
+    def _made(cls, *arrays):
+        return cls.__new__(cls)._own(*arrays)
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
-    def _canonical(cls, h):
-        """Own a fresh scipy result: CSR, duplicates summed, exact zeros dropped."""
-        h = h.tocsr()
-        h.sum_duplicates()
-        h.eliminate_zeros()
-        m = cls.__new__(cls)
-        m._own(h)
-        return m
-
-    @classmethod
     def from_coo(cls, n, rows, cols, vals):
-        """Build from triplets; duplicates are summed, exact zeros dropped."""
+        """Build from triplets; duplicates are summed, exact zeros dropped,
+        by the kernels of scipy's ``tocsr`` and ``eliminate_zeros``."""
         n = int(_integers(n, "dimension"))
         if n <= 0:
             raise ValueError("dimension must be positive")
         rows = _integers(rows, "entry indices")
         cols = _integers(cols, "entry indices")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
-                raise ValueError("entry index out of range")
         vals = np.asarray(vals, dtype=np.float64)
-        return cls._canonical(scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+        if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:
+            raise ValueError("entry indices and values must be 1-D, of one length")
+        if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
+            raise ValueError("entry index out of range")
+        nnz = vals.size
+        idx = _index_dtype(max(n, nnz))
+        row_starts, col_indices, values = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+        _kernels.coo_tocsr(n, n, nnz, rows.astype(idx), cols.astype(idx), vals,
+                           row_starts, col_indices, values)
+        if not _kernels.csr_has_canonical_format(n, row_starts, col_indices):
+            if not _kernels.csr_has_sorted_indices(n, row_starts, col_indices):
+                _kernels.csr_sort_indices(n, row_starts, col_indices, values)
+            _kernels.csr_sum_duplicates(n, n, row_starts, col_indices, values)
+            nnz = row_starts[-1]
+            col_indices, values = col_indices[:nnz].copy(), values[:nnz].copy()
+        return cls._made(n, row_starts, col_indices, values)
 
     @classmethod
     def from_dense(cls, arr):
@@ -149,12 +211,11 @@ class SparseMatrix:
     # ------------------------------------------------------------------
     # basic queries
 
-    # read-only views onto the handle
-    n = property(lambda self: self._h.shape[0])
-    row_starts = property(lambda self: self._h.indptr)
-    col_indices = property(lambda self: self._h.indices)
-    values = property(lambda self: self._h.data)
-    nnz = property(lambda self: self._h.nnz)
+    n = property(lambda self: self._n)
+    row_starts = property(lambda self: self._row_starts)
+    col_indices = property(lambda self: self._col_indices)
+    values = property(lambda self: self._values)
+    nnz = property(lambda self: self._values.size)
 
     def __repr__(self):
         return f"SparseMatrix(n={self.n}, nnz={self.nnz})"
@@ -173,23 +234,35 @@ class SparseMatrix:
 
     def _triangle(self):
         """Each stored entry's triangle, in storage order: -1 below the
-        diagonal, 0 on it and 1 above it."""
-        rows = np.repeat(np.arange(self.n, dtype=self.col_indices.dtype), np.diff(self.row_starts))
-        return np.sign(self.col_indices - rows)
+        diagonal, 0 on it and 1 above it; found once and kept with the
+        matrix, and with a matrix built from its pattern."""
+        if self._tri is None:
+            rows = np.repeat(np.arange(self.n, dtype=self.col_indices.dtype),
+                             np.diff(self.row_starts))
+            tri = np.sign(self.col_indices - rows).astype(np.int8)
+            tri.setflags(write=False)
+            self._tri = tri
+        return self._tri
 
     def to_dense(self):
-        return self._h.toarray()
+        out = np.zeros((self.n, self.n))
+        _kernels.csr_todense(self.n, self.n, self.row_starts, self.col_indices, self.values, out)
+        return out
 
     def to_scipy(self):
         """This matrix as a new scipy ``csr_matrix`` sharing its read-only
         arrays: no copy is made, and rebinding the handle's attributes
         cannot reach the matrix."""
-        h = self._h
-        return scipy.sparse.csr_matrix((h.data, h.indices, h.indptr), shape=h.shape)
+        import scipy.sparse
+
+        return scipy.sparse.csr_matrix((self.values, self.col_indices, self.row_starts),
+                                       shape=(self.n, self.n))
 
     def diagonal_vector(self):
         """Diagonal entries as a dense vector (zeros where unstored)."""
-        return self._h.diagonal()
+        d = np.empty(self.n)
+        _kernels.csr_diagonal(0, self.n, self.n, self.row_starts, self.col_indices, self.values, d)
+        return d
 
     def max_abs(self):
         return float(np.abs(self.values).max()) if self.nnz else 0.0
@@ -201,65 +274,92 @@ class SparseMatrix:
         return not np.any(self._triangle())
 
     # ------------------------------------------------------------------
-    # algebra (all out-of-place; results share no storage with inputs)
+    # algebra (all out-of-place; results share only read-only arrays)
 
     def matvec(self, x, out=None):
-        """Deterministic y = A @ x: scipy's CSR product sums each row left
-        to right in storage order.  With out, a float64 vector of length
-        n that does not overlap x, y is written there and out returned:
-        out is zeroed and the same kernel adds each row onto its 0.0, as
-        scipy does into a fresh zeroed vector, so the bits are the same."""
+        """Deterministic y = A @ x: ``csr_matvec`` sums each row left to
+        right in storage order onto 0.0, as scipy's product does.  With
+        out, a float64 vector of length n that does not overlap x, y is
+        written there and out returned: out is zeroed first, so the bits
+        are the same."""
         x = np.asarray(x, dtype=np.float64)
-        if out is None:
-            return self._h @ x
-        n = self.n
-        if (not isinstance(out, np.ndarray) or out.shape != (n,) or out.dtype != np.float64
-                or x.shape != (n,)):
+        n = self._n
+        if x.shape != (n,) or out is not None and (
+                not isinstance(out, np.ndarray) or out.shape != (n,) or out.dtype != np.float64):
             raise ValueError(f"matvec needs x and out of shape ({n},), out float64")
+        if out is None:
+            return _product(self, self._values, x)
         if np.may_share_memory(x, out):
             raise ValueError("matvec out must not overlap x")
         out.fill(0.0)
-        h = self._h
-        _csr_matvec(n, n, h.indptr, h.indices, h.data, x, out)
+        _csr_matvec(n, n, self._row_starts, self._col_indices, self._values, x, out)
         return out
 
-    def scaled(self, c):
-        return SparseMatrix._canonical(self._h * float(c))
+    def _with_values(self, values):
+        """This pattern, shared, with new values; a zero drops its entry."""
+        return SparseMatrix._made(self.n, self.row_starts, self.col_indices, values, self._tri)
 
-    def _operand(self, other):
+    def scaled(self, c):
+        return self._with_values(self.values * float(c))
+
+    def _merged(self, kernel, values, other):
+        """kernel, ``csr_plus_csr`` or ``csr_minus_csr``, on this pattern
+        with values and on other, as scipy's ``_binopt`` calls it."""
         if not isinstance(other, SparseMatrix) or other.n != self.n:
             raise ValueError("dimension mismatch in matrix addition")
-        return other._h
+        n, most = self.n, values.size + other.nnz
+        idx = _index_dtype(max(n, most))
+        out = (np.empty(n + 1, idx), np.empty(most, idx), np.empty(most))
+        kernel(n, n, self.row_starts, self.col_indices, values,
+               other.row_starts, other.col_indices, other.values, *out)
+        nnz = out[0][-1]  # the kernel leaves out results that are zero
+        return SparseMatrix._made(n, out[0], out[1][:nnz].copy(), out[2][:nnz].copy())
 
     def add(self, other):
-        return SparseMatrix._canonical(self._h + self._operand(other))
+        return self._merged(_kernels.csr_plus_csr, self.values, other)
 
     def subtract(self, other):
-        return SparseMatrix._canonical(self._h - self._operand(other))
+        return self._merged(_kernels.csr_minus_csr, self.values, other)
+
+    def _plus_diagonal(self, values, d):
+        """This pattern with values, plus diag(d) (length n) as scipy's
+        ``+ diags(d)``: with the whole diagonal stored, only values change,
+        else ``csr_plus_csr`` merges in the nonzero d_i, which diags keeps."""
+        at = np.flatnonzero(self._triangle() == 0)
+        if at.size == self.n:
+            # where d_i is a signed zero the kernel adds 0.0, which differs
+            # only on a zero x, an entry dropped either way
+            values[at] += d
+            return self._with_values(values)
+        stored = d != 0.0
+        starts = np.zeros(self.n + 1, dtype=self.row_starts.dtype)
+        np.cumsum(stored, dtype=starts.dtype, out=starts[1:])
+        cols = np.flatnonzero(stored).astype(starts.dtype)
+        return self._merged(_kernels.csr_plus_csr, values,
+                            SparseMatrix._made(self.n, starts, cols, d[cols]))
 
     def add_diagonal(self, d):
         """Return self + diag(d); d may be a scalar or a length-n vector."""
         d = np.broadcast_to(np.asarray(d, dtype=np.float64), (self.n,))
-        return SparseMatrix._canonical(self._h + scipy.sparse.diags(d))
+        return self._plus_diagonal(self.values.copy(), d)
 
     def abs_entrywise(self):
-        return SparseMatrix._canonical(abs(self._h))
+        return self._with_values(np.abs(self.values))
 
     def strict_lower(self):
-        return SparseMatrix._canonical(scipy.sparse.tril(self._h, k=-1))
+        return self._by_triangle(0.0, 1.0, 0.0)
 
     def strict_upper(self):
-        return SparseMatrix._canonical(scipy.sparse.triu(self._h, k=1))
+        return self._by_triangle(0.0, 0.0, 1.0)
 
     def _by_triangle(self, diag, lower, upper):
         """diag(diag) + lower * (strict lower part) + upper * (strict upper
         part), diag a scalar or a length-n vector, in one build: one product
-        per stored entry, bitwise what the chain of ``strict_lower``,
-        ``scaled`` and ``add`` gives, since its adds meet no common entry."""
-        h = self._h
+        per stored entry, bitwise what scipy's ``tril``, ``triu``, scaling
+        and ``+`` give, since those adds meet no common entry."""
         coefficient = np.array([lower, 0.0, upper])[self._triangle() + 1]
-        off = scipy.sparse.csr_matrix((h.data * coefficient, h.indices, h.indptr), shape=h.shape)
-        return SparseMatrix._canonical(off + scipy.sparse.diags(np.broadcast_to(diag, (self.n,))))
+        diag = np.broadcast_to(np.asarray(diag, dtype=np.float64), (self.n,))
+        return self._plus_diagonal(self.values * coefficient, diag)
 
 
 @dataclass(frozen=True)
@@ -292,9 +392,9 @@ def dlu_split(a):
 
 def comparison_matrix(a):
     """Entrywise comparison matrix: |diagonal| kept, off-diagonals to -|.|."""
-    h = abs(a._h)
-    h.data[a._triangle() != 0] *= -1.0
-    return SparseMatrix._canonical(h)
+    values = np.abs(a.values)
+    values[a._triangle() != 0] *= -1.0
+    return a._with_values(values)
 
 
 _TINY = np.finfo(np.float64).smallest_subnormal
@@ -330,7 +430,7 @@ def _verified_positive(z, u):
     per_row = np.diff(z.row_starts)
     with np.errstate(over="ignore", invalid="ignore"):
         zu = z.matvec(u)
-        bound = _gamma(int(per_row.max())) * (abs(z._h) @ u) + per_row * _TINY
+        bound = _gamma(int(per_row.max())) * _product(z, np.abs(z.values), u) + per_row * _TINY
     return bool(np.all(zu > bound) and np.all(np.isfinite(bound)))
 
 
@@ -352,10 +452,8 @@ def _jacobi_verdict(z, triangle):
     d = z.diagonal_vector()
     if not np.all(d > 0.0):
         return False
-    h = z._h
-    b = scipy.sparse.csr_matrix((np.where(triangle != 0, -h.data, 0.0), h.indices, h.indptr),
-                                shape=h.shape)
-    est = spectral_radius_nonneg(lambda x: (b @ x) / d, n=z.n, max_iters=_JACOBI_PASSES,
+    b = np.where(triangle != 0, -z.values, 0.0)
+    est = spectral_radius_nonneg(lambda x: _product(z, b, x) / d, n=z.n, max_iters=_JACOBI_PASSES,
                                  threshold=1.0)
     if est.upper < 1.0:
         # the bracket stops at the first pass whose upper end is below 1,
@@ -655,24 +753,24 @@ class _LevelCut(NamedTuple):
     levels: tuple
 
     @classmethod
-    def make(cls, h, order, block_starts):
-        """The level cut of the CSR pattern of h, level k at positions
+    def make(cls, m, order, block_starts):
+        """The level cut of the CSR pattern of m, level k at positions
         block_starts[k]:block_starts[k + 1] of order."""
         # a work vector of a solve has 2n entries, so its positions must fit
-        n = h.shape[0]
-        idx = np.promote_types(h.indices.dtype, np.min_scalar_type(2 * n))
+        n = m.n
+        idx = np.promote_types(m.col_indices.dtype, np.min_scalar_type(2 * n))
         rank = np.empty(n, dtype=idx)
         rank[order] = np.arange(n, dtype=idx)
-        starts, entries = _take_rows(h.indptr, order, idx)
+        starts, entries = _take_rows(m.row_starts, order, idx)
         entries = entries.astype(idx)
-        cols = rank[h.indices[entries]]
+        cols = rank[m.col_indices[entries]]
         # each row's diagonal is its last stored entry, on column rank = i
         cols[starts[1:] - 1] += n
         for arr in (order, rank, starts, cols, entries):
             arr.setflags(write=False)
         at = block_starts.tolist()
         levels = tuple((lo, hi, starts[lo:hi + 1]) for lo, hi in zip(at, at[1:]))
-        return cls(h.indptr, h.indices, order, rank, starts, cols, entries, levels)
+        return cls(m.row_starts, m.col_indices, order, rank, starts, cols, entries, levels)
 
     fits = _fits
 
@@ -757,25 +855,26 @@ class _RowCut(NamedTuple):
     inner_entries: np.ndarray
 
     @classmethod
-    def make(cls, h):
-        """The row cut of the CSR pattern of h."""
-        n, idx = h.shape[0], h.indices.dtype
+    def make(cls, m):
+        """The row cut of the CSR pattern of m."""
+        n, indptr, indices = m.n, m.row_starts, m.col_indices
+        idx = indices.dtype
         rows = np.arange(n, dtype=idx)
         first = rows - rows % _BLOCK  # the first row of each row's block
         # columns are sorted and distinct, so a row's inner entries are
         # among its last i - first[i] off-diagonal entries
-        count = np.minimum(rows - first, np.diff(h.indptr) - 1)
-        entries = _ranges(h.indptr[1:] - 1 - count, count)
+        count = np.minimum(rows - first, np.diff(indptr) - 1)
+        entries = _ranges(indptr[1:] - 1 - count, count)
         row = np.repeat(rows, count)
-        inner = h.indices[entries] >= first[row]
+        inner = indices[entries] >= first[row]
         entries, row = entries[inner].astype(idx), row[inner]
         entries.setflags(write=False)
         inner_starts = np.zeros(n + 1, dtype=idx)
         np.cumsum(np.bincount(row, minlength=n), out=inner_starts[1:])
         at = list(range(0, n, _BLOCK)) + [n]
-        blocks = tuple((lo, hi, h.indptr[lo:hi + 1]) for lo, hi in zip(at, at[1:]))
-        return cls(h.indptr, h.indices, blocks, tuple(inner_starts.tolist()),
-                   tuple((h.indices[entries] - first[row]).tolist()), entries)
+        blocks = tuple((lo, hi, indptr[lo:hi + 1]) for lo, hi in zip(at, at[1:]))
+        return cls(indptr, indices, blocks, tuple(inner_starts.tolist()),
+                   tuple((indices[entries] - first[row]).tolist()), entries)
 
     fits = _fits
 
@@ -820,7 +919,7 @@ class _RowSchedule(NamedTuple):
         return xs
 
 
-def _chain_length(h, per_row):
+def _chain_length(m, per_row):
     """Length of the longest run of consecutive rows each of which refers
     to the row just above it: a lower bound on the number of levels."""
     n = per_row.size
@@ -828,22 +927,22 @@ def _chain_length(h, per_row):
     # the diagonal is a row's last stored entry, so its last reference is
     # the entry before it
     on_prev = np.zeros(n, dtype=bool)
-    on_prev[refers] = h.indices[h.indptr[refers + 1] - 2] == refers - 1
+    on_prev[refers] = m.col_indices[m.row_starts[refers + 1] - 2] == refers - 1
     return int(np.diff(np.flatnonzero(~on_prev), append=n).max())
 
 
-def _level_cut(h, per_row, max_depth):
-    """The levels of the lower-triangular CSR handle h with per_row
+def _level_cut(m, per_row, max_depth):
+    """The levels of the lower-triangular matrix m with per_row
     off-diagonal entries in each row: (order, block_starts) with the rows
     level by level, ascending within a level, level k at positions
     block_starts[k]:block_starts[k + 1], or None once there would be more
     than max_depth levels.  A row's level is one more than the highest
     level among the rows it refers to (0 when it has none), found by a
     frontier sweep over the off-diagonal entries."""
-    n, idx = h.shape[0], h.indices.dtype
+    n, idx = m.n, m.col_indices.dtype
     # columns are sorted, so each row's diagonal is its last stored entry
     rows = np.repeat(np.arange(n, dtype=idx), per_row)
-    cols = np.delete(h.indices, h.indptr[1:] - 1)
+    cols = np.delete(m.col_indices, m.row_starts[1:] - 1)
     dependents = rows[np.argsort(cols, kind="stable")]
     dep_count = np.bincount(cols, minlength=n)
     dep_start = np.cumsum(dep_count) - dep_count
@@ -864,17 +963,17 @@ def _level_cut(h, per_row, max_depth):
     return np.argsort(level, kind="stable").astype(idx), block_starts
 
 
-def _choose_cut(h):
-    """The cut of the lower-triangular CSR handle h with a full diagonal:
-    the level cut when h has at least _ROWS_PER_LEVEL rows per level,
-    else the row cut."""
-    per_row = np.diff(h.indptr) - 1
-    max_depth = h.shape[0] // _ROWS_PER_LEVEL
+def _choose_cut(m):
+    """The cut of the lower-triangular matrix m with a full diagonal: the
+    level cut when m has at least _ROWS_PER_LEVEL rows per level, else
+    the row cut."""
+    per_row = np.diff(m.row_starts) - 1
+    max_depth = m.n // _ROWS_PER_LEVEL
     levels = None
     # a long chain of rows rules the level cut out before its sweep
-    if _chain_length(h, per_row) <= max_depth:
-        levels = _level_cut(h, per_row, max_depth)
-    return _RowCut.make(h) if levels is None else _LevelCut.make(h, *levels)
+    if _chain_length(m, per_row) <= max_depth:
+        levels = _level_cut(m, per_row, max_depth)
+    return _RowCut.make(m) if levels is None else _LevelCut.make(m, *levels)
 
 
 def _schedule(m, problem=None):
@@ -889,7 +988,7 @@ def _schedule(m, problem=None):
         pivots = _pivots(m)
         cut = None if problem is None else problem._cut
         if cut is None or not cut.fits(m):
-            cut = _choose_cut(m._h)
+            cut = _choose_cut(m)
             if problem is not None and problem._cut is None:
                 problem._cut = cut
         m._schedule = cut.schedule(m.values, pivots)

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_core import (DENSE_LIMIT, SingularMatrixError, SparseMatrix, _pivots, _schedule,
-                          lower_triangular_solve)
+from .matrix_core import (DENSE_LIMIT, SingularMatrixError, SparseMatrix, _pivots, _product,
+                          _schedule, lower_triangular_solve)
 from .splittings import Splitting, SplittingKind, make_splitting
 
 DIVERGENCE_NORM = 1e12
@@ -73,7 +73,7 @@ class LcpProblem:
         # an iterate may grow to the divergence bound before the guard stops
         # it; A times such an iterate, plus a few like terms, must stay finite
         with np.errstate(over="ignore"):
-            row_sum = float(abs(self.a.to_scipy()).sum(axis=1).max())
+            row_sum = float(_product(self.a, np.abs(self.a.values), np.ones(self.a.n)).max())
         if not _divergence_bound(self.sigma) * max(1.0, row_sum) < _SCALE_LIMIT:
             raise ValueError(
                 f"problem scale not representable: {DIVERGENCE_NORM:g} * max(1, max|sigma|)"

@@ -378,15 +378,33 @@ def test_check_leaves_sparse_solvers_unloaded(tmp_path):
         assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
 
-def test_cli_import_leaves_scipy_solvers_unloaded():
-    # scipy.linalg (the dense LU fallback, dtrtri) and scipy.sparse.linalg
-    # (spsolve) are imported where they are used, off the default paths
+def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
+    # scipy.sparse (its Python layer), scipy.linalg (the dense LU fallback,
+    # dtrtri) and scipy.sparse.linalg (spsolve) are imported where they are
+    # used, off the default paths; the CSR kernels are loaded from their
+    # file in scipy's install.  A check may load scipy.linalg, for dtrtri.
+    a = BenchSpec("example1", 6).build().a
+    path = tmp_path / "scaled.mtx"
+    matrix_core.write_matrix_market(a.scaled(0.9 / a.diagonal_vector().max()), str(path))
     src = str(Path(matrix_core.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, lcpkit.cli; "
-            "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (done.returncode, done.stdout) == (0, "[]\n")
+    code = ("import importlib.util, json, os, sys, lcpkit.cli\n"
+            "code = lcpkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "kernels = sys.modules['scipy.sparse._sparsetools'].__file__\n"
+            "scipy_dir = importlib.util.find_spec('scipy').submodule_search_locations[0]\n"
+            "print(json.dumps([code, [m for m in ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')"
+            " if m in sys.modules], os.path.dirname(kernels) == os.path.join(scipy_dir, 'sparse')]))")
+    small = ["--family", "example1", "--m", "6"]
+    runs = [([], set()), (["table", "table1", "--sizes", "100,900"], set())]
+    runs += [(["solve", *small, "--method", method, *alpha], set()) for method, alpha in (
+        ("npgs", []), ("npsor", ["--alpha", "1.7"]), ("mgs", []), ("msor", ["--alpha", "0.85"]))]
+    runs += [(["check", *problem, "--method", "npgs", "--format", "json"], {"scipy.linalg"})
+             for problem in (small, ["--matrix", str(path)])]
+    for argv, allowed in runs:
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                              text=True)
+        status, loaded, from_file = json.loads(done.stdout.splitlines()[-1])
+        assert status == 0 and set(loaded) <= allowed and from_file, (argv, loaded, done.stderr)
 
 
 def test_missing_matrix_file(capsys, tmp_path):

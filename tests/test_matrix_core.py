@@ -277,6 +277,130 @@ def test_cancellation_drops_entries():
     assert a.add(a.scaled(-1.0)).nnz == 0
 
 
+# ----------------------------------------------------------------------
+# every operation is bitwise scipy.sparse's
+
+# signed zeros, values whose products underflow (1e-200 * 1e-200) and
+# pairs that cancel exactly when duplicates are summed
+_SCIPY_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, -1.5, 1e-200, -1e-200, 5e-324, 1e200]), _ENTRY)
+
+
+@st.composite
+def _triplets(draw, n=None):
+    """(n, rows, cols, vals): unsorted triplets with duplicates, and with
+    every diagonal entry or only some."""
+    n = draw(st.integers(1, 6)) if n is None else n
+    k = draw(st.integers(0, 3 * n))
+    index = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+    rows, cols = draw(index), draw(index)
+    vals = draw(st.lists(_SCIPY_VALUE, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        rows, cols = rows + list(range(n)), cols + list(range(n))
+        vals = vals + draw(st.lists(_SCIPY_VALUE.filter(bool), min_size=n, max_size=n))
+    return n, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals)
+
+
+def _scipy_canonical(h):
+    """h as lcpkit stores a matrix: CSR, duplicates summed, zeros dropped."""
+    h = h.tocsr()
+    h.sum_duplicates()
+    h.eliminate_zeros()
+    return h
+
+
+def _assert_bitwise_scipy(m, h):
+    h = _scipy_canonical(h)
+    assert m.n == h.shape[0] == h.shape[1]
+    for mine, theirs in ((m.row_starts, h.indptr), (m.col_indices, h.indices)):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    assert m.values.dtype == h.data.dtype
+    assert np.array_equal(m.values.view(np.int64), h.data.view(np.int64))
+
+
+def _both(t):
+    n, rows, cols, vals = t
+    h = _scipy_canonical(scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    return SparseMatrix.from_coo(n, rows, cols, vals), h
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _long_row(shuffled):
+    """Row 0 of n = 6 as 40 triplets, in column order or shuffled, whose
+    duplicates of mixed magnitude sum to other bits in another order."""
+    rng = np.random.default_rng(3)
+    cols = np.sort(rng.integers(0, 6, 40))
+    vals = rng.choice([1e16, -1e16, 1.0, 3.0, 0.1, -0.7], 40)
+    order = rng.permutation(40) if shuffled else np.arange(40)
+    return 6, np.zeros(40, dtype=np.int64), cols[order], vals[order]
+
+
+@_EXACT
+@given(t=_triplets())
+@example(t=(2, np.array([0, 1, 0]), np.array([1, 1, 1]), np.array([1.5, 2.0, -1.5])))
+@example(t=(3, np.array([2, 0, 2, 2]), np.array([1, 2, 0, 1]), np.array([1.0, -0.0, 2.0, 4.0])))
+@example(t=_long_row(shuffled=False))
+@example(t=_long_row(shuffled=True))
+def test_from_coo_is_scipy_bitwise(t):
+    # a pair that cancels, a stored -0.0, an unsorted row with duplicates;
+    # a sorted row's duplicates are summed unsorted, in input order
+    m, h = _both(t)
+    _assert_bitwise_scipy(m, h)
+
+
+@_EXACT
+@given(ts=st.integers(1, 6).flatmap(lambda n: st.tuples(_triplets(n), _triplets(n))))
+def test_add_and_subtract_are_scipy_bitwise(ts):
+    (a, ha), (b, hb) = _both(ts[0]), _both(ts[1])
+    _assert_bitwise_scipy(a.add(b), ha + hb)
+    _assert_bitwise_scipy(a.subtract(b), ha - hb)
+    # every entry cancels
+    _assert_bitwise_scipy(a.subtract(a), ha - ha)
+
+
+@_EXACT
+@given(t=_triplets(), d=hnp.arrays(np.float64, 6, elements=_SCIPY_VALUE),
+       cancel=hnp.arrays(bool, 6), lower=_COEFFICIENT, upper=_COEFFICIENT, scalar=st.booleans())
+@example(t=(2, np.array([0, 1]), np.array([0, 1]), np.array([1e-200, 2.0])),
+         d=np.array([-0.0, 0.0, 0, 0, 0, 0]), cancel=np.array([False, True, 0, 0, 0, 0], bool),
+         lower=1e-200, upper=1.0, scalar=False)
+def test_diagonal_builds_are_scipy_bitwise(t, d, cancel, lower, upper, scalar):
+    # d holds signed zeros, and where cancel is set -a_ii, so that the sum
+    # is exactly zero; with a full diagonal the result shares a's index
+    # arrays unless an entry is dropped
+    a, h = _both(t)
+    d = np.where(cancel[:a.n], -a.diagonal_vector(), d[:a.n])
+    d = d[0] if scalar else d
+    full = a.nnz and np.all(a.diagonal_vector() != 0.0)
+    dh = scipy.sparse.diags(np.broadcast_to(d, (a.n,)))
+    for got, want in ((a.add_diagonal(d), h + dh),
+                      (a._by_triangle(d, lower, upper),
+                       scipy.sparse.tril(h, -1) * lower + scipy.sparse.triu(h, 1) * upper + dh)):
+        _assert_bitwise_scipy(got, want)
+        if full and got.nnz == a.nnz:
+            assert got.row_starts is a.row_starts and got.col_indices is a.col_indices
+
+
+@_EXACT
+@given(t=_triplets(), c=_COEFFICIENT, x=hnp.arrays(np.float64, 6, elements=_SCIPY_VALUE))
+@example(t=(1, np.array([0]), np.array([0]), np.array([1e-200])), c=1e-200,
+         x=np.array([-0.0] * 6))
+def test_unary_operations_are_scipy_bitwise(t, c, x):
+    # c * a_ij may underflow to zero; x holds signed zeros
+    a, h = _both(t)
+    x = x[:a.n]
+    _assert_bitwise_scipy(a.scaled(c), h * c)
+    _assert_bitwise_scipy(a.abs_entrywise(), abs(h))
+    d = scipy.sparse.diags(h.diagonal())
+    _assert_bitwise_scipy(comparison_matrix(a), abs(d) - abs(h - d))
+    assert np.array_equal(_bits(a.diagonal_vector()), _bits(h.diagonal()))
+    assert np.array_equal(_bits(a.to_dense()), _bits(h.toarray()))
+    assert np.array_equal(_bits(a.matvec(x)), _bits(h @ x))
+
+
 def test_structure_predicates():
     low = SparseMatrix.from_dense([[2, 0], [-1, 4]])
     assert low.is_lower_triangular() and not low.is_diagonal()
@@ -473,7 +597,9 @@ def test_classify_decides_triangular_z_matrices_without_a_solve(monkeypatch):
     n = 600
     lower = SparseMatrix.from_coo(n, [*range(n), *range(1, n)], [*range(n), *range(n - 1)],
                                   [0.5] * n + [-12.0] * (n - 1))
-    for a in (lower, SparseMatrix._canonical(lower.to_scipy().T)):
+    upper = SparseMatrix.from_coo(n, [*range(n), *range(n - 1)], [*range(n), *range(1, n)],
+                                  [0.5] * n + [-12.0] * (n - 1))
+    for a in (lower, upper):
         rep = classify(a, p_matrix_limit=0)
         assert rep.is_z and rep.is_m and rep.is_h and rep.is_h_plus
         assert rep.witness_v is None
@@ -718,9 +844,9 @@ _LOWER = st.integers(1, 12).flatmap(lambda n: st.tuples(
 def _both_schedules(m):
     """The schedules of both cuts of a solvable lower-triangular m, the
     level cut and the row cut, whichever of them the solve would pick."""
-    h, per_row = m._h, np.diff(m.row_starts) - 1
-    cuts = (matrix_core._LevelCut.make(h, *matrix_core._level_cut(h, per_row, m.n)),
-            matrix_core._RowCut.make(h))
+    per_row = np.diff(m.row_starts) - 1
+    cuts = (matrix_core._LevelCut.make(m, *matrix_core._level_cut(m, per_row, m.n)),
+            matrix_core._RowCut.make(m))
     return [cut.schedule(m.values, m.diagonal_vector()) for cut in cuts]
 
 
@@ -858,7 +984,7 @@ def test_table1_methods_make_one_cut(monkeypatch):
     # it reads the pattern from the first system matrix's own arrays
     cuts, schedules = [], []
     choose = matrix_core._choose_cut
-    monkeypatch.setattr(matrix_core, "_choose_cut", lambda h: cuts.append(choose(h)) or cuts[-1])
+    monkeypatch.setattr(matrix_core, "_choose_cut", lambda m: cuts.append(choose(m)) or cuts[-1])
     monkeypatch.setattr(solvers, "_schedule",
                         lambda m, a: schedules.append((m, matrix_core._schedule(m, a))))
     p = BenchSpec("example1", 10).build()
@@ -945,13 +1071,13 @@ def test_forward_substitution_rejects_upper_entries():
 def test_forward_substitution_builds_the_schedule_once(monkeypatch):
     cuts = []
     choose = matrix_core._choose_cut
-    monkeypatch.setattr(matrix_core, "_choose_cut", lambda h: cuts.append(h) or choose(h))
+    monkeypatch.setattr(matrix_core, "_choose_cut", lambda m: cuts.append(m) or choose(m))
     m = SparseMatrix.from_dense([[2, 0, 0], [-1, 4, 0], [0, 3, 5]])
     schedules = []
     for b in (np.array([2.0, 3.0, 8.0]), np.array([1.0, 0.0, -1.0])):
         assert np.array_equal(lower_triangular_solve(m, b), _reference_trisolve(m, b))
         schedules.append(m._schedule)
-    assert cuts == [m._h] and schedules[0] is schedules[1]
+    assert len(cuts) == 1 and cuts[0] is m and schedules[0] is schedules[1]
 
 
 def _leaves(value):
@@ -1009,7 +1135,7 @@ def _levels_by_loop(m):
 def test_levels_match_longest_dependency_chain(d):
     m = SparseMatrix.from_dense(d)
     per_row = np.diff(m.row_starts) - 1
-    order, starts = matrix_core._level_cut(m._h, per_row, m.n)
+    order, starts = matrix_core._level_cut(m, per_row, m.n)
     loop = _levels_by_loop(m)
     depth = max(loop) + 1
     assert len(starts) - 1 == depth
@@ -1020,8 +1146,8 @@ def test_levels_match_longest_dependency_chain(d):
     # ascending within a level
     assert all(np.all(np.diff(order[starts[k]:starts[k + 1]]) > 0) for k in range(depth))
     # the sweep stops past max_depth levels; the chain bound never exceeds the depth
-    assert matrix_core._level_cut(m._h, per_row, depth - 1) is None
-    assert 1 <= matrix_core._chain_length(m._h, per_row) <= depth
+    assert matrix_core._level_cut(m, per_row, depth - 1) is None
+    assert 1 <= matrix_core._chain_length(m, per_row) <= depth
     # the solve takes the level cut at _ROWS_PER_LEVEL rows per level or
     # more, else the row cut, runs of _BLOCK rows in order
     lower_triangular_solve(m, np.ones(m.n))
@@ -1105,7 +1231,7 @@ def test_schedule_choice_on_the_benchmark_matrices():
             starts = s.cut.inner_starts
             assert all(starts[hi] > starts[lo] for lo, hi, _ in s.cut.blocks)
     # one chain of all the rows: the level sweep is skipped
-    assert matrix_core._chain_length(lhs._h, np.diff(lhs.row_starts) - 1) == 50
+    assert matrix_core._chain_length(lhs, np.diff(lhs.row_starts) - 1) == 50
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,14 @@ def _shifted_parts(a, s):
     return lhs, rhs_mat.abs_entrywise().add(shifted.abs_entrywise())
 
 
+def _mode_for(a, mode):
+    """mode, or when it is None the default for a: exact_dense while
+    n <= DENSE_LIMIT, operator past it."""
+    if mode is None:
+        return "exact_dense" if a.n <= DENSE_LIMIT else "operator"
+    return mode
+
+
 def _rho_estimate(a, s, mode, threshold=None):
     """RadiusEstimate for T in the given mode; threshold goes to
     spectral_radius_nonneg as its early stop."""
@@ -144,17 +152,18 @@ def _dense_inverse(m):
     return dtrtri(m.to_dense().T, lower=0, overwrite_c=1)[0].T
 
 
-def iteration_operator_rho(a, s, mode="exact_dense"):
+def iteration_operator_rho(a, s, mode=None):
     """Spectral-radius estimate of T for splitting s of a.
 
-    exact_dense materializes |inv(M + 2I + D_A)| (n capped); operator
-    applies T matrix-free under a verified sign pattern; comparison_bound
+    mode defaults as in ``check_spectral_condition``.  exact_dense
+    materializes |inv(M + 2I + D_A)| (n capped); operator applies T
+    matrix-free under a verified sign pattern; comparison_bound
     replaces the inverse factor by the inverse of its comparison matrix,
     which can only overestimate.  A structure that doesn't support the
     requested mode raises ModeUnsupportedError rather than answering
     something else.
     """
-    est = _rho_estimate(a, s, mode)
+    est = _rho_estimate(a, s, _mode_for(a, mode))
     if est.overflowed:
         warnings.warn(
             f"T v overflowed at power iteration {est.iterations}; "
@@ -211,8 +220,7 @@ def check_spectral_condition(a, s, p_limit=12, mode=None):
     is reported as 0; the iteration still stops once that lower end
     reaches the threshold, since the bound can then never certify.
     """
-    if mode is None:
-        mode = "exact_dense" if a.n <= DENSE_LIMIT else "operator"
+    mode = _mode_for(a, mode)
     threshold = 1.0 - STRICTNESS_MARGIN
     est = _rho_estimate(a, s, mode, threshold=threshold)
     lower = 0.0 if mode == "comparison_bound" else est.lower

@@ -11,15 +11,20 @@ factorization on offer is triangular substitution.  A row sum, in the
 matrix-vector product and in forward substitution alike, adds the row's
 rounded products left to right in storage order, in ``csr_matvec``.
 
+A matrix holds its sparsity pattern as a ``_Pattern``, which every
+matrix built on the same index arrays shares, and which keeps what
+depends on the pattern alone: the entries' triangles, the sub-pattern on
+and below the diagonal, and the forward-substitution cut.  The
+lower-triangular system matrices of the built-in splittings are all
+built on their problem matrix's lower sub-pattern, so they share one.
+
 Forward substitution follows one of two plans, each a cut, the rows cut
 into blocks, and a schedule, which adds a matrix's values to its cut:
 the level cut (``_LevelCut``, ``_LevelSchedule``) takes the rows level
 by level and serves a matrix with enough rows per level; the row cut
 (``_RowCut``, ``_RowSchedule``) takes them in order, 16 at a time.  A
 schedule is built on the first solve and cached on the (immutable)
-matrix.  A cut depends on the pattern only, which it reads from the
-matrix it was cut from; the system matrices of one problem share the
-first cut made for one of them, which the problem matrix keeps.  Dense
+matrix; its cut is made once per pattern and kept with it.  Dense
 fallbacks (inverses, principal minors) are reserved for certification
 and tests on small matrices, never for solver hot paths; a dense
 inverse or LU needs n <= DENSE_LIMIT.
@@ -42,9 +47,14 @@ DENSE_LIMIT = 2000
 
 def _load_kernels():
     """``scipy.sparse._sparsetools``, loaded from its file in scipy's
-    install and registered under its own name, where a later ``import
-    scipy.sparse`` finds it: importing it by name would run that costly
-    package import first.  Without the file, it is imported by name."""
+    install: importing it by name would run the costly ``scipy.sparse``
+    package import first.  Without the file, it is imported by name.
+
+    The load leaves no entry in ``sys.modules``, so that a later ``import
+    scipy.sparse`` loads the submodule itself and binds it as the
+    package's ``_sparsetools`` attribute (an entry found there would not
+    be bound); that load reuses the library and the module state this one
+    made."""
     name = "scipy.sparse._sparsetools"
     if name in sys.modules:
         return sys.modules[name]
@@ -54,8 +64,9 @@ def _load_kernels():
         if os.path.isfile(path):
             loader = importlib.machinery.ExtensionFileLoader(name, path)
             module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-            sys.modules[name] = module
             loader.exec_module(module)
+            # a single-phase extension module enters itself there as it loads
+            sys.modules.pop(name, None)
             return module
     return importlib.import_module(name)
 
@@ -91,19 +102,71 @@ def _product(m, values, x):
     return y
 
 
+class _Pattern:
+    """The sparsity pattern of a square CSR matrix: ``n`` and the
+    read-only ``row_starts`` and ``col_indices``, held by every matrix
+    with these arrays.  What depends on the pattern alone is found on
+    first use and kept here, so that the matrices that share a pattern
+    share it too, and it dies with the last of them: the entries'
+    triangles (``triangle``), the sub-pattern on and below the diagonal
+    (``lower``) and the forward-substitution cut (``cut``)."""
+
+    __slots__ = ("n", "row_starts", "col_indices", "_tri", "_lower", "_cut")
+
+    def __init__(self, n, row_starts, col_indices, tri=None):
+        for arr in (row_starts, col_indices, tri):
+            if arr is not None:
+                arr.setflags(write=False)
+        self.n, self.row_starts, self.col_indices = n, row_starts, col_indices
+        self._tri, self._lower, self._cut = tri, None, None
+
+    def triangle(self):
+        """Each stored entry's triangle, in storage order: -1 below the
+        diagonal, 0 on it and 1 above it."""
+        if self._tri is None:
+            rows = np.repeat(np.arange(self.n, dtype=self.col_indices.dtype),
+                             np.diff(self.row_starts))
+            self._tri = np.sign(self.col_indices - rows).astype(np.int8)
+            self._tri.setflags(write=False)
+        return self._tri
+
+    def lower(self):
+        """(the pattern of the entries on and below the diagonal, the mask
+        of those entries here), in storage order and this index dtype:
+        this pattern itself when it has no entry above the diagonal."""
+        if self._lower is None:
+            tri = self.triangle()
+            kept = tri <= 0
+            if kept.all():
+                return self, kept  # not kept: self._lower would refer to self
+            kept.setflags(write=False)
+            before = np.zeros(tri.size + 1, dtype=self.row_starts.dtype)
+            np.cumsum(kept, out=before[1:])
+            self._lower = (_Pattern(self.n, before[self.row_starts], self.col_indices[kept],
+                                    tri[kept]), kept)
+        return self._lower
+
+    def cut(self):
+        """The cut of this lower-triangular pattern with a full diagonal
+        (``_choose_cut``)."""
+        if self._cut is None:
+            self._cut = _choose_cut(self)
+        return self._cut
+
+
 class SparseMatrix:
     """Square real matrix in compressed sparse row form.
 
     ``row_starts``, ``col_indices`` and ``values`` are the matrix's own
     read-only arrays, with scipy's index dtype (int32 while it fits); a
-    matrix built from another one's pattern shares its index arrays.
+    matrix built on another one's pattern shares its ``_Pattern``.
     This type keeps lcpkit's invariants: column indices are strictly
     increasing within each row, no stored value is exactly zero and
     every stored value is finite; every construction checks them.
     Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("_n", "_row_starts", "_col_indices", "_values", "_tri", "_cut", "_schedule")
+    __slots__ = ("_pattern", "_values", "_schedule")
 
     def __init__(self, n, row_starts, col_indices, values):
         n = int(_integers(n, "dimension"))
@@ -129,32 +192,31 @@ class SparseMatrix:
         if np.any((np.diff(col_indices) <= 0) & ~first[1:-1]):
             raise ValueError("column indices must be strictly increasing per row")
         idx = _index_dtype(max(n, values.size))
-        self._own(n, row_starts.astype(idx), col_indices.astype(idx), values)
+        self._own(_Pattern(n, row_starts.astype(idx), col_indices.astype(idx)), values)
 
-    def _own(self, n, row_starts, col_indices, values, tri=None):
-        """Take these CSR arrays, and tri, their entries' triangles, as
-        storage: zeros dropped (from values in place) by scipy's
-        ``csr_eliminate_zeros``, values checked finite, arrays made
-        read-only."""
+    def _own(self, pattern, values):
+        """Take values, on pattern, as storage: zeros dropped (from values
+        in place) by scipy's ``csr_eliminate_zeros``, onto a new pattern
+        that keeps the triangles found so far, values checked finite and
+        made read-only."""
         keep = values != 0.0
         if not keep.all():
-            tri = None if tri is None else tri[keep]
-            row_starts, col_indices = row_starts.copy(), col_indices.copy()
+            n, tri = pattern.n, pattern._tri
+            row_starts, col_indices = pattern.row_starts.copy(), pattern.col_indices.copy()
             _kernels.csr_eliminate_zeros(n, n, row_starts, col_indices, values)
             nnz = row_starts[-1]
-            col_indices, values = col_indices[:nnz].copy(), values[:nnz].copy()
+            pattern = _Pattern(n, row_starts, col_indices[:nnz].copy(),
+                               None if tri is None else tri[keep])
+            values = values[:nnz].copy()
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix entry is not finite (nan/inf input or overflow)")
-        for arr in (row_starts, col_indices, values):
-            arr.setflags(write=False)
-        self._n, self._row_starts, self._col_indices, self._values = (
-            n, row_starts, col_indices, values)
-        self._tri, self._cut, self._schedule = tri, None, None
+        values.setflags(write=False)
+        self._pattern, self._values, self._schedule = pattern, values, None
         return self
 
     @classmethod
-    def _made(cls, *arrays):
-        return cls.__new__(cls)._own(*arrays)
+    def _made(cls, pattern, values):
+        return cls.__new__(cls)._own(pattern, values)
 
     # ------------------------------------------------------------------
     # constructors
@@ -184,7 +246,7 @@ class SparseMatrix:
             _kernels.csr_sum_duplicates(n, n, row_starts, col_indices, values)
             nnz = row_starts[-1]
             col_indices, values = col_indices[:nnz].copy(), values[:nnz].copy()
-        return cls._made(n, row_starts, col_indices, values)
+        return cls._made(_Pattern(n, row_starts, col_indices), values)
 
     @classmethod
     def from_dense(cls, arr):
@@ -211,9 +273,9 @@ class SparseMatrix:
     # ------------------------------------------------------------------
     # basic queries
 
-    n = property(lambda self: self._n)
-    row_starts = property(lambda self: self._row_starts)
-    col_indices = property(lambda self: self._col_indices)
+    n = property(lambda self: self._pattern.n)
+    row_starts = property(lambda self: self._pattern.row_starts)
+    col_indices = property(lambda self: self._pattern.col_indices)
     values = property(lambda self: self._values)
     nnz = property(lambda self: self._values.size)
 
@@ -233,16 +295,8 @@ class SparseMatrix:
     __hash__ = None
 
     def _triangle(self):
-        """Each stored entry's triangle, in storage order: -1 below the
-        diagonal, 0 on it and 1 above it; found once and kept with the
-        matrix, and with a matrix built from its pattern."""
-        if self._tri is None:
-            rows = np.repeat(np.arange(self.n, dtype=self.col_indices.dtype),
-                             np.diff(self.row_starts))
-            tri = np.sign(self.col_indices - rows).astype(np.int8)
-            tri.setflags(write=False)
-            self._tri = tri
-        return self._tri
+        """Each stored entry's triangle (``_Pattern.triangle``)."""
+        return self._pattern.triangle()
 
     def to_dense(self):
         out = np.zeros((self.n, self.n))
@@ -283,7 +337,7 @@ class SparseMatrix:
         written there and out returned: out is zeroed first, so the bits
         are the same."""
         x = np.asarray(x, dtype=np.float64)
-        n = self._n
+        n = self.n
         if x.shape != (n,) or out is not None and (
                 not isinstance(out, np.ndarray) or out.shape != (n,) or out.dtype != np.float64):
             raise ValueError(f"matvec needs x and out of shape ({n},), out float64")
@@ -292,56 +346,26 @@ class SparseMatrix:
         if np.may_share_memory(x, out):
             raise ValueError("matvec out must not overlap x")
         out.fill(0.0)
-        _csr_matvec(n, n, self._row_starts, self._col_indices, self._values, x, out)
+        _csr_matvec(n, n, self.row_starts, self.col_indices, self._values, x, out)
         return out
 
     def _with_values(self, values):
         """This pattern, shared, with new values; a zero drops its entry."""
-        return SparseMatrix._made(self.n, self.row_starts, self.col_indices, values, self._tri)
+        return SparseMatrix._made(self._pattern, values)
 
     def scaled(self, c):
         return self._with_values(self.values * float(c))
 
-    def _merged(self, kernel, values, other):
-        """kernel, ``csr_plus_csr`` or ``csr_minus_csr``, on this pattern
-        with values and on other, as scipy's ``_binopt`` calls it."""
-        if not isinstance(other, SparseMatrix) or other.n != self.n:
-            raise ValueError("dimension mismatch in matrix addition")
-        n, most = self.n, values.size + other.nnz
-        idx = _index_dtype(max(n, most))
-        out = (np.empty(n + 1, idx), np.empty(most, idx), np.empty(most))
-        kernel(n, n, self.row_starts, self.col_indices, values,
-               other.row_starts, other.col_indices, other.values, *out)
-        nnz = out[0][-1]  # the kernel leaves out results that are zero
-        return SparseMatrix._made(n, out[0], out[1][:nnz].copy(), out[2][:nnz].copy())
-
     def add(self, other):
-        return self._merged(_kernels.csr_plus_csr, self.values, other)
+        return _merged(_kernels.csr_plus_csr, self._pattern, self.values, other)
 
     def subtract(self, other):
-        return self._merged(_kernels.csr_minus_csr, self.values, other)
-
-    def _plus_diagonal(self, values, d):
-        """This pattern with values, plus diag(d) (length n) as scipy's
-        ``+ diags(d)``: with the whole diagonal stored, only values change,
-        else ``csr_plus_csr`` merges in the nonzero d_i, which diags keeps."""
-        at = np.flatnonzero(self._triangle() == 0)
-        if at.size == self.n:
-            # where d_i is a signed zero the kernel adds 0.0, which differs
-            # only on a zero x, an entry dropped either way
-            values[at] += d
-            return self._with_values(values)
-        stored = d != 0.0
-        starts = np.zeros(self.n + 1, dtype=self.row_starts.dtype)
-        np.cumsum(stored, dtype=starts.dtype, out=starts[1:])
-        cols = np.flatnonzero(stored).astype(starts.dtype)
-        return self._merged(_kernels.csr_plus_csr, values,
-                            SparseMatrix._made(self.n, starts, cols, d[cols]))
+        return _merged(_kernels.csr_minus_csr, self._pattern, self.values, other)
 
     def add_diagonal(self, d):
         """Return self + diag(d); d may be a scalar or a length-n vector."""
         d = np.broadcast_to(np.asarray(d, dtype=np.float64), (self.n,))
-        return self._plus_diagonal(self.values.copy(), d)
+        return _plus_diagonal(self._pattern, self.values.copy(), d)
 
     def abs_entrywise(self):
         return self._with_values(np.abs(self.values))
@@ -356,10 +380,50 @@ class SparseMatrix:
         """diag(diag) + lower * (strict lower part) + upper * (strict upper
         part), diag a scalar or a length-n vector, in one build: one product
         per stored entry, bitwise what scipy's ``tril``, ``triu``, scaling
-        and ``+`` give, since those adds meet no common entry."""
-        coefficient = np.array([lower, 0.0, upper])[self._triangle() + 1]
+        and ``+`` give, since those adds meet no common entry.  With upper
+        zero it is built on the pattern's lower sub-pattern
+        (``_Pattern.lower``), without the upper entries, which would all
+        be dropped as zeros."""
+        pattern, values = self._pattern, self.values
+        if upper == 0.0:
+            pattern, kept = pattern.lower()
+            values = values[kept]
+        coefficient = np.array([lower, 0.0, upper])[pattern.triangle() + 1]
         diag = np.broadcast_to(np.asarray(diag, dtype=np.float64), (self.n,))
-        return self._plus_diagonal(self.values * coefficient, diag)
+        return _plus_diagonal(pattern, values * coefficient, diag)
+
+
+def _merged(kernel, pattern, values, other):
+    """kernel, ``csr_plus_csr`` or ``csr_minus_csr``, on pattern with
+    values and on other, as scipy's ``_binopt`` calls it."""
+    if not isinstance(other, SparseMatrix) or other.n != pattern.n:
+        raise ValueError("dimension mismatch in matrix addition")
+    n, most = pattern.n, values.size + other.nnz
+    idx = _index_dtype(max(n, most))
+    out = (np.empty(n + 1, idx), np.empty(most, idx), np.empty(most))
+    kernel(n, n, pattern.row_starts, pattern.col_indices, values,
+           other.row_starts, other.col_indices, other.values, *out)
+    nnz = out[0][-1]  # the kernel leaves out results that are zero
+    return SparseMatrix._made(_Pattern(n, out[0], out[1][:nnz].copy()), out[2][:nnz].copy())
+
+
+def _plus_diagonal(pattern, values, d):
+    """The matrix on pattern with values, plus diag(d) (length n) as
+    scipy's ``+ diags(d)``: with the whole diagonal stored, only values
+    change and the pattern is shared, else ``csr_plus_csr`` merges in the
+    nonzero d_i, which diags keeps."""
+    at = np.flatnonzero(pattern.triangle() == 0)
+    if at.size == pattern.n:
+        # where d_i is a signed zero the kernel adds 0.0, which differs
+        # only on a zero x, an entry dropped either way
+        values[at] += d
+        return SparseMatrix._made(pattern, values)
+    stored = d != 0.0
+    starts = np.zeros(pattern.n + 1, dtype=pattern.row_starts.dtype)
+    np.cumsum(stored, dtype=starts.dtype, out=starts[1:])
+    cols = np.flatnonzero(stored).astype(starts.dtype)
+    return _merged(_kernels.csr_plus_csr, pattern, values,
+                   SparseMatrix._made(_Pattern(pattern.n, starts, cols), d[cols]))
 
 
 @dataclass(frozen=True)
@@ -588,8 +652,8 @@ class RadiusEstimate(NamedTuple):
     value says.  The defaults are the bracket before any pass, and stay
     when no bracket was asked for.  overflowed says that the iteration
     stopped at a pass whose T v was not finite.  vector is the read-only
-    v of the last pass applied (None if none ran): when the bracket
-    decided, the v of the deciding pass.
+    v of the last pass applied: when the bracket decided, the v of the
+    deciding pass.
     """
 
     value: float
@@ -646,12 +710,14 @@ def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None, threshold=None)
     or T v overflowed before either stop rule held, in which case
     ``value`` is the best estimate so far (inf before any finite pass).
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     apply_t, dim = _as_apply(t, n)
     if max_iters is None:
         max_iters = 10 * dim + 1000
-    w, norm, v = np.ones(dim), np.sqrt(dim), None
+    elif max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    w, norm = np.ones(dim), np.sqrt(dim)
     est, lower, upper = np.inf, 0.0, np.inf
     for k in range(1, max_iters + 1):
         v = w / norm
@@ -720,17 +786,10 @@ def _take_rows(indptr, rows, dtype):
     return starts, _ranges(indptr[rows], count)
 
 
-def _fits(cut, m):
-    """Whether m has the CSR pattern that cut was made from."""
-    return (np.array_equal(m.row_starts, cut.row_starts)
-            and np.array_equal(m.col_indices, cut.col_indices))
-
-
 class _LevelCut(NamedTuple):
     """The level cut of a lower-triangular CSR pattern with a full
-    diagonal (``row_starts``, ``col_indices``, the arrays of the matrix
-    it was cut from): its rows level by level, so that no row refers to
-    a row of its own level.
+    diagonal: its rows level by level, so that no row refers to a row of
+    its own level.
 
     It is the pattern half of the schedule (``_LevelSchedule``) of every
     matrix with that pattern, made once for all of them: ``order``, the
@@ -743,8 +802,6 @@ class _LevelCut(NamedTuple):
     The arrays are read-only, and the index arrays use the pattern's
     index dtype, widened when 2n does not fit in it."""
 
-    row_starts: np.ndarray
-    col_indices: np.ndarray
     order: np.ndarray
     rank: np.ndarray
     starts: np.ndarray
@@ -770,9 +827,7 @@ class _LevelCut(NamedTuple):
             arr.setflags(write=False)
         at = block_starts.tolist()
         levels = tuple((lo, hi, starts[lo:hi + 1]) for lo, hi in zip(at, at[1:]))
-        return cls(m.row_starts, m.col_indices, order, rank, starts, cols, entries, levels)
-
-    fits = _fits
+        return cls(order, rank, starts, cols, entries, levels)
 
     def schedule(self, data, pivots):
         """The schedule of a matrix with this pattern, data and pivots."""
@@ -834,12 +889,11 @@ class _LevelSchedule(NamedTuple):
 
 
 class _RowCut(NamedTuple):
-    """The row cut of a lower-triangular CSR pattern with a full diagonal
-    (``row_starts``, ``col_indices``, the arrays of the matrix it was
-    cut from): its rows in storage order, _BLOCK at a time, ``blocks``
-    holding one tuple (lo, hi, row_starts[lo:hi + 1]) per block.  It is
-    the pattern half of the schedule (``_RowSchedule``) of every matrix
-    with that pattern.
+    """The row cut of a lower-triangular CSR pattern with a full diagonal:
+    its rows in storage order, _BLOCK at a time, ``blocks`` holding one
+    tuple (lo, hi, row_starts[lo:hi + 1]) per block, on the pattern's
+    own row pointer and columns (``cols``).  It is the pattern half of
+    the schedule (``_RowSchedule``) of every matrix with that pattern.
 
     An entry is inner when it refers to an earlier row of its own block.
     Row i's inner entries are ``inner_starts[i]:inner_starts[i + 1]`` of
@@ -847,9 +901,8 @@ class _RowCut(NamedTuple):
     (their indices in a matrix's ``data``), in storage order; the first
     two are tuples of Python ints, which a solve need not convert."""
 
-    row_starts: np.ndarray
-    col_indices: np.ndarray
     blocks: tuple
+    cols: np.ndarray
     inner_starts: tuple
     inner_cols: tuple
     inner_entries: np.ndarray
@@ -873,10 +926,8 @@ class _RowCut(NamedTuple):
         np.cumsum(np.bincount(row, minlength=n), out=inner_starts[1:])
         at = list(range(0, n, _BLOCK)) + [n]
         blocks = tuple((lo, hi, indptr[lo:hi + 1]) for lo, hi in zip(at, at[1:]))
-        return cls(indptr, indices, blocks, tuple(inner_starts.tolist()),
+        return cls(blocks, indices, tuple(inner_starts.tolist()),
                    tuple((indices[entries] - first[row]).tolist()), entries)
-
-    fits = _fits
 
     def schedule(self, data, pivots):
         """The schedule of a matrix with this pattern, data and pivots."""
@@ -903,7 +954,7 @@ class _RowSchedule(NamedTuple):
         double arithmetic), subtracts it from b_i and divides."""
         n = b.size
         cut, vals, pivots, inner_vals = self.cut, self.vals, self.pivots, self.inner_vals
-        cols, starts, inner_cols = cut.col_indices, cut.inner_starts, cut.inner_cols
+        cols, starts, inner_cols = cut.cols, cut.inner_starts, cut.inner_cols
         xs = np.zeros(n)  # the solution, 0.0 until solved
         sums = np.zeros(n)
         bl = b.tolist()
@@ -964,9 +1015,9 @@ def _level_cut(m, per_row, max_depth):
 
 
 def _choose_cut(m):
-    """The cut of the lower-triangular matrix m with a full diagonal: the
-    level cut when m has at least _ROWS_PER_LEVEL rows per level, else
-    the row cut."""
+    """The cut of the lower-triangular pattern m with a full diagonal:
+    the level cut when m has at least _ROWS_PER_LEVEL rows per level,
+    else the row cut."""
     per_row = np.diff(m.row_starts) - 1
     max_depth = m.n // _ROWS_PER_LEVEL
     levels = None
@@ -976,22 +1027,16 @@ def _choose_cut(m):
     return _RowCut.make(m) if levels is None else _LevelCut.make(m, *levels)
 
 
-def _schedule(m, problem=None):
+def _schedule(m):
     """m's forward-substitution schedule, built once after checking that
     m is lower triangular with a nonzero diagonal (a failed check caches
-    nothing) and kept with m.  It takes the cut problem holds when that
-    fits m, else cuts m's own pattern and leaves the cut with a problem
-    that holds none, so a problem's system matrices make one cut."""
+    nothing) and kept with m.  Its cut is m's pattern's, cut on first
+    use, so the matrices that share a pattern make one cut."""
     if m._schedule is None:
         if not m.is_lower_triangular():
             raise ValueError("matrix has entries above the diagonal")
         pivots = _pivots(m)
-        cut = None if problem is None else problem._cut
-        if cut is None or not cut.fits(m):
-            cut = _choose_cut(m)
-            if problem is not None and problem._cut is None:
-                problem._cut = cut
-        m._schedule = cut.schedule(m.values, pivots)
+        m._schedule = m._pattern.cut().schedule(m.values, pivots)
     return m._schedule
 
 
@@ -1010,7 +1055,8 @@ def lower_triangular_solve(m, b):
     per level; otherwise a ``_RowSchedule``, one kernel call per
     ``_BLOCK`` rows.  Neither changes a row's arithmetic, so x is bitwise
     the row-by-row result, signed zeros included.  The schedule's
-    pattern half, its cut, may be shared (``_schedule``).
+    pattern half, its cut, is kept with m's sparsity pattern
+    (``_Pattern.cut``) and shared by every matrix on that pattern.
     """
     schedule = _schedule(m)
     b = np.asarray(b, dtype=np.float64)
@@ -1125,9 +1171,11 @@ def read_matrix_market(path):
         if not size_line:
             raise ValueError("missing size line")
         parts = size_line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed size line: {size_line!r}")
-        nrows, ncols, nnz = (int(p) for p in parts)
+        # three integers as numpy reads an entry's (int() would take 1_0);
+        # the size line is file line 2 plus the lines skipped before it
+        if len(parts) != 3 or not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
+            raise ValueError(f"{path}:{2 + len(skipped)}: malformed size line: {size_line!r}")
+        nrows, ncols, nnz = map(int, parts)
         if nrows != ncols:
             raise ValueError("matrix must be square")
         if nrows <= 0 or not 0 <= nnz <= nrows * nrows:

@@ -202,13 +202,14 @@ def residual(p, lam, work=None):
     return float(np.linalg.norm(np.minimum(lam, w, out=w)))
 
 
-def _linear_solver_for(lhs, a):
-    """Pick the cheapest exact solver the structure of lhs, a system
-    matrix of the problem matrix a, admits.
+def _linear_solver_for(lhs):
+    """Pick the cheapest exact solver the structure of the system matrix
+    lhs admits.
 
     Diagonal and lower-triangular systems go to substitution, the latter
-    with its schedule built here, sharing a's cut (``_schedule``);
-    anything else (custom splittings) gets a one-time dense LU, capped at
+    with its schedule built here, on the cut of lhs's pattern, which the
+    built-in splittings' system matrices of a problem share
+    (``_schedule``); anything else (custom splittings) gets a one-time dense LU, capped at
     n <= DENSE_LIMIT so the fallback can't masquerade as a sparse method
     at scale.
     """
@@ -217,7 +218,7 @@ def _linear_solver_for(lhs, a):
             # n entries: all on the diagonal, or a pivot is zero and _pivots raises
             d = _pivots(lhs)
             return lambda b: b / d
-        _schedule(lhs, a)
+        _schedule(lhs)
         return lambda b: lower_triangular_solve(lhs, b)
     if lhs.n > DENSE_LIMIT:
         raise ValueError(
@@ -307,7 +308,7 @@ def projected_solve(p, s, cfg, on_iterate=None):
     if s.m.n != p.n:
         raise ValueError("splitting dimension mismatch")
     lhs, rhs_mat, shifted = shifted_system(p.a, s)
-    solve = _linear_solver_for(lhs, p.a)
+    solve = _linear_solver_for(lhs)
     sigma = p.sigma
     # every solver returns a fresh vector, so the state never shares rhs
     rhs = np.empty(p.n)
@@ -347,7 +348,7 @@ def modulus_solve(p, cfg, mcfg, on_iterate=None):
     omega = mcfg.effective_omega_scale() * d
     if np.any(omega <= 0.0):
         raise ValueError("Omega must be a positive diagonal; matrix diagonal is not")
-    solve = _linear_solver_for(s.m.add_diagonal(omega), p.a)
+    solve = _linear_solver_for(s.m.add_diagonal(omega))
     omega_minus_a = p.a._by_triangle(omega - d, -1.0, -1.0)
     gamma = mcfg.gamma
     sigma_term = gamma * p.sigma

@@ -390,7 +390,7 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import importlib.util, json, os, sys, lcpkit.cli\n"
             "code = lcpkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-            "kernels = sys.modules['scipy.sparse._sparsetools'].__file__\n"
+            "kernels = lcpkit.matrix_core._kernels.__file__\n"
             "scipy_dir = importlib.util.find_spec('scipy').submodule_search_locations[0]\n"
             "print(json.dumps([code, [m for m in ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')"
             " if m in sys.modules], os.path.dirname(kernels) == os.path.join(scipy_dir, 'sparse')]))")
@@ -405,6 +405,28 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
                               text=True)
         status, loaded, from_file = json.loads(done.stdout.splitlines()[-1])
         assert status == 0 and set(loaded) <= allowed and from_file, (argv, loaded, done.stderr)
+
+
+def test_cli_import_then_scipy_sparse_binds_its_kernels():
+    # lcpkit loads the CSR kernels from their file without leaving them in
+    # sys.modules, so a later import of scipy.sparse loads its submodule
+    # as usual and binds it as scipy.sparse._sparsetools, from the same
+    # file, with a product bitwise lcpkit's
+    src = str(Path(matrix_core.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import json, sys, numpy as np, lcpkit\n"
+            "from lcpkit import matrix_core\n"
+            "kept = 'scipy.sparse._sparsetools' in sys.modules\n"
+            "import scipy.sparse\n"
+            "tools = scipy.sparse._sparsetools\n"
+            "h = scipy.sparse.random(30, 30, density=0.3, format='csr', random_state=3)\n"
+            "x = np.random.default_rng(5).uniform(-1.0, 1.0, 30)\n"
+            "m = matrix_core.SparseMatrix(30, h.indptr, h.indices, h.data)\n"
+            "print(json.dumps([kept, tools is sys.modules['scipy.sparse._sparsetools'],"
+            " tools.__file__ == matrix_core._kernels.__file__,"
+            " bool(np.array_equal((h @ x).view(np.int64), m.matvec(x).view(np.int64)))]))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, True, True, True], done.stderr
 
 
 def test_missing_matrix_file(capsys, tmp_path):
@@ -552,7 +574,8 @@ def test_malformed_file_is_input_error(capsys, tmp_path, last_entry, sigma):
      "could not convert string '1.5abc' to float64 (field 3)"),
     ("2 2 2\n1 1 4.0\n2 2 4.0 1\n", 4, "wrong number of fields: expected 3, found 4"),
     ("2 2 2\n1 1 4.0\n  % note\n3 2 1.0\n", 5, "entry index out of range 1..2"),
-], ids=["bad-value", "fourth-field", "index-above-n"])
+    ("% comment\n2 2 1.5\n1 1 4.0\n", 3, "malformed size line: '2 2 1.5'"),
+], ids=["bad-value", "fourth-field", "index-above-n", "fractional-size"])
 def test_parse_error_names_file_and_line(capsys, tmp_path, body, number, reason):
     mtx = tmp_path / "a.mtx"
     mtx.write_text(_MM + body, encoding="ascii")

@@ -65,6 +65,20 @@ def test_modes_agree_on_benchmark_matrix():
                                   abs=1e-8)
 
 
+def test_default_mode_past_the_dense_limit_is_operator():
+    # n = 2500 > DENSE_LIMIT: the default is operator mode, as in
+    # check_spectral_condition, where exact_dense refuses the size.  On
+    # A = 4I, T = (1 + 4 + 3) / (4 + 2 + 4) I, as at n = 1
+    a = SparseMatrix.diagonal(np.full(2500, 4.0))
+    s = make_splitting(a, SplittingKind.npgs())
+    assert a.n > matrix_core.DENSE_LIMIT
+    rho = iteration_operator_rho(a, s)
+    assert rho == iteration_operator_rho(a, s, "operator") == pytest.approx(0.8, abs=1e-9)
+    with pytest.raises(ValueError, match="exact_dense mode limited to n <= 2000"):
+        iteration_operator_rho(a, s, "exact_dense")
+    assert check_spectral_condition(a, s).rho_mode == "operator"
+
+
 def test_bound_never_undercuts_exact():
     for seed in range(12):
         p = gen_random_hplus(int(np.random.default_rng(seed).integers(2, 9)), seed)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -318,6 +320,13 @@ def _assert_bitwise_scipy(m, h):
     assert np.array_equal(m.values.view(np.int64), h.data.view(np.int64))
 
 
+def _triplets_of(dense):
+    """The (n, rows, cols, vals) triplets of the nonzero entries of dense."""
+    dense = np.asarray(dense)
+    rows, cols = np.nonzero(dense)
+    return dense.shape[0], rows, cols, dense[rows, cols]
+
+
 def _both(t):
     n, rows, cols, vals = t
     h = _scipy_canonical(scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
@@ -367,10 +376,23 @@ def test_add_and_subtract_are_scipy_bitwise(ts):
 @example(t=(2, np.array([0, 1]), np.array([0, 1]), np.array([1e-200, 2.0])),
          d=np.array([-0.0, 0.0, 0, 0, 0, 0]), cancel=np.array([False, True, 0, 0, 0, 0], bool),
          lower=1e-200, upper=1.0, scalar=False)
+# _by_triangle(d, lower, 0.0), as M is built: with a full diagonal, with
+# row 1's diagonal missing, and with a lower coefficient under which
+# 1e-200 * a_ij underflows to zero
+@example(t=_triplets_of([[2.0, -1.0, 0.5], [-1.0, 3.0, 0.0], [0.25, -1.0, 4.0]]),
+         d=np.array([1.0, -0.0, 2.5, 0, 0, 0]), cancel=np.zeros(6, bool),
+         lower=-0.5, upper=0.0, scalar=False)
+@example(t=_triplets_of([[2.0, -1.0, 0.5], [-1.0, 0.0, -2.0], [0.25, -1.0, 4.0]]),
+         d=np.array([1.0, 0.0, 2.5, 0, 0, 0]), cancel=np.zeros(6, bool),
+         lower=-0.5, upper=0.0, scalar=False)
+@example(t=_triplets_of([[2.0, -1.0, 0.0], [1e-200, 3.0, 7.0], [-1.0, 1e-200, 4.0]]),
+         d=np.array([1.0, 1.5, 0, 0, 0, 0]), cancel=np.array([0, 0, 1, 0, 0, 0], bool),
+         lower=1e-200, upper=0.0, scalar=False)
 def test_diagonal_builds_are_scipy_bitwise(t, d, cancel, lower, upper, scalar):
     # d holds signed zeros, and where cancel is set -a_ii, so that the sum
     # is exactly zero; with a full diagonal the result shares a's index
-    # arrays unless an entry is dropped
+    # arrays unless an entry is dropped, and with upper zero it is built
+    # on a's lower sub-pattern, unless an entry is dropped
     a, h = _both(t)
     d = np.where(cancel[:a.n], -a.diagonal_vector(), d[:a.n])
     d = d[0] if scalar else d
@@ -382,6 +404,10 @@ def test_diagonal_builds_are_scipy_bitwise(t, d, cancel, lower, upper, scalar):
         _assert_bitwise_scipy(got, want)
         if full and got.nnz == a.nnz:
             assert got.row_starts is a.row_starts and got.col_indices is a.col_indices
+    lower_pattern = a._pattern.lower()[0]
+    # got is _by_triangle's result, the loop's last
+    if full and upper == 0.0 and got.nnz == lower_pattern.col_indices.size:
+        assert got._pattern is lower_pattern
 
 
 @_EXACT
@@ -764,7 +790,18 @@ def test_spectral_radius_vector_is_the_deciding_pass_input():
     w = t @ first + first
     np.testing.assert_array_equal(spectral_radius_nonneg(t, max_iters=2).vector,
                                   w / float(np.linalg.norm(w)))
-    assert spectral_radius_nonneg(t, max_iters=0).vector is None
+
+
+def test_spectral_radius_rejects_a_run_that_cannot_stop_or_start():
+    # a nan tol never stops the iteration before its cap, and no pass
+    # gives no estimate
+    t = np.diag([2.0, 3.0])
+    for tol in (np.nan, 0.0, -1e-10):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            spectral_radius_nonneg(t, tol=tol)
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            spectral_radius_nonneg(t, max_iters=max_iters)
 
 
 @settings(max_examples=80, deadline=None)
@@ -955,49 +992,64 @@ def _named_system_matrices(a):
     return lhs
 
 
-def test_custom_splitting_with_another_pattern_makes_its_own_cut():
-    # A keeps the first cut made for one of its system matrices.  Solved
-    # after the named system matrices, the custom one cannot take their
-    # cut and cuts its own pattern; solved before them, its cut stays
-    # with A and the named ones each cut their own.  Either way every
-    # solve is bitwise the row-by-row loop's
+def _lower_cut(a):
+    """The cut kept with the lower sub-pattern of a's pattern, or None."""
+    return a._pattern.lower()[0]._cut
+
+
+def test_custom_splitting_with_another_pattern_makes_its_own_cut(monkeypatch):
+    # the named system matrices are built on A's lower sub-pattern and
+    # make one cut between them; the custom one has another pattern and
+    # cuts it, whichever is solved first.  Every solve is bitwise the
+    # row-by-row loop's
     b = np.random.default_rng(59).uniform(-3.0, 3.0, 16)
+    choose = matrix_core._choose_cut
     for custom_first in (False, True):
+        cut_from = []
+        monkeypatch.setattr(matrix_core, "_choose_cut", lambda m: cut_from.append(m) or choose(m))
         a = BenchSpec("example1", 4).build().a
         custom, named = _custom_system_matrix(a), _named_system_matrices(a)
         for lhs in [custom, *named] if custom_first else [*named, custom]:
-            x = _linear_solver_for(lhs, a)(b)
+            x = _linear_solver_for(lhs)(b)
             assert np.array_equal(x.view(np.int64), _reference_trisolve(lhs, b).view(np.int64))
         own = matrix_core._schedule(custom).cut
         cuts = [matrix_core._schedule(lhs).cut for lhs in named]
-        assert own.fits(custom) and not own.fits(named[0])
-        assert all(cut.fits(lhs) for cut, lhs in zip(cuts, named))
-        if custom_first:
-            assert a._cut is own and len({id(cut) for cut in cuts}) == 4
-        else:
-            assert own is not a._cut and all(cut is a._cut for cut in cuts)
+        lower = a._pattern.lower()[0]
+        assert cut_from == ([custom._pattern, lower] if custom_first else [lower, custom._pattern])
+        assert own is custom._pattern._cut and custom._pattern is not named[0]._pattern
+        assert all(cut is lhs._pattern._cut for cut, lhs in zip(cuts, named))
+        assert own is not _lower_cut(a) and all(cut is _lower_cut(a) for cut in cuts)
 
 
 def test_table1_methods_make_one_cut(monkeypatch):
     # the mgs, msor, npgs and npsor solves of one table-1 problem, run as
-    # the table runs them, make one cut between their system matrices;
-    # it reads the pattern from the first system matrix's own arrays
-    cuts, schedules = [], []
-    choose = matrix_core._choose_cut
-    monkeypatch.setattr(matrix_core, "_choose_cut", lambda m: cuts.append(choose(m)) or cuts[-1])
-    monkeypatch.setattr(solvers, "_schedule",
-                        lambda m, a: schedules.append((m, matrix_core._schedule(m, a))))
-    p = BenchSpec("example1", 10).build()
-    cfg = SolverConfig()
-    for variant, alpha in (("mgs", 1.0), ("msor", 0.85)):
-        solvers.modulus_solve(p, cfg, ModulusConfig(variant, alpha))
-    for kind in (SplittingKind.npgs(), SplittingKind.npsor(1.7)):
-        solvers.projected_solve(p, make_splitting(p.a, kind), cfg)
-    assert len(cuts) == 1 and len(schedules) == 4
-    cut = cuts[0]
-    assert p.a._cut is cut and all(s.cut is cut for _, s in schedules)
-    first = schedules[0][0]
-    assert cut.row_starts is first.row_starts and cut.col_indices is first.col_indices
+    # the table runs them, make one cut between their system matrices, in
+    # either order; it is cut from the pattern they all hold, the lower
+    # sub-pattern of the problem matrix, index arrays and all
+    for reverse in (False, True):
+        cuts, cut_from, schedules = [], [], []
+        choose = matrix_core._choose_cut
+        monkeypatch.setattr(matrix_core, "_choose_cut",
+                            lambda m: cut_from.append(m) or cuts.append(choose(m)) or cuts[-1])
+        monkeypatch.setattr(solvers, "_schedule",
+                            lambda m: schedules.append((m, matrix_core._schedule(m))))
+        p = BenchSpec("example1", 10).build()
+        cfg = SolverConfig()
+        runs = [lambda v=variant, al=alpha: solvers.modulus_solve(p, cfg, ModulusConfig(v, al))
+                for variant, alpha in (("mgs", 1.0), ("msor", 0.85))]
+        runs += [lambda k=kind: solvers.projected_solve(p, make_splitting(p.a, k), cfg)
+                 for kind in (SplittingKind.npgs(), SplittingKind.npsor(1.7))]
+        for run in reversed(runs) if reverse else runs:
+            run()
+        assert len(cuts) == 1 and len(schedules) == 4
+        cut = cuts[0]
+        assert _lower_cut(p.a) is cut and all(s.cut is cut for _, s in schedules)
+        first = schedules[0][0]
+        assert cut_from == [first._pattern] and first._pattern is p.a._pattern.lower()[0]
+        assert all(m._pattern is first._pattern for m, _ in schedules)
+        assert len({id(m.row_starts) for m, _ in schedules}) == 1
+        assert len({id(m.col_indices) for m, _ in schedules}) == 1
+        monkeypatch.undo()
 
 
 def test_system_matrices_share_the_level_pattern():
@@ -1008,10 +1060,10 @@ def test_system_matrices_share_the_level_pattern():
     schedules = []
     for kind in (SplittingKind.npgs(), SplittingKind.npsor(1.7)):
         lhs = shifted_system(a, make_splitting(a, kind))[0]
-        x = _linear_solver_for(lhs, a)(b)
+        x = _linear_solver_for(lhs)(b)
         assert np.array_equal(x.view(np.int64), _reference_trisolve(lhs, b).view(np.int64))
         schedules.append(matrix_core._schedule(lhs))
-    cut = a._cut
+    cut = _lower_cut(a)
     assert np.array_equal(cut.order[cut.rank], np.arange(a.n))
     for s in schedules:
         # order, rank, the row pointer and the columns are the cut's
@@ -1032,10 +1084,10 @@ def test_system_matrices_share_the_row_pattern():
     system_matrices = (shifted_system(a, npgs)[0], npgs.m.add_diagonal(omega))
     schedules = []
     for lhs in system_matrices:
-        x = _linear_solver_for(lhs, a)(b)
+        x = _linear_solver_for(lhs)(b)
         assert np.array_equal(x.view(np.int64), _reference_trisolve(lhs, b).view(np.int64))
         schedules.append(matrix_core._schedule(lhs))
-    cut = a._cut
+    cut = _lower_cut(a)
     assert isinstance(cut, matrix_core._RowCut) and len(cut.blocks) == 3
     assert cut.inner_entries.size == len(cut.inner_cols) > 0
     for lhs, s in zip(system_matrices, schedules):
@@ -1077,7 +1129,7 @@ def test_forward_substitution_builds_the_schedule_once(monkeypatch):
     for b in (np.array([2.0, 3.0, 8.0]), np.array([1.0, 0.0, -1.0])):
         assert np.array_equal(lower_triangular_solve(m, b), _reference_trisolve(m, b))
         schedules.append(m._schedule)
-    assert len(cuts) == 1 and cuts[0] is m and schedules[0] is schedules[1]
+    assert len(cuts) == 1 and cuts[0] is m._pattern and schedules[0] is schedules[1]
 
 
 def _leaves(value):
@@ -1152,8 +1204,8 @@ def test_levels_match_longest_dependency_chain(d):
     # more, else the row cut, runs of _BLOCK rows in order
     lower_triangular_solve(m, np.ones(m.n))
     cut = matrix_core._schedule(m).cut
-    # m's own pattern, read from m's own arrays
-    assert cut.row_starts is m.row_starts and cut.col_indices is m.col_indices
+    # m's own pattern's cut, kept with it
+    assert cut is m._pattern._cut
     if depth * matrix_core._ROWS_PER_LEVEL <= m.n:
         assert isinstance(cut, matrix_core._LevelCut)
         assert np.array_equal(cut.order, order)
@@ -1195,8 +1247,8 @@ def test_level_cut_stores_no_inner_entries(d):
     # the row cut's schedule reads the matrix's own arrays, and its inner
     # entries are those that refer to an earlier row of their block, in
     # storage order
-    assert row.cut.row_starts is m.row_starts
-    assert row.cut.col_indices is m.col_indices and row.vals is m.values
+    assert all(np.shares_memory(starts, m.row_starts) for *_, starts in row.cut.blocks)
+    assert row.cut.cols is m.col_indices and row.vals is m.values
     inner_cols, inner_vals = [], []
     for i in range(m.n):
         first = i - i % matrix_core._BLOCK
@@ -1335,9 +1387,12 @@ def test_matrix_market_finds_the_size_line_past_comments_and_blanks(tmp_path):
     path.write_text(head + "2 2 1,5\n")
     with pytest.raises(ValueError, match=r"a\.mtx:9: "):
         read_matrix_market(path)
-    path.write_text(head.replace("2 2 1\n", "2 2\n"))
-    with pytest.raises(ValueError, match="malformed size line: '2 2'"):
-        read_matrix_market(path)
+    # not three integers, named with the size line's file line
+    for size_line in ("2 2", "2 2 1.5", "2 2 1_0", "2 0x2 1"):
+        path.write_text(head.replace("2 2 1\n", f"{size_line}\n"))
+        message = re.escape(f"a.mtx:8: malformed size line: '{size_line}'")
+        with pytest.raises(ValueError, match=message):
+            read_matrix_market(path)
     path.write_text(_MM + "% only\n\n")
     with pytest.raises(ValueError, match="missing size line"):
         read_matrix_market(path)

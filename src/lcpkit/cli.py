@@ -393,6 +393,13 @@ def cmd_gen(args):
     # checked before anything is written, so that an error leaves no files
     if args.solution and problem.known_solution is None:
         raise UsageError("this family carries no reference solution")
+    flags = {}
+    for flag in ("--matrix", "--sigma", "--solution"):
+        path = getattr(args, flag[2:])
+        if path:
+            other = flags.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise UsageError(f"{other} and {flag} name the same file {path!r}")
     outputs = [(write_matrix_market, problem.a, args.matrix),
                (write_vector, problem.sigma, args.sigma)]
     if args.solution:

@@ -45,7 +45,7 @@ from .matrix_core import (
     spectral_radius_nonneg,
 )
 from .solvers import shifted_system
-from .splittings import _h_compatible
+from .splittings import is_h_compatible
 
 RHO_MODES = ("exact_dense", "comparison_bound", "operator")
 
@@ -183,7 +183,7 @@ def _structural_fields(a, s, p_matrix_limit=0):
     # the M tests need verdicts only, not classify's witness solve
     report = _classify(a, p_matrix_limit, witness=False)
     d = a.diagonal_vector()
-    h_compatible = _h_compatible(a, s.m, s.n_part, d + 1.0)
+    h_compatible = is_h_compatible(a, s.m.add_diagonal(d + 1.0), s.n_part.add_diagonal(d + 1.0))
     diag_geq_one = bool(np.all(d >= 1.0))
     diag_below_one = bool(np.all(d < 1.0))
     # coupling matrix <A> + 2I - D_A - |B|, B the off-diagonal part: |d| +

@@ -104,8 +104,8 @@ class SolverConfig:
     initial: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.initial is not None:
@@ -345,13 +345,17 @@ def modulus_solve(p, cfg, mcfg, on_iterate=None):
         kind = SplittingKind.npsor(mcfg.alpha)
     s = make_splitting(p.a, kind)
     d = p.a.diagonal_vector()
-    omega = mcfg.effective_omega_scale() * d
+    gamma = mcfg.gamma
+    # an Omega or gamma sigma that overflows is an input error, refused below
+    with np.errstate(over="ignore"):
+        omega = mcfg.effective_omega_scale() * d
+        sigma_term = gamma * p.sigma
+    if not np.all(np.isfinite(sigma_term)):
+        raise ValueError("gamma * sigma is not finite (overflow)")
     if np.any(omega <= 0.0):
         raise ValueError("Omega must be a positive diagonal; matrix diagonal is not")
     solve = _linear_solver_for(s.m.add_diagonal(omega))
     omega_minus_a = p.a._by_triangle(omega - d, -1.0, -1.0)
-    gamma = mcfg.gamma
-    sigma_term = gamma * p.sigma
     rhs = np.empty(p.n)  # as in projected_solve
 
     def step(x, w):

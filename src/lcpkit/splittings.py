@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_core import SparseMatrix, _is_z, _m_probe
+from .matrix_core import SparseMatrix, _is_z, _m_probe, comparison_matrix
 
 _TAGS = ("npj", "npgs", "npsor", "npaor", "custom")
 
@@ -104,8 +104,11 @@ def _family_parts(a, alpha, beta):
     """
     d = a.diagonal_vector()
     inv = 1.0 / alpha
-    return ((d * inv, beta * inv, 0.0),
-            (d * ((1.0 - alpha) * inv), -((alpha - beta) * inv), -(alpha * inv)))
+    # an entry that overflows (a tiny alpha), or a nan from 0 * inf on a
+    # missing diagonal, is refused by the build
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((d * inv, beta * inv, 0.0),
+                (d * ((1.0 - alpha) * inv), -((alpha - beta) * inv), -(alpha * inv)))
 
 
 def make_splitting(a, kind):
@@ -122,11 +125,11 @@ def make_splitting(a, kind):
         raise ValueError("use custom_splitting for caller-provided pairs")
     alpha, beta = kind.effective_parameters()
     m_parts, n_parts = _family_parts(a, alpha, beta)
-    # checked before M and N are built: their values are known already
-    if not _difference_close(a, m_parts, n_parts):
+    m, n_part = a._by_triangle(*m_parts), a._by_triangle(*n_parts)
+    if not _entrywise_close(m.subtract(n_part), a):
         raise ValueError(f"{kind.tag} splitting with alpha = {alpha:g}, beta = {beta:g}"
                          " fails M - N = A within tolerance")
-    return Splitting(m=a._by_triangle(*m_parts), n_part=a._by_triangle(*n_parts), kind=kind)
+    return Splitting(m=m, n_part=n_part, kind=kind)
 
 
 def custom_splitting(a, m, n_part):
@@ -143,79 +146,10 @@ def _entrywise_close(x, y, tol=EQ_TOL):
     return x.subtract(y).max_abs() <= tol * scale
 
 
-def _difference_close(a, m_parts, n_parts):
-    """``_entrywise_close(M.subtract(N), a)`` for M and N built from a by
-    ``_by_triangle(*m_parts)`` and ``_by_triangle(*n_parts)``, with no
-    matrix built.
-
-    Each entry of M and N is one of a's off-diagonal entries times its
-    triangle's coefficient, or an entry of a diagonal vector, so each
-    entry of M - N and of its difference with a is the one rounded
-    operation the chain makes: an entry the chain drops as zero is a
-    signed zero here, which changes no magnitude.  The verdict, the
-    scale and the ValueError on a non-finite entry are bitwise the
-    chain's."""
-    triangle = a._triangle()
-    off = triangle != 0
-    diff = a.values[off]  # a copy, which becomes (M - N) - A off the diagonal
-    lower = triangle[off] < 0
-    (m_diag, *m_off), (n_diag, *n_off) = m_parts, n_parts
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = diff * np.where(lower, *m_off)
-        x -= diff * np.where(lower, *n_off)
-        np.subtract(x, diff, out=diff)
-        x_diag = m_diag - n_diag
-        diff_diag = x_diag - a.diagonal_vector()
-    if not all(np.all(np.isfinite(v)) for v in (x, diff, x_diag, diff_diag)):
-        raise ValueError("matrix entry is not finite (nan/inf input or overflow)")
-    scale = max(1.0, _max_abs(x), _max_abs(x_diag), a.max_abs())
-    return max(_max_abs(diff), _max_abs(diff_diag)) <= EQ_TOL * scale
-
-
-def _max_abs(v):
-    """max |v_i| of a finite vector (0.0 if empty), with no temporary:
-    temporaries in make_splitting raised table1's peak RSS."""
-    return float(max(v.max(initial=0.0), -v.min(initial=0.0)))
-
-
 def is_h_compatible(a, m, n_part):
     """<M> - |N| equals <A> entrywise, within EQ_TOL."""
-    return _h_compatible(a, m, n_part, 0.0)
-
-
-def _h_compatible(a, m, n_part, shift):
-    """``is_h_compatible`` of a and M + diag(shift), N + diag(shift),
-    shift a scalar or a length-n vector, with no matrix built.
-
-    The entries of M, N and A are laid out on the union of their
-    patterns and the diagonal, where each entry of <M'> - |N'| and of
-    its difference with <A> is the one rounded operation that the
-    chain of ``add_diagonal``, ``comparison_matrix``, ``abs_entrywise``
-    and ``subtract`` makes, so the verdict is bitwise that chain's.
-    Like that chain, an entry that overflows raises ValueError.
-    """
-    n = a.n
-    keys = [np.repeat(np.arange(n, dtype=np.int64), np.diff(x.row_starts)) * n + x.col_indices
-            for x in (m, n_part, a)]
-    diagonal = np.arange(n, dtype=np.int64) * (n + 1)
-    # sorted and deduplicated by hand: np.unique hashes, several times slower
-    union = np.sort(np.concatenate([*keys, diagonal]))
-    union = union[np.append(True, union[1:] != union[:-1])]
-    mv, nv, av = (np.zeros(union.size) for _ in range(3))
-    for v, x, key in zip((mv, nv, av), (m, n_part, a), keys):
-        v[np.searchsorted(union, key)] = x.values
-    on_diagonal = np.searchsorted(union, diagonal)
-    sign = np.full(union.size, -1.0)  # turns |.| into the comparison matrix
-    sign[on_diagonal] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        mv[on_diagonal] += shift
-        nv[on_diagonal] += shift
-        x = sign * np.abs(mv) - np.abs(nv)
-        diff = x - sign * np.abs(av)
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(diff)):
-        raise ValueError("matrix entry is not finite (nan/inf input or overflow)")
-    scale = max(1.0, float(np.abs(x).max()), a.max_abs())
-    return float(np.abs(diff).max()) <= EQ_TOL * scale
+    return _entrywise_close(comparison_matrix(m).subtract(n_part.abs_entrywise()),
+                            comparison_matrix(a))
 
 
 def analyze_splitting(a, s):

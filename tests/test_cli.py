@@ -24,6 +24,13 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _env_with_src():
+    """The environment, with this checkout's src first on PYTHONPATH, for
+    a subprocess that imports lcpkit."""
+    src = str(Path(matrix_core.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_solve_benchmark_npgs(capsys):
     code, out, _ = _run(capsys, [
         "solve", "--family", "example1", "--m", "10", "--method", "npgs",
@@ -368,8 +375,7 @@ def test_check_leaves_sparse_solvers_unloaded(tmp_path):
     a = BenchSpec("example1", 6).build().a
     path = tmp_path / "scaled.mtx"
     matrix_core.write_matrix_market(a.scaled(0.9 / a.diagonal_vector().max()), str(path))
-    src = str(Path(matrix_core.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _env_with_src()
     for problem in (["--family", "example1", "--m", "6"], ["--matrix", str(path)]):
         argv = ["check", *problem, "--method", "npgs", "--format", "json"]
         code = (f"import sys, lcpkit.cli; code = lcpkit.cli.main({argv!r}); "
@@ -386,8 +392,7 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
     a = BenchSpec("example1", 6).build().a
     path = tmp_path / "scaled.mtx"
     matrix_core.write_matrix_market(a.scaled(0.9 / a.diagonal_vector().max()), str(path))
-    src = str(Path(matrix_core.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _env_with_src()
     code = ("import importlib.util, json, os, sys, lcpkit.cli\n"
             "code = lcpkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
             "kernels = lcpkit.matrix_core._kernels.__file__\n"
@@ -412,8 +417,7 @@ def test_cli_import_then_scipy_sparse_binds_its_kernels():
     # sys.modules, so a later import of scipy.sparse loads its submodule
     # as usual and binds it as scipy.sparse._sparsetools, from the same
     # file, with a product bitwise lcpkit's
-    src = str(Path(matrix_core.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _env_with_src()
     code = ("import json, sys, numpy as np, lcpkit\n"
             "from lcpkit import matrix_core\n"
             "kept = 'scipy.sparse._sparsetools' in sys.modules\n"
@@ -640,6 +644,49 @@ def test_overflowing_modulus_lambda_is_divergence(capsys):
     code, _, err = _run(capsys, ["solve", *_EXAMPLE1_M3, "--method", "mgs", "--gamma", "1e-300"])
     assert code == 2
     assert err == "did not converge: Res(lambda) is not finite at iteration 1\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", *_EXAMPLE1_M3, "--method", "npsor", "--alpha", "1e-308"], "not finite"),
+    (["solve", *_EXAMPLE1_M3, "--method", "msor", "--alpha", "1e-308"], "not finite"),
+    (["check", *_EXAMPLE1_M3, "--method", "npsor", "--alpha", "1e-308"], "not finite"),
+    (["solve", *_EXAMPLE1_M3, "--method", "mgs", "--omega-scale", "1e308"], "not finite"),
+    (["solve", *_EXAMPLE1_M3, "--method", "mgs", "--gamma", "1e308"], "gamma * sigma"),
+    (["solve", "--matrix", "a.mtx", "--sigma", "s.vec", "--method", "npsor", "--alpha", "1e-320"],
+     "not finite"),
+], ids=["solve-npsor", "solve-msor", "check-npsor", "omega-scale", "gamma", "missing-diagonal"])
+def test_bad_input_prints_one_line(tmp_path, argv, message):
+    # a parameter under which assembly overflows, or a 1/alpha of inf meets
+    # a missing diagonal entry, is an input error with no numpy
+    # RuntimeWarning before the message; a plain interpreter shows the
+    # warnings the test configuration would turn into errors
+    _problem_files(tmp_path, "2 2 2\n1 2 -1.0\n2 2 4.0\n")
+    env = _env_with_src()
+    done = subprocess.run([sys.executable, "-m", "lcpkit.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
+    assert message in done.stderr
+
+
+@pytest.mark.parametrize("command", [["solve", *_EXAMPLE1_M3, "--method", "npgs"],
+                                     ["table", "table1", "--sizes", "100"]])
+def test_bad_input_tol_must_be_finite(capsys, command):
+    # an infinite tol would stop after one pass with any residual
+    err = _assert_input_error(capsys, [*command, "--tol", "inf"])
+    assert err == "error: tol must be positive and finite\n"
+
+
+@pytest.mark.parametrize("flags", [("--matrix", "--sigma"), ("--sigma", "--solution")])
+def test_bad_input_gen_one_file_for_two_outputs(capsys, tmp_path, flags):
+    # the second spelling resolves to the first path; nothing is written
+    paths = {"--matrix": str(tmp_path / "a.mtx"), "--sigma": str(tmp_path / "s.vec"),
+             "--solution": str(tmp_path / "lam.vec")}
+    paths[flags[1]] = f"{tmp_path}/./{os.path.basename(paths[flags[0]])}"
+    err = _assert_input_error(capsys, ["gen", *_EXAMPLE1_M3,
+                                       *itertools.chain.from_iterable(paths.items())])
+    assert err == f"error: {flags[0]} and {flags[1]} name the same file {paths[flags[1]]!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_names_the_zero_pivot(capsys, tmp_path):

@@ -53,8 +53,9 @@ def test_problem_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError, match="initial"):

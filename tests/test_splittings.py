@@ -1,19 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcpkit import matrix_core, splittings
 from lcpkit.matrix_core import SparseMatrix, classify, comparison_matrix
 from lcpkit.problems import gen_random_hplus
 from lcpkit.splittings import (
-    EQ_TOL,
     SplittingKind,
-    _difference_close,
     _entrywise_close,
-    _family_parts,
-    _h_compatible,
     analyze_splitting,
     custom_splitting,
     make_splitting,
@@ -96,37 +92,6 @@ def test_family_parts_are_the_chain_bitwise(n, seed, alpha, beta):
     assert (s.m, s.n_part) == _chained_parts(a, alpha, beta)
 
 
-def _verdict(check):
-    """check()'s verdict, or ValueError if it raised one."""
-    try:
-        return check()
-    except ValueError:
-        return ValueError
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
-       alpha=st.one_of(st.sampled_from([1.0, 1.7, 1e-3]), st.floats(0.1, 1.9)),
-       beta=st.one_of(st.sampled_from([0.0, 1.0, -0.7, 1e-300]), st.floats(-2.0, 2.0)),
-       which=st.integers(0, 5),
-       t=st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 2**-40, 1.0 + 2**-40]), st.floats(0.0, 3.0)))
-@example(n=1, seed=0, alpha=1.0, beta=1e-300, which=0, t=0.0)
-@example(n=1, seed=3, alpha=1.7, beta=-0.7, which=4, t=1.0)
-def test_difference_check_is_the_chain(n, seed, alpha, beta, which, t):
-    # one of the six coefficients of M and N moves by t * EQ_TOL, so that
-    # the verdict rests on the last bits of the comparison; missing
-    # diagonals and empty rows included
-    rng = np.random.default_rng(seed)
-    dense = rng.uniform(-3, 3, (n, n)) * (rng.random((n, n)) < 0.6)
-    a = SparseMatrix.from_dense(dense)
-    parts = [list(p) for p in _family_parts(a, alpha, beta)]
-    side, k = divmod(which, 3)
-    parts[side][k] = parts[side][k] + t * EQ_TOL
-    m, n_part = a._by_triangle(*parts[0]), a._by_triangle(*parts[1])
-    want = _verdict(lambda: _entrywise_close(m.subtract(n_part), a))
-    assert _verdict(lambda: _difference_close(a, *parts)) is want
-
-
 def test_difference_check_raises_where_the_chain_overflows():
     # M and N are finite, M - N is not
     a = SparseMatrix.from_dense([[1.0, 0.0], [1.5e308, 1.0]])
@@ -134,8 +99,15 @@ def test_difference_check_raises_where_the_chain_overflows():
     m, n_part = a._by_triangle(*parts[0]), a._by_triangle(*parts[1])
     with pytest.raises(ValueError, match="not finite"):
         _entrywise_close(m.subtract(n_part), a)
+
+
+def test_make_splitting_raises_where_m_minus_n_overflows():
+    # M and N take A's lower entry, the largest double, times 0.25 and
+    # times -((0.8 - 0.2) * 1.25), which rounds a little below -0.75: both
+    # are finite, and their difference rounds past the largest double
+    a = SparseMatrix.from_dense([[1.0, 0.0], [np.finfo(np.float64).max, 1.0]])
     with pytest.raises(ValueError, match="not finite"):
-        _difference_close(a, *parts)
+        make_splitting(a, SplittingKind.npaor(0.8, 0.2))
 
 
 @pytest.mark.parametrize("which", range(6))
@@ -240,44 +212,6 @@ def test_h_compatible_pairs_leave_an_m_matrix():
                 diff = comparison_matrix(s.m).subtract(s.n_part.abs_entrywise())
                 assert classify(diff, p_matrix_limit=0).is_m
     assert hits > 0
-
-
-def _chained_h_compatible(a, m, n_part, shift):
-    """is_h_compatible(a, M + diag(shift), N + diag(shift)) as an earlier
-    version computed it, one build per step."""
-    m, n_part = m.add_diagonal(shift), n_part.add_diagonal(shift)
-    x = comparison_matrix(m).subtract(n_part.abs_entrywise())
-    y = comparison_matrix(a)
-    scale = max(1.0, x.max_abs(), y.max_abs())
-    return x.subtract(y).max_abs() <= EQ_TOL * scale
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from([SplittingKind.npj(), SplittingKind.npgs(),
-                             SplittingKind.npsor(1.7), SplittingKind.npaor(1.2, -0.5)]),
-       z=st.booleans(), custom=st.booleans(), shifted=st.booleans(),
-       t=st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 2**-40, 1.0 + 2**-40]), st.floats(0.0, 3.0)))
-def test_h_compatible_is_the_chain(n, seed, kind, z, custom, shifted, t):
-    # t scales a perturbation of one entry of N to about the tolerance,
-    # so that the verdict rests on the last bits of the comparison; the
-    # named splittings of a Z-matrix with positive diagonal are compatible
-    rng = np.random.default_rng(seed)
-    dense = rng.uniform(-3, 3, (n, n)) * (rng.random((n, n)) < 0.6)
-    if z:
-        dense = -np.abs(dense)
-        np.fill_diagonal(dense, rng.uniform(0.5, 3.0, n))
-    a = SparseMatrix.from_dense(dense)
-    s = make_splitting(a, kind)
-    m, n_part = s.m, s.n_part
-    if custom:  # a pair with other patterns, M - N = A still
-        m = SparseMatrix.from_dense(rng.uniform(-3, 3, (n, n)) * (rng.random((n, n)) < 0.5))
-        n_part = m.subtract(a)
-    i, j = (int(k) for k in rng.integers(0, n, 2))
-    bump = SparseMatrix.from_coo(n, [i], [j], [t * EQ_TOL * max(1.0, a.max_abs())])
-    n_part = n_part.add(bump)
-    shift = a.diagonal_vector() + 1.0 if shifted else 0.0
-    assert _h_compatible(a, m, n_part, shift) is _chained_h_compatible(a, m, n_part, shift)
 
 
 def test_effective_parameters_mapping():

@@ -31,15 +31,13 @@ from typing import Optional
 import numpy as np
 
 from .matrix_core import (
-    _TINY,
     DENSE_LIMIT,
     SparseMatrix,
-    _as_apply,
     _classify,
-    _gamma,
     _is_z,
     _m_probe,
     _pivots,
+    _verified_positive,
     comparison_matrix,
     lower_triangular_solve,
     spectral_radius_nonneg,
@@ -275,21 +273,19 @@ def check_hmatrix_conditions(a, s):
 def certify_rho_lt_one(t, v):
     """Sound one-sided certificate: T v < v exactly for the float v > 0.
 
-    t is a SparseMatrix or a dense array (a callable's rounding cannot be
-    bounded).  For T >= 0, |T| v = T v, so the check passes only when
-    v - T v exceeds gamma_2k (``matrix_core._gamma``) times T v plus a
-    smallest subnormal per product, k the most entries in a row (n for
-    an array).  True guarantees rho(T) < 1 for nonnegative T; False
-    certifies nothing.
+    t is a SparseMatrix or an array, read by its nonzeros (a callable's
+    rounding cannot be bounded).  v - T v goes to
+    ``matrix_core._verified_positive`` as the terms I and -T, so the
+    rounding bound is on |T| v and holds for a T of mixed sign.  True
+    guarantees rho(T) < 1 for nonnegative T; False certifies nothing.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0 or v.min() <= 0.0:
-        raise ValueError("v must be strictly positive componentwise")
-    if not isinstance(t, (SparseMatrix, np.ndarray)):
+    if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)) or v.min() <= 0.0:
+        raise ValueError("v must be finite and strictly positive componentwise")
+    if isinstance(t, np.ndarray):
+        t = SparseMatrix.from_dense(t)
+    elif not isinstance(t, SparseMatrix):
         raise ValueError("t must be a SparseMatrix or an array, not a callable")
-    apply_t, n = _as_apply(t)
-    k = int(np.diff(t.row_starts).max()) if isinstance(t, SparseMatrix) else n
-    with np.errstate(over="ignore", invalid="ignore"):
-        tv = apply_t(v)
-        bound = _gamma(k) * tv + k * _TINY
-        return bool(np.all(v - tv > bound))
+    if t.n != v.size:
+        raise ValueError(f"t is {t.n} x {t.n} but v has length {v.size}")
+    return _verified_positive([(1, SparseMatrix.identity(t.n)), (-1, t)], v)

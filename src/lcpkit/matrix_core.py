@@ -479,23 +479,24 @@ def _gamma(k):
     return ku / (1.0 - ku)
 
 
-def _verified_positive(z, u):
-    """True only if u > 0 and z u > 0 hold exactly for the float vector u.
-
-    Each computed (z u)_i is off from the exact one by at most
-    gamma_k (|z| u)_i, plus a smallest subnormal per product where
-    products underflow; the check passes when every (z u)_i exceeds that
-    bound, taken with gamma_2k (``_gamma``) on the computed |z| u.  It
-    costs two matvecs.  This is the positive-vector check of Rump,
-    "Verification methods", *Acta Numerica* 2010: for a Z-matrix z it
-    proves that z is a nonsingular M-matrix, however u was found."""
-    if u.shape != (z.n,) or not np.all(u > 0.0) or not np.all(np.isfinite(u)):
+def _verified_positive(terms, u):
+    """True only if u > 0 and sum_j s_j P_j u > 0 hold exactly for the
+    float vector u, terms a list of (s_j = 1 or -1, SparseMatrix P_j),
+    each applied on its own.  Each computed row is off from the exact one
+    by at most gamma_k times that row of sum_j |P_j| u (k the most
+    products in a row over all terms), plus a smallest subnormal per
+    underflowing product; the check passes when every row exceeds that
+    bound, taken with gamma_2k (``_gamma``) on the computed sum.  This is
+    the positive-vector check of Rump, "Verification methods", *Acta
+    Numerica* 2010: [(1, z)] proves a Z-matrix z a nonsingular M-matrix."""
+    if u.shape != (terms[0][1].n,) or not np.all(u > 0.0) or not np.all(np.isfinite(u)):
         return False
-    per_row = np.diff(z.row_starts)
+    per_row = sum(np.diff(p.row_starts) for _, p in terms)
     with np.errstate(over="ignore", invalid="ignore"):
-        zu = z.matvec(u)
-        bound = _gamma(int(per_row.max())) * _product(z, np.abs(z.values), u) + per_row * _TINY
-    return bool(np.all(zu > bound) and np.all(np.isfinite(bound)))
+        total = sum(s * p.matvec(u) for s, p in terms)
+        magnitude = sum(_product(p, np.abs(p.values), u) for _, p in terms)
+        bound = _gamma(int(per_row.max())) * magnitude + per_row * _TINY
+    return bool(np.all(total > bound) and np.all(np.isfinite(bound)))
 
 
 def _jacobi_verdict(z, triangle):
@@ -522,7 +523,7 @@ def _jacobi_verdict(z, triangle):
     if est.upper < 1.0:
         # the bracket stops at the first pass whose upper end is below 1,
         # so the last vector applied is the one that decided
-        return _verified_positive(z, est.vector) or None
+        return _verified_positive([(1, z)], est.vector) or None
     if est.lower >= 1.0 + _gamma(int(np.diff(z.row_starts).max())):
         return False
     return None
@@ -545,7 +546,7 @@ def _m_matrix_witness(a):
     except Exception:
         return None
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    return v if _verified_positive(a, v) else None
+    return v if _verified_positive([(1, a)], v) else None
 
 
 def _is_z(a):

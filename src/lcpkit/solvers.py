@@ -33,6 +33,14 @@ def _divergence_bound(sigma):
     return DIVERGENCE_NORM * max(1.0, float(np.abs(sigma).max()))
 
 
+def _representable(a, bound):
+    """Whether an iterate may grow to bound before the guard stops it: A
+    times such an iterate, plus a few like terms, must stay finite."""
+    with np.errstate(over="ignore"):
+        row_sum = float(_product(a, np.abs(a.values), np.ones(a.n)).max())
+    return bound * max(1.0, row_sum) < _SCALE_LIMIT
+
+
 def _readonly(v, n=None, name="vector"):
     v = np.asarray(v, dtype=np.float64)
     if n is not None and v.shape != (n,):
@@ -70,11 +78,7 @@ class LcpProblem:
         if not isinstance(self.a, SparseMatrix):
             raise ValueError("a must be a SparseMatrix")
         object.__setattr__(self, "sigma", _readonly(self.sigma, self.a.n, "sigma"))
-        # an iterate may grow to the divergence bound before the guard stops
-        # it; A times such an iterate, plus a few like terms, must stay finite
-        with np.errstate(over="ignore"):
-            row_sum = float(_product(self.a, np.abs(self.a.values), np.ones(self.a.n)).max())
-        if not _divergence_bound(self.sigma) * max(1.0, row_sum) < _SCALE_LIMIT:
+        if not _representable(self.a, _divergence_bound(self.sigma)):
             raise ValueError(
                 f"problem scale not representable: {DIVERGENCE_NORM:g} * max(1, max|sigma|)"
                 f" * max(1, largest absolute row sum of A) must stay below {_SCALE_LIMIT:.3g}"
@@ -247,11 +251,12 @@ def shifted_system(a, s):
     return s.m.add_diagonal(d + 2.0), s.n_part.add_diagonal(d + 1.0), a.add_diagonal(-1.0)
 
 
-def _iterate(p, cfg, step, to_lambda, on_iterate):
+def _iterate(p, cfg, bound, step, to_lambda, on_iterate):
     """Fixed-point driver shared by both method families.
 
     Starting from cfg's start vector, each pass replaces the state by
-    step(state, work), guards it against divergence, maps it to lambda
+    step(state, work), guards it against divergence (every entry at most
+    bound, which the start vector must meet too), maps it to lambda
     with to_lambda and stops once Res(lambda) < tol.  Returns the
     SolveReport fields the pass loop determines.
 
@@ -260,7 +265,6 @@ def _iterate(p, cfg, step, to_lambda, on_iterate):
     given, which no one else holds.  step and to_lambda return fresh
     vectors, so each lambda handed to on_iterate stays as it was.
     """
-    bound = _divergence_bound(p.sigma)
     state = cfg.start_vector(p.n)
     if float(np.abs(state).max()) > bound:
         raise ValueError(f"initial vector exceeds the divergence bound {bound:.3g}")
@@ -323,7 +327,8 @@ def projected_solve(p, s, cfg, on_iterate=None):
 
     kind = s.kind
     return SolveReport(
-        **_iterate(p, cfg, step, lambda zeta: np.maximum(0.0, zeta), on_iterate),
+        **_iterate(p, cfg, _divergence_bound(sigma), step, lambda zeta: np.maximum(0.0, zeta),
+                   on_iterate),
         method=kind.tag,
         alpha=kind.alpha1,
         beta=kind.beta1,
@@ -352,6 +357,14 @@ def modulus_solve(p, cfg, mcfg, on_iterate=None):
         sigma_term = gamma * p.sigma
     if not np.all(np.isfinite(sigma_term)):
         raise ValueError("gamma * sigma is not finite (overflow)")
+    # the state x is about gamma lambda, so its guard scales with gamma
+    bound = _divergence_bound(p.sigma) * max(1.0, gamma)
+    if not _representable(p.a, bound):
+        raise ValueError(
+            f"gamma scale not representable: {DIVERGENCE_NORM:g} * max(1, max|sigma|)"
+            f" * max(1, gamma) * max(1, largest absolute row sum of A) must stay below"
+            f" {_SCALE_LIMIT:.3g}"
+        )
     if np.any(omega <= 0.0):
         raise ValueError("Omega must be a positive diagonal; matrix diagonal is not")
     solve = _linear_solver_for(s.m.add_diagonal(omega))
@@ -369,7 +382,7 @@ def modulus_solve(p, cfg, mcfg, on_iterate=None):
         return np.divide(np.add(lam, x, out=lam), gamma, out=lam)
 
     return SolveReport(
-        **_iterate(p, cfg, step, to_lambda, on_iterate),
+        **_iterate(p, cfg, bound, step, to_lambda, on_iterate),
         method=mcfg.variant,
         alpha=mcfg.alpha,
         gamma=gamma,

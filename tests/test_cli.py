@@ -637,10 +637,17 @@ def test_splitting_that_fails_m_minus_n_is_input_error(capsys, argv):
     assert "M - N = A" in err and "alpha = " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("gamma", ["1e14", "1e20"])
+def test_large_modulus_gamma_converges(capsys, gamma):
+    # the state x is about gamma lambda, and the divergence guard scales
+    # with gamma, so a large gamma is no divergence at iteration 1
+    code, out, err = _run(capsys, ["solve", *_EXAMPLE1_M3, "--method", "mgs", "--gamma", gamma])
+    assert code == 0 and err == "" and "converged:     yes" in out
+
+
 def test_overflowing_modulus_lambda_is_divergence(capsys):
     # lambda = (|x| + x) / gamma overflows while x stays inside the
-    # divergence bound: divergence, as with gamma = 1e300, and no numpy
-    # RuntimeWarning on stderr
+    # divergence bound: divergence, and no numpy RuntimeWarning on stderr
     code, _, err = _run(capsys, ["solve", *_EXAMPLE1_M3, "--method", "mgs", "--gamma", "1e-300"])
     assert code == 2
     assert err == "did not converge: Res(lambda) is not finite at iteration 1\n"
@@ -652,9 +659,11 @@ def test_overflowing_modulus_lambda_is_divergence(capsys):
     (["check", *_EXAMPLE1_M3, "--method", "npsor", "--alpha", "1e-308"], "not finite"),
     (["solve", *_EXAMPLE1_M3, "--method", "mgs", "--omega-scale", "1e308"], "not finite"),
     (["solve", *_EXAMPLE1_M3, "--method", "mgs", "--gamma", "1e308"], "gamma * sigma"),
+    (["solve", *_EXAMPLE1_M3, "--method", "mgs", "--gamma", "1e300"], "gamma scale"),
     (["solve", "--matrix", "a.mtx", "--sigma", "s.vec", "--method", "npsor", "--alpha", "1e-320"],
      "not finite"),
-], ids=["solve-npsor", "solve-msor", "check-npsor", "omega-scale", "gamma", "missing-diagonal"])
+], ids=["solve-npsor", "solve-msor", "check-npsor", "omega-scale", "gamma", "gamma-scale",
+        "missing-diagonal"])
 def test_bad_input_prints_one_line(tmp_path, argv, message):
     # a parameter under which assembly overflows, or a 1/alpha of inf meets
     # a missing diagonal entry, is an input error with no numpy

@@ -366,6 +366,11 @@ _W = [0.01684460687924554, 0.17648440357838202, 0.04677785548821703, 0.144671203
 _CIRCULANT = np.array([_W[-s:] + _W[:-s] if s else _W for s in range(8)])
 
 
+# row 0 of T 1 is 1 + 2^53 - 2^53 = 1 = v_0 exactly, yet 0 in floats: a
+# bound scaled by T v rather than |T| v passes it
+_MIXED_SIGN = np.array([[1.0, 2.0**53, -(2.0**53)], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+
+
 def _exactly_below(t, v):
     """T v < v in exact rational arithmetic."""
     v = [Fraction(x) for x in v]
@@ -398,6 +403,8 @@ def _matrix_and_vector(n):
        scale=st.one_of(st.none(), st.just(1.0), st.floats(0.5, 1.5)), as_sparse=st.booleans())
 @example(tv=(_CIRCULANT, np.ones(8)), scale=None, as_sparse=False)
 @example(tv=(_CIRCULANT, np.ones(8)), scale=None, as_sparse=True)
+@example(tv=(_MIXED_SIGN, np.ones(3)), scale=None, as_sparse=False)
+@example(tv=(_MIXED_SIGN, np.ones(3)), scale=None, as_sparse=True)
 def test_certify_rho_lt_one_holds_in_exact_arithmetic(tv, scale, as_sparse):
     t, v = tv
     if scale is not None:
@@ -415,6 +422,20 @@ def test_certify_rho_lt_one_examples():
     assert certify_rho_lt_one(np.full((2, 2), 0.4), np.ones(2))
     with pytest.raises(ValueError):
         certify_rho_lt_one(np.eye(2), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("t, v, message", [
+    (np.eye(2), [np.nan, 1.0], "v must be finite"),
+    (np.eye(2), [np.inf, 1.0], "v must be finite"),
+    (np.eye(3), np.ones(2), "v has length 2"),
+    (SparseMatrix.identity(3), np.ones(2), "v has length 2"),
+    (np.array([[np.nan, 0.0], [0.0, 0.5]]), np.ones(2), "not finite"),
+    (np.ones((2, 3)), np.ones(2), "square"),
+], ids=["nan-v", "inf-v", "array-dimension", "sparse-dimension", "nan-t", "non-square-t"])
+def test_certify_rho_lt_one_bad_input_is_one_line_error(t, v, message):
+    with pytest.raises(ValueError, match=message) as caught:
+        certify_rho_lt_one(t, np.array(v))
+    assert "\n" not in str(caught.value)
 
 
 def test_certify_rho_lt_one_is_sound():

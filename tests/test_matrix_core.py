@@ -671,16 +671,15 @@ _NEAR_ONE = st.one_of(st.none(), st.sampled_from([-1e-12, -1e-13, 0.0, 1e-13, 1e
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), delta=_NEAR_ONE)
 def test_verified_m_verdicts_hold_in_exact_arithmetic(n, seed, delta):
-    from fractions import Fraction
     from unittest import mock
 
     z = SparseMatrix.from_dense(_z_matrix(n, seed, delta))
     verified = []
     check = matrix_core._verified_positive
 
-    def record(m, u):
-        if check(m, u):
-            verified.append((m, u.copy()))
+    def record(terms, u):
+        if check(terms, u):
+            verified.append((terms, u.copy()))
             return True
         return False
 
@@ -689,11 +688,99 @@ def test_verified_m_verdicts_hold_in_exact_arithmetic(n, seed, delta):
     triangle = z._triangle()
     if is_m and not (np.all(triangle <= 0) or np.all(triangle >= 0)):
         assert verified  # off the triangular path, only a verified u says M
-    for m, u in verified:
-        exact = [Fraction(x) for x in u.tolist()]
-        assert all(x > 0 for x in exact)
-        for row in m.to_dense().tolist():
-            assert sum(Fraction(a) * x for a, x in zip(row, exact) if a) > 0
+    for terms, u in verified:
+        assert all(x > 0 for x in u.tolist())
+        assert all(row > 0 for row in _exact_rows(terms, u))
+
+
+def _exact_rows(terms, u):
+    """sum_j s_j P_j u, row by row, in exact rational arithmetic."""
+    from fractions import Fraction
+
+    exact = [Fraction(x) for x in u.tolist()]
+    rows = [Fraction(0)] * u.size
+    for sign, m in terms:
+        for i, row in enumerate(m.to_dense().tolist()):
+            rows[i] += sign * sum(Fraction(a) * x for a, x in zip(row, exact) if a)
+    return rows
+
+
+def _single_matrix_check(z, u):
+    """The positive-vector check as it stood for one assembled matrix z,
+    kept as the reference for the one-term call."""
+    if u.shape != (z.n,) or not np.all(u > 0.0) or not np.all(np.isfinite(u)):
+        return False
+    per_row = np.diff(z.row_starts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zu = z.matvec(u)
+        magnitude = matrix_core._product(z, np.abs(z.values), u)
+        bound = matrix_core._gamma(int(per_row.max())) * magnitude + per_row * matrix_core._TINY
+    return bool(np.all(zu > bound) and np.all(np.isfinite(bound)))
+
+
+# u entries that underflow products, sit at the edges of the float range,
+# or are not positive and finite
+_U_ENTRY = st.one_of(st.just(1.0), st.floats(0.5, 2.0), st.floats(1e-320, 1e-150),
+                     st.sampled_from([0.0, -1.0, np.nan, np.inf, 5e-324, 1e300]))
+
+
+@st.composite
+def _matrix_and_u(draw):
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        dense = _z_matrix(n, draw(st.integers(0, 2**32 - 1)), draw(_NEAR_ONE))
+    else:
+        entries = st.one_of(st.just(0.0), _ENTRY, _TINY)
+        dense = draw(hnp.arrays(np.float64, (n, n), elements=entries))
+    u = draw(st.one_of(st.just(np.ones(n)), hnp.arrays(np.float64, n, elements=_U_ENTRY)))
+    return SparseMatrix.from_dense(dense), u
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_matrix_and_u())
+@example(case=(SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]]), np.ones(2)))
+# row 0 of z u is 2^-52 exactly, positive but inside the rounding bound
+@example(case=(SparseMatrix.from_dense([[1.0, 2.0**-52 - 1.0], [0.0, 1.0]]), np.ones(2)))
+@example(case=(SparseMatrix.from_dense([[1e-200, 0.0], [0.0, 1.0]]), np.array([1e-200, 1.0])))
+def test_verified_positive_one_term_matches_the_single_matrix_check(case):
+    z, u = case
+    assert matrix_core._verified_positive([(1, z)], u) is _single_matrix_check(z, u)
+
+
+# entries that cancel (2^53 absorbs 1), underflow, or take either sign
+_SIGNED_ENTRY = st.one_of(st.just(0.0), st.floats(-2.0, 2.0), st.floats(-1e-160, 1e-160),
+                          st.sampled_from([1.0, -1.0, 0.5, 2.0**53, -(2.0**53), 5e-324]))
+_MIXED_SIGN_T = [[1.0, 2.0**53, -(2.0**53)], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
+
+
+@st.composite
+def _signed_terms_and_u(draw):
+    n = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        # the identity; a fresh matrix; or a previous term's matrix, scaled
+        # by a power of two or nudged by an ulp, so that terms nearly cancel
+        options = [st.just(np.eye(n)), hnp.arrays(np.float64, (n, n), elements=_SIGNED_ENTRY)]
+        if terms:
+            previous = st.sampled_from([dense for _, dense in terms])
+            options.append(st.builds(np.multiply, previous,
+                                     st.sampled_from([1.0, 0.5, 1.0 + 2.0**-52, 1.0 - 2.0**-53])))
+        terms.append((draw(st.sampled_from([1, -1])), draw(st.one_of(options))))
+    u = draw(st.one_of(st.just(np.ones(n)), hnp.arrays(np.float64, n, elements=st.one_of(
+        st.floats(0.5, 2.0), st.floats(1e-320, 1e-150)))))
+    return terms, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_signed_terms_and_u())
+@example(case=([(1, np.eye(3)), (-1, np.array(_MIXED_SIGN_T))], np.ones(3)))
+def test_verified_positive_terms_hold_in_exact_arithmetic(case):
+    # row 0 of the mixed-sign example is 1 - (1 + 2^53 - 2^53) = 0 exactly,
+    # while the float sum is 1: only a bound on |T| u refuses it
+    terms = [(sign, SparseMatrix.from_dense(dense)) for sign, dense in case[0]]
+    u = case[1]
+    if matrix_core._verified_positive(terms, u):
+        assert all(row > 0 for row in _exact_rows(terms, u))
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,12 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcpkit import solvers
 from lcpkit.matrix_core import SingularMatrixError, SparseMatrix
-from lcpkit.problems import gen_example1, gen_random_hplus, oracle_solve
+from lcpkit.problems import gen_example1, gen_example2, gen_random_hplus, oracle_solve
 from lcpkit.solvers import (
     DivergenceError,
     LcpProblem,
@@ -126,6 +126,25 @@ def test_modulus_scalar_fixed_point_is_gamma_invariant():
                           ModulusConfig("mgs", 1.0, gamma=gamma))
         assert r.converged
         npt.assert_allclose(r.lam, [1.0], atol=1e-11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=st.integers(-60, 60), m=st.integers(2, 4),
+       family=st.sampled_from([gen_example1, gen_example2]))
+@example(e=44, m=3, family=gen_example1)
+@example(e=60, m=3, family=gen_example1)
+def test_modulus_path_is_invariant_under_power_of_two_gamma(e, m, family):
+    # gamma = 2^e with the start vector scaled by 2^e scales every state x
+    # exactly, so lambda = (|x| + x) / gamma, and with it the path, is the
+    # gamma = 1 one bit for bit, as long as the guard scales with gamma
+    p = family(m, 4.0)
+    start = alternating_initial(p.n)
+    base = modulus_solve(p, SolverConfig(initial=start), ModulusConfig("mgs", 1.0))
+    scaled = modulus_solve(p, SolverConfig(initial=start * 2.0**e),
+                           ModulusConfig("mgs", 1.0, gamma=2.0**e))
+    assert scaled.iterations == base.iterations and base.converged
+    assert np.array_equal(scaled.lam.view(np.int64), base.lam.view(np.int64))
+    assert np.array_equal(scaled.residuals.view(np.int64), base.residuals.view(np.int64))
 
 
 def test_modulus_benchmark_counts():

@@ -35,6 +35,7 @@ from .matrix_core import (
     SparseMatrix,
     _classify,
     _is_z,
+    _lapack,
     _m_probe,
     _pivots,
     _verified_positive,
@@ -138,13 +139,13 @@ def _rho_estimate(a, s, mode, threshold=None):
 
 def _dense_inverse(m):
     """inv(m) as a dense array.  A lower-triangular m goes to LAPACK's
-    triangular inverse, in place: no LU, identity right-hand side or
-    copies of a general inverse."""
-    from scipy.linalg.lapack import dtrtri
-
+    triangular inverse (``dtrtri`` of scipy's ``_flapack``, loaded from
+    its file without importing ``scipy.linalg``), in place: no LU,
+    identity right-hand side or copies of a general inverse."""
     if not m.is_lower_triangular():
         return np.linalg.inv(m.to_dense())
     _pivots(m)  # names the first zero pivot, dtrtri's one failure
+    dtrtri = _lapack().dtrtri
     # to_dense is C-ordered, so its transpose is a Fortran-ordered upper
     # triangle, and inverting that in place leaves inv(m).T = inv(m.T)
     return dtrtri(m.to_dense().T, lower=0, overwrite_c=1)[0].T

@@ -10,13 +10,18 @@ immutable arrays) and every reduction in a fixed order; the only
 factorization on offer is triangular substitution.  A row sum, in the
 matrix-vector product and in forward substitution alike, adds the row's
 rounded products left to right in storage order, in ``csr_matvec``.
+``_load_extension`` loads such a compiled module from its file in
+scipy's install, without importing its package: the kernels at import,
+and LAPACK (``_lapack``) on first dense use.
 
 A matrix holds its sparsity pattern as a ``_Pattern``, which every
 matrix built on the same index arrays shares, and which keeps what
-depends on the pattern alone: the entries' triangles, the sub-pattern on
-and below the diagonal, and the forward-substitution cut.  The
-lower-triangular system matrices of the built-in splittings are all
-built on their problem matrix's lower sub-pattern, so they share one.
+depends on the pattern alone: the entries' triangles, the sub-patterns
+on some of the triangles, and the forward-substitution cut.  The
+matrices a build from a problem matrix makes are built on the
+sub-pattern of the triangles they keep, so that those with the same
+triangles share one: the lower-triangular system matrices of the
+built-in splittings, and the N of each kind of splitting.
 
 Forward substitution follows one of two plans, each a cut, the rows cut
 into blocks, and a schedule, which adds a matrix's values to its cut:
@@ -30,6 +35,7 @@ and tests on small matrices, never for solver hot paths; a dense
 inverse or LU needs n <= DENSE_LIMIT.
 """
 
+import functools
 import importlib.machinery
 import importlib.util
 import itertools
@@ -45,22 +51,22 @@ import numpy as np
 DENSE_LIMIT = 2000
 
 
-def _load_kernels():
-    """``scipy.sparse._sparsetools``, loaded from its file in scipy's
-    install: importing it by name would run the costly ``scipy.sparse``
-    package import first.  Without the file, it is imported by name.
+def _load_extension(name):
+    """The compiled extension module of scipy's called name (such as
+    ``scipy.sparse._sparsetools``), loaded from its file in scipy's
+    install: importing it by name would run the costly import of its
+    package first.  Without the file, it is imported by name.
 
-    The load leaves no entry in ``sys.modules``, so that a later ``import
-    scipy.sparse`` loads the submodule itself and binds it as the
-    package's ``_sparsetools`` attribute (an entry found there would not
-    be bound); that load reuses the library and the module state this one
-    made."""
-    name = "scipy.sparse._sparsetools"
+    The load leaves no entry in ``sys.modules``, so that a later import
+    of the package loads the submodule itself and binds it as the
+    package's attribute (an entry found there would not be bound); that
+    load reuses the library and the module state this one made."""
     if name in sys.modules:
         return sys.modules[name]
     scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    *packages, stem = name.split(".")[1:]
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(scipy_dir, "sparse", "_sparsetools" + suffix)
+        path = os.path.join(scipy_dir, *packages, stem + suffix)
         if os.path.isfile(path):
             loader = importlib.machinery.ExtensionFileLoader(name, path)
             module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
@@ -71,7 +77,15 @@ def _load_kernels():
     return importlib.import_module(name)
 
 
-_kernels = _load_kernels()
+@functools.cache
+def _lapack():
+    """LAPACK (``scipy.linalg._flapack``), loaded by ``_load_extension``
+    on first use and kept, as an import keeps a module: a load per call
+    would make the module anew each time, copying its 600-odd entries."""
+    return _load_extension("scipy.linalg._flapack")
+
+
+_kernels = _load_extension("scipy.sparse._sparsetools")
 _csr_matvec = _kernels.csr_matvec
 
 
@@ -108,17 +122,17 @@ class _Pattern:
     with these arrays.  What depends on the pattern alone is found on
     first use and kept here, so that the matrices that share a pattern
     share it too, and it dies with the last of them: the entries'
-    triangles (``triangle``), the sub-pattern on and below the diagonal
-    (``lower``) and the forward-substitution cut (``cut``)."""
+    triangles (``triangle``), its sub-patterns on some of the triangles
+    (``sub``) and the forward-substitution cut (``cut``)."""
 
-    __slots__ = ("n", "row_starts", "col_indices", "_tri", "_lower", "_cut")
+    __slots__ = ("n", "row_starts", "col_indices", "_tri", "_subs", "_cut")
 
     def __init__(self, n, row_starts, col_indices, tri=None):
         for arr in (row_starts, col_indices, tri):
             if arr is not None:
                 arr.setflags(write=False)
         self.n, self.row_starts, self.col_indices = n, row_starts, col_indices
-        self._tri, self._lower, self._cut = tri, None, None
+        self._tri, self._subs, self._cut = tri, {}, None
 
     def triangle(self):
         """Each stored entry's triangle, in storage order: -1 below the
@@ -130,21 +144,25 @@ class _Pattern:
             self._tri.setflags(write=False)
         return self._tri
 
-    def lower(self):
-        """(the pattern of the entries on and below the diagonal, the mask
-        of those entries here), in storage order and this index dtype:
-        this pattern itself when it has no entry above the diagonal."""
-        if self._lower is None:
+    def sub(self, lower, diagonal, upper):
+        """(the pattern of the entries in the triangles kept, the mask of
+        those entries here), in storage order and this index dtype: the
+        strict lower triangle when lower is true, the diagonal when
+        diagonal is and the strict upper triangle when upper is.  It is
+        (this pattern, None) when it has no entry in a triangle dropped."""
+        key = (lower, diagonal, upper)
+        if key not in self._subs:
             tri = self.triangle()
-            kept = tri <= 0
-            if kept.all():
-                return self, kept  # not kept: self._lower would refer to self
-            kept.setflags(write=False)
-            before = np.zeros(tri.size + 1, dtype=self.row_starts.dtype)
-            np.cumsum(kept, out=before[1:])
-            self._lower = (_Pattern(self.n, before[self.row_starts], self.col_indices[kept],
-                                    tri[kept]), kept)
-        return self._lower
+            kept = np.array(key)[tri + 1]
+            sub = None  # this pattern itself, to which self._subs must not refer
+            if not kept.all():
+                kept.setflags(write=False)
+                before = np.zeros(tri.size + 1, dtype=self.row_starts.dtype)
+                np.cumsum(kept, out=before[1:])
+                sub = (_Pattern(self.n, before[self.row_starts], self.col_indices[kept],
+                                tri[kept]), kept)
+            self._subs[key] = sub
+        return self._subs[key] or (self, None)
 
     def cut(self):
         """The cut of this lower-triangular pattern with a full diagonal
@@ -380,16 +398,15 @@ class SparseMatrix:
         """diag(diag) + lower * (strict lower part) + upper * (strict upper
         part), diag a scalar or a length-n vector, in one build: one product
         per stored entry, bitwise what scipy's ``tril``, ``triu``, scaling
-        and ``+`` give, since those adds meet no common entry.  With upper
-        zero it is built on the pattern's lower sub-pattern
-        (``_Pattern.lower``), without the upper entries, which would all
-        be dropped as zeros."""
-        pattern, values = self._pattern, self.values
-        if upper == 0.0:
-            pattern, kept = pattern.lower()
-            values = values[kept]
-        coefficient = np.array([lower, 0.0, upper])[pattern.triangle() + 1]
+        and ``+`` give, since those adds meet no common entry.  It is built
+        on the pattern's sub-pattern without the triangles whose entries
+        would all be dropped as zeros (``_Pattern.sub``): a triangle with a
+        zero coefficient, and the diagonal when diag has no nonzero entry."""
         diag = np.broadcast_to(np.asarray(diag, dtype=np.float64), (self.n,))
+        pattern, kept = self._pattern.sub(bool(lower != 0.0), bool(diag.any()),
+                                          bool(upper != 0.0))
+        values = self.values if kept is None else self.values[kept]
+        coefficient = np.array([lower, 0.0, upper])[pattern.triangle() + 1]
         return _plus_diagonal(pattern, values * coefficient, diag)
 
 
@@ -409,9 +426,13 @@ def _merged(kernel, pattern, values, other):
 
 def _plus_diagonal(pattern, values, d):
     """The matrix on pattern with values, plus diag(d) (length n) as
-    scipy's ``+ diags(d)``: with the whole diagonal stored, only values
-    change and the pattern is shared, else ``csr_plus_csr`` merges in the
-    nonzero d_i, which diags keeps."""
+    scipy's ``+ diags(d)``, the pattern shared where it can be: with no
+    nonzero d_i there is nothing to add, with the whole diagonal stored
+    only values change, else ``csr_plus_csr`` merges in the nonzero d_i,
+    which diags keeps."""
+    if not d.any():
+        # the merge of an empty diag(d) would give each nonzero x as x + 0.0
+        return SparseMatrix._made(pattern, values)
     at = np.flatnonzero(pattern.triangle() == 0)
     if at.size == pattern.n:
         # where d_i is a signed zero the kernel adds 0.0, which differs

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_core import (DENSE_LIMIT, SingularMatrixError, SparseMatrix, _pivots, _product,
-                          _schedule, lower_triangular_solve)
+from .matrix_core import (DENSE_LIMIT, SingularMatrixError, SparseMatrix, _lapack,
+                          _pivots, _product, _schedule, lower_triangular_solve)
 from .splittings import Splitting, SplittingKind, make_splitting
 
 DIVERGENCE_NORM = 1e12
@@ -229,14 +229,15 @@ def _linear_solver_for(lhs):
             f"system matrix is not triangular and n > {DENSE_LIMIT}; "
             "dense factorization refused"
         )
-    import scipy.linalg
-
-    lu, piv = scipy.linalg.lu_factor(lhs.to_dense(), check_finite=False)
+    # LAPACK's dgetrf and dgetrs, as scipy.linalg's lu_factor and lu_solve
+    # call them, without importing scipy.linalg
+    lapack = _lapack()
+    lu, piv, _ = lapack.dgetrf(lhs.to_dense())
     udiag = np.abs(np.diag(lu))
     if np.any(udiag == 0.0):
         row = int(np.argmin(udiag > 0.0))
         raise SingularMatrixError(f"singular system matrix (pivot {row})")
-    return lambda b: scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return lambda b: lapack.dgetrs(lu, piv, b)[0]
 
 
 def _guard(vec, k, bound):

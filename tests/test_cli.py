@@ -385,10 +385,12 @@ def test_check_leaves_sparse_solvers_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
-    # scipy.sparse (its Python layer), scipy.linalg (the dense LU fallback,
-    # dtrtri) and scipy.sparse.linalg (spsolve) are imported where they are
-    # used, off the default paths; the CSR kernels are loaded from their
-    # file in scipy's install.  A check may load scipy.linalg, for dtrtri.
+    # no command imports a scipy module: the CSR kernels
+    # (scipy.sparse._sparsetools) are loaded from their file in scipy's
+    # install at import, and LAPACK (scipy.linalg._flapack), for check's
+    # dense inverse, from its file on first use; scipy.sparse's Python
+    # layer and scipy.sparse.linalg (spsolve) are imported where they are
+    # used, off these paths
     a = BenchSpec("example1", 6).build().a
     path = tmp_path / "scaled.mtx"
     matrix_core.write_matrix_market(a.scaled(0.9 / a.diagonal_vector().max()), str(path))
@@ -397,19 +399,22 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
             "code = lcpkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
             "kernels = lcpkit.matrix_core._kernels.__file__\n"
             "scipy_dir = importlib.util.find_spec('scipy').submodule_search_locations[0]\n"
-            "print(json.dumps([code, [m for m in ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')"
-            " if m in sys.modules], os.path.dirname(kernels) == os.path.join(scipy_dir, 'sparse')]))")
+            "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'scipy'],"
+            " os.path.dirname(kernels) == os.path.join(scipy_dir, 'sparse')]))")
     small = ["--family", "example1", "--m", "6"]
-    runs = [([], set()), (["table", "table1", "--sizes", "100,900"], set())]
-    runs += [(["solve", *small, "--method", method, *alpha], set()) for method, alpha in (
-        ("npgs", []), ("npsor", ["--alpha", "1.7"]), ("mgs", []), ("msor", ["--alpha", "0.85"]))]
-    runs += [(["check", *problem, "--method", "npgs", "--format", "json"], {"scipy.linalg"})
+    runs = [[], ["table", "table1", "--sizes", "100,900"]]
+    runs += [["solve", *small, "--method", method, *alpha] for method, alpha in (
+        ("npj", []), ("npgs", []), ("npsor", ["--alpha", "1.7"]),
+        ("npaor", ["--alpha", "1.2", "--beta", "0.8"]), ("mgs", []), ("msor", ["--alpha", "0.85"]))]
+    runs += [["check", *problem, "--method", "npgs", "--format", "json"]
              for problem in (small, ["--matrix", str(path)])]
-    for argv, allowed in runs:
+    runs += [["gen", *small, "--matrix", str(tmp_path / "a.mtx"),
+              "--sigma", str(tmp_path / "s.vec")]]
+    for argv in runs:
         done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                               text=True)
         status, loaded, from_file = json.loads(done.stdout.splitlines()[-1])
-        assert status == 0 and set(loaded) <= allowed and from_file, (argv, loaded, done.stderr)
+        assert status == 0 and loaded == [] and from_file, (argv, loaded, done.stderr)
 
 
 def test_cli_import_then_scipy_sparse_binds_its_kernels():
@@ -431,6 +436,33 @@ def test_cli_import_then_scipy_sparse_binds_its_kernels():
             " bool(np.array_equal((h @ x).view(np.int64), m.matvec(x).view(np.int64)))]))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert json.loads(done.stdout.splitlines()[-1]) == [False, True, True, True], done.stderr
+
+
+def test_cli_import_then_scipy_linalg_binds_its_lapack():
+    # a check loads LAPACK from its file without leaving it in
+    # sys.modules, so a later import of scipy.linalg loads its submodule
+    # as usual and binds it as scipy.linalg._flapack, from the same file,
+    # whose dtrtri gives the inverse the check's dense inverse gave, bit
+    # for bit
+    env = _env_with_src()
+    code = ("import contextlib, io, json, sys, numpy as np, lcpkit.cli\n"
+            "from lcpkit import convergence, matrix_core\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = lcpkit.cli.main(['check', '--family', 'example1', '--m', '6',"
+            " '--method', 'npgs'])\n"
+            "lower = np.tril(np.random.default_rng(7).uniform(-1.0, 1.0, (30, 30)))\n"
+            "m = matrix_core.SparseMatrix.from_dense(lower + 4.0 * np.eye(30))\n"
+            "got = convergence._dense_inverse(m)\n"
+            "path = matrix_core._lapack().__file__\n"
+            "kept = 'scipy.linalg._flapack' in sys.modules\n"
+            "import scipy.linalg\n"
+            "lapack = scipy.linalg._flapack\n"
+            "want = scipy.linalg.lapack.dtrtri(m.to_dense().T, lower=0)[0].T\n"
+            "print(json.dumps([status, kept, lapack is sys.modules['scipy.linalg._flapack'],"
+            " lapack.__file__ == path,"
+            " bool(np.array_equal(got.view(np.int64), want.view(np.int64)))]))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, False, True, True, True], done.stderr
 
 
 def test_missing_matrix_file(capsys, tmp_path):

@@ -391,8 +391,7 @@ def test_add_and_subtract_are_scipy_bitwise(ts):
 def test_diagonal_builds_are_scipy_bitwise(t, d, cancel, lower, upper, scalar):
     # d holds signed zeros, and where cancel is set -a_ii, so that the sum
     # is exactly zero; with a full diagonal the result shares a's index
-    # arrays unless an entry is dropped, and with upper zero it is built
-    # on a's lower sub-pattern, unless an entry is dropped
+    # arrays unless an entry is dropped
     a, h = _both(t)
     d = np.where(cancel[:a.n], -a.diagonal_vector(), d[:a.n])
     d = d[0] if scalar else d
@@ -404,10 +403,43 @@ def test_diagonal_builds_are_scipy_bitwise(t, d, cancel, lower, upper, scalar):
         _assert_bitwise_scipy(got, want)
         if full and got.nnz == a.nnz:
             assert got.row_starts is a.row_starts and got.col_indices is a.col_indices
-    lower_pattern = a._pattern.lower()[0]
-    # got is _by_triangle's result, the loop's last
-    if full and upper == 0.0 and got.nnz == lower_pattern.col_indices.size:
-        assert got._pattern is lower_pattern
+    # got is _by_triangle's result, the loop's last: built on the
+    # sub-pattern of the triangles it keeps, unless an entry is dropped or
+    # a missing diagonal entry merged in
+    kept = (lower != 0.0, bool(np.any(d != 0.0)), upper != 0.0)
+    sub = a._pattern.sub(*kept)[0]
+    if (full or not kept[1]) and got.nnz == sub.col_indices.size:
+        assert got._pattern is sub
+
+
+_NONZERO_COEFFICIENT = _COEFFICIENT.filter(bool)
+
+
+@_EXACT
+@given(t=_triplets(), kept=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       d=hnp.arrays(np.float64, 6, elements=_SCIPY_VALUE.filter(bool)), scalar=st.booleans(),
+       lower=_NONZERO_COEFFICIENT, upper=_NONZERO_COEFFICIENT, zero=st.sampled_from([0.0, -0.0]))
+@example(t=_triplets_of([[2.0, -1.0, 0.5], [-1.0, 3.0, 0.0], [0.25, 0.0, 4.0]]),
+         kept=(False, False, True), d=np.ones(6), scalar=False, lower=1.0, upper=-1.0, zero=-0.0)
+def test_by_triangle_is_scipy_bitwise_with_any_zero_coefficient(t, kept, d, scalar, lower, upper,
+                                                                zero):
+    # the diagonal (a scalar or a vector), the lower and the upper
+    # coefficient each zero or not, in every combination: a build drops
+    # the triangles of its zero ones from its sub-pattern, and gives what
+    # scipy's tril, triu, scaling and + give, bit for bit; unless an
+    # entry is dropped or a missing diagonal entry merged in, it is built
+    # on that sub-pattern
+    a, h = _both(t)
+    d = np.where(kept[1], d[:a.n], zero)
+    d = d[0] if scalar else d
+    lower, upper = (c if keep else zero for c, keep in ((lower, kept[0]), (upper, kept[2])))
+    got = a._by_triangle(d, lower, upper)
+    _assert_bitwise_scipy(got, scipy.sparse.tril(h, -1) * lower + scipy.sparse.triu(h, 1) * upper
+                          + scipy.sparse.diags(np.broadcast_to(d, (a.n,))))
+    sub = a._pattern.sub(*kept)[0]
+    full = np.all(a.diagonal_vector() != 0.0)
+    if (full or not kept[1]) and got.nnz == sub.col_indices.size:
+        assert got._pattern is sub
 
 
 @_EXACT
@@ -1081,7 +1113,7 @@ def _named_system_matrices(a):
 
 def _lower_cut(a):
     """The cut kept with the lower sub-pattern of a's pattern, or None."""
-    return a._pattern.lower()[0]._cut
+    return a._pattern.sub(True, True, False)[0]._cut
 
 
 def test_custom_splitting_with_another_pattern_makes_its_own_cut(monkeypatch):
@@ -1101,7 +1133,7 @@ def test_custom_splitting_with_another_pattern_makes_its_own_cut(monkeypatch):
             assert np.array_equal(x.view(np.int64), _reference_trisolve(lhs, b).view(np.int64))
         own = matrix_core._schedule(custom).cut
         cuts = [matrix_core._schedule(lhs).cut for lhs in named]
-        lower = a._pattern.lower()[0]
+        lower = a._pattern.sub(True, True, False)[0]
         assert cut_from == ([custom._pattern, lower] if custom_first else [lower, custom._pattern])
         assert own is custom._pattern._cut and custom._pattern is not named[0]._pattern
         assert all(cut is lhs._pattern._cut for cut, lhs in zip(cuts, named))
@@ -1132,11 +1164,37 @@ def test_table1_methods_make_one_cut(monkeypatch):
         cut = cuts[0]
         assert _lower_cut(p.a) is cut and all(s.cut is cut for _, s in schedules)
         first = schedules[0][0]
-        assert cut_from == [first._pattern] and first._pattern is p.a._pattern.lower()[0]
+        assert cut_from == [first._pattern]
+        assert first._pattern is p.a._pattern.sub(True, True, False)[0]
         assert all(m._pattern is first._pattern for m, _ in schedules)
         assert len({id(m.row_starts) for m, _ in schedules}) == 1
         assert len({id(m.col_indices) for m, _ in schedules}) == 1
         monkeypatch.undo()
+
+
+def test_table1_builds_store_no_zero(monkeypatch):
+    # M and N are built on the sub-pattern of the triangles they keep, so
+    # no build of a table-1 problem's solves leaves a zero for
+    # csr_eliminate_zeros to drop; and the Ns of one kind of splitting
+    # share one pattern: npgs's (mgs's too) the strict upper triangle,
+    # npsor's (msor's) the diagonal and the strict upper triangle
+    kernels = matrix_core._kernels
+    eliminate, calls = kernels.csr_eliminate_zeros, []
+    monkeypatch.setattr(kernels, "csr_eliminate_zeros",
+                        lambda *args: calls.append(args[0]) or eliminate(*args))
+    p = BenchSpec("example1", 10).build()
+    cfg = SolverConfig()
+    for variant, alpha in (("mgs", 1.0), ("msor", 0.85)):
+        solvers.modulus_solve(p, cfg, ModulusConfig(variant, alpha))
+    splittings = [make_splitting(p.a, kind) for kind in (
+        SplittingKind.npgs(), SplittingKind.npsor(1.7), SplittingKind.npgs(),
+        SplittingKind.npsor(0.85))]
+    for s in splittings[:2]:
+        solvers.projected_solve(p, s, cfg)
+    assert calls == []
+    upper, diagonal_upper = (p.a._pattern.sub(False, diagonal, True)[0] for diagonal in (False, True))
+    assert all(s.n_part._pattern is sub
+               for s, sub in zip(splittings, [upper, diagonal_upper] * 2))
 
 
 def test_system_matrices_share_the_level_pattern():

@@ -277,6 +277,37 @@ def test_singular_system_matrix_rejected():
         projected_solve(p, s, SolverConfig())
 
 
+def test_singular_non_triangular_system_matrix_rejected():
+    # M + 2I + D_A = [[1, 1], [1, 1]]: the dense LU finds its zero pivot,
+    # which is lcpkit's error alone, with no LAPACK warning before it
+    # (pyproject.toml turns warnings into errors)
+    a = SparseMatrix.identity(2)
+    p = LcpProblem(a=a, sigma=np.array([-1.0, -1.0]))
+    m = SparseMatrix.from_dense([[-2.0, 1.0], [1.0, -2.0]])
+    s = custom_splitting(a, m, m.subtract(a))
+    with pytest.raises(SingularMatrixError, match=r"singular system matrix \(pivot 1\)"):
+        projected_solve(p, s, SolverConfig())
+
+
+def test_dense_lu_is_scipy_lu_bitwise():
+    # the dense LU fallback calls LAPACK's dgetrf and dgetrs as
+    # scipy.linalg's lu_factor and lu_solve do, so every solve is theirs
+    # bit for bit
+    import scipy.linalg
+
+    rng = np.random.default_rng(73)
+    for n in (2, 7, 40):
+        a = gen_random_hplus(n, n).a
+        m = SparseMatrix.from_dense(a.to_dense() + rng.uniform(-1.0, 1.0, (n, n)))
+        lhs = solvers.shifted_system(a, custom_splitting(a, m, m.subtract(a)))[0]
+        assert not lhs.is_lower_triangular()
+        solve = solvers._linear_solver_for(lhs)
+        factors = scipy.linalg.lu_factor(lhs.to_dense(), check_finite=False)
+        for b in rng.uniform(-3.0, 3.0, (3, n)):
+            want = scipy.linalg.lu_solve(factors, b, check_finite=False)
+            assert np.array_equal(solve(b).view(np.int64), want.view(np.int64))
+
+
 def test_custom_splitting_uses_dense_path():
     a = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
     p = LcpProblem(a=a, sigma=np.array([-1.0, 1.0]))

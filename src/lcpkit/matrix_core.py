@@ -38,6 +38,7 @@ inverse or LU needs n <= DENSE_LIMIT.
 import functools
 import importlib.machinery
 import importlib.util
+import inspect
 import itertools
 import os
 import re
@@ -157,12 +158,18 @@ class _Pattern:
             sub = None  # this pattern itself, to which self._subs must not refer
             if not kept.all():
                 kept.setflags(write=False)
-                before = np.zeros(tri.size + 1, dtype=self.row_starts.dtype)
-                np.cumsum(kept, out=before[1:])
-                sub = (_Pattern(self.n, before[self.row_starts], self.col_indices[kept],
-                                tri[kept]), kept)
+                sub = (self.select(kept), kept)
             self._subs[key] = sub
         return self._subs[key] or (self, None)
+
+    def select(self, keep):
+        """A new pattern of the entries that keep, a mask in storage order,
+        selects, in this index dtype: the row pointer counts the kept
+        entries, and the triangles are kept when found here."""
+        before = np.zeros(keep.size + 1, dtype=self.row_starts.dtype)
+        np.cumsum(keep, out=before[1:])
+        return _Pattern(self.n, before[self.row_starts], self.col_indices[keep],
+                        None if self._tri is None else self._tri[keep])
 
     def cut(self):
         """The cut of this lower-triangular pattern with a full diagonal
@@ -213,19 +220,13 @@ class SparseMatrix:
         self._own(_Pattern(n, row_starts.astype(idx), col_indices.astype(idx)), values)
 
     def _own(self, pattern, values):
-        """Take values, on pattern, as storage: zeros dropped (from values
-        in place) by scipy's ``csr_eliminate_zeros``, onto a new pattern
-        that keeps the triangles found so far, values checked finite and
-        made read-only."""
+        """Take values, on pattern, as storage: the entries that are zero
+        dropped onto a new pattern (``_Pattern.select``), as scipy's
+        ``eliminate_zeros`` drops them, values checked finite and made
+        read-only."""
         keep = values != 0.0
         if not keep.all():
-            n, tri = pattern.n, pattern._tri
-            row_starts, col_indices = pattern.row_starts.copy(), pattern.col_indices.copy()
-            _kernels.csr_eliminate_zeros(n, n, row_starts, col_indices, values)
-            nnz = row_starts[-1]
-            pattern = _Pattern(n, row_starts, col_indices[:nnz].copy(),
-                               None if tri is None else tri[keep])
-            values = values[:nnz].copy()
+            pattern, values = pattern.select(keep), values[keep]
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix entry is not finite (nan/inf input or overflow)")
         values.setflags(write=False)
@@ -241,8 +242,9 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, n, rows, cols, vals):
-        """Build from triplets; duplicates are summed, exact zeros dropped,
-        by the kernels of scipy's ``tocsr`` and ``eliminate_zeros``."""
+        """Build from triplets; duplicates are summed by the kernels of
+        scipy's ``tocsr``, and exact zeros dropped as ``eliminate_zeros``
+        drops them."""
         n = int(_integers(n, "dimension"))
         if n <= 0:
             raise ValueError("dimension must be positive")
@@ -1112,7 +1114,9 @@ def write_matrix_market(a, path):
 def _data_lines(fh, first_line, skipped):
     """Yield the lines of fh, whose first is file line first_line, that
     are neither blank nor start with '%' (after leading whitespace);
-    skipped gets the number of every other line."""
+    skipped gets the number of every other line.  While it is suspended,
+    its locals ``line`` and ``number`` are the last line it yielded and
+    that line's number in the file (``inspect.getgeneratorlocals``)."""
     for number, line in enumerate(fh, first_line):
         text = line.lstrip()
         if text and text[0] != "%":
@@ -1136,47 +1140,37 @@ def _file_line(first_line, skipped, k):
 _NUMPY_FIELD = re.compile(r" at row \d+, column (\d+)\.$")
 
 
-def _parse_error(path, first_line, dtype):
-    """ValueError '<path>:<line>: <reason>' for the first data line, from
-    first_line on, that is not one record of dtype; None if all parse,
-    as when path cannot be read a second time (a pipe, say)."""
-    skipped = []
-    with open(path, "r", encoding="ascii") as fh:
-        lines = _data_lines(itertools.islice(fh, first_line - 1, None), first_line, skipped)
-        for k, line in enumerate(lines):
-            found = len(line.split())
-            if found != len(dtype):
-                reason = f"wrong number of fields: expected {len(dtype)}, found {found}"
-            else:
-                try:
-                    np.loadtxt([line], dtype=dtype, comments=None)
-                    continue
-                except ValueError as exc:
-                    reason = _NUMPY_FIELD.sub(r" (field \1)", str(exc))
-            return ValueError(f"{path}:{_file_line(first_line, skipped, k)}: {reason}")
-    return None
-
-
 def _load_rows(fh, dtype, path, first_line):
     """Parse the rest of fh, which is path from 1-based line first_line
-    on, as one record of dtype per line.  Returns the records and the
-    numbers of the lines skipped, from which ``_file_line`` finds the
-    line of a record.
+    on, as one record of dtype per line, in one pass.  Returns the
+    records and the numbers of the lines skipped, from which
+    ``_file_line`` finds the line of a record.
 
     Lines starting with '%' (after leading whitespace) are dropped whole
     and blank lines are skipped; a trailing '%' on a data line is not a
     comment.  A row with a field count other than dtype's, or a field
     its type cannot parse exactly, raises ValueError naming the file and
-    line; only then is the file read a second time, line by line.
+    line.  numpy's ``loadtxt`` raises at the line it refuses, before it
+    asks for the next one, so that line is the one _data_lines yielded
+    last; fh is not read again.  An error of fh's own (a byte that is
+    not ASCII) ends _data_lines and passes through without a line.
     """
     skipped = []
+    lines = _data_lines(fh, first_line, skipped)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            records = np.loadtxt(_data_lines(fh, first_line, skipped), dtype=dtype,
-                                 comments=None, ndmin=1)
+            records = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
     except ValueError as exc:
-        raise _parse_error(path, first_line, dtype) or exc from None
+        refused = inspect.getgeneratorlocals(lines)
+        if not refused:
+            raise
+        found = len(refused["line"].split())
+        if found != len(dtype):
+            reason = f"wrong number of fields: expected {len(dtype)}, found {found}"
+        else:
+            reason = _NUMPY_FIELD.sub(r" (field \1)", str(exc))
+        raise ValueError(f"{path}:{refused['number']}: {reason}") from None
     return records, skipped
 
 

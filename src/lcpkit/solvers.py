@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_core import (DENSE_LIMIT, SingularMatrixError, SparseMatrix, _lapack,
-                          _pivots, _product, _schedule, lower_triangular_solve)
+from .matrix_core import (DENSE_LIMIT, SingularMatrixError, SparseMatrix, _lapack, _product,
+                          _schedule, lower_triangular_solve)
 from .splittings import Splitting, SplittingKind, make_splitting
 
 DIVERGENCE_NORM = 1e12
@@ -210,18 +210,15 @@ def _linear_solver_for(lhs):
     """Pick the cheapest exact solver the structure of the system matrix
     lhs admits.
 
-    Diagonal and lower-triangular systems go to substitution, the latter
-    with its schedule built here, on the cut of lhs's pattern, which the
-    built-in splittings' system matrices of a problem share
-    (``_schedule``); anything else (custom splittings) gets a one-time dense LU, capped at
+    Lower-triangular systems, diagonal ones included, go to forward
+    substitution, with its schedule built here, on the cut of lhs's
+    pattern, which the built-in splittings' system matrices of a problem
+    share (``_schedule``); on a diagonal lhs it gives b / d bitwise.
+    Anything else (custom splittings) gets a one-time dense LU, capped at
     n <= DENSE_LIMIT so the fallback can't masquerade as a sparse method
     at scale.
     """
     if lhs.is_lower_triangular():
-        if lhs.nnz == lhs.n:
-            # n entries: all on the diagonal, or a pivot is zero and _pivots raises
-            d = _pivots(lhs)
-            return lambda b: b / d
         _schedule(lhs)
         return lambda b: lower_triangular_solve(lhs, b)
     if lhs.n > DENSE_LIMIT:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -620,26 +621,130 @@ def test_parse_error_names_file_and_line(capsys, tmp_path, body, number, reason)
     assert err == f"error: {mtx}:{number}: {reason}\n"
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-@pytest.mark.parametrize("body, message", [
-    ("2 2 2\n1 1 4.0\n  % note\n3 2 1.0\n", "{}:5: entry index out of range 1..2"),
-    ("2 2 2\n1 1 4.0\n2 2 1.5abc\n", None),
-], ids=["index-above-n", "bad-value"])
-def test_parse_error_from_a_pipe(capsys, body, message):
-    # a pipe cannot be read twice: the index check needs no second read,
-    # and a bad field keeps numpy's message when the second read finds nothing
-    read, write = os.pipe()
-    try:
-        os.write(write, (_MM + body).encode("ascii"))
+class _Pipe:
+    """A pipe holding text, its write end closed, opened by its
+    /dev/fd path as a file is (the text must fit the pipe's buffer)."""
+
+    def __init__(self, text):
+        self.read, write = os.pipe()
+        os.write(write, text.encode("ascii"))
         os.close(write)
-        path = f"/dev/fd/{read}"
-        code, _, err = _run(capsys, ["check", "--matrix", path, "--method", "npgs"])
-    finally:
-        os.close(read)
+        self.path = f"/dev/fd/{self.read}"
+
+    def __enter__(self):
+        return self.path
+
+    def __exit__(self, *exc):
+        os.close(self.read)
+
+
+_NEEDS_DEV_FD = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+@_NEEDS_DEV_FD
+@pytest.mark.parametrize("flag, text, message", [
+    ("--matrix", _MM + "2 2 2\n1 1 4.0\n  % note\n3 2 1.0\n", "{}:5: entry index out of range 1..2"),
+    ("--matrix", _MM + "2 2 2\n1 1 4.0\n2 2 1.5abc\n",
+     "{}:4: could not convert string '1.5abc' to float64 (field 3)"),
+    ("--matrix", _MM + "2 2 2\n1 1 4.0\n% note\n2 2\n",
+     "{}:5: wrong number of fields: expected 3, found 2"),
+    ("--sigma", "-1\n\n-1 -1\n", "{}:3: wrong number of fields: expected 1, found 2"),
+], ids=["index-above-n", "bad-value", "field-count", "sigma-field-count"])
+def test_parse_error_from_a_pipe(capsys, tmp_path, flag, text, message):
+    # the reader makes one pass, so a pipe, which cannot be read twice,
+    # gets the message a file gets
+    argv = ["solve", *_problem_files(tmp_path, "2 2 2\n1 1 4.0\n2 2 4.0\n"), "--method", "npgs"]
+    with _Pipe(text) as path:
+        argv[argv.index(flag) + 1] = path
+        code, _, err = _run(capsys, argv)
     assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
-    if message is not None:
-        assert err == f"error: {message.format(path)}\n"
+    assert err == f"error: {message.format(path)}\n"
+
+
+def test_parse_error_decoding_past_the_first_chunk_has_no_line(capsys, tmp_path):
+    # a byte that is not ASCII, past the first 8 KiB (which the header's
+    # read decodes), stops the file's own iteration: the message is the
+    # decoder's, as iterating over the file gives it, with no line, since
+    # no line was refused
+    lines = ["1 1 1.0\n"] * 3000
+    lines[2500] = "1 1 1.\xe9\n"
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text(_MM + "100 100 3000\n" + "".join(lines), encoding="latin-1")
+    with pytest.raises(UnicodeDecodeError) as raised, open(mtx, encoding="ascii") as fh:
+        for _ in fh:
+            pass
+    code, _, err = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npgs"])
+    assert code == 1
+    assert err == f"error: {raised.value}\n"
+
+
+@pytest.mark.parametrize("matrix, sigma, code, inputs", [
+    ("2 2 2\n1 1 4.0\n2 2 4.0\n", "-1\n-1\n", 0, 2),
+    ("2 2 2\n1 1 4.0\n2 2 1.5abc\n", "-1\n-1\n", 1, 1),
+    ("2 2 2\n1 1 4.0\n2 2 4.0 1\n", "-1\n-1\n", 1, 1),
+    ("2 2 2\n1 1 4.0\n3 2 4.0\n", "-1\n-1\n", 1, 1),
+    ("2 2 2\n1 1 4.0\n2 2 4.0\n", "-1\n-1x\n", 1, 2),
+], ids=["good", "bad-value", "field-count", "index-above-n", "sigma-bad-value"])
+def test_parse_error_path_opens_each_input_once(capsys, tmp_path, monkeypatch, matrix, sigma,
+                                                code, inputs):
+    # the matrix, then sigma once the matrix is read, each opened once
+    opened = []
+    monkeypatch.setattr(matrix_core, "open",
+                        lambda path, *args, **kwargs: opened.append(path) or open(path, *args, **kwargs),
+                        raising=False)
+    files = _problem_files(tmp_path, matrix, sigma)
+    assert _run(capsys, ["solve", *files, "--method", "npgs"])[0] == code
+    assert opened == files[1::2][:inputs]
+
+
+_FILLER_LINES = st.lists(st.sampled_from(["", "% note", "  % note", "   ", "\t%"]), max_size=2)
+_GOOD_VALUE = st.floats(-10.0, 10.0).map(repr)
+# (bad line, reason) for a matrix entry and for a vector value
+_BAD_ENTRIES = [("1 1 1.5abc", "could not convert string '1.5abc' to float64 (field 3)"),
+                ("1.0 1 2.0", "could not convert string '1.0' to int64 (field 1)"),
+                ("1 1", "wrong number of fields: expected 3, found 2"),
+                ("1 1 2.0 3", "wrong number of fields: expected 3, found 4")]
+_BAD_VALUES_AND_REASONS = [("0x1p-2", "could not convert string '0x1p-2' to float64 (field 1)"),
+                           ("1 2", "wrong number of fields: expected 1, found 2")]
+
+
+@st.composite
+def _file_with_a_bad_line(draw):
+    """(is a matrix, text, number of its bad line, reason): a matrix or
+    vector file with filler lines at random places and one bad line."""
+    matrix = draw(st.booleans())
+    good = (st.tuples(st.integers(1, 3), st.integers(1, 3), _GOOD_VALUE).map(
+        lambda e: "%d %d %s" % e) if matrix else _GOOD_VALUE)
+    bad, reason = draw(st.sampled_from(_BAD_ENTRIES if matrix else _BAD_VALUES_AND_REASONS))
+    data = draw(st.lists(good, max_size=12))
+    at = draw(st.integers(0, len(data)))
+    data.insert(at, bad)
+    lines = [_MM.rstrip("\n")] + draw(_FILLER_LINES) + [f"4 4 {len(data)}"] if matrix else []
+    for k, line in enumerate(data):
+        lines += draw(_FILLER_LINES)
+        if k == at:
+            number = len(lines) + 1
+        lines.append(line)
+    lines += draw(_FILLER_LINES)
+    # the last line, the bad one maybe, may end the file without a newline
+    return matrix, "\n".join(lines) + draw(st.sampled_from(["\n", ""])), number, reason
+
+
+@_NEEDS_DEV_FD
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_file_with_a_bad_line())
+def test_parse_error_names_the_refused_line(tmp_path, case):
+    # the line is found in the one pass, for a regular file and a pipe alike
+    matrix, text, number, reason = case
+    read = read_matrix_market if matrix else read_vector
+    regular = tmp_path / "input.txt"
+    regular.write_text(text, encoding="ascii")
+    with _Pipe(text) as pipe:
+        for path in (str(regular), pipe):
+            with pytest.raises(ValueError) as raised:
+                read(path)
+            assert str(raised.value) == f"{path}:{number}: {reason}"
 
 
 def test_vector_parse_error_names_file_and_line(capsys, tmp_path):
@@ -779,23 +884,72 @@ _FUZZ_RUNS = [
     ["solve", "--method", "npgs"],
     ["solve", "--method", "npaor", "--alpha", "1.2", "--beta", "0.8"],
     ["solve", "--method", "msor", "--alpha", "0.9"],
+    ["solve", "--method", "mgs"],
     ["check", "--method", "npj"],
     ["check", "--method", "npsor", "--alpha", "1.7"],
+    ["table", "table1"],
 ]
+
+_ODD_NUMBERS = ["nan", "inf", "1e308", "1e-320", "-0", "1_0", "0x1p-2"]
+_ALPHA = st.sampled_from(["0.5", "0.9", "1", "1.2", "1.7"])
+# the numeric flags each command takes, with ordinary values; --m, --sizes
+# and --max-iters are drawn apart, so that every run stays small
+_NUMERIC_FLAGS = {
+    "--alpha": _ALPHA,
+    "--beta": _ALPHA,
+    "--gamma": st.sampled_from(["0.5", "1", "2"]),
+    "--omega-scale": st.sampled_from(["0.25", "0.5", "1"]),
+    "--tol": st.sampled_from(["1e-5", "1e-3", "1e-8"]),
+    "--delta": st.sampled_from(["4", "1", "0.5"]),
+}
+_COMMAND_FLAGS = {"solve": ["--alpha", "--beta", "--gamma", "--omega-scale", "--tol"],
+                  "check": ["--alpha", "--beta"],
+                  "table": ["--delta", "--gamma", "--tol"]}
+
+
+@st.composite
+def _numeric_flags(draw, command, family):
+    """Numeric flags for a run of command, on a generated family or
+    (family None) on files: a value is mostly ordinary, now and then odd.
+    A valid --m or table size is at most 8 (1_0 is 10, a valid int), and
+    --max-iters at most 50."""
+    flags = []
+    if family is not None:
+        odd_m = st.sampled_from([v for v in _ODD_NUMBERS if v != "1_0"])
+        flags += ["--family", family, "--m", _mostly(draw, st.integers(1, 8).map(str), odd_m)]
+    if command == "table":
+        size = st.one_of(st.just("4"), st.sampled_from(_ODD_NUMBERS))
+        flags += ["--sizes", ",".join(draw(st.lists(size, min_size=1, max_size=2)))]
+    if command != "check":
+        flags += ["--max-iters", _mostly(draw, st.integers(0, 50).map(str),
+                                         st.sampled_from(_ODD_NUMBERS))]
+    for flag in _COMMAND_FLAGS[command] + (["--delta"] if family else []):
+        if draw(st.booleans()):
+            flags += [flag, _mostly(draw, _NUMERIC_FLAGS[flag], st.sampled_from(_ODD_NUMBERS))]
+    return flags
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(files=_fuzzed_files(), run=st.sampled_from(_FUZZ_RUNS),
-       init=st.booleans())
-def test_cli_never_prints_a_traceback(capsys, tmp_path, files, run, init):
-    # declared n stays <= 8: check at a large declared n is slow by design
-    argv = run + _problem_files(tmp_path, *files)
-    if run[0] == "solve":
-        argv += ["--max-iters", "50"]
-        if init:
+       family=st.sampled_from([None, "example1", "example2", "random"]),
+       init=st.booleans(), data=st.data())
+def test_cli_never_prints_a_traceback(capsys, tmp_path, files, run, family, init, data):
+    # a declared n, --m and a table size stay <= 8: check at a large n is
+    # slow by design
+    command = run[0]
+    argv = list(run)
+    if command == "table":
+        family = None
+    elif family is None:
+        argv += _problem_files(tmp_path, *files)
+        if command == "solve" and init:
             argv += ["--init", str(tmp_path / "s.vec")]
-    code, _, err = _run(capsys, argv)
+    argv += data.draw(_numeric_flags(command, family))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = _run(capsys, argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert err.count("\n") <= 1 and "Warning" not in err
+    assert caught == []

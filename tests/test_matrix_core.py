@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -1172,16 +1173,23 @@ def test_table1_methods_make_one_cut(monkeypatch):
         monkeypatch.undo()
 
 
+def _select_callers(monkeypatch):
+    """The names of the functions that call _Pattern.select from now on:
+    "_own" for each entry a build drops as a zero, "sub" for each new
+    sub-pattern."""
+    select, callers = matrix_core._Pattern.select, []
+    monkeypatch.setattr(matrix_core._Pattern, "select", lambda pattern, keep: callers.append(
+        sys._getframe(1).f_code.co_name) or select(pattern, keep))
+    return callers
+
+
 def test_table1_builds_store_no_zero(monkeypatch):
     # M and N are built on the sub-pattern of the triangles they keep, so
-    # no build of a table-1 problem's solves leaves a zero for
-    # csr_eliminate_zeros to drop; and the Ns of one kind of splitting
-    # share one pattern: npgs's (mgs's too) the strict upper triangle,
-    # npsor's (msor's) the diagonal and the strict upper triangle
-    kernels = matrix_core._kernels
-    eliminate, calls = kernels.csr_eliminate_zeros, []
-    monkeypatch.setattr(kernels, "csr_eliminate_zeros",
-                        lambda *args: calls.append(args[0]) or eliminate(*args))
+    # no build of a table-1 problem's solves leaves a zero for _own to
+    # drop; and the Ns of one kind of splitting share one pattern:
+    # npgs's (mgs's too) the strict upper triangle, npsor's (msor's) the
+    # diagonal and the strict upper triangle
+    callers = _select_callers(monkeypatch)
     p = BenchSpec("example1", 10).build()
     cfg = SolverConfig()
     for variant, alpha in (("mgs", 1.0), ("msor", 0.85)):
@@ -1191,10 +1199,46 @@ def test_table1_builds_store_no_zero(monkeypatch):
         SplittingKind.npsor(0.85))]
     for s in splittings[:2]:
         solvers.projected_solve(p, s, cfg)
-    assert calls == []
+    assert "sub" in callers and "_own" not in callers
     upper, diagonal_upper = (p.a._pattern.sub(False, diagonal, True)[0] for diagonal in (False, True))
     assert all(s.n_part._pattern is sub
                for s, sub in zip(splittings, [upper, diagonal_upper] * 2))
+
+
+def test_entry_drop_probe_sees_a_dropped_zero(monkeypatch):
+    # the probe of test_table1_builds_store_no_zero sees a build that
+    # drops a zero: I - I drops every entry, and I + 2I none
+    callers = _select_callers(monkeypatch)
+    unit = SparseMatrix.identity(3)
+    assert unit.add_diagonal(2.0).nnz == 3 and callers == []
+    assert unit.add_diagonal(-1.0).nnz == 0 and callers == ["_own"]
+
+
+@_EXACT
+@given(t=_triplets(), zeros=hnp.arrays(bool, 24), zero=st.sampled_from([0.0, -0.0]),
+       index=st.sampled_from([np.int32, np.int64]), found=st.booleans())
+def test_entry_drop_is_scipy_eliminate_zeros_bitwise(t, zeros, zero, index, found):
+    # a build's values with zeros (signed, where zeros is set) on a
+    # pattern of either index dtype: the zeros are dropped as scipy's
+    # eliminate_zeros drops them, index arrays and dtype alike, and the
+    # triangles found before are kept, for the entries left
+    a, _ = _both(t)
+    pattern = matrix_core._Pattern(a.n, a.row_starts.astype(index), a.col_indices.astype(index))
+    if found:
+        pattern.triangle()
+    values = np.where(zeros[:a.nnz], zero, a.values)
+    got = SparseMatrix._made(pattern, values.copy())
+    h = scipy.sparse.csr_matrix((a.n, a.n))
+    h.indptr, h.indices, h.data = pattern.row_starts.copy(), pattern.col_indices.copy(), values
+    h.eliminate_zeros()
+    for mine, theirs in ((got.row_starts, h.indptr), (got.col_indices, h.indices)):
+        assert mine.dtype == theirs.dtype == index and np.array_equal(mine, theirs)
+    assert np.array_equal(_bits(got.values), _bits(h.data))
+    tri = got._pattern._tri
+    assert (tri is not None) == found
+    if found:
+        fresh = matrix_core._Pattern(got.n, got.row_starts, got.col_indices).triangle()
+        assert tri.dtype == fresh.dtype and np.array_equal(tri, fresh)
 
 
 def test_system_matrices_share_the_level_pattern():

@@ -3,8 +3,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from lcpkit import solvers
+from lcpkit import matrix_core, solvers
 from lcpkit.matrix_core import SingularMatrixError, SparseMatrix
 from lcpkit.problems import gen_example1, gen_example2, gen_random_hplus, oracle_solve
 from lcpkit.solvers import (
@@ -306,6 +307,41 @@ def test_dense_lu_is_scipy_lu_bitwise():
         for b in rng.uniform(-3.0, 3.0, (3, n)):
             want = scipy.linalg.lu_solve(factors, b, check_finite=False)
             assert np.array_equal(solve(b).view(np.int64), want.view(np.int64))
+
+
+# b / d stays finite: |b| <= 8 and |d| >= 1e-300
+_PIVOT = st.one_of(st.sampled_from([1.0, -1.0, 1e-300, -1e300]),
+                   st.floats(-8.0, 8.0).filter(lambda x: abs(x) >= 0.125))
+_RHS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-8.0, 8.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.one_of(st.lists(_PIVOT, min_size=1, max_size=3), st.lists(_PIVOT, min_size=4,
+                                                                        max_size=40)),
+       b=hnp.arrays(np.float64, 40, elements=_RHS))
+@example(d=[2.0, -3.0], b=np.resize([-0.0, 0.0, 1.5], 40))
+@example(d=[2.0, -3.0, 0.5, -1.0, 4.0], b=np.resize([-0.0, 0.0, 1.5], 40))
+def test_diagonal_system_matrix_solves_as_b_over_d(d, b):
+    # a diagonal system matrix (npj's) takes forward substitution: the row
+    # cut below 4 rows, else one level, each bitwise b / d, where b_i = -0.0
+    # included
+    d, b = np.array(d), b[:len(d)]
+    lhs = SparseMatrix.diagonal(d)
+    solve = solvers._linear_solver_for(lhs)
+    plan = matrix_core._RowSchedule if d.size < 4 else matrix_core._LevelSchedule
+    assert isinstance(matrix_core._schedule(lhs), plan)
+    assert np.array_equal(solve(b).view(np.int64), (b / d).view(np.int64))
+
+
+def test_npj_solve_is_a_forward_substitution_per_pass(monkeypatch):
+    solves = []
+    real = solvers.lower_triangular_solve
+    monkeypatch.setattr(solvers, "lower_triangular_solve",
+                        lambda m, b: solves.append(m) or real(m, b))
+    p = gen_example1(5, 4.0)
+    report = projected_solve(p, make_splitting(p.a, SplittingKind.npj()), SolverConfig())
+    assert report.converged and len(solves) == report.iterations > 0
+    assert solves[0].is_diagonal() and all(m is solves[0] for m in solves)
 
 
 def test_custom_splitting_uses_dense_path():

@@ -163,9 +163,8 @@ class _Pattern:
         return self._subs[key] or (self, None)
 
     def select(self, keep):
-        """A new pattern of the entries that keep, a mask in storage order,
-        selects, in this index dtype: the row pointer counts the kept
-        entries, and the triangles are kept when found here."""
+        """A new pattern, in this index dtype, of the entries a mask in
+        storage order keeps, with their triangles when found here."""
         before = np.zeros(keep.size + 1, dtype=self.row_starts.dtype)
         np.cumsum(keep, out=before[1:])
         return _Pattern(self.n, before[self.row_starts], self.col_indices[keep],
@@ -242,9 +241,8 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, n, rows, cols, vals):
-        """Build from triplets; duplicates are summed by the kernels of
-        scipy's ``tocsr``, and exact zeros dropped as ``eliminate_zeros``
-        drops them."""
+        """Build from triplets; duplicates summed by the kernels of scipy's
+        ``tocsr``, exact zeros dropped as ``eliminate_zeros`` drops them."""
         n = int(_integers(n, "dimension"))
         if n <= 0:
             raise ValueError("dimension must be positive")
@@ -884,7 +882,10 @@ class _LevelSchedule(NamedTuple):
         row refers to a row of its own level, so the kernel writes each
         level's sums straight into that level's 0.0 entries of the vector
         it reads: +0.0 + sum(-m_ij x_j) + b_i, which is b_i - s_i bitwise
-        for every b_i but -0.0, which the end of the solve mends."""
+        for every b_i but -0.0, which the end of the solve mends.  A lone
+        level, whose rows refer to no row and keep their order, is b / d."""
+        if len(self.blocks) == 1:
+            return b / self.blocks[0][3]
         n = b.size
         cut, vals = self.cut, self.vals
         cols = cut.cols
@@ -1152,8 +1153,9 @@ def _load_rows(fh, dtype, path, first_line):
     its type cannot parse exactly, raises ValueError naming the file and
     line.  numpy's ``loadtxt`` raises at the line it refuses, before it
     asks for the next one, so that line is the one _data_lines yielded
-    last; fh is not read again.  An error of fh's own (a byte that is
-    not ASCII) ends _data_lines and passes through without a line.
+    last; fh is not read again.  Should that line parse alone, or
+    _data_lines hold none (an error of fh's own, a byte that is not
+    ASCII, ends it), numpy's error passes through without a line.
     """
     skipped = []
     lines = _data_lines(fh, first_line, skipped)
@@ -1163,13 +1165,18 @@ def _load_rows(fh, dtype, path, first_line):
             records = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
     except ValueError as exc:
         refused = inspect.getgeneratorlocals(lines)
-        if not refused:
+        if "line" not in refused:
             raise
         found = len(refused["line"].split())
         if found != len(dtype):
             reason = f"wrong number of fields: expected {len(dtype)}, found {found}"
         else:
-            reason = _NUMPY_FIELD.sub(r" (field \1)", str(exc))
+            try:
+                np.loadtxt([refused["line"]], dtype=dtype, comments=None)
+            except ValueError as line_exc:
+                reason = _NUMPY_FIELD.sub(r" (field \1)", str(line_exc))
+            else:
+                raise  # loadtxt refused a line before the last one yielded
         raise ValueError(f"{path}:{refused['number']}: {reason}") from None
     return records, skipped
 

@@ -213,10 +213,9 @@ def _linear_solver_for(lhs):
     Lower-triangular systems, diagonal ones included, go to forward
     substitution, with its schedule built here, on the cut of lhs's
     pattern, which the built-in splittings' system matrices of a problem
-    share (``_schedule``); on a diagonal lhs it gives b / d bitwise.
-    Anything else (custom splittings) gets a one-time dense LU, capped at
-    n <= DENSE_LIMIT so the fallback can't masquerade as a sparse method
-    at scale.
+    share (``_schedule``); anything else (custom splittings) gets a
+    one-time dense LU, capped at n <= DENSE_LIMIT so the fallback can't
+    masquerade as a sparse method at scale.
     """
     if lhs.is_lower_triangular():
         _schedule(lhs)

@@ -747,6 +747,41 @@ def test_parse_error_names_the_refused_line(tmp_path, case):
             assert str(raised.value) == f"{path}:{number}: {reason}"
 
 
+_LOADTXT = np.loadtxt
+
+
+def _loadtxt_one_line_ahead(lines, **kwargs):
+    """np.loadtxt, asking for each line of an iterator before it parses
+    the one before it."""
+    if not isinstance(lines, list):
+        lines = (line for line, _ in itertools.pairwise(itertools.chain(lines, [None])))
+    return _LOADTXT(lines, **kwargs)
+
+
+def _loadtxt_refusing_unread(lines, **kwargs):
+    """np.loadtxt, refusing an iterator before asking it for a line."""
+    if not isinstance(lines, list):
+        raise ValueError("refused unread")
+    return _LOADTXT(lines, **kwargs)
+
+
+@pytest.mark.parametrize("loadtxt, message", [
+    (_loadtxt_one_line_ahead, "could not convert string '1.5abc' to float64 at row 1, column 3."),
+    (_loadtxt_refusing_unread, "refused unread"),
+], ids=["one-line-ahead", "unread"])
+def test_parse_error_not_at_the_last_line_read_has_no_line(tmp_path, monkeypatch, loadtxt,
+                                                           message):
+    # where the last line the reader yielded is not one loadtxt refuses,
+    # or there is none, numpy's error passes through, naming no line
+    # rather than a wrong one
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text(_MM + "2 2 3\n1 1 4.0\n2 2 1.5abc\n2 1 1.0\n", encoding="ascii")
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    with pytest.raises(ValueError) as raised:
+        read_matrix_market(str(mtx))
+    assert str(raised.value) == message
+
+
 def test_vector_parse_error_names_file_and_line(capsys, tmp_path):
     files = _problem_files(tmp_path, "2 2 2\n1 1 4.0\n2 2 4.0\n", sigma="-1\n% note\n-1 -1\n")
     code, _, err = _run(capsys, ["solve", *files, "--method", "npgs"])
@@ -887,7 +922,6 @@ _FUZZ_RUNS = [
     ["solve", "--method", "mgs"],
     ["check", "--method", "npj"],
     ["check", "--method", "npsor", "--alpha", "1.7"],
-    ["table", "table1"],
 ]
 
 _ODD_NUMBERS = ["nan", "inf", "1e308", "1e-320", "-0", "1_0", "0x1p-2"]
@@ -929,12 +963,40 @@ def _numeric_flags(draw, command, family):
     return flags
 
 
+def _assert_no_traceback(capsys, argv):
+    """Run argv: an exit code in {0, 1, 2}, at most one stderr line and
+    no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = _run(capsys, argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert err.count("\n") <= 1 and "Warning" not in err
+    assert caught == []
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(files=_fuzzed_files(), run=st.sampled_from(_FUZZ_RUNS),
+@given(files=_fuzzed_files(), run=st.sampled_from(_FUZZ_RUNS), init=st.booleans())
+def test_cli_never_prints_a_traceback(capsys, tmp_path, files, run, init):
+    # every example reads its fuzzed files; declared n stays <= 8: check
+    # at a large declared n is slow by design
+    argv = run + _problem_files(tmp_path, *files)
+    if run[0] == "solve":
+        argv += ["--max-iters", "50"]
+        if init:
+            argv += ["--init", str(tmp_path / "s.vec")]
+    _assert_no_traceback(capsys, argv)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=_fuzzed_files(), run=st.sampled_from(_FUZZ_RUNS + [["table", "table1"]]),
        family=st.sampled_from([None, "example1", "example2", "random"]),
        init=st.booleans(), data=st.data())
-def test_cli_never_prints_a_traceback(capsys, tmp_path, files, run, family, init, data):
+def test_cli_numeric_flags_never_print_a_traceback(capsys, tmp_path, files, run, family, init,
+                                                   data):
+    # the numeric flags on fuzzed files, a generated family or a table;
     # a declared n, --m and a table size stay <= 8: check at a large n is
     # slow by design
     command = run[0]
@@ -946,10 +1008,4 @@ def test_cli_never_prints_a_traceback(capsys, tmp_path, files, run, family, init
         if command == "solve" and init:
             argv += ["--init", str(tmp_path / "s.vec")]
     argv += data.draw(_numeric_flags(command, family))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, _, err = _run(capsys, argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    assert err.count("\n") <= 1 and "Warning" not in err
-    assert caught == []
+    _assert_no_traceback(capsys, argv)

@@ -20,8 +20,9 @@ pass, on the paper's tabulated setups and their scalings to diagonal
 0.9), or once the estimate settles with the bracket still straddling
 it, which fails, as does a pass whose T v overflows.  While n <=
 matrix_core.DENSE_LIMIT a pass of T is a sparse matvec and a product
-with the dense |inv(M + 2I + D_A)|; past it T is applied matrix-free (a
-sparse matvec and a forward solve).
+with the dense |inv(M + 2I + D_A)|, which a lower-triangular system
+matrix gets by block rows over its band (``_dense_inverse``); past it T
+is applied matrix-free (a sparse matvec and a forward solve).
 """
 
 import warnings
@@ -35,6 +36,7 @@ from .matrix_core import (
     SparseMatrix,
     _classify,
     _is_z,
+    _kernels,
     _lapack,
     _m_probe,
     _pivots,
@@ -50,6 +52,10 @@ RHO_MODES = ("exact_dense", "comparison_bound", "operator")
 
 # margin under 1.0 so power-iteration noise cannot flip a boundary verdict
 STRICTNESS_MARGIN = 1e-8
+
+# the fewest rows per block of _dense_inverse: a diagonal matrix takes
+# n / 32 blocks, not n
+_INVERSE_BLOCK = 32
 
 
 class ModeUnsupportedError(ValueError):
@@ -138,17 +144,42 @@ def _rho_estimate(a, s, mode, threshold=None):
 
 
 def _dense_inverse(m):
-    """inv(m) as a dense array.  A lower-triangular m goes to LAPACK's
-    triangular inverse (``dtrtri`` of scipy's ``_flapack``, loaded from
-    its file without importing ``scipy.linalg``), in place: no LU,
-    identity right-hand side or copies of a general inverse."""
+    """inv(m) as a dense array.  A lower-triangular m is inverted by block
+    rows over its band, in the one n x n array it returns: with w the most
+    any entry lies left of the diagonal and blocks of B >= w rows, block
+    row k of X = inv(L), L = m, is X_kk = inv(L_kk), by LAPACK's triangular
+    inverse (``dtrtri`` of scipy's ``_flapack``, loaded from its file
+    without importing ``scipy.linalg``), and X_k,:lo = -(X_kk L_k,band)
+    X_band,:lo, two matrix products: about w n^2 + n B^2 flops against
+    the n^3 / 3 of one whole ``dtrtri``.  When 6w >= n the one block is
+    the whole matrix, inverted in place by one ``dtrtri`` call.  Any other
+    m goes to ``numpy.linalg.inv``."""
     if not m.is_lower_triangular():
         return np.linalg.inv(m.to_dense())
     _pivots(m)  # names the first zero pivot, dtrtri's one failure
     dtrtri = _lapack().dtrtri
-    # to_dense is C-ordered, so its transpose is a Fortran-ordered upper
-    # triangle, and inverting that in place leaves inv(m).T = inv(m.T)
-    return dtrtri(m.to_dense().T, lower=0, overwrite_c=1)[0].T
+    n, starts = m.n, m.row_starts
+    # each row's first entry is its leftmost, and every row has its diagonal
+    w = int(np.max(np.arange(n) - m.col_indices[starts[:-1]]))
+    # one block once the block rows' w n^2 flops come within half of the
+    # whole dtrtri's n^3 / 3, which runs at a higher rate
+    size = n if 6 * w >= n else max(w, _INVERSE_BLOCK)
+    x = np.zeros((n, n))
+    # an inverse past the float range overflows here, which the power
+    # iteration reports as an overflowed T v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, size):
+            hi, band = min(lo + size, n), max(lo - w, 0)
+            rows = x[lo:hi]
+            _kernels.csr_todense(hi - lo, n, starts[lo:hi + 1], m.col_indices, m.values, rows)
+            # rows is C-ordered, so the transpose of L_kk is a Fortran-ordered
+            # upper triangle, whose inverse is inv(L_kk).T; dtrtri inverts it
+            # in place when it is contiguous (the one block), and the
+            # assignment of an array to itself copies nothing
+            rows[:, lo:hi] = dtrtri(rows[:, lo:hi].T, lower=0, overwrite_c=1)[0].T
+            # rows[:, band:lo] is still L_k,band, and x[band:lo, :lo] is final
+            rows[:, :lo] = np.negative(rows[:, lo:hi] @ rows[:, band:lo]) @ x[band:lo, :lo]
+    return x
 
 
 def iteration_operator_rho(a, s, mode=None):

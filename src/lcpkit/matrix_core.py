@@ -23,16 +23,18 @@ sub-pattern of the triangles they keep, so that those with the same
 triangles share one: the lower-triangular system matrices of the
 built-in splittings, and the N of each kind of splitting.
 
-Forward substitution follows one of two plans, each a cut, the rows cut
-into blocks, and a schedule, which adds a matrix's values to its cut:
-the level cut (``_LevelCut``, ``_LevelSchedule``) takes the rows level
-by level and serves a matrix with enough rows per level; the row cut
-(``_RowCut``, ``_RowSchedule``) takes them in order, 16 at a time.  A
-schedule is built on the first solve and cached on the (immutable)
-matrix; its cut is made once per pattern and kept with it.  Dense
-fallbacks (inverses, principal minors) are reserved for certification
-and tests on small matrices, never for solver hot paths; a dense
-inverse or LU needs n <= DENSE_LIMIT.
+Forward substitution follows one of three plans, each a cut, the rows
+cut into blocks, and a schedule, which adds a matrix's values to its
+cut: the level cut (``_LevelCut``, ``_LevelSchedule``) takes the rows
+level by level and serves a matrix with enough rows per level; the row
+cut (``_RowCut``, ``_RowSchedule``) takes them in order, 16 at a time;
+and a diagonal matrix's (``_DiagonalCut``, ``_DiagonalSchedule``) is
+one divide by its diagonal, all its schedule holds.  A schedule is
+built on the first solve and cached on the (immutable) matrix; its cut
+is made once per pattern and kept with it.  Dense fallbacks (inverses,
+principal minors) are reserved for certification and tests on small
+matrices, never for solver hot paths; a dense inverse or LU needs n <=
+DENSE_LIMIT.
 """
 
 import functools
@@ -882,10 +884,7 @@ class _LevelSchedule(NamedTuple):
         row refers to a row of its own level, so the kernel writes each
         level's sums straight into that level's 0.0 entries of the vector
         it reads: +0.0 + sum(-m_ij x_j) + b_i, which is b_i - s_i bitwise
-        for every b_i but -0.0, which the end of the solve mends.  A lone
-        level, whose rows refer to no row and keep their order, is b / d."""
-        if len(self.blocks) == 1:
-            return b / self.blocks[0][3]
+        for every b_i but -0.0, which the end of the solve mends."""
         n = b.size
         cut, vals = self.cut, self.vals
         cols = cut.cols
@@ -911,6 +910,28 @@ class _LevelSchedule(NamedTuple):
             signed = signed[sums == 0.0]
             xs[signed] = np.negative(xs[signed])
         return np.take(xs, cut.rank, mode="clip")
+
+
+class _DiagonalCut(NamedTuple):
+    """The cut of a diagonal pattern: one level, whose rows refer to no
+    row and keep their order, so it holds nothing."""
+
+    def schedule(self, data, pivots):
+        """The schedule of a matrix with this pattern and pivots."""
+        pivots.setflags(write=False)
+        return _DiagonalSchedule(self, pivots)
+
+
+class _DiagonalSchedule(NamedTuple):
+    """Forward substitution on a diagonal matrix: the one divide b / d by
+    its diagonal, ``pivots``, which is all it holds."""
+
+    cut: _DiagonalCut
+    pivots: np.ndarray
+
+    def solve(self, b):
+        """x with m x = b."""
+        return b / self.pivots
 
 
 class _RowCut(NamedTuple):
@@ -1041,9 +1062,11 @@ def _level_cut(m, per_row, max_depth):
 
 def _choose_cut(m):
     """The cut of the lower-triangular pattern m with a full diagonal:
-    the level cut when m has at least _ROWS_PER_LEVEL rows per level,
-    else the row cut."""
+    the diagonal cut when m has no other entry, the level cut when m has
+    at least _ROWS_PER_LEVEL rows per level, else the row cut."""
     per_row = np.diff(m.row_starts) - 1
+    if not per_row.any():
+        return _DiagonalCut()
     max_depth = m.n // _ROWS_PER_LEVEL
     levels = None
     # a long chain of rows rules the level cut out before its sweep
@@ -1074,11 +1097,12 @@ def lower_triangular_solve(m, b):
     x_i = (b_i - s_i) / m_ii, where s_i sums the rounded products
     m_ij x_j of the row's off-diagonal entries left to right in storage
     order, starting from 0.0, as ``SparseMatrix.matvec`` sums a row.
-    The first call checks m and caches its schedule on m: with at least
+    The first call checks m and caches its schedule on m: for a diagonal
+    m a ``_DiagonalSchedule``, the one divide b / d; with at least
     ``_ROWS_PER_LEVEL`` rows per dependency level a ``_LevelSchedule``,
     one call of the matrix-vector product's CSR row kernel and one divide
     per level; otherwise a ``_RowSchedule``, one kernel call per
-    ``_BLOCK`` rows.  Neither changes a row's arithmetic, so x is bitwise
+    ``_BLOCK`` rows.  None changes a row's arithmetic, so x is bitwise
     the row-by-row result, signed zeros included.  The schedule's
     pattern half, its cut, is kept with m's sparsity pattern
     (``_Pattern.cut``) and shared by every matrix on that pattern.
@@ -1112,13 +1136,26 @@ def write_matrix_market(a, path):
                 rows[part].tolist(), (a.col_indices[part] + 1).tolist(), a.values[part].tolist())))
 
 
-def _data_lines(fh, first_line, skipped):
-    """Yield the lines of fh, whose first is file line first_line, that
-    are neither blank nor start with '%' (after leading whitespace);
-    skipped gets the number of every other line.  While it is suspended,
-    its locals ``line`` and ``number`` are the last line it yielded and
-    that line's number in the file (``inspect.getgeneratorlocals``)."""
+def _not_ascii(path, number, line):
+    """The ValueError for line number of path, which holds a byte that is
+    not ASCII: read with errors="surrogateescape", byte b is the lone
+    surrogate U+DC00 + b."""
+    column = next(k for k, c in enumerate(line) if not c.isascii())
+    return ValueError(f"{path}:{number}: byte 0x{ord(line[column]) - 0xDC00:02x} "
+                      f"is not ASCII (column {column + 1})")
+
+
+def _data_lines(fh, path, first_line, skipped):
+    """Yield the lines of fh, path from file line first_line on, that are
+    neither blank nor start with '%' (after leading whitespace); skipped
+    gets the number of every other line.  A line with a byte that is not
+    ASCII, comment or not, raises ValueError naming it.  While it is
+    suspended, its locals ``line`` and ``number`` are the last line it
+    yielded and that line's number in the file
+    (``inspect.getgeneratorlocals``)."""
     for number, line in enumerate(fh, first_line):
+        if not line.isascii():
+            raise _not_ascii(path, number, line)
         text = line.lstrip()
         if text and text[0] != "%":
             yield line
@@ -1154,11 +1191,11 @@ def _load_rows(fh, dtype, path, first_line):
     line.  numpy's ``loadtxt`` raises at the line it refuses, before it
     asks for the next one, so that line is the one _data_lines yielded
     last; fh is not read again.  Should that line parse alone, or
-    _data_lines hold none (an error of fh's own, a byte that is not
-    ASCII, ends it), numpy's error passes through without a line.
+    _data_lines hold none (its own error, or one of fh's, ends it), that
+    error passes through as it is.
     """
     skipped = []
-    lines = _data_lines(fh, first_line, skipped)
+    lines = _data_lines(fh, path, first_line, skipped)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -1182,15 +1219,18 @@ def _load_rows(fh, dtype, path, first_line):
 
 
 def read_matrix_market(path):
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        header = fh.readline()
+        if not header.isascii():
+            raise _not_ascii(path, 1, header)
+        header = header.strip()
         if header.lower().split() != _MM_HEADER.lower().split():
             raise ValueError(
                 f"unsupported MatrixMarket header (need coordinate real general): {header!r}"
             )
         skipped = []
         # _data_lines yields no blank line, so "" means there was none
-        size_line = next(_data_lines(fh, 2, skipped), "").strip()
+        size_line = next(_data_lines(fh, path, 2, skipped), "").strip()
         if not size_line:
             raise ValueError("missing size line")
         parts = size_line.split()
@@ -1229,7 +1269,7 @@ def write_vector(v, path):
 
 
 def read_vector(path):
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         # one field per row, so "1 2" on a line is an error, not two values
         values = _load_rows(fh, [("v", np.float64)], path, 1)[0]["v"]
     if not values.size:

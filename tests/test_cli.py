@@ -661,21 +661,35 @@ def test_parse_error_from_a_pipe(capsys, tmp_path, flag, text, message):
     assert err == f"error: {message.format(path)}\n"
 
 
-def test_parse_error_decoding_past_the_first_chunk_has_no_line(capsys, tmp_path):
-    # a byte that is not ASCII, past the first 8 KiB (which the header's
-    # read decodes), stops the file's own iteration: the message is the
-    # decoder's, as iterating over the file gives it, with no line, since
-    # no line was refused
-    lines = ["1 1 1.0\n"] * 3000
-    lines[2500] = "1 1 1.\xe9\n"
-    mtx = tmp_path / "a.mtx"
-    mtx.write_text(_MM + "100 100 3000\n" + "".join(lines), encoding="latin-1")
-    with pytest.raises(UnicodeDecodeError) as raised, open(mtx, encoding="ascii") as fh:
-        for _ in fh:
-            pass
-    code, _, err = _run(capsys, ["check", "--matrix", str(mtx), "--method", "npgs"])
+_PAST_THE_FIRST_CHUNK = ["1 1 1.0\n"] * 3000
+_PAST_THE_FIRST_CHUNK[2500] = "1 1 1.\xe9\n"
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--matrix", _MM + "100 100 3000\n" + "".join(_PAST_THE_FIRST_CHUNK),
+     "{}:2503: byte 0xe9 is not ASCII (column 7)"),
+    ("--matrix", _MM + "% caf\xe9\n2 2 2\n1 1 4.0\n2 2 4.0\n",
+     "{}:2: byte 0xe9 is not ASCII (column 6)"),
+    ("--matrix", "%%MatrixMarket\xff matrix coordinate real general\n2 2 1\n1 1 4.0\n",
+     "{}:1: byte 0xff is not ASCII (column 15)"),
+    ("--sigma", "-1\n-1\xa0\n", "{}:2: byte 0xa0 is not ASCII (column 3)"),
+], ids=["past-the-first-chunk", "comment", "header", "sigma"])
+def test_parse_error_non_ascii_byte_names_its_line(capsys, tmp_path, monkeypatch, flag, text,
+                                                   message):
+    # a byte that is not ASCII, anywhere, even past the first 8 KiB (which
+    # the header's read decodes) or in a comment, is named with its line
+    # and column, in the one pass that opens the file once
+    argv = ["solve", *_problem_files(tmp_path, "2 2 2\n1 1 4.0\n2 2 4.0\n"), "--method", "npgs"]
+    path = argv[argv.index(flag) + 1]
+    Path(path).write_text(text, encoding="latin-1")
+    opened = []
+    monkeypatch.setattr(matrix_core, "open",
+                        lambda path, *args, **kwargs: opened.append(path) or open(path, *args, **kwargs),
+                        raising=False)
+    code, _, err = _run(capsys, argv)
     assert code == 1
-    assert err == f"error: {raised.value}\n"
+    assert err == f"error: {message.format(path)}\n"
+    assert opened.count(path) == 1
 
 
 @pytest.mark.parametrize("matrix, sigma, code, inputs", [

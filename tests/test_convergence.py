@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +101,58 @@ def test_dense_inverse_matches_numpy():
     # named as the forward solve names it, before dtrtri runs
     with pytest.raises(SingularMatrixError, match="zero diagonal in row 3"):
         _dense_inverse(SparseMatrix.from_dense(lower))
+
+
+def _banded_lower(n, w, seed):
+    """A diagonally dominant lower-triangular n x n matrix whose entries of
+    random sign lie at most w left of the diagonal, one of them exactly w."""
+    rng = np.random.default_rng(seed)
+    below = np.subtract.outer(np.arange(n), np.arange(n))
+    dense = rng.uniform(-1.0, 1.0, (n, n)) * ((below > 0) & (below <= w))
+    dense *= rng.random((n, n)) < 0.7
+    dense[w, 0] = 1.0 if w else 0.0
+    pivots = (np.abs(dense).sum(axis=1) + rng.uniform(1.0, 2.0, n)) * rng.choice([-1.0, 1.0], n)
+    return SparseMatrix.from_dense(dense + np.diag(pivots))
+
+
+def _whole_dtrtri(m):
+    return matrix_core._lapack().dtrtri(m.to_dense().T, lower=0, overwrite_c=1)[0].T
+
+
+@settings(max_examples=60, deadline=None)
+@given(nw=st.integers(1, 150).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+       seed=st.integers(0, 2**32 - 1))
+@example(nw=(150, 0), seed=1)
+@example(nw=(150, 24), seed=2)
+@example(nw=(150, 25), seed=3)
+@example(nw=(33, 5), seed=4)
+def test_dense_inverse_by_block_rows_matches_whole_dtrtri(nw, seed):
+    # blocks of max(w, 32) rows, or one block, one whole dtrtri, bit for
+    # bit, when 6w >= n
+    n, w = nw
+    m = _banded_lower(n, w, seed)
+    got, want = _dense_inverse(m), _whole_dtrtri(m)
+    assert not np.triu(got, 1).any()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    if 6 * w >= n:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("w", [0, 5, 40, 99, 100, 599])
+def test_dense_inverse_holds_one_n_by_n_array(w):
+    # the block rows, of w rows when w > 32, are written into the one array
+    # returned, and the one block (6w >= n) is inverted where it lies
+    n = 600
+    m = _banded_lower(n, w, 9)
+    tracemalloc.start()
+    try:
+        got = _dense_inverse(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * n * n
+    want = _whole_dtrtri(m)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_operator_mode_requires_sign_pattern():

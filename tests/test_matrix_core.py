@@ -1389,13 +1389,16 @@ def test_levels_match_longest_dependency_chain(d):
     # the sweep stops past max_depth levels; the chain bound never exceeds the depth
     assert matrix_core._level_cut(m, per_row, depth - 1) is None
     assert 1 <= matrix_core._chain_length(m, per_row) <= depth
-    # the solve takes the level cut at _ROWS_PER_LEVEL rows per level or
-    # more, else the row cut, runs of _BLOCK rows in order
+    # the solve takes the diagonal cut on one level, the level cut at
+    # _ROWS_PER_LEVEL rows per level or more, else the row cut, runs of
+    # _BLOCK rows in order
     lower_triangular_solve(m, np.ones(m.n))
     cut = matrix_core._schedule(m).cut
     # m's own pattern's cut, kept with it
     assert cut is m._pattern._cut
-    if depth * matrix_core._ROWS_PER_LEVEL <= m.n:
+    if depth == 1:
+        assert isinstance(cut, matrix_core._DiagonalCut)
+    elif depth * matrix_core._ROWS_PER_LEVEL <= m.n:
         assert isinstance(cut, matrix_core._LevelCut)
         assert np.array_equal(cut.order, order)
         assert [(lo, hi) for lo, hi, _ in cut.levels] == list(zip(starts[:-1], starts[1:]))

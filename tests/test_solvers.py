@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -322,15 +324,35 @@ _RHS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-8.0, 
 @example(d=[2.0, -3.0], b=np.resize([-0.0, 0.0, 1.5], 40))
 @example(d=[2.0, -3.0, 0.5, -1.0, 4.0], b=np.resize([-0.0, 0.0, 1.5], 40))
 def test_diagonal_system_matrix_solves_as_b_over_d(d, b):
-    # a diagonal system matrix (npj's) takes forward substitution: the row
-    # cut below 4 rows, else one level, each bitwise b / d, where b_i = -0.0
-    # included
+    # a diagonal system matrix (npj's) takes forward substitution on the
+    # diagonal plan at any size, bitwise b / d, where b_i = -0.0 included
     d, b = np.array(d), b[:len(d)]
     lhs = SparseMatrix.diagonal(d)
     solve = solvers._linear_solver_for(lhs)
-    plan = matrix_core._RowSchedule if d.size < 4 else matrix_core._LevelSchedule
-    assert isinstance(matrix_core._schedule(lhs), plan)
+    assert isinstance(matrix_core._schedule(lhs), matrix_core._DiagonalSchedule)
     assert np.array_equal(solve(b).view(np.int64), (b / d).view(np.int64))
+
+
+def test_diagonal_cut_holds_only_the_pivots():
+    # npj's one-level cut holds nothing and its schedule the pivots alone:
+    # at n = 10000 the solver keeps one vector of n floats, where a level
+    # cut and schedule kept its order, rank, pointer, columns, entry
+    # indices and values besides
+    a = gen_example1(100, 4.0).a
+    lhs = solvers.shifted_system(a, make_splitting(a, SplittingKind.npj()))[0]
+    tracemalloc.start()
+    try:
+        solvers._linear_solver_for(lhs)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    schedule = matrix_core._schedule(lhs)
+    assert isinstance(schedule, matrix_core._DiagonalSchedule)
+    assert schedule.cut == () and schedule.cut is lhs._pattern.cut()
+    assert schedule._fields == ("cut", "pivots")
+    assert np.array_equal(schedule.pivots, lhs.diagonal_vector())
+    assert not schedule.pivots.flags.writeable
+    assert kept < 8 * a.n + 4096
 
 
 def test_npj_solve_is_a_forward_substitution_per_pass(monkeypatch):

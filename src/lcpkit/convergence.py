@@ -20,9 +20,9 @@ pass, on the paper's tabulated setups and their scalings to diagonal
 0.9), or once the estimate settles with the bracket still straddling
 it, which fails, as does a pass whose T v overflows.  While n <=
 matrix_core.DENSE_LIMIT a pass of T is a sparse matvec and a product
-with the dense |inv(M + 2I + D_A)|, which a lower-triangular system
-matrix gets by block rows over its band (``_dense_inverse``); past it T
-is applied matrix-free (a sparse matvec and a forward solve).
+with the dense |inv(M + 2I + D_A)|; past it T is applied matrix-free (a
+sparse matvec and a forward solve).  The inverse and every M test are
+matrix_core's (``_dense_inverse``, ``_m_probe``).
 """
 
 import warnings
@@ -35,11 +35,8 @@ from .matrix_core import (
     DENSE_LIMIT,
     SparseMatrix,
     _classify,
-    _is_z,
-    _kernels,
-    _lapack,
+    _dense_inverse,
     _m_probe,
-    _pivots,
     _verified_positive,
     comparison_matrix,
     lower_triangular_solve,
@@ -52,10 +49,6 @@ RHO_MODES = ("exact_dense", "comparison_bound", "operator")
 
 # margin under 1.0 so power-iteration noise cannot flip a boundary verdict
 STRICTNESS_MARGIN = 1e-8
-
-# the fewest rows per block of _dense_inverse: a diagonal matrix takes
-# n / 32 blocks, not n
-_INVERSE_BLOCK = 32
 
 
 class ModeUnsupportedError(ValueError):
@@ -96,11 +89,6 @@ class ConvergenceCertificate:
         return asdict(self)
 
 
-def _shifted_parts(a, s):
-    lhs, rhs_mat, shifted = shifted_system(a, s)
-    return lhs, rhs_mat.abs_entrywise().add(shifted.abs_entrywise())
-
-
 def _mode_for(a, mode):
     """mode, or when it is None the default for a: exact_dense while
     n <= DENSE_LIMIT, operator past it."""
@@ -114,11 +102,12 @@ def _rho_estimate(a, s, mode, threshold=None):
     spectral_radius_nonneg as its early stop."""
     if mode not in RHO_MODES:
         raise ValueError(f"mode must be one of {RHO_MODES}")
-    lhs, reach = _shifted_parts(a, s)
+    lhs, rhs_mat, shifted = shifted_system(a, s)
+    reach = rhs_mat.abs_entrywise().add(shifted.abs_entrywise())
     if mode == "operator":
         # inv(lhs) >= 0, making |inv| a plain forward solve, when lhs is a
         # lower-triangular M-matrix (_m_probe reads its diagonal's signs)
-        if not (lhs.is_lower_triangular() and _is_z(lhs) and _m_probe(lhs)[0]):
+        if not (lhs.is_lower_triangular() and _m_probe(lhs)):
             raise ModeUnsupportedError(
                 "operator mode needs a lower-triangular system matrix with "
                 "positive diagonal and nonpositive off-diagonal"
@@ -129,7 +118,7 @@ def _rho_estimate(a, s, mode, threshold=None):
         raise ValueError(f"{mode} mode limited to n <= {DENSE_LIMIT}")
     if mode == "comparison_bound":
         lhs = comparison_matrix(lhs)
-        if not _m_probe(lhs)[0]:
+        if not _m_probe(lhs):
             raise ModeUnsupportedError(
                 "comparison bound needs the comparison of the system matrix "
                 "to be an M-matrix"
@@ -141,45 +130,6 @@ def _rho_estimate(a, s, mode, threshold=None):
     np.abs(inv_abs, out=inv_abs)
     apply_t = lambda x: inv_abs @ reach.matvec(x)
     return spectral_radius_nonneg(apply_t, n=a.n, threshold=threshold)
-
-
-def _dense_inverse(m):
-    """inv(m) as a dense array.  A lower-triangular m is inverted by block
-    rows over its band, in the one n x n array it returns: with w the most
-    any entry lies left of the diagonal and blocks of B >= w rows, block
-    row k of X = inv(L), L = m, is X_kk = inv(L_kk), by LAPACK's triangular
-    inverse (``dtrtri`` of scipy's ``_flapack``, loaded from its file
-    without importing ``scipy.linalg``), and X_k,:lo = -(X_kk L_k,band)
-    X_band,:lo, two matrix products: about w n^2 + n B^2 flops against
-    the n^3 / 3 of one whole ``dtrtri``.  When 6w >= n the one block is
-    the whole matrix, inverted in place by one ``dtrtri`` call.  Any other
-    m goes to ``numpy.linalg.inv``."""
-    if not m.is_lower_triangular():
-        return np.linalg.inv(m.to_dense())
-    _pivots(m)  # names the first zero pivot, dtrtri's one failure
-    dtrtri = _lapack().dtrtri
-    n, starts = m.n, m.row_starts
-    # each row's first entry is its leftmost, and every row has its diagonal
-    w = int(np.max(np.arange(n) - m.col_indices[starts[:-1]]))
-    # one block once the block rows' w n^2 flops come within half of the
-    # whole dtrtri's n^3 / 3, which runs at a higher rate
-    size = n if 6 * w >= n else max(w, _INVERSE_BLOCK)
-    x = np.zeros((n, n))
-    # an inverse past the float range overflows here, which the power
-    # iteration reports as an overflowed T v
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, size):
-            hi, band = min(lo + size, n), max(lo - w, 0)
-            rows = x[lo:hi]
-            _kernels.csr_todense(hi - lo, n, starts[lo:hi + 1], m.col_indices, m.values, rows)
-            # rows is C-ordered, so the transpose of L_kk is a Fortran-ordered
-            # upper triangle, whose inverse is inv(L_kk).T; dtrtri inverts it
-            # in place when it is contiguous (the one block), and the
-            # assignment of an array to itself copies nothing
-            rows[:, lo:hi] = dtrtri(rows[:, lo:hi].T, lower=0, overwrite_c=1)[0].T
-            # rows[:, band:lo] is still L_k,band, and x[band:lo, :lo] is final
-            rows[:, :lo] = np.negative(rows[:, lo:hi] @ rows[:, band:lo]) @ x[band:lo, :lo]
-    return x
 
 
 def iteration_operator_rho(a, s, mode=None):
@@ -211,7 +161,7 @@ def iteration_operator_rho(a, s, mode=None):
 
 def _structural_fields(a, s, p_matrix_limit=0):
     # the M tests need verdicts only, not classify's witness solve
-    report = _classify(a, p_matrix_limit, witness=False)
+    report = _classify(a, p_matrix_limit)
     d = a.diagonal_vector()
     h_compatible = is_h_compatible(a, s.m.add_diagonal(d + 1.0), s.n_part.add_diagonal(d + 1.0))
     diag_geq_one = bool(np.all(d >= 1.0))
@@ -220,7 +170,7 @@ def _structural_fields(a, s, p_matrix_limit=0):
     # (2 - d) on the diagonal and -2|b| off it; for a positive diagonal this
     # collapses to 2I - 2|B|
     coupling = a.abs_entrywise()._by_triangle(np.abs(d) + (2.0 - d), -2.0, -2.0)
-    coupling_is_m = _m_probe(coupling)[0]
+    coupling_is_m = _m_probe(coupling)
     ok = report.is_h_plus and h_compatible and (
         (diag_geq_one and coupling_is_m) or diag_below_one
     )

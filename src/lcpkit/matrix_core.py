@@ -1,18 +1,20 @@
 """Sparse CSR primitives, matrix classification, and spectral-radius estimation.
 
-A matrix is stored once, as its own read-only CSR arrays with scipy's
-index dtype.  Every operation is numpy, or the compiled kernels scipy's
-sparse layer calls (``scipy.sparse._sparsetools``) in its order, so the
-results are bitwise scipy's, while ``scipy.sparse`` itself is imported
-only by ``to_scipy`` and the witness solve.  lcpkit keeps the
-invariants (square, sorted columns, no stored zeros, finite values,
-immutable arrays) and every reduction in a fixed order; the only
-factorization on offer is triangular substitution.  A row sum, in the
-matrix-vector product and in forward substitution alike, adds the row's
-rounded products left to right in storage order, in ``csr_matvec``.
-``_load_extension`` loads such a compiled module from its file in
-scipy's install, without importing its package: the kernels at import,
-and LAPACK (``_lapack``) on first dense use.
+The one module that calls scipy's compiled code: the CSR kernels
+(``_kernels``, ``scipy.sparse._sparsetools``) at import and LAPACK
+(``_lapack``, ``scipy.linalg._flapack``) on first dense use, each loaded
+from its file in scipy's install by ``_load_extension``.  A matrix is
+stored once, as its own read-only CSR arrays with scipy's index dtype;
+every operation is numpy or the kernels, in the order scipy's sparse
+layer calls them, so the results are bitwise scipy's, and
+``scipy.sparse`` itself is imported only by ``to_scipy`` and the
+witness solve.  lcpkit keeps the invariants (square, sorted columns, no
+stored zeros, finite values, immutable arrays) and every reduction in a
+fixed order: a row sum, in the matrix-vector product and in forward
+substitution alike, adds the row's rounded products left to right in
+storage order, in ``csr_matvec``.  One function answers each dense or
+M-matrix question: ``_dense_lu`` (the one LU, behind ``_dense_solver``
+and ``_dense_inverse``) and ``_m_probe``.
 
 A matrix holds its sparsity pattern as a ``_Pattern``, which every
 matrix built on the same index arrays shares, and which keeps what
@@ -31,10 +33,9 @@ cut (``_RowCut``, ``_RowSchedule``) takes them in order, 16 at a time;
 and a diagonal matrix's (``_DiagonalCut``, ``_DiagonalSchedule``) is
 one divide by its diagonal, all its schedule holds.  A schedule is
 built on the first solve and cached on the (immutable) matrix; its cut
-is made once per pattern and kept with it.  Dense fallbacks (inverses,
-principal minors) are reserved for certification and tests on small
-matrices, never for solver hot paths; a dense inverse or LU needs n <=
-DENSE_LIMIT.
+is made once per pattern and kept with it.  The dense inverse and LU
+serve certification and custom splittings on small matrices, never the
+built-in solvers; their callers cap n at DENSE_LIMIT.
 """
 
 import functools
@@ -46,7 +47,7 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -569,6 +570,7 @@ def _m_matrix_witness(a):
     except Exception:
         return None
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    v.setflags(write=False)
     return v if _verified_positive([(1, a)], v) else None
 
 
@@ -577,27 +579,29 @@ def _is_z(a):
     return bool(np.all(a.values[a._triangle() != 0] <= 0.0))
 
 
-def _m_probe(z, witness=False):
-    """(is_m, v) for the Z-matrix z, the one M test behind ``classify``
-    and ``check``.
+def _is_triangular(a):
+    """Whether a has no entry above, or none below, its diagonal."""
+    return a.is_lower_triangular() or not np.any(a._triangle() < 0)
+
+
+def _m_probe(z):
+    """Whether z is a nonsingular M-matrix, the one M test behind
+    ``classify`` and ``check``: a matrix that is not a Z-matrix is not.
 
     A triangular Z-matrix is a nonsingular M-matrix exactly when its
     diagonal, which holds its eigenvalues, is positive; that is read off
     without a solve, since the solution of z v = ones can overflow there
-    (it grows like 24^i for diagonal 0.5 and subdiagonal -12), and v is
-    None.  Any other Z-matrix goes to the verified Jacobi bracket
-    (``_jacobi_verdict``), and only when that does not decide to the
-    sparse solve (``_m_matrix_witness``).  With witness, an M-matrix also
-    gets the solve's v with z v = ones (None if that v does not verify).
+    (it grows like 24^i for diagonal 0.5 and subdiagonal -12).  Any other
+    Z-matrix goes to the verified Jacobi bracket (``_jacobi_verdict``),
+    and only when that does not decide to the sparse solve
+    (``_m_matrix_witness``).
     """
-    triangle = z._triangle()
-    if np.all(triangle <= 0) or np.all(triangle >= 0):
-        return bool(np.all(z.diagonal_vector() > 0.0)), None
-    is_m = _jacobi_verdict(z, triangle)
-    if is_m is False or (is_m and not witness):
-        return is_m, None
-    v = _m_matrix_witness(z)
-    return bool(is_m) or v is not None, v
+    if not _is_z(z):
+        return False
+    if _is_triangular(z):
+        return bool(np.all(z.diagonal_vector() > 0.0))
+    is_m = _jacobi_verdict(z, z._triangle())
+    return _m_matrix_witness(z) is not None if is_m is None else is_m
 
 
 def _principal_minors_positive(dense):
@@ -619,7 +623,7 @@ class ClassificationReport:
     is_h: bool
     is_h_plus: bool
     is_p: Optional[bool] = None
-    # the positive v with A v = ones that the M test solved for, verified;
+    # the positive v with A v = ones that classify solved for, verified;
     # None when A is not an M-matrix, is triangular (decided without a
     # solve) or the solve's v did not verify
     witness_v: Optional[np.ndarray] = None
@@ -628,44 +632,35 @@ class ClassificationReport:
 def classify(a, p_matrix_limit=12):
     """Classify a square matrix as Z / M / H / H+ and, when small, P.
 
-    For a Z-matrix the M test is ``_m_probe``: a triangular one is
-    decided by the signs of its diagonal, any other by a verified bracket
-    on its Jacobi operator, or by solving A v = ones when the bracket
-    does not decide.  A positive v with A v > 0, verified against
-    rounding, characterizes a nonsingular M-matrix exactly.  For a
-    non-triangular M-matrix the v solved from A v = ones is returned as
-    the witness.  The H test runs the same probe on the comparison
-    matrix, except on a Z-matrix with nonnegative diagonal, which is its
-    own comparison matrix, so that one probe settles both.  Principal
-    minors are enumerated only when n <= p_matrix_limit (capped at 20:
-    there are 2^n - 1 of them).
+    The M test is ``_m_probe``.  For a non-triangular M-matrix, A v =
+    ones is solved for the witness, a positive v with A v > 0 verified
+    against rounding (a second solve, to the same bits, when the probe
+    made it).  The H test runs the probe on the comparison matrix, except
+    on a Z-matrix with nonnegative diagonal, which is its own comparison
+    matrix, so that one probe settles both.  Principal minors are
+    enumerated only when n <= p_matrix_limit (capped at 20: there are
+    2^n - 1 of them).
     """
     if not isinstance(a, SparseMatrix):
         raise ValueError("expected a SparseMatrix")
     if p_matrix_limit > 20:
         raise ValueError("p_matrix_limit must be at most 20")
-    return _classify(a, p_matrix_limit, witness=True)
+    report = _classify(a, p_matrix_limit)
+    if not report.is_m or _is_triangular(a):
+        return report
+    return replace(report, witness_v=_m_matrix_witness(a))
 
 
-def _classify(a, p_matrix_limit, witness):
-    """``classify``, with the witness solve only when witness is set."""
+def _classify(a, p_matrix_limit):
+    """``classify``'s verdicts, with no witness solve."""
     is_z = _is_z(a)
-    is_m, v = _m_probe(a, witness) if is_z else (False, None)
+    is_m = _m_probe(a)
     diag = a.diagonal_vector()
-    if is_z and np.all(diag >= 0.0):
-        is_h = is_m
-    else:
-        is_h = _m_probe(comparison_matrix(a))[0]
+    # a Z-matrix with nonnegative diagonal is its own comparison matrix
+    is_h = is_m if is_z and np.all(diag >= 0.0) else _m_probe(comparison_matrix(a))
     is_h_plus = is_h and bool(np.all(diag > 0.0))
-    is_p = None
-    if a.n <= p_matrix_limit:
-        is_p = _principal_minors_positive(a.to_dense())
-    if v is not None:
-        v.setflags(write=False)
-    return ClassificationReport(
-        is_z=is_z, is_m=is_m, is_h=is_h, is_h_plus=is_h_plus,
-        is_p=is_p, witness_v=v,
-    )
+    is_p = _principal_minors_positive(a.to_dense()) if a.n <= p_matrix_limit else None
+    return ClassificationReport(is_z=is_z, is_m=is_m, is_h=is_h, is_h_plus=is_h_plus, is_p=is_p)
 
 
 class RadiusEstimate(NamedTuple):
@@ -1112,6 +1107,65 @@ def lower_triangular_solve(m, b):
     if b.shape != (m.n,):
         raise ValueError("right-hand side length mismatch")
     return schedule.solve(b)
+
+
+# the fewest rows per block of _dense_inverse: a diagonal matrix takes
+# n / 32 blocks, not n
+_INVERSE_BLOCK = 32
+
+
+def _dense_lu(m):
+    """LAPACK's dense LU factors (lu, piv) of m, by ``dgetrf`` as
+    scipy.linalg's lu_factor calls it; SingularMatrixError names the
+    first zero pivot of U, which dgetrf reports in its info."""
+    lu, piv, info = _lapack().dgetrf(m.to_dense())
+    if info > 0:
+        raise SingularMatrixError(f"singular system matrix (pivot {info - 1})")
+    return lu, piv
+
+
+def _dense_solver(m):
+    """The solve b -> inv(m) b on m's dense LU (``_dense_lu``), by
+    ``dgetrs`` as scipy.linalg's lu_solve calls it."""
+    lu, piv = _dense_lu(m)
+    dgetrs = _lapack().dgetrs
+    return lambda b: dgetrs(lu, piv, b)[0]
+
+
+def _dense_inverse(m):
+    """inv(m) as a dense array.  A lower-triangular m = L is inverted by
+    block rows of B >= w rows, w the most any entry lies left of the
+    diagonal, into the one n x n array X it returns: X_kk = inv(L_kk) by
+    LAPACK's ``dtrtri``, then X_k,:lo = -(X_kk L_k,band) X_band,:lo, about
+    w n^2 + n B^2 flops, or one whole ``dtrtri`` (n^3 / 3) when 6w >= n.
+    Any other m is inverted from its dense LU (``_dense_lu``) by
+    ``dgetri``, in the factors' array."""
+    if not m.is_lower_triangular():
+        return _lapack().dgetri(*_dense_lu(m), overwrite_lu=1)[0]
+    _pivots(m)  # names the first zero pivot, dtrtri's one failure
+    dtrtri = _lapack().dtrtri
+    n, starts = m.n, m.row_starts
+    # each row's first entry is its leftmost, and every row has its diagonal
+    w = int(np.max(np.arange(n) - m.col_indices[starts[:-1]]))
+    # one block once the block rows' w n^2 flops come within half of the
+    # whole dtrtri's n^3 / 3, which runs at a higher rate
+    size = n if 6 * w >= n else max(w, _INVERSE_BLOCK)
+    x = np.zeros((n, n))
+    # an inverse past the float range overflows here, which the power
+    # iteration reports as an overflowed T v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, size):
+            hi, band = min(lo + size, n), max(lo - w, 0)
+            rows = x[lo:hi]
+            _kernels.csr_todense(hi - lo, n, starts[lo:hi + 1], m.col_indices, m.values, rows)
+            # rows is C-ordered, so the transpose of L_kk is a Fortran-ordered
+            # upper triangle, whose inverse is inv(L_kk).T; dtrtri inverts it
+            # in place when it is contiguous (the one block), and the
+            # assignment of an array to itself copies nothing
+            rows[:, lo:hi] = dtrtri(rows[:, lo:hi].T, lower=0, overwrite_c=1)[0].T
+            # rows[:, band:lo] is still L_k,band, and x[band:lo, :lo] is final
+            rows[:, :lo] = np.negative(rows[:, lo:hi] @ rows[:, band:lo]) @ x[band:lo, :lo]
+    return x
 
 
 # ----------------------------------------------------------------------

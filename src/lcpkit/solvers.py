@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_core import (DENSE_LIMIT, SingularMatrixError, SparseMatrix, _lapack, _product,
-                          _schedule, lower_triangular_solve)
-from .splittings import Splitting, SplittingKind, make_splitting
+from .matrix_core import (DENSE_LIMIT, SparseMatrix, _dense_solver, _product, _schedule,
+                          lower_triangular_solve)
+from .splittings import SplittingKind, make_splitting
 
 DIVERGENCE_NORM = 1e12
 _SCALE_LIMIT = np.finfo(np.float64).max / 4
@@ -225,15 +225,7 @@ def _linear_solver_for(lhs):
             f"system matrix is not triangular and n > {DENSE_LIMIT}; "
             "dense factorization refused"
         )
-    # LAPACK's dgetrf and dgetrs, as scipy.linalg's lu_factor and lu_solve
-    # call them, without importing scipy.linalg
-    lapack = _lapack()
-    lu, piv, _ = lapack.dgetrf(lhs.to_dense())
-    udiag = np.abs(np.diag(lu))
-    if np.any(udiag == 0.0):
-        row = int(np.argmin(udiag > 0.0))
-        raise SingularMatrixError(f"singular system matrix (pivot {row})")
-    return lambda b: lapack.dgetrs(lu, piv, b)[0]
+    return _dense_solver(lhs)
 
 
 def _guard(vec, k, bound):

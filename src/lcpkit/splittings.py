@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_core import SparseMatrix, _is_z, _m_probe, comparison_matrix
+from .matrix_core import SparseMatrix, _m_probe, comparison_matrix
 
 _TAGS = ("npj", "npgs", "npsor", "npaor", "custom")
 
@@ -163,7 +163,7 @@ def analyze_splitting(a, s):
     is_valid = _entrywise_close(s.m.subtract(s.n_part), a)
     n_nonneg = bool((s.n_part.values >= 0.0).all()) if s.n_part.nnz else True
     # the verdict only: classify would also solve for a witness
-    is_m_splitting = n_nonneg and _is_z(s.m) and _m_probe(s.m)[0]
+    is_m_splitting = n_nonneg and _m_probe(s.m)
     return SplittingAnalysis(
         is_valid=is_valid,
         is_m_splitting=is_m_splitting,

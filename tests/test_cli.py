@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -418,6 +419,29 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
         assert status == 0 and loaded == [] and from_file, (argv, loaded, done.stderr)
 
 
+def test_cli_import_only_matrix_core_binds_compiled_modules(capsys):
+    # matrix_core is the one module that calls scipy's compiled code: after
+    # a check and a solve, no other lcpkit module holds the CSR kernels,
+    # LAPACK, their loader or the row kernel, by these names or any other
+    import lcpkit
+
+    small = ["--family", "example1", "--m", "4"]
+    assert main(["check", *small, "--method", "npgs"]) == 0
+    assert main(["solve", *small, "--method", "npsor", "--alpha", "1.7"]) == 0
+    capsys.readouterr()
+    names = ("_kernels", "_lapack", "_load_extension", "_csr_matvec")
+    compiled = [getattr(matrix_core, name) for name in names] + [matrix_core._lapack()]
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "lcpkit"]
+    assert matrix_core in modules and len(modules) > 2
+    for module in modules:
+        if module is not matrix_core:
+            bound = [k for k, v in vars(module).items()
+                     if k in names or any(v is c for c in compiled)]
+            assert bound == [], (module.__name__, bound)
+    src = Path(lcpkit.__file__).parent
+    assert not [f.name for f in src.glob("*.py") if re.search(r"linalg\.inv\b", f.read_text())]
+
+
 def test_cli_import_then_scipy_sparse_binds_its_kernels():
     # lcpkit loads the CSR kernels from their file without leaving them in
     # sys.modules, so a later import of scipy.sparse loads its submodule
@@ -447,13 +471,13 @@ def test_cli_import_then_scipy_linalg_binds_its_lapack():
     # for bit
     env = _env_with_src()
     code = ("import contextlib, io, json, sys, numpy as np, lcpkit.cli\n"
-            "from lcpkit import convergence, matrix_core\n"
+            "from lcpkit import matrix_core\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    status = lcpkit.cli.main(['check', '--family', 'example1', '--m', '6',"
             " '--method', 'npgs'])\n"
             "lower = np.tril(np.random.default_rng(7).uniform(-1.0, 1.0, (30, 30)))\n"
             "m = matrix_core.SparseMatrix.from_dense(lower + 4.0 * np.eye(30))\n"
-            "got = convergence._dense_inverse(m)\n"
+            "got = matrix_core._dense_inverse(m)\n"
             "path = matrix_core._lapack().__file__\n"
             "kept = 'scipy.linalg._flapack' in sys.modules\n"
             "import scipy.linalg\n"

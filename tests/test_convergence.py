@@ -12,14 +12,13 @@ from lcpkit import convergence, matrix_core
 from lcpkit.convergence import (
     STRICTNESS_MARGIN,
     ModeUnsupportedError,
-    _dense_inverse,
     certify_rho_lt_one,
     check_hmatrix_conditions,
     check_spectral_condition,
     iteration_operator_rho,
 )
-from lcpkit.matrix_core import (SingularMatrixError, SparseMatrix, _is_z, _m_probe, classify,
-                               comparison_matrix)
+from lcpkit.matrix_core import (SingularMatrixError, SparseMatrix, _dense_inverse, _m_probe,
+                               classify, comparison_matrix)
 from lcpkit.problems import gen_example1, gen_example2, gen_random_hplus
 from lcpkit.solvers import shifted_system
 from lcpkit.splittings import SplittingKind, custom_splitting, make_splitting
@@ -92,15 +91,33 @@ def test_bound_never_undercuts_exact():
 
 def test_dense_inverse_matches_numpy():
     rng = np.random.default_rng(3)
-    lower = np.tril(rng.uniform(-1.0, 1.0, (7, 7))) + 4.0 * np.eye(7)
-    full = lower + np.triu(rng.uniform(-1.0, 1.0, (7, 7)), 1)
-    for dense in (lower, full):  # triangular inverse, then the general one
-        got = _dense_inverse(SparseMatrix.from_dense(dense))
-        np.testing.assert_allclose(got, np.linalg.inv(dense), rtol=1e-12, atol=1e-15)
+    for n in (7, 2, 40):
+        lower = np.tril(rng.uniform(-1.0, 1.0, (n, n))) + 4.0 * np.eye(n)
+        full = lower + np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+        # the triangular inverse, then the general one, from the dense LU
+        # that a solve factors with
+        for dense in (lower, full):
+            got = _dense_inverse(SparseMatrix.from_dense(dense))
+            np.testing.assert_allclose(got, np.linalg.inv(dense), rtol=1e-12, atol=1e-15)
     lower[3, 3] = 0.0
     # named as the forward solve names it, before dtrtri runs
     with pytest.raises(SingularMatrixError, match="zero diagonal in row 3"):
         _dense_inverse(SparseMatrix.from_dense(lower))
+
+
+def test_dense_inverse_of_a_non_triangular_matrix_holds_two_n_by_n_arrays():
+    # the dense matrix and its LU factors, which dgetri overwrites with the
+    # inverse: no more than numpy.linalg.inv holds
+    n = 600
+    m = SparseMatrix.from_dense(np.random.default_rng(5).uniform(-1.0, 1.0, (n, n)) + n * np.eye(n))
+    _dense_inverse(m)  # LAPACK loaded
+    tracemalloc.start()
+    try:
+        _dense_inverse(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 8 * n * n
 
 
 def _banded_lower(n, w, seed):
@@ -199,7 +216,7 @@ def _modes(a, s):
     when the comparison of the system matrix is an M-matrix."""
     lhs = shifted_system(a, s)[0]
     modes = ["exact_dense"]
-    if lhs.is_lower_triangular() and _is_z(lhs) and _m_probe(lhs)[0]:
+    if lhs.is_lower_triangular() and _m_probe(lhs):
         modes.append("operator")
     if classify(comparison_matrix(lhs), p_matrix_limit=0).is_m:
         modes.append("comparison_bound")

@@ -642,11 +642,16 @@ def _z_or_any(t):
 @example(d=_random_dominant(np.random.default_rng(53), 5, signed=False) * np.where(np.eye(5), -1.0, 1.0))
 @example(d=np.array([[2.0, -1.0], [-1.0, -2.0]]))
 @example(d=np.array([[2.0, 1.0], [1.0, 2.0]]))
+@example(d=np.array([[2.0, 1.0], [0.0, 2.0]]))
 def test_classify_h_probe_is_the_comparison_probe(d):
     # a Z-matrix with nonnegative diagonal is its own comparison matrix, and
-    # classify answers is_h there from the M probe alone
+    # classify answers is_h there from the M probe alone; the probe itself
+    # says "not M" for a matrix that is not a Z-matrix, triangular or not
     a = SparseMatrix.from_dense(d)
-    assert classify(a, p_matrix_limit=0).is_h is matrix_core._m_probe(comparison_matrix(a))[0]
+    rep = classify(a, p_matrix_limit=0)
+    assert rep.is_h is matrix_core._m_probe(comparison_matrix(a))
+    assert rep.is_m is matrix_core._m_probe(a)
+    assert rep.is_z or not rep.is_m
 
 
 def test_classify_decides_triangular_z_matrices_without_a_solve(monkeypatch):
@@ -716,8 +721,10 @@ def test_verified_m_verdicts_hold_in_exact_arithmetic(n, seed, delta):
             return True
         return False
 
+    # classify checks the u of its witness solve as well as the probe's
     with mock.patch.object(matrix_core, "_verified_positive", record):
-        is_m, _ = matrix_core._m_probe(z, witness=True)
+        is_m = matrix_core._m_probe(z)
+        classify(z, p_matrix_limit=0)
     triangle = z._triangle()
     if is_m and not (np.all(triangle <= 0) or np.all(triangle >= 0)):
         assert verified  # off the triangular path, only a verified u says M

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lcpkit import matrix_core, solvers
+from lcpkit.convergence import check_spectral_condition, iteration_operator_rho
 from lcpkit.matrix_core import SingularMatrixError, SparseMatrix
 from lcpkit.problems import gen_example1, gen_example2, gen_random_hplus, oracle_solve
 from lcpkit.solvers import (
@@ -129,6 +130,38 @@ def test_modulus_scalar_fixed_point_is_gamma_invariant():
                           ModulusConfig("mgs", 1.0, gamma=gamma))
         assert r.converged
         npt.assert_allclose(r.lam, [1.0], atol=1e-11)
+
+
+_METAMORPHIC_PROBLEMS = (gen_example1(4, 4.0), gen_example2(5, 4.0), gen_random_hplus(12, 7))
+_PROJECTED_KINDS = (SplittingKind.npj(), SplittingKind.npgs(), SplittingKind.npsor(1.3),
+                    SplittingKind.npaor(1.2, 0.8))
+_MODULUS_CONFIGS = tuple(ModulusConfig(variant, alpha, gamma=gamma)
+                         for variant, alpha in (("mgs", 1.0), ("msor", 0.85))
+                         for gamma in (0.5, 1.0, 3.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=st.integers(-40, 40), p=st.sampled_from(_METAMORPHIC_PROBLEMS),
+       method=st.sampled_from(_PROJECTED_KINDS + _MODULUS_CONFIGS))
+@example(e=40, p=_METAMORPHIC_PROBLEMS[2], method=_MODULUS_CONFIGS[-1])
+@example(e=-40, p=_METAMORPHIC_PROBLEMS[1], method=_PROJECTED_KINDS[3])
+def test_solvers_are_homogeneous_under_power_of_two_scaling(e, p, method):
+    # every pass is positively homogeneous in (sigma, state), and c = 2^e
+    # scales each of its roundings exactly, so LCP(A, c sigma) from c times
+    # the start, stopped at c tol, takes the same passes to c lambda and
+    # c Res, bit for bit
+    c, start = 2.0**e, np.resize([1.0, 0.0, -0.5], p.n)
+
+    def run(sigma, scale):
+        q, cfg = LcpProblem(p.a, sigma), SolverConfig(tol=1e-6 * scale, initial=start * scale)
+        if isinstance(method, ModulusConfig):
+            return modulus_solve(q, cfg, method)
+        return projected_solve(q, make_splitting(p.a, method), cfg)
+
+    base, scaled = run(p.sigma, 1.0), run(c * p.sigma, c)
+    assert scaled.iterations == base.iterations and base.converged
+    assert np.array_equal(scaled.lam.view(np.int64), (c * base.lam).view(np.int64))
+    assert np.array_equal(scaled.residuals.view(np.int64), (c * base.residuals).view(np.int64))
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,15 +314,18 @@ def test_singular_system_matrix_rejected():
 
 
 def test_singular_non_triangular_system_matrix_rejected():
-    # M + 2I + D_A = [[1, 1], [1, 1]]: the dense LU finds its zero pivot,
-    # which is lcpkit's error alone, with no LAPACK warning before it
-    # (pyproject.toml turns warnings into errors)
+    # M + 2I + D_A = [[1, 1], [1, 1]]: solve and check take the one dense
+    # LU, which finds its zero pivot, and raise the one lcpkit error, with
+    # no LAPACK warning before it (pyproject.toml turns warnings into errors)
     a = SparseMatrix.identity(2)
     p = LcpProblem(a=a, sigma=np.array([-1.0, -1.0]))
     m = SparseMatrix.from_dense([[-2.0, 1.0], [1.0, -2.0]])
     s = custom_splitting(a, m, m.subtract(a))
-    with pytest.raises(SingularMatrixError, match=r"singular system matrix \(pivot 1\)"):
-        projected_solve(p, s, SolverConfig())
+    for run in (lambda: projected_solve(p, s, SolverConfig()),
+                lambda: check_spectral_condition(a, s),
+                lambda: iteration_operator_rho(a, s, "exact_dense")):
+        with pytest.raises(SingularMatrixError, match=r"^singular system matrix \(pivot 1\)$"):
+            run()
 
 
 def test_dense_lu_is_scipy_lu_bitwise():

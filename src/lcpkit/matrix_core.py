@@ -14,7 +14,8 @@ fixed order: a row sum, in the matrix-vector product and in forward
 substitution alike, adds the row's rounded products left to right in
 storage order, in ``csr_matvec``.  One function answers each dense or
 M-matrix question: ``_dense_lu`` (the one LU, behind ``_dense_solver``
-and ``_dense_inverse``) and ``_m_probe``.
+and ``_dense_inverse``) and ``_m_probe`` (``_m_verdict``, then the
+witness solve).
 
 A matrix holds its sparsity pattern as a ``_Pattern``, which every
 matrix built on the same index arrays shares, and which keeps what
@@ -32,8 +33,9 @@ level by level and serves a matrix with enough rows per level; the row
 cut (``_RowCut``, ``_RowSchedule``) takes them in order, 16 at a time;
 and a diagonal matrix's (``_DiagonalCut``, ``_DiagonalSchedule``) is
 one divide by its diagonal, all its schedule holds.  A schedule is
-built on the first solve and cached on the (immutable) matrix; its cut
-is made once per pattern and kept with it.  The dense inverse and LU
+built on the first solve and cached on the (immutable) matrix, the
+level schedule with its solves' work areas; its cut is made once per
+pattern and kept with it.  The dense inverse and LU
 serve certification and custom splittings on small matrices, never the
 built-in solvers; their callers cap n at DENSE_LIMIT.
 """
@@ -520,7 +522,7 @@ def _verified_positive(terms, u):
         total = sum(s * p.matvec(u) for s, p in terms)
         magnitude = sum(_product(p, np.abs(p.values), u) for _, p in terms)
         bound = _gamma(int(per_row.max())) * magnitude + per_row * _TINY
-    return bool(np.all(total > bound) and np.all(np.isfinite(bound)))
+    return bool(np.all(total > bound))
 
 
 def _jacobi_verdict(z, triangle):
@@ -584,23 +586,28 @@ def _is_triangular(a):
     return a.is_lower_triangular() or not np.any(a._triangle() < 0)
 
 
-def _m_probe(z):
-    """Whether z is a nonsingular M-matrix, the one M test behind
-    ``classify`` and ``check``: a matrix that is not a Z-matrix is not.
+def _m_verdict(z):
+    """Whether the Z-matrix z is a nonsingular M-matrix, when that is
+    decided without a solve; None when it is not.
 
-    A triangular Z-matrix is a nonsingular M-matrix exactly when its
-    diagonal, which holds its eigenvalues, is positive; that is read off
-    without a solve, since the solution of z v = ones can overflow there
-    (it grows like 24^i for diagonal 0.5 and subdiagonal -12).  Any other
-    Z-matrix goes to the verified Jacobi bracket (``_jacobi_verdict``),
-    and only when that does not decide to the sparse solve
-    (``_m_matrix_witness``).
-    """
-    if not _is_z(z):
-        return False
+    A triangular Z-matrix is one exactly when its diagonal, which holds
+    its eigenvalues, is positive; that is read off without a solve, since
+    the solution of z v = ones can overflow there (it grows like 24^i for
+    diagonal 0.5 and subdiagonal -12).  Any other Z-matrix goes to the
+    verified Jacobi bracket (``_jacobi_verdict``)."""
     if _is_triangular(z):
         return bool(np.all(z.diagonal_vector() > 0.0))
-    is_m = _jacobi_verdict(z, z._triangle())
+    return _jacobi_verdict(z, z._triangle())
+
+
+def _m_probe(z):
+    """Whether the Z-matrix z is a nonsingular M-matrix, the one M test
+    behind ``classify`` and ``check``: ``_m_verdict``, or, only when that
+    does not decide, the sparse solve (``_m_matrix_witness``).  The test
+    is sound for a Z-matrix only, so a caller whose matrix is not a
+    Z-matrix by construction tests that first (``_is_z``): a matrix that
+    is not one is not an M-matrix."""
+    is_m = _m_verdict(z)
     return _m_matrix_witness(z) is not None if is_m is None else is_m
 
 
@@ -632,12 +639,13 @@ class ClassificationReport:
 def classify(a, p_matrix_limit=12):
     """Classify a square matrix as Z / M / H / H+ and, when small, P.
 
-    The M test is ``_m_probe``.  For a non-triangular M-matrix, A v =
-    ones is solved for the witness, a positive v with A v > 0 verified
-    against rounding (a second solve, to the same bits, when the probe
-    made it).  The H test runs the probe on the comparison matrix, except
-    on a Z-matrix with nonnegative diagonal, which is its own comparison
-    matrix, so that one probe settles both.  Principal minors are
+    The M test is ``_m_probe``'s, after the Z test.  For a
+    non-triangular M-matrix, A v = ones is solved for the witness, a
+    positive v with A v > 0 verified against rounding, once: the solve
+    that decided the M test, when it took one, gives it.  The H test runs
+    the probe on the comparison matrix, except on a Z-matrix with
+    nonnegative diagonal, which is its own comparison matrix, so that
+    one probe settles both.  Principal minors are
     enumerated only when n <= p_matrix_limit (capped at 20: there are
     2^n - 1 of them).
     """
@@ -646,21 +654,27 @@ def classify(a, p_matrix_limit=12):
     if p_matrix_limit > 20:
         raise ValueError("p_matrix_limit must be at most 20")
     report = _classify(a, p_matrix_limit)
-    if not report.is_m or _is_triangular(a):
+    if not report.is_m or report.witness_v is not None or _is_triangular(a):
         return report
     return replace(report, witness_v=_m_matrix_witness(a))
 
 
 def _classify(a, p_matrix_limit):
-    """``classify``'s verdicts, with no witness solve."""
+    """``classify``'s verdicts, with the witness only when the M test
+    solved for it."""
     is_z = _is_z(a)
-    is_m = _m_probe(a)
+    # _m_probe, keeping the v of its solve
+    is_m, witness_v = is_z and _m_verdict(a), None
+    if is_m is None:
+        witness_v = _m_matrix_witness(a)
+        is_m = witness_v is not None
     diag = a.diagonal_vector()
     # a Z-matrix with nonnegative diagonal is its own comparison matrix
     is_h = is_m if is_z and np.all(diag >= 0.0) else _m_probe(comparison_matrix(a))
     is_h_plus = is_h and bool(np.all(diag > 0.0))
     is_p = _principal_minors_positive(a.to_dense()) if a.n <= p_matrix_limit else None
-    return ClassificationReport(is_z=is_z, is_m=is_m, is_h=is_h, is_h_plus=is_h_plus, is_p=is_p)
+    return ClassificationReport(is_z=is_z, is_m=is_m, is_h=is_h, is_h_plus=is_h_plus, is_p=is_p,
+                                witness_v=witness_v)
 
 
 class RadiusEstimate(NamedTuple):
@@ -856,8 +870,7 @@ class _LevelCut(NamedTuple):
         pivots = pivots[self.order]
         for arr in (vals, pivots):
             arr.setflags(write=False)
-        return _LevelSchedule(self, vals, tuple(
-            (lo, hi, starts, pivots[lo:hi]) for lo, hi, starts in self.levels))
+        return _LevelSchedule(self, vals, tuple(pivots[lo:hi] for lo, hi, _ in self.levels), [])
 
 
 class _LevelSchedule(NamedTuple):
@@ -866,45 +879,74 @@ class _LevelSchedule(NamedTuple):
     cut's order, on the cut's ``starts`` and ``cols``: the off-diagonal
     entries negated, then coefficient 1.0 on column n + i, where b_i
     waits in a solve's work vector (x in the cut's order, then b in it).
-    ``blocks`` holds one tuple (lo, hi, starts[lo:hi + 1], pivots) per
-    level.  A schedule holds 8 bytes per stored entry and 8 per row of
-    its own; the rest is the cut's."""
+    ``pivots`` holds one read-only view per level of the pivots in the
+    cut's order.  A schedule holds 8 bytes per stored entry and 8 per row
+    of its own, plus a view per level; the rest is the cut's.
+
+    ``areas`` is the free list of the schedule's work areas
+    (``work_area``), per-matrix scratch that lives as long as the matrix:
+    a solve takes one and gives it back when done, and makes a new one
+    when every area is in use by another thread, so a matrix can be
+    shared across threads with no lock.  An area holds 16 bytes per row
+    and about 280 per level."""
 
     cut: _LevelCut
     vals: np.ndarray
-    blocks: tuple
+    pivots: tuple
+    areas: list
+
+    def work_area(self):
+        """A work area (xe, steps): xe, a work vector of 2n floats, and
+        per level one tuple (args, xv, pivots) bound to it, args the
+        kernel's arguments, which write the level's sums into xv, the
+        level's entries of xe, and pivots the level's pivots."""
+        cut = self.cut
+        size = 2 * cut.order.size
+        xe = np.empty(size)
+        steps = []
+        for (lo, hi, starts), pivots in zip(cut.levels, self.pivots):
+            xv = xe[lo:hi]
+            steps.append(((hi - lo, size, starts, cut.cols, self.vals, xe, xv), xv, pivots))
+        return xe, tuple(steps)
 
     def solve(self, b):
-        """x with m x = b: per level, one kernel call and one divide.  No
-        row refers to a row of its own level, so the kernel writes each
-        level's sums straight into that level's 0.0 entries of the vector
-        it reads: +0.0 + sum(-m_ij x_j) + b_i, which is b_i - s_i bitwise
-        for every b_i but -0.0, which the end of the solve mends."""
+        """x with m x = b: per level, one kernel call and one divide, on a
+        work area's bound arguments.  No row refers to a row of its own
+        level, so the kernel writes each level's sums straight into that
+        level's 0.0 entries of the vector it reads: +0.0 + sum(-m_ij x_j)
+        + b_i, which is b_i - s_i bitwise for every b_i but -0.0, which
+        the end of the solve mends.  x is a fresh vector."""
         n = b.size
-        cut, vals = self.cut, self.vals
+        cut, vals, areas = self.cut, self.vals, self.areas
         cols = cut.cols
-        # the solution in the cut's order, 0.0 until solved, then b
-        xe = np.zeros(2 * n)
-        xs, bs = xe[:n], xe[n:]
-        np.take(b, cut.order, out=bs, mode="clip")
-        for lo, hi, row_starts, pivots in self.blocks:
-            xv = xe[lo:hi]
-            # the kernel SparseMatrix.matvec runs adds each row's products
-            # left to right in storage order onto its 0.0 in xv
-            _csr_matvec(hi - lo, 2 * n, row_starts, cols, vals, xe, xv)
-            np.divide(xv, pivots, out=xv)
-        # where b_i is -0.0 and the sum is zero, the row gave +0.0 + -0.0,
-        # which is +0.0, where b_i - s_i is -0.0: sum those rows once more
-        # and negate x_i where the sum is zero
-        signed = np.flatnonzero(bs == 0.0)
-        signed = signed[np.signbit(bs[signed])]
-        if signed.size:
-            starts, entries = _take_rows(cut.starts, signed, cols.dtype)
-            sums = np.zeros(signed.size)
-            _csr_matvec(signed.size, 2 * n, starts, cols[entries], vals[entries], xe, sums)
-            signed = signed[sums == 0.0]
-            xs[signed] = np.negative(xs[signed])
-        return np.take(xs, cut.rank, mode="clip")
+        try:
+            xe, steps = area = areas.pop()
+        except IndexError:  # none made yet, or each in use by another thread
+            xe, steps = area = self.work_area()
+        try:
+            # the solution in the cut's order, 0.0 until solved, then b
+            xs, bs = xe[:n], xe[n:]
+            xs.fill(0.0)
+            np.take(b, cut.order, out=bs, mode="clip")
+            for args, xv, pivots in steps:
+                # the kernel SparseMatrix.matvec runs adds each row's
+                # products left to right in storage order onto its 0.0 in xv
+                _csr_matvec(*args)
+                np.divide(xv, pivots, xv)
+            # where b_i is -0.0 and the sum is zero, the row gave +0.0 +
+            # -0.0, which is +0.0, where b_i - s_i is -0.0: sum those rows
+            # once more and negate x_i where the sum is zero
+            signed = np.flatnonzero(bs == 0.0)
+            signed = signed[np.signbit(bs[signed])]
+            if signed.size:
+                starts, entries = _take_rows(cut.starts, signed, cols.dtype)
+                sums = np.zeros(signed.size)
+                _csr_matvec(signed.size, 2 * n, starts, cols[entries], vals[entries], xe, sums)
+                signed = signed[sums == 0.0]
+                xs[signed] = np.negative(xs[signed])
+            return np.take(xs, cut.rank, mode="clip")
+        finally:
+            areas.append(area)
 
 
 class _DiagonalCut(NamedTuple):
@@ -1096,11 +1138,14 @@ def lower_triangular_solve(m, b):
     m a ``_DiagonalSchedule``, the one divide b / d; with at least
     ``_ROWS_PER_LEVEL`` rows per dependency level a ``_LevelSchedule``,
     one call of the matrix-vector product's CSR row kernel and one divide
-    per level; otherwise a ``_RowSchedule``, one kernel call per
-    ``_BLOCK`` rows.  None changes a row's arithmetic, so x is bitwise
-    the row-by-row result, signed zeros included.  The schedule's
-    pattern half, its cut, is kept with m's sparsity pattern
-    (``_Pattern.cut``) and shared by every matrix on that pattern.
+    per level, on the arguments a work area of the schedule binds once;
+    otherwise a ``_RowSchedule``, one kernel call per ``_BLOCK`` rows.
+    None changes a row's arithmetic, so x is bitwise the row-by-row
+    result, signed zeros included.  The schedule's pattern half, its
+    cut, is kept with m's sparsity pattern (``_Pattern.cut``) and shared
+    by every matrix on that pattern.  x is a fresh vector, and threads
+    may solve with one m at once: each solve takes a work area of its
+    own.
     """
     schedule = _schedule(m)
     b = np.asarray(b, dtype=np.float64)

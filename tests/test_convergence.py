@@ -17,8 +17,8 @@ from lcpkit.convergence import (
     check_spectral_condition,
     iteration_operator_rho,
 )
-from lcpkit.matrix_core import (SingularMatrixError, SparseMatrix, _dense_inverse, _m_probe,
-                               classify, comparison_matrix)
+from lcpkit.matrix_core import (SingularMatrixError, SparseMatrix, _dense_inverse, _is_z,
+                               _m_probe, classify, comparison_matrix)
 from lcpkit.problems import gen_example1, gen_example2, gen_random_hplus
 from lcpkit.solvers import shifted_system
 from lcpkit.splittings import SplittingKind, custom_splitting, make_splitting
@@ -181,6 +181,13 @@ def test_operator_mode_requires_sign_pattern():
         iteration_operator_rho(a, s, "operator")
     # exact mode still answers
     assert iteration_operator_rho(a, s, "exact_dense") > 0.0
+    # lower triangular with a positive diagonal, but not a Z-matrix: a
+    # positive entry below the diagonal makes inv(lhs) negative there
+    a = SparseMatrix.from_dense([[2.0, 0.0], [1.0, 2.0]])
+    s = make_splitting(a, SplittingKind.npgs())
+    assert shifted_system(a, s)[0].is_lower_triangular()
+    with pytest.raises(ModeUnsupportedError):
+        iteration_operator_rho(a, s, "operator")
 
 
 def test_comparison_bound_requires_m_comparison():
@@ -216,7 +223,7 @@ def _modes(a, s):
     when the comparison of the system matrix is an M-matrix."""
     lhs = shifted_system(a, s)[0]
     modes = ["exact_dense"]
-    if lhs.is_lower_triangular() and _m_probe(lhs):
+    if lhs.is_lower_triangular() and _is_z(lhs) and _m_probe(lhs):
         modes.append("operator")
     if classify(comparison_matrix(lhs), p_matrix_limit=0).is_m:
         modes.append("comparison_bound")

@@ -645,12 +645,13 @@ def _z_or_any(t):
 @example(d=np.array([[2.0, 1.0], [0.0, 2.0]]))
 def test_classify_h_probe_is_the_comparison_probe(d):
     # a Z-matrix with nonnegative diagonal is its own comparison matrix, and
-    # classify answers is_h there from the M probe alone; the probe itself
-    # says "not M" for a matrix that is not a Z-matrix, triangular or not
+    # classify answers is_h there from the M probe alone; the probe takes
+    # Z-matrices, and classify says "not M" for a matrix that is not a
+    # Z-matrix, triangular or not
     a = SparseMatrix.from_dense(d)
     rep = classify(a, p_matrix_limit=0)
     assert rep.is_h is matrix_core._m_probe(comparison_matrix(a))
-    assert rep.is_m is matrix_core._m_probe(a)
+    assert rep.is_m is (matrix_core._is_z(a) and matrix_core._m_probe(a))
     assert rep.is_z or not rep.is_m
 
 
@@ -686,6 +687,25 @@ def test_solve_witness_must_verify(monkeypatch):
     assert rep.is_z and not rep.is_m and rep.witness_v is None
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda m, b: np.array([1.0, 1.0, 2.0]))
     assert not classify(z, p_matrix_limit=0).is_m  # z v = (-1, -1, 2)
+
+
+def test_classify_solves_once_when_the_bracket_does_not_decide(monkeypatch):
+    # rho(inv(D) B) = 1 / (1 + 1e-6): the Jacobi bracket does not decide
+    # in its passes, so the M test solves A v = ones, and that solve's v
+    # is the witness, to the same bits as a solve of its own
+    import scipy.sparse.linalg
+
+    z = SparseMatrix.from_dense(_z_matrix(6, 3, 1e-6))
+    assert matrix_core._jacobi_verdict(z, z._triangle()) is None
+    want = matrix_core._m_matrix_witness(z)
+    solves = []
+    spsolve = scipy.sparse.linalg.spsolve
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
+                        lambda *args, **kwargs: solves.append(args) or spsolve(*args, **kwargs))
+    rep = classify(z, p_matrix_limit=0)
+    assert len(solves) == 1
+    assert rep.is_z and rep.is_m and rep.is_h_plus
+    assert np.array_equal(_bits(rep.witness_v), _bits(want))
 
 
 def _z_matrix(n, seed, delta):
@@ -785,6 +805,19 @@ def _matrix_and_u(draw):
 def test_verified_positive_one_term_matches_the_single_matrix_check(case):
     z, u = case
     assert matrix_core._verified_positive([(1, z)], u) is _single_matrix_check(z, u)
+
+
+def test_verified_positive_refuses_an_overflowing_bound():
+    # 1.5 u - u > 0 holds exactly, and the computed sum is finite, but
+    # 1.5 u + u overflows: an infinite rounding bound, which no row
+    # exceeds; so too a sum that overflows, or that is inf - inf
+    ident = SparseMatrix.identity(3)
+    u = np.full(3, 1e308)
+    for terms, at_ones in (([(1, ident.scaled(1.5)), (-1, ident)], True),
+                           ([(1, ident.scaled(2.0))], True),
+                           ([(1, ident.scaled(2.0)), (-1, ident.scaled(2.0))], False)):
+        assert matrix_core._verified_positive(terms, np.ones(3)) is at_ones
+        assert not matrix_core._verified_positive(terms, u)
 
 
 # entries that cancel (2^53 absorbs 1), underflow, or take either sign
@@ -901,6 +934,31 @@ def test_spectral_radius_bracket_after_underflow():
     assert est.iterations > 5
     assert (est.lower, est.upper) == pytest.approx((0.5e80, 1e80), rel=1e-15)
     assert est[:3] == spectral_radius_nonneg(t)[:3]
+
+
+# nonnegative matrices: general ones of moderate entries, and upper
+# triangles (whose eigenvalues, their diagonal, numpy finds exactly) with
+# entries large enough that a component of v underflows to 0
+_NONNEG = st.integers(1, 6).flatmap(lambda n: st.one_of(
+    hnp.arrays(np.float64, (n, n), elements=st.one_of(st.just(0.0), st.floats(0.01, 4.0))),
+    hnp.arrays(np.float64, (n, n),
+               elements=st.sampled_from([0.0, 0.5, 2.0, 5.0, 1e100, 1e150])).map(np.triu)))
+# v_0 carries rho = 5 but underflows to 0 by the fourth pass, while the
+# ratios of the positive components are at most 3
+_CHAIN = np.diag([5.0, 0.0, 0.0, 0.0, 0.0]) + np.diag([0.0, 1e150, 1e150, 1e150], 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=_NONNEG, scale=st.sampled_from([0.5, 0.9, 1.1, 2.0]))
+@example(t=_CHAIN, scale=0.6)
+@example(t=_CHAIN, scale=1.2)
+@example(t=np.diag([0.0, 1e80, 0.5e80]), scale=0.75)
+def test_spectral_radius_upper_end_bounds_rho(t, scale):
+    # every finite upper end of the bracket is at least rho(T), whichever
+    # component of v underflows, up to the rounding of numpy's eigenvalues
+    rho = float(np.abs(np.linalg.eigvals(t)).max())
+    est = spectral_radius_nonneg(t, threshold=scale * rho if rho > 0.0 else scale, max_iters=60)
+    assert est.upper == np.inf or est.upper >= rho * (1.0 - 1e-6)
 
 
 def test_spectral_radius_vector_is_the_deciding_pass_input():
@@ -1264,8 +1322,9 @@ def test_system_matrices_share_the_level_pattern():
     for s in schedules:
         # order, rank, the row pointer and the columns are the cut's
         assert isinstance(s, matrix_core._LevelSchedule) and s.cut is cut
-        assert len(s.blocks) == len(cut.levels) == 19
-        assert all(mine is theirs for (*_, mine, _), (*_, theirs) in zip(s.blocks, cut.levels))
+        (_, steps), = s.areas  # the work area the solve made and gave back
+        assert len(steps) == len(s.pivots) == len(cut.levels) == 19
+        assert all(args[2] is starts for (args, *_), (*_, starts) in zip(steps, cut.levels))
     assert not np.shares_memory(schedules[0].vals, schedules[1].vals)
 
 
@@ -1328,6 +1387,72 @@ def test_forward_substitution_builds_the_schedule_once(monkeypatch):
     assert len(cuts) == 1 and cuts[0] is m._pattern and schedules[0] is schedules[1]
 
 
+def test_forward_substitution_threads_share_one_matrix(monkeypatch):
+    # more threads than cores solve on one grid matrix at once, each with
+    # its own right-hand sides (-0.0 entries too), while the interpreter
+    # switches threads every microsecond: each solve takes a work area of
+    # its own from the schedule's free list, so every x is bitwise the
+    # serial solve's, and every area made is given back
+    import threading
+
+    a = BenchSpec("example1", 30).build().a
+    m = shifted_system(a, make_splitting(a, SplittingKind.npsor(1.7)))[0]
+    rng = np.random.default_rng(73)
+    rhs = [rng.uniform(-3.0, 3.0, (4, m.n)) for _ in range(6)]
+    for bs in rhs:
+        bs[0, ::3] = -0.0
+    want = [[_bits(lower_triangular_solve(m, b)) for b in bs] for bs in rhs]
+    schedule = matrix_core._schedule(m)
+    assert isinstance(schedule, matrix_core._LevelSchedule) and len(schedule.areas) == 1
+    made = []
+    work_area = matrix_core._LevelSchedule.work_area
+    monkeypatch.setattr(matrix_core._LevelSchedule, "work_area",
+                        lambda s: made.append(1) or work_area(s))
+    start = threading.Barrier(len(rhs))
+    wrong, errors = [], []
+
+    def run(k):
+        try:
+            start.wait(timeout=30)
+            for _ in range(5):
+                for b, x in zip(rhs[k], want[k]):
+                    if not np.array_equal(_bits(lower_triangular_solve(m, b)), x):
+                        wrong.append(k)
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(rhs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and wrong == []
+    areas = schedule.areas
+    assert len(areas) == 1 + len(made) <= 1 + len(rhs)
+    assert len({id(xe) for xe, _ in areas}) == len(areas)
+
+
+def test_forward_substitution_returns_a_fresh_x():
+    # on each plan (the grid's level plan, a row plan, a diagonal plan),
+    # a returned x shares no memory with the schedule: the next solve
+    # leaves it as it was, and writing into it leaves the next solve's x
+    b = np.random.default_rng(79).uniform(-3.0, 3.0, 100)
+    for d in (_GRID, np.tril(np.ones((100, 100))) + np.eye(100), np.diag(np.arange(1.0, 101.0))):
+        m = SparseMatrix.from_dense(d)
+        x = lower_triangular_solve(m, b)
+        want = _bits(x).copy()
+        lower_triangular_solve(m, -b)
+        assert np.array_equal(_bits(x), want)
+        x[:] = np.nan
+        assert np.array_equal(_bits(lower_triangular_solve(m, b)), want)
+
+
 def _leaves(value):
     """What value holds, through its tuples: a cut or a schedule (and the
     schedule's cut) down to its arrays and Python numbers."""
@@ -1346,8 +1471,12 @@ def test_schedule_arrays_are_read_only():
         # a schedule holds its cut
         for plan in (matrix_core._schedule(m), *_both_schedules(m)):
             # every field is set: read-only arrays and views, and tuples of
-            # them or of Python numbers, which a solve converts none of
-            for leaf in _leaves(plan):
+            # them or of Python numbers, which a solve converts none of;
+            # all but the level schedule's free list of work areas, the
+            # per-matrix scratch its solves write
+            fields = plan._asdict()
+            fields.pop("areas", None)
+            for leaf in _leaves(tuple(fields.values())):
                 assert type(leaf) in (int, float, np.ndarray)
                 if type(leaf) is np.ndarray:
                     assert not leaf.flags.writeable
@@ -1436,10 +1565,18 @@ def test_level_cut_stores_no_inner_entries(d):
     rows, cols = cut.order[position], cut.order[cut.cols[off]]
     assert np.array_equal(level.vals[off], -m.to_dense()[rows, cols])
     level_lo = np.empty(m.n, dtype=int)
-    for lo, hi, starts, pivots in level.blocks:
+    xe, steps = level.work_area()
+    assert xe.size == 2 * m.n and len(steps) == len(level.pivots) == len(cut.levels)
+    for (lo, hi, starts), pivots, (args, xv, bound) in zip(cut.levels, level.pivots, steps):
         assert np.shares_memory(starts, cut.starts) and starts.size == hi - lo + 1
         assert np.array_equal(starts, cut.starts[lo:hi + 1])
         assert np.array_equal(pivots, m.diagonal_vector()[cut.order[lo:hi]])
+        # the kernel call is bound to the area: it writes the level's sums
+        # into xv, the level's entries of xe, which the pivots then divide
+        assert args[:2] == (hi - lo, 2 * m.n) and args[2] is starts
+        assert args[3] is cut.cols and args[4] is level.vals and args[5] is xe
+        assert args[6] is xv and xv.base is xe and xv.size == hi - lo
+        assert xv.ctypes.data == xe.ctypes.data + 8 * lo and bound is pivots
         level_lo[lo:hi] = lo
     # no entry refers to a position of its own level
     assert np.all(cut.cols[off] < level_lo[position])
@@ -1473,7 +1610,7 @@ def test_schedule_choice_on_the_benchmark_matrices():
         s = matrix_core._schedule(lhs)
         if blocks == 19:
             assert max(_levels_by_loop(lhs)) + 1 == 19
-            assert isinstance(s, matrix_core._LevelSchedule) and len(s.blocks) == 19
+            assert isinstance(s, matrix_core._LevelSchedule) and len(s.pivots) == 19
         else:
             assert isinstance(s, matrix_core._RowSchedule)
             assert [(lo, hi) for lo, hi, _ in s.cut.blocks] == [

@@ -181,6 +181,15 @@ def test_analyze_splitting_decides_a_custom_m_without_a_solve(monkeypatch):
     assert analyze_splitting(a, s).is_m_splitting
 
 
+def test_m_splitting_needs_a_z_matrix_m():
+    # M is lower triangular with a positive diagonal, and N = I >= 0, but
+    # M's positive entry below the diagonal rules out an M-matrix
+    m = SparseMatrix.from_dense([[2.0, 0.0], [1.0, 2.0]])
+    a = m.subtract(SparseMatrix.identity(2))
+    rec = analyze_splitting(a, custom_splitting(a, m, SparseMatrix.identity(2)))
+    assert rec.is_valid and not rec.is_m_splitting
+
+
 def test_custom_splitting_validates():
     a = SparseMatrix.from_dense([[2, -1], [-1, 2]])
     m = SparseMatrix.from_dense([[3, 0], [-1, 3]])

@@ -36,7 +36,6 @@ from .matrix_core import (
     SparseMatrix,
     _classify,
     _dense_inverse,
-    _is_z,
     _m_probe,
     _verified_positive,
     comparison_matrix,
@@ -108,7 +107,7 @@ def _rho_estimate(a, s, mode, threshold=None):
     if mode == "operator":
         # inv(lhs) >= 0, making |inv| a plain forward solve, when lhs is a
         # lower-triangular M-matrix (_m_probe reads its diagonal's signs)
-        if not (lhs.is_lower_triangular() and _is_z(lhs) and _m_probe(lhs)):
+        if not (lhs.is_lower_triangular() and _m_probe(lhs)):
             raise ModeUnsupportedError(
                 "operator mode needs a lower-triangular system matrix with "
                 "positive diagonal and nonpositive off-diagonal"

@@ -14,8 +14,8 @@ fixed order: a row sum, in the matrix-vector product and in forward
 substitution alike, adds the row's rounded products left to right in
 storage order, in ``csr_matvec``.  One function answers each dense or
 M-matrix question: ``_dense_lu`` (the one LU, behind ``_dense_solver``
-and ``_dense_inverse``) and ``_m_probe`` (``_m_verdict``, then the
-witness solve).
+and ``_dense_inverse``) and ``_m_probe`` (the Z test, ``_m_verdict``,
+then the witness solve).
 
 A matrix holds its sparsity pattern as a ``_Pattern``, which every
 matrix built on the same index arrays shares, and which keeps what
@@ -601,12 +601,12 @@ def _m_verdict(z):
 
 
 def _m_probe(z):
-    """Whether the Z-matrix z is a nonsingular M-matrix, the one M test
-    behind ``classify`` and ``check``: ``_m_verdict``, or, only when that
-    does not decide, the sparse solve (``_m_matrix_witness``).  The test
-    is sound for a Z-matrix only, so a caller whose matrix is not a
-    Z-matrix by construction tests that first (``_is_z``): a matrix that
-    is not one is not an M-matrix."""
+    """Whether z is a nonsingular M-matrix, the one M test behind
+    ``classify`` and ``check``: a matrix that is not a Z-matrix is not;
+    a Z-matrix gets ``_m_verdict``, or, only when that does not decide,
+    the sparse solve (``_m_matrix_witness``)."""
+    if not _is_z(z):
+        return False
     is_m = _m_verdict(z)
     return _m_matrix_witness(z) is not None if is_m is None else is_m
 
@@ -639,7 +639,7 @@ class ClassificationReport:
 def classify(a, p_matrix_limit=12):
     """Classify a square matrix as Z / M / H / H+ and, when small, P.
 
-    The M test is ``_m_probe``'s, after the Z test.  For a
+    The M test is ``_m_probe``'s.  For a
     non-triangular M-matrix, A v = ones is solved for the witness, a
     positive v with A v > 0 verified against rounding, once: the solve
     that decided the M test, when it took one, gives it.  The H test runs
@@ -663,7 +663,7 @@ def _classify(a, p_matrix_limit):
     """``classify``'s verdicts, with the witness only when the M test
     solved for it."""
     is_z = _is_z(a)
-    # _m_probe, keeping the v of its solve
+    # _m_probe's two steps after its Z test, keeping the v of its solve
     is_m, witness_v = is_z and _m_verdict(a), None
     if is_m is None:
         witness_v = _m_matrix_witness(a)
@@ -888,12 +888,17 @@ class _LevelSchedule(NamedTuple):
     a solve takes one and gives it back when done, and makes a new one
     when every area is in use by another thread, so a matrix can be
     shared across threads with no lock.  An area holds 16 bytes per row
-    and about 280 per level."""
+    and about 280 per level.  A copy or a pickle of the schedule starts
+    with no area: an area's views of its work vector would come back as
+    arrays of their own, which the kernel would write into in vain."""
 
     cut: _LevelCut
     vals: np.ndarray
     pivots: tuple
     areas: list
+
+    def __reduce__(self):
+        return _LevelSchedule, (self.cut, self.vals, self.pivots, [])
 
     def work_area(self):
         """A work area (xe, steps): xe, a work vector of 2n floats, and

@@ -17,8 +17,8 @@ from lcpkit.convergence import (
     check_spectral_condition,
     iteration_operator_rho,
 )
-from lcpkit.matrix_core import (SingularMatrixError, SparseMatrix, _dense_inverse, _is_z,
-                               _m_probe, classify, comparison_matrix)
+from lcpkit.matrix_core import (SingularMatrixError, SparseMatrix, _dense_inverse, _m_probe,
+                               classify, comparison_matrix)
 from lcpkit.problems import gen_example1, gen_example2, gen_random_hplus
 from lcpkit.solvers import shifted_system
 from lcpkit.splittings import SplittingKind, custom_splitting, make_splitting
@@ -223,7 +223,7 @@ def _modes(a, s):
     when the comparison of the system matrix is an M-matrix."""
     lhs = shifted_system(a, s)[0]
     modes = ["exact_dense"]
-    if lhs.is_lower_triangular() and _is_z(lhs) and _m_probe(lhs):
+    if lhs.is_lower_triangular() and _m_probe(lhs):
         modes.append("operator")
     if classify(comparison_matrix(lhs), p_matrix_limit=0).is_m:
         modes.append("comparison_bound")

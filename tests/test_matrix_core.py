@@ -645,13 +645,12 @@ def _z_or_any(t):
 @example(d=np.array([[2.0, 1.0], [0.0, 2.0]]))
 def test_classify_h_probe_is_the_comparison_probe(d):
     # a Z-matrix with nonnegative diagonal is its own comparison matrix, and
-    # classify answers is_h there from the M probe alone; the probe takes
-    # Z-matrices, and classify says "not M" for a matrix that is not a
-    # Z-matrix, triangular or not
+    # classify answers is_h there from the M probe alone; the probe itself
+    # says "not M" for a matrix that is not a Z-matrix, triangular or not
     a = SparseMatrix.from_dense(d)
     rep = classify(a, p_matrix_limit=0)
     assert rep.is_h is matrix_core._m_probe(comparison_matrix(a))
-    assert rep.is_m is (matrix_core._is_z(a) and matrix_core._m_probe(a))
+    assert rep.is_m is matrix_core._m_probe(a)
     assert rep.is_z or not rep.is_m
 
 
@@ -1451,6 +1450,25 @@ def test_forward_substitution_returns_a_fresh_x():
         assert np.array_equal(_bits(x), want)
         x[:] = np.nan
         assert np.array_equal(_bits(lower_triangular_solve(m, b)), want)
+
+
+def test_forward_substitution_on_a_copied_matrix():
+    # a deep copy or a pickle of a matrix that has solved on the level
+    # plan (its schedule holding a work area) solves to the original's
+    # bits, and so do its own copies, and the original after them
+    import copy
+    import pickle
+
+    a = BenchSpec("example1", 30).build().a
+    m = shifted_system(a, make_splitting(a, SplittingKind.npsor(1.7)))[0]
+    b = np.random.default_rng(83).uniform(-3.0, 3.0, m.n)
+    b[::5] = -0.0
+    want = _bits(lower_triangular_solve(m, b)).copy()
+    assert isinstance(m._schedule, matrix_core._LevelSchedule) and m._schedule.areas
+    for copied in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        for c in (copied, copy.deepcopy(copied), pickle.loads(pickle.dumps(copied))):
+            assert np.array_equal(_bits(lower_triangular_solve(c, b)), want)
+    assert np.array_equal(_bits(lower_triangular_solve(m, b)), want)
 
 
 def _leaves(value):

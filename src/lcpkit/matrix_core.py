@@ -791,12 +791,12 @@ def _pivots(m):
     return d
 
 
-# A level of the level cut costs about 2 us of kernel and numpy calls and a
-# row of the row cut 0.5-1 us of Python.  On banded n = 2400 triangles the
-# two cuts break even at 3 rows per level: there the row cut is faster
-# with one band (level/row 1.06-1.08) and slower with three (0.94); at 4
-# the level cut is faster with both.
-_ROWS_PER_LEVEL = 4
+# A level of the level cut costs about 1.1 us of kernel and numpy calls and
+# a row of the row cut about 0.5 us of Python.  On banded n = 2400 triangles
+# the level cut is faster from 3 rows per level on, with one band
+# (level/row 0.87-0.89) and with three (0.74-0.76); at 2 the row cut is
+# faster with both (1.43 and 1.05).
+_ROWS_PER_LEVEL = 3
 
 # rows per block of the row cut
 _BLOCK = 16
@@ -1070,33 +1070,27 @@ def _chain_length(m, per_row):
     return int(np.diff(np.flatnonzero(~on_prev), append=n).max())
 
 
-def _level_cut(m, per_row, max_depth):
-    """The levels of the lower-triangular matrix m with per_row
-    off-diagonal entries in each row: (order, block_starts) with the rows
-    level by level, ascending within a level, level k at positions
-    block_starts[k]:block_starts[k + 1], or None once there would be more
-    than max_depth levels.  A row's level is one more than the highest
-    level among the rows it refers to (0 when it has none), found by a
-    frontier sweep over the off-diagonal entries."""
+def _level_cut(m, max_depth):
+    """The levels of the lower-triangular matrix m with a full diagonal:
+    (order, block_starts) with the rows level by level, ascending within
+    a level, level k at positions block_starts[k]:block_starts[k + 1], or
+    None when there are more than max_depth levels.  A row's level is one
+    more than the highest level among the rows it refers to (0 when it
+    has none), found by one pass over the rows in storage order."""
     n, idx = m.n, m.col_indices.dtype
-    # columns are sorted, so each row's diagonal is its last stored entry
-    rows = np.repeat(np.arange(n, dtype=idx), per_row)
-    cols = np.delete(m.col_indices, m.row_starts[1:] - 1)
-    dependents = rows[np.argsort(cols, kind="stable")]
-    dep_count = np.bincount(cols, minlength=n)
-    dep_start = np.cumsum(dep_count) - dep_count
-    pending = per_row.copy()
-    level = np.empty(n, dtype=idx)
-    frontier = np.flatnonzero(pending == 0)
-    depth = 0
-    while frontier.size:
-        if depth == max_depth:
-            return None
-        level[frontier] = depth
-        children = dependents[_ranges(dep_start[frontier], dep_count[frontier])]
-        np.subtract.at(pending, children, 1)
-        frontier = np.unique(children[pending[children] == 0])
-        depth += 1
+    cols = memoryview(m.col_indices)
+    level = [-1] * n
+    get = level.__getitem__
+    lo = 0
+    for i, hi in enumerate(memoryview(m.row_starts)[1:]):
+        # the row's own diagonal entry reads the -1 it still holds, below
+        # every level, so a row with no other entry gets level 0
+        level[i] = max(map(get, cols[lo:hi])) + 1
+        lo = hi
+    level = np.array(level, dtype=idx)
+    depth = int(level.max()) + 1
+    if depth > max_depth:
+        return None
     block_starts = np.zeros(depth + 1, dtype=idx)
     np.cumsum(np.bincount(level, minlength=depth), out=block_starts[1:])
     return np.argsort(level, kind="stable").astype(idx), block_starts
@@ -1105,15 +1099,18 @@ def _level_cut(m, per_row, max_depth):
 def _choose_cut(m):
     """The cut of the lower-triangular pattern m with a full diagonal:
     the diagonal cut when m has no other entry, the level cut when m has
-    at least _ROWS_PER_LEVEL rows per level, else the row cut."""
+    at least _ROWS_PER_LEVEL rows per level, else the row cut.  The
+    levels come from ``_level_cut``'s pass over the rows, which is made
+    only when the chain test (``_chain_length``) leaves the level cut
+    possible."""
     per_row = np.diff(m.row_starts) - 1
     if not per_row.any():
         return _DiagonalCut()
     max_depth = m.n // _ROWS_PER_LEVEL
     levels = None
-    # a long chain of rows rules the level cut out before its sweep
+    # a long chain of rows rules the level cut out before its pass
     if _chain_length(m, per_row) <= max_depth:
-        levels = _level_cut(m, per_row, max_depth)
+        levels = _level_cut(m, max_depth)
     return _RowCut.make(m) if levels is None else _LevelCut.make(m, *levels)
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import os
@@ -301,6 +303,24 @@ def test_check_json_matches_golden(capsys, tmp_path, name):
             assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
         else:
             assert got[key] == value, key
+
+
+@pytest.mark.parametrize("name", sorted(_CHECK_SETUPS))
+def test_check_csv_is_the_json_record(capsys, tmp_path, name):
+    argv = ["check", *_CHECK_SETUPS[name](tmp_path), "--format"]
+    code, out, err = _run(capsys, [*argv, "csv"])
+    assert (code, err) == (0, "")
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    code, out, err = _run(capsys, [*argv, "json"])
+    assert (code, err) == (0, "")
+    rec = _strict_loads(out)
+    # one row under the JSON record's keys, in order; floats as repr,
+    # booleans as True/False, and the inf that JSON writes as null as inf
+    assert header == list(rec) and len(rows) == 1
+    assert rows[0] == ["inf" if v is None else repr(v) if isinstance(v, float) else str(v)
+                       for v in rec.values()]
+    if name == "bidiagonal_overflow":
+        assert [k for k, v in rec.items() if v is None] == ["rho_t", "rho_upper"]
 
 
 def test_table_makes_one_level_sweep_for_its_four_methods(capsys, monkeypatch):
@@ -886,6 +906,22 @@ def test_bad_input_prints_one_line(tmp_path, argv, message):
     assert done.returncode == 1
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
     assert message in done.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", *_EXAMPLE1_M3, "--method", "npaor", "--alpha", "1"],
+     "npaor requires --alpha and --beta"),
+    (["solve", *_EXAMPLE1_M3, "--method", "msor"], "msor requires --alpha"),
+    (["solve", "--method", "npgs"], "provide --family or --matrix (with --sigma)"),
+    (["solve", "--family", "random", "--method", "npgs"],
+     "--m (the dimension) is required for the random family"),
+    (["solve", "--family", "example1", "--method", "npgs"],
+     "--m is required for generated families"),
+    (["table", "table1", "--sizes", ","], "--sizes is empty"),
+], ids=["npaor-beta", "msor-alpha", "no-problem", "random-m", "family-m", "empty-sizes"])
+def test_bad_input_usage_error(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", [["solve", *_EXAMPLE1_M3, "--method", "npgs"],

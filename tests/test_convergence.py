@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +189,24 @@ def test_operator_mode_requires_sign_pattern():
     assert shifted_system(a, s)[0].is_lower_triangular()
     with pytest.raises(ModeUnsupportedError):
         iteration_operator_rho(a, s, "operator")
+
+
+@pytest.mark.parametrize("mode", [None, "operator", "comparison_bound"])
+def test_overflowing_t_v_warns_once(mode):
+    # the lower bidiagonal of the check's overflow setup, diagonal 0.5 and
+    # subdiagonal -12: |inv(M + 2I + D_A)| overflows, and so does T v on
+    # the first pass, in every mode
+    n = 600
+    a = SparseMatrix.from_dense(0.5 * np.eye(n) - 12.0 * np.eye(n, k=-1))
+    s = make_splitting(a, SplittingKind.npgs())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rho = iteration_operator_rho(a, s, mode)
+    assert rho == np.inf
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "T v overflowed at power iteration 1; estimate may be inaccurate")]
+    # one warning, so numpy raised no RuntimeWarning; it names the caller's line
+    assert caught[0].filename == __file__
 
 
 def test_comparison_bound_requires_m_comparison():

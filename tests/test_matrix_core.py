@@ -1065,8 +1065,7 @@ _LOWER = st.integers(1, 12).flatmap(lambda n: st.tuples(
 def _both_schedules(m):
     """The schedules of both cuts of a solvable lower-triangular m, the
     level cut and the row cut, whichever of them the solve would pick."""
-    per_row = np.diff(m.row_starts) - 1
-    cuts = (matrix_core._LevelCut.make(m, *matrix_core._level_cut(m, per_row, m.n)),
+    cuts = (matrix_core._LevelCut.make(m, *matrix_core._level_cut(m, m.n)),
             matrix_core._RowCut.make(m))
     return [cut.schedule(m.values, m.diagonal_vector()) for cut in cuts]
 
@@ -1530,7 +1529,7 @@ def _levels_by_loop(m):
 def test_levels_match_longest_dependency_chain(d):
     m = SparseMatrix.from_dense(d)
     per_row = np.diff(m.row_starts) - 1
-    order, starts = matrix_core._level_cut(m, per_row, m.n)
+    order, starts = matrix_core._level_cut(m, m.n)
     loop = _levels_by_loop(m)
     depth = max(loop) + 1
     assert len(starts) - 1 == depth
@@ -1540,8 +1539,8 @@ def test_levels_match_longest_dependency_chain(d):
     assert level.tolist() == loop
     # ascending within a level
     assert all(np.all(np.diff(order[starts[k]:starts[k + 1]]) > 0) for k in range(depth))
-    # the sweep stops past max_depth levels; the chain bound never exceeds the depth
-    assert matrix_core._level_cut(m, per_row, depth - 1) is None
+    # the pass refuses more than max_depth levels; the chain bound never exceeds the depth
+    assert matrix_core._level_cut(m, depth - 1) is None
     assert 1 <= matrix_core._chain_length(m, per_row) <= depth
     # the solve takes the diagonal cut on one level, the level cut at
     # _ROWS_PER_LEVEL rows per level or more, else the row cut, runs of
@@ -1636,7 +1635,7 @@ def test_schedule_choice_on_the_benchmark_matrices():
             # every block has inner entries, which a row finishes in floats
             starts = s.cut.inner_starts
             assert all(starts[hi] > starts[lo] for lo, hi, _ in s.cut.blocks)
-    # one chain of all the rows: the level sweep is skipped
+    # one chain of all the rows: the level pass is skipped
     assert matrix_core._chain_length(lhs, np.diff(lhs.row_starts) - 1) == 50
 
 

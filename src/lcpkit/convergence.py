@@ -34,9 +34,9 @@ import numpy as np
 from .matrix_core import (
     DENSE_LIMIT,
     SparseMatrix,
-    _classify,
     _dense_inverse,
     _m_probe,
+    _principal_minors_positive,
     _verified_positive,
     comparison_matrix,
     lower_triangular_solve,
@@ -159,10 +159,10 @@ def iteration_operator_rho(a, s, mode=None):
     return est.value
 
 
-def _structural_fields(a, s, p_matrix_limit=0):
-    # the M tests need verdicts only, not classify's witness solve
-    report = _classify(a, p_matrix_limit)
+def _structural_fields(a, s):
     d = a.diagonal_vector()
+    # <A> is A itself, bitwise, for a Z-matrix with nonnegative diagonal
+    h_plus = bool(np.all(d > 0.0)) and _m_probe(comparison_matrix(a))
     h_compatible = is_h_compatible(a, s.m.add_diagonal(d + 1.0), s.n_part.add_diagonal(d + 1.0))
     diag_geq_one = bool(np.all(d >= 1.0))
     diag_below_one = bool(np.all(d < 1.0))
@@ -171,11 +171,9 @@ def _structural_fields(a, s, p_matrix_limit=0):
     # collapses to 2I - 2|B|
     coupling = a.abs_entrywise()._by_triangle(np.abs(d) + (2.0 - d), -2.0, -2.0)
     coupling_is_m = _m_probe(coupling)
-    ok = report.is_h_plus and h_compatible and (
-        (diag_geq_one and coupling_is_m) or diag_below_one
-    )
-    return report, dict(
-        h_plus=report.is_h_plus,
+    ok = h_plus and h_compatible and ((diag_geq_one and coupling_is_m) or diag_below_one)
+    return dict(
+        h_plus=h_plus,
         h_compatible=h_compatible,
         diag_geq_one=diag_geq_one,
         coupling_matrix_is_m=coupling_is_m,
@@ -193,23 +191,25 @@ def check_spectral_condition(a, s, p_limit=12, mode=None):
     power iteration stops as soon as the bracket is on one side of that
     threshold.  rho_t is the point estimate clamped into the bracket.
     P-matrix status goes to the notes when n <= p_limit (the enumeration
-    is exponential); the spectral verdict is computed either way.  mode
+    is exponential, so a p_limit above 20 raises ValueError before any
+    work); the spectral verdict is computed either way.  mode
     defaults to exact_dense when n permits, otherwise operator.  In
     comparison_bound mode the bracket's lower end bounds the spectral
     radius of the bound operator, which can exceed rho(T), so rho_lower
     is reported as 0; the iteration still stops once that lower end
     reaches the threshold, since the bound can then never certify.
     """
+    is_p = _principal_minors_positive(a, p_limit)
     mode = _mode_for(a, mode)
     threshold = 1.0 - STRICTNESS_MARGIN
     est = _rho_estimate(a, s, mode, threshold=threshold)
     lower = 0.0 if mode == "comparison_bound" else est.lower
     rho_t = min(max(est.value, lower), est.upper)
-    report, fields = _structural_fields(a, s, p_matrix_limit=p_limit)
+    fields = _structural_fields(a, s)
     notes = []
-    if report.is_p is None:
+    if is_p is None:
         notes.append(f"P-matrix status not checked (n > {p_limit})")
-    elif report.is_p:
+    elif is_p:
         notes.append("A is a P-matrix")
     else:
         notes.append("A is not a P-matrix; spectral verdict still evaluated")
@@ -240,7 +240,7 @@ def check_hmatrix_conditions(a, s):
     No spectral estimate is computed; rho_t stays None.  The conditions
     are sufficient only, which the notes spell out when they fail.
     """
-    _, fields = _structural_fields(a, s)
+    fields = _structural_fields(a, s)
     notes = []
     if np.all(a.diagonal_vector() > 0.0):
         notes.append("coupling matrix reduces to 2I - 2|B| (positive diagonal)")

@@ -15,7 +15,9 @@ substitution alike, adds the row's rounded products left to right in
 storage order, in ``csr_matvec``.  One function answers each dense or
 M-matrix question: ``_dense_lu`` (the one LU, behind ``_dense_solver``
 and ``_dense_inverse``) and ``_m_probe`` (the Z test, ``_m_verdict``,
-then the witness solve).
+then the witness solve), which ``check`` asks about the comparison
+matrix <A> and the coupling matrix.  ``classify`` takes the probe's
+steps on A itself, so as to keep the v of its one solve as the witness.
 
 A matrix holds its sparsity pattern as a ``_Pattern``, which every
 matrix built on the same index arrays shares, and which keeps what
@@ -49,7 +51,7 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -525,11 +527,10 @@ def _verified_positive(terms, u):
     return bool(np.all(total > bound))
 
 
-def _jacobi_verdict(z, triangle):
-    """Whether the Z-matrix z (whose entries lie in ``triangle``) is a
-    nonsingular M-matrix, decided by a Collatz-Wielandt bracket on the
-    Jacobi operator J = inv(D) B, where z = D - B with D its diagonal and
-    B >= 0; None when the bracket does not decide.
+def _jacobi_verdict(z):
+    """Whether the Z-matrix z is a nonsingular M-matrix, decided by a
+    Collatz-Wielandt bracket on the Jacobi operator J = inv(D) B, where
+    z = D - B with D its diagonal and B >= 0; None when it does not decide.
 
     A nonpositive diagonal entry rules an M-matrix out.  Otherwise z is
     one exactly when rho(J) < 1 (Berman & Plemmons, ch. 6), and the
@@ -543,7 +544,7 @@ def _jacobi_verdict(z, triangle):
     d = z.diagonal_vector()
     if not np.all(d > 0.0):
         return False
-    b = np.where(triangle != 0, -z.values, 0.0)
+    b = np.where(z._triangle() != 0, -z.values, 0.0)
     est = spectral_radius_nonneg(lambda x: _product(z, b, x) / d, n=z.n, max_iters=_JACOBI_PASSES,
                                  threshold=1.0)
     if est.upper < 1.0:
@@ -597,24 +598,32 @@ def _m_verdict(z):
     verified Jacobi bracket (``_jacobi_verdict``)."""
     if _is_triangular(z):
         return bool(np.all(z.diagonal_vector() > 0.0))
-    return _jacobi_verdict(z, z._triangle())
+    return _jacobi_verdict(z)
 
 
 def _m_probe(z):
     """Whether z is a nonsingular M-matrix, the one M test behind
-    ``classify`` and ``check``: a matrix that is not a Z-matrix is not;
-    a Z-matrix gets ``_m_verdict``, or, only when that does not decide,
-    the sparse solve (``_m_matrix_witness``)."""
+    ``check``: a matrix that is not a Z-matrix is not; a Z-matrix gets
+    ``_m_verdict``, or, only when that does not decide, the sparse solve
+    (``_m_matrix_witness``).  ``classify`` takes the same steps on A
+    itself, to keep the v of the solve."""
     if not _is_z(z):
         return False
     is_m = _m_verdict(z)
     return _m_matrix_witness(z) is not None if is_m is None else is_m
 
 
-def _principal_minors_positive(dense):
-    n = dense.shape[0]
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
+def _principal_minors_positive(a, limit):
+    """Whether every principal minor of a is positive, that is, whether a
+    is a P-matrix; None when n > limit.  There are 2^n - 1 minors, so
+    limit is capped at 20, and a larger one raises before any work."""
+    if limit > 20:
+        raise ValueError("p_matrix_limit must be at most 20")
+    if a.n > limit:
+        return None
+    dense = a.to_dense()
+    for size in range(1, a.n + 1):
+        for subset in itertools.combinations(range(a.n), size):
             idx = np.asarray(subset)
             if np.linalg.det(dense[np.ix_(idx, idx)]) <= 0.0:
                 return False
@@ -639,40 +648,27 @@ class ClassificationReport:
 def classify(a, p_matrix_limit=12):
     """Classify a square matrix as Z / M / H / H+ and, when small, P.
 
-    The M test is ``_m_probe``'s.  For a
-    non-triangular M-matrix, A v = ones is solved for the witness, a
-    positive v with A v > 0 verified against rounding, once: the solve
-    that decided the M test, when it took one, gives it.  The H test runs
-    the probe on the comparison matrix, except on a Z-matrix with
-    nonnegative diagonal, which is its own comparison matrix, so that
-    one probe settles both.  Principal minors are
-    enumerated only when n <= p_matrix_limit (capped at 20: there are
-    2^n - 1 of them).
+    The M test takes ``_m_probe``'s steps on A: the Z test, then
+    ``_m_verdict``.  A non-triangular Z-matrix that the verdict does not
+    rule out is solved once for the witness, a positive v with A v = ones
+    verified against rounding, and that solve decides the M test when the
+    verdict did not.  The H test runs the probe on the comparison matrix,
+    except on a Z-matrix with nonnegative diagonal, which is its own
+    comparison matrix.  is_p is ``_principal_minors_positive``'s, for
+    n <= p_matrix_limit (at most 20).
     """
     if not isinstance(a, SparseMatrix):
         raise ValueError("expected a SparseMatrix")
-    if p_matrix_limit > 20:
-        raise ValueError("p_matrix_limit must be at most 20")
-    report = _classify(a, p_matrix_limit)
-    if not report.is_m or report.witness_v is not None or _is_triangular(a):
-        return report
-    return replace(report, witness_v=_m_matrix_witness(a))
-
-
-def _classify(a, p_matrix_limit):
-    """``classify``'s verdicts, with the witness only when the M test
-    solved for it."""
+    is_p = _principal_minors_positive(a, p_matrix_limit)
     is_z = _is_z(a)
-    # _m_probe's two steps after its Z test, keeping the v of its solve
-    is_m, witness_v = is_z and _m_verdict(a), None
+    is_m = is_z and _m_verdict(a)
+    # a triangular Z-matrix is decided without a solve, which can overflow
+    witness_v = None if is_m is False or _is_triangular(a) else _m_matrix_witness(a)
     if is_m is None:
-        witness_v = _m_matrix_witness(a)
         is_m = witness_v is not None
     diag = a.diagonal_vector()
-    # a Z-matrix with nonnegative diagonal is its own comparison matrix
     is_h = is_m if is_z and np.all(diag >= 0.0) else _m_probe(comparison_matrix(a))
     is_h_plus = is_h and bool(np.all(diag > 0.0))
-    is_p = _principal_minors_positive(a.to_dense()) if a.n <= p_matrix_limit else None
     return ClassificationReport(is_z=is_z, is_m=is_m, is_h=is_h, is_h_plus=is_h_plus, is_p=is_p,
                                 witness_v=witness_v)
 

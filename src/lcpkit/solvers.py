@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_core import (DENSE_LIMIT, SparseMatrix, _dense_solver, _product, _schedule,
+from .matrix_core import (DENSE_LIMIT, SparseMatrix, _dense_solver, _integers, _product, _schedule,
                           lower_triangular_solve)
 from .splittings import SplittingKind, make_splitting
 
@@ -110,6 +110,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
+        object.__setattr__(self, "max_iters", int(_integers(self.max_iters, "max_iters")))
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.initial is not None:

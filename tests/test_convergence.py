@@ -290,7 +290,8 @@ def test_spectral_check_stops_undecided_when_t_v_overflows(mode):
 
 def test_coupling_matrix_is_the_chain_bitwise(monkeypatch):
     # <A> + 2I - D_A - |B| as an earlier version built it, one build per
-    # step; the coupling matrix is the one matrix that check probes itself
+    # step; check probes <A> for H+ when diag(A) > 0, then the coupling
+    # matrix
     seen = []
     probe = convergence._m_probe
     monkeypatch.setattr(convergence, "_m_probe", lambda m: seen.append(m) or probe(m))
@@ -302,7 +303,10 @@ def test_coupling_matrix_is_the_chain_bitwise(monkeypatch):
         convergence._structural_fields(a, make_splitting(a, SplittingKind.npgs()))
         b_abs = a.strict_lower().abs_entrywise().add(a.strict_upper().abs_entrywise())
         chain = comparison_matrix(a).add_diagonal(2.0 - a.diagonal_vector()).subtract(b_abs)
-        assert seen == [chain]
+        want = [comparison_matrix(a), chain] if np.all(a.diagonal_vector() > 0.0) else [chain]
+        assert seen == want
+        assert all(np.array_equal(m.values.view(np.int64), w.values.view(np.int64))
+                   for m, w in zip(seen, want))
 
 
 def test_check_makes_no_witness_solve_on_the_certify_setups(monkeypatch):
@@ -384,6 +388,20 @@ def test_spectral_certificate_skips_large_minor_enumeration():
     s = make_splitting(p.a, SplittingKind.npgs())
     cert = check_spectral_condition(p.a, s, p_limit=8)
     assert "not checked" in cert.notes
+
+
+def test_spectral_certificate_caps_the_minor_enumeration(monkeypatch):
+    # 2^n - 1 minors: a p_limit above 20 raises before any work, and one
+    # of 12 still enumerates them for n <= 12
+    a, s = _gs([[4.0, -1.0], [-1.0, 4.0]])
+    monkeypatch.setattr(convergence, "_rho_estimate", lambda *args, **kwargs: pytest.fail("ran"))
+    with pytest.raises(ValueError, match="^p_matrix_limit must be at most 20$"):
+        check_spectral_condition(a, s, p_limit=21)
+    monkeypatch.undo()
+    p = gen_example1(3, 4.0)
+    for a in (p.a, SparseMatrix.from_dense(p.a.to_dense()[:2, :2])):
+        cert = check_spectral_condition(a, make_splitting(a, SplittingKind.npgs()), p_limit=12)
+        assert "A is a P-matrix" in cert.notes
 
 
 def test_structural_certificate_scalar_below_one():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lcpkit import matrix_core, solvers
+from lcpkit.convergence import check_hmatrix_conditions
 from lcpkit.matrix_core import (
     SingularMatrixError,
     SparseMatrix,
@@ -654,6 +655,22 @@ def test_classify_h_probe_is_the_comparison_probe(d):
     assert rep.is_z or not rep.is_m
 
 
+@_EXACT
+@given(d=st.tuples(_SQUARE, st.booleans()).map(_z_or_any))
+@example(d=_random_dominant(np.random.default_rng(53), 5, signed=False))
+@example(d=np.array([[2.0, -1.0], [-1.0, -2.0]]))
+@example(d=np.array([[2.0, 1.0], [0.0, 2.0]]))
+def test_check_h_plus_is_classify_h_plus(d):
+    # check probes <A> alone for H+, classify probes A when it is a
+    # Z-matrix with nonnegative diagonal; they must agree
+    a = SparseMatrix.from_dense(d)
+    try:
+        s = make_splitting(a, SplittingKind.npgs())
+    except ValueError:
+        return
+    assert check_hmatrix_conditions(a, s).h_plus is classify(a, 0).is_h_plus
+
+
 def test_classify_decides_triangular_z_matrices_without_a_solve(monkeypatch):
     # the solution of A v = 1 grows like 24^i here and overflows, but a
     # triangular Z-matrix is an M-matrix exactly when its diagonal is positive
@@ -680,7 +697,7 @@ def test_solve_witness_must_verify(monkeypatch):
     import scipy.sparse.linalg
 
     z = SparseMatrix.from_dense(3.0 * np.eye(3) - np.ones((3, 3)))
-    assert matrix_core._jacobi_verdict(z, z._triangle()) is None
+    assert matrix_core._jacobi_verdict(z) is None
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda m, b: np.ones(3))
     rep = classify(z, p_matrix_limit=0)
     assert rep.is_z and not rep.is_m and rep.witness_v is None
@@ -688,23 +705,40 @@ def test_solve_witness_must_verify(monkeypatch):
     assert not classify(z, p_matrix_limit=0).is_m  # z v = (-1, -1, 2)
 
 
-def test_classify_solves_once_when_the_bracket_does_not_decide(monkeypatch):
-    # rho(inv(D) B) = 1 / (1 + 1e-6): the Jacobi bracket does not decide
-    # in its passes, so the M test solves A v = ones, and that solve's v
-    # is the witness, to the same bits as a solve of its own
+# each case's Z-matrix, its _m_verdict and the solves classify makes for it
+_SOLVE_CASES = {
+    # rho(inv(D) B) = 1 / (1 + 1e-6): the Jacobi bracket does not decide in
+    # its passes, so the M test solves A v = ones, and that solve's v is
+    # the witness
+    "undecided": (lambda: _z_matrix(6, 3, 1e-6), None, 1),
+    # the bracket decides "M", and the one solve is for the witness alone
+    "bracket_m": (lambda: _random_dominant(np.random.default_rng(53), 5, signed=False), True, 1),
+    # the bracket decides "not M": no witness to solve for
+    "bracket_not_m": (lambda: np.array([[1.0, -2.0], [-2.0, 1.0]]), False, 0),
+    # a triangular Z-matrix is decided from its diagonal, without a solve
+    "triangular": (lambda: np.diag([0.5, 2.0, 1.0]) - np.eye(3, k=-1), True, 0),
+}
+
+
+@pytest.mark.parametrize("case", _SOLVE_CASES)
+def test_classify_solves_once_when_the_bracket_does_not_decide(monkeypatch, case):
     import scipy.sparse.linalg
 
-    z = SparseMatrix.from_dense(_z_matrix(6, 3, 1e-6))
-    assert matrix_core._jacobi_verdict(z, z._triangle()) is None
-    want = matrix_core._m_matrix_witness(z)
+    dense, verdict, solved = _SOLVE_CASES[case]
+    z = SparseMatrix.from_dense(dense())
+    assert matrix_core._m_verdict(z) is verdict
+    want = matrix_core._m_matrix_witness(z) if solved else None
     solves = []
     spsolve = scipy.sparse.linalg.spsolve
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
                         lambda *args, **kwargs: solves.append(args) or spsolve(*args, **kwargs))
     rep = classify(z, p_matrix_limit=0)
-    assert len(solves) == 1
-    assert rep.is_z and rep.is_m and rep.is_h_plus
-    assert np.array_equal(_bits(rep.witness_v), _bits(want))
+    assert len(solves) == solved
+    assert rep.is_z and rep.is_m is (verdict is not False) and rep.is_h_plus is rep.is_m
+    if solved:
+        assert np.array_equal(_bits(rep.witness_v), _bits(want))
+    else:
+        assert rep.witness_v is None
 
 
 def _z_matrix(n, seed, delta):
@@ -860,7 +894,7 @@ def test_verified_positive_terms_hold_in_exact_arithmetic(case):
 def test_jacobi_bracket_agrees_with_the_solve(n, seed, delta):
     dense = _z_matrix(n, seed, delta)
     z = SparseMatrix.from_dense(dense)
-    bracket = matrix_core._jacobi_verdict(z, z._triangle())
+    bracket = matrix_core._jacobi_verdict(z)
     if bracket is None:
         return
     assert bracket is (matrix_core._m_matrix_witness(z) is not None)

@@ -67,6 +67,18 @@ def test_config_validation():
     npt.assert_array_equal(SolverConfig().start_vector(5), [1, 0, 1, 0, 1])
 
 
+def test_config_takes_integral_max_iters():
+    # a fraction would truncate; 2.0 is taken as 2
+    with pytest.raises(ValueError, match="^max_iters must be integral$"):
+        SolverConfig(max_iters=2.5)
+    assert SolverConfig(max_iters=2.0).max_iters == 2
+    r = _solve(gen_example1(4, 4.0), SplittingKind.npgs(), tol=1e-30, max_iters=2.0)
+    assert r.iterations <= 2 and not r.converged
+    two, two_float = (_solve(_scalar_problem(), SplittingKind.npgs(), tol=1e-30, max_iters=m,
+                             initial=np.zeros(1)) for m in (2, 2.0))
+    npt.assert_array_equal(two_float.lam, two.lam)
+
+
 def test_alternating_patterns():
     npt.assert_array_equal(alternating_initial(5), [1, 0, 1, 0, 1])
     npt.assert_array_equal(alternating_solution(4), [1, 2, 1, 2])

@@ -45,7 +45,6 @@ built-in solvers; their callers cap n at DENSE_LIMIT.
 import functools
 import importlib.machinery
 import importlib.util
-import inspect
 import itertools
 import os
 import re
@@ -704,7 +703,7 @@ def _as_apply(t, n=None):
     if callable(t):
         if n is None:
             raise ValueError("callable operators need an explicit dimension")
-        return t, int(n)
+        return t, int(_integers(n, "dimension"))
     raise ValueError("unsupported operator type")
 
 
@@ -742,9 +741,10 @@ def spectral_radius_nonneg(t, n=None, tol=1e-10, max_iters=None, threshold=None)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     apply_t, dim = _as_apply(t, n)
-    if max_iters is None:
-        max_iters = 10 * dim + 1000
-    elif max_iters < 1:
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    max_iters = 10 * dim + 1000 if max_iters is None else int(_integers(max_iters, "max_iters"))
+    if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     w, norm = np.ones(dim), np.sqrt(dim)
     est, lower, upper = np.inf, 0.0, np.inf
@@ -1233,124 +1233,100 @@ def write_matrix_market(a, path):
                 rows[part].tolist(), (a.col_indices[part] + 1).tolist(), a.values[part].tolist())))
 
 
-def _not_ascii(path, number, line):
-    """The ValueError for line number of path, which holds a byte that is
-    not ASCII: read with errors="surrogateescape", byte b is the lone
-    surrogate U+DC00 + b."""
-    column = next(k for k, c in enumerate(line) if not c.isascii())
-    return ValueError(f"{path}:{number}: byte 0x{ord(line[column]) - 0xDC00:02x} "
-                      f"is not ASCII (column {column + 1})")
+def _read_lines(path):
+    """The lines of path, read in one call and split at its line ends
+    (universal newlines: \\n, \\r\\n and a lone \\r).  A byte that is not
+    ASCII, on any line, comments included, raises ValueError naming its
+    line and column: read with errors="surrogateescape", byte b is the
+    lone surrogate U+DC00 + b."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    if not text.isascii():
+        number, line = next((k, line) for k, line in enumerate(lines, 1) if not line.isascii())
+        column = next(k for k, c in enumerate(line) if not c.isascii())
+        raise ValueError(f"{path}:{number}: byte 0x{ord(line[column]) - 0xDC00:02x} "
+                         f"is not ASCII (column {column + 1})")
+    return lines
 
 
-def _data_lines(fh, path, first_line, skipped):
-    """Yield the lines of fh, path from file line first_line on, that are
-    neither blank nor start with '%' (after leading whitespace); skipped
-    gets the number of every other line.  A line with a byte that is not
-    ASCII, comment or not, raises ValueError naming it.  While it is
-    suspended, its locals ``line`` and ``number`` are the last line it
-    yielded and that line's number in the file
-    (``inspect.getgeneratorlocals``)."""
-    for number, line in enumerate(fh, first_line):
-        if not line.isascii():
-            raise _not_ascii(path, number, line)
-        text = line.lstrip()
-        if text and text[0] != "%":
-            yield line
-        else:
-            skipped.append(number)
+def _is_data(line):
+    """Whether line is neither blank nor starts with '%' (after leading
+    whitespace); a trailing '%' on a data line is not a comment."""
+    return line.lstrip()[:1] not in ("", "%")
 
 
-def _file_line(first_line, skipped, k):
-    """The file line of data line k (from 0) of _data_lines, given the
-    numbers it skipped up to there."""
-    number = first_line + k
-    for s in skipped:
-        if s > number:
-            break
-        number += 1
-    return number
+def _line_error(path, lines, k, reason):
+    """The ValueError naming the file line of data line k (from 0) of
+    lines, the lines of path, for reason."""
+    number = [number for number, line in enumerate(lines, 1) if _is_data(line)][k]
+    return ValueError(f"{path}:{number}: {reason}")
 
 
 # where numpy's parse message places a bad field: "... at row 0, column 3."
 _NUMPY_FIELD = re.compile(r" at row \d+, column (\d+)\.$")
 
 
-def _load_rows(fh, dtype, path, first_line):
-    """Parse the rest of fh, which is path from 1-based line first_line
-    on, as one record of dtype per line, in one pass.  Returns the
-    records and the numbers of the lines skipped, from which
-    ``_file_line`` finds the line of a record.
+def _load_records(path, lines, dtype, skip=0):
+    """Parse the data lines (``_is_data``) of lines, the lines of path,
+    from data line skip on, as one record of dtype per line, in one
+    ``np.loadtxt`` call.
 
-    Lines starting with '%' (after leading whitespace) are dropped whole
-    and blank lines are skipped; a trailing '%' on a data line is not a
-    comment.  A row with a field count other than dtype's, or a field
-    its type cannot parse exactly, raises ValueError naming the file and
-    line.  numpy's ``loadtxt`` raises at the line it refuses, before it
-    asks for the next one, so that line is the one _data_lines yielded
-    last; fh is not read again.  Should that line parse alone, or
-    _data_lines hold none (its own error, or one of fh's, ends it), that
-    error passes through as it is.
+    A line with a field count other than dtype's, or a field its type
+    cannot parse exactly, raises ValueError naming the file and line.
+    On that error path only, the lines are parsed one at a time to find
+    the first one refused; should every line parse alone, numpy's error
+    passes through as it is, naming no line.
     """
-    skipped = []
-    lines = _data_lines(fh, path, first_line, skipped)
+    records = list(itertools.islice(filter(_is_data, lines), skip, None))
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            records = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
-    except ValueError as exc:
-        refused = inspect.getgeneratorlocals(lines)
-        if "line" not in refused:
-            raise
-        found = len(refused["line"].split())
-        if found != len(dtype):
-            reason = f"wrong number of fields: expected {len(dtype)}, found {found}"
-        else:
+            return np.loadtxt(records, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        for k, line in enumerate(records, skip):
+            found = len(line.split())
+            if found != len(dtype):
+                raise _line_error(path, lines, k, "wrong number of fields: "
+                                  f"expected {len(dtype)}, found {found}") from None
             try:
-                np.loadtxt([refused["line"]], dtype=dtype, comments=None)
+                np.loadtxt([line], dtype=dtype, comments=None)
             except ValueError as line_exc:
                 reason = _NUMPY_FIELD.sub(r" (field \1)", str(line_exc))
-            else:
-                raise  # loadtxt refused a line before the last one yielded
-        raise ValueError(f"{path}:{refused['number']}: {reason}") from None
-    return records, skipped
+                raise _line_error(path, lines, k, reason) from None
+        raise
 
 
 def read_matrix_market(path):
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        header = fh.readline()
-        if not header.isascii():
-            raise _not_ascii(path, 1, header)
-        header = header.strip()
-        if header.lower().split() != _MM_HEADER.lower().split():
-            raise ValueError(
-                f"unsupported MatrixMarket header (need coordinate real general): {header!r}"
-            )
-        skipped = []
-        # _data_lines yields no blank line, so "" means there was none
-        size_line = next(_data_lines(fh, path, 2, skipped), "").strip()
-        if not size_line:
-            raise ValueError("missing size line")
-        parts = size_line.split()
-        # three integers as numpy reads an entry's (int() would take 1_0);
-        # the size line is file line 2 plus the lines skipped before it
-        if len(parts) != 3 or not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
-            raise ValueError(f"{path}:{2 + len(skipped)}: malformed size line: {size_line!r}")
-        nrows, ncols, nnz = map(int, parts)
-        if nrows != ncols:
-            raise ValueError("matrix must be square")
-        if nrows <= 0 or not 0 <= nnz <= nrows * nrows:
-            raise ValueError(f"size line out of range: {size_line!r}")
-        # every line between the header and the size line was skipped
-        first_entry = 3 + len(skipped)
-        entries, skipped = _load_rows(fh, [("i", np.int64), ("j", np.int64), ("v", np.float64)],
-                                      path, first_entry)
+    lines = _read_lines(path)
+    header = lines[0].strip()
+    if header.lower().split() != _MM_HEADER.lower().split():
+        raise ValueError(
+            f"unsupported MatrixMarket header (need coordinate real general): {header!r}"
+        )
+    # the header starts with '%', so the first data line is the size line;
+    # no data line is blank, so "" means there is none
+    size_line = next(filter(_is_data, lines), "").strip()
+    if not size_line:
+        raise ValueError("missing size line")
+    parts = size_line.split()
+    # three integers as numpy reads an entry's (int() would take 1_0)
+    if len(parts) != 3 or not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
+        raise _line_error(path, lines, 0, f"malformed size line: {size_line!r}")
+    nrows, ncols, nnz = map(int, parts)
+    if nrows != ncols:
+        raise ValueError("matrix must be square")
+    if nrows <= 0 or not 0 <= nnz <= nrows * nrows:
+        raise ValueError(f"size line out of range: {size_line!r}")
+    entries = _load_records(path, lines, [("i", np.int64), ("j", np.int64), ("v", np.float64)],
+                            skip=1)
     if entries.size != nnz:
         raise ValueError(f"expected {nnz} entries, found {entries.size}")
     rows, cols = entries["i"] - 1, entries["j"] - 1
     outside = np.flatnonzero((rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= nrows))
     if outside.size:
-        number = _file_line(first_entry, skipped, int(outside[0]))
-        raise ValueError(f"{path}:{number}: entry index out of range 1..{nrows}")
+        raise _line_error(path, lines, 1 + int(outside[0]), f"entry index out of range 1..{nrows}")
+    del lines  # needed only to number a bad line, so freed before the matrix is built
     try:
         return SparseMatrix.from_coo(nrows, rows, cols, entries["v"])
     except MemoryError:
@@ -1366,9 +1342,8 @@ def write_vector(v, path):
 
 
 def read_vector(path):
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        # one field per row, so "1 2" on a line is an error, not two values
-        values = _load_rows(fh, [("v", np.float64)], path, 1)[0]["v"]
+    # one field per row, so "1 2" on a line is an error, not two values
+    values = _load_records(path, _read_lines(path), [("v", np.float64)])["v"]
     if not values.size:
         raise ValueError(f"no values found in {path}")
     return values

@@ -809,35 +809,67 @@ _LOADTXT = np.loadtxt
 
 
 def _loadtxt_one_line_ahead(lines, **kwargs):
-    """np.loadtxt, asking for each line of an iterator before it parses
-    the one before it."""
-    if not isinstance(lines, list):
-        lines = (line for line, _ in itertools.pairwise(itertools.chain(lines, [None])))
-    return _LOADTXT(lines, **kwargs)
+    """np.loadtxt, asking its input for each line before it parses the
+    one before it."""
+    return _LOADTXT((line for line, _ in itertools.pairwise(itertools.chain(lines, [None]))),
+                    **kwargs)
 
 
-def _loadtxt_refusing_unread(lines, **kwargs):
-    """np.loadtxt, refusing an iterator before asking it for a line."""
-    if not isinstance(lines, list):
-        raise ValueError("refused unread")
-    return _LOADTXT(lines, **kwargs)
-
-
-@pytest.mark.parametrize("loadtxt, message", [
-    (_loadtxt_one_line_ahead, "could not convert string '1.5abc' to float64 at row 1, column 3."),
-    (_loadtxt_refusing_unread, "refused unread"),
-], ids=["one-line-ahead", "unread"])
-def test_parse_error_not_at_the_last_line_read_has_no_line(tmp_path, monkeypatch, loadtxt,
-                                                           message):
-    # where the last line the reader yielded is not one loadtxt refuses,
-    # or there is none, numpy's error passes through, naming no line
-    # rather than a wrong one
+def test_parse_error_names_the_refused_line_when_loadtxt_reads_ahead(tmp_path, monkeypatch):
+    # the reader does not depend on the order in which loadtxt reads
     mtx = tmp_path / "a.mtx"
     mtx.write_text(_MM + "2 2 3\n1 1 4.0\n2 2 1.5abc\n2 1 1.0\n", encoding="ascii")
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(np, "loadtxt", _loadtxt_one_line_ahead)
     with pytest.raises(ValueError) as raised:
         read_matrix_market(str(mtx))
-    assert str(raised.value) == message
+    assert str(raised.value) == f"{mtx}:4: could not convert string '1.5abc' to float64 (field 3)"
+
+
+def test_parse_error_no_single_line_refuses_has_no_line(tmp_path, monkeypatch):
+    # where loadtxt refuses the whole input though each line parses alone,
+    # numpy's error passes through, naming no line rather than a wrong one
+    def refusing_more_than_one_line(lines, **kwargs):
+        if len(lines) > 1:
+            raise ValueError("refused whole")
+        return _LOADTXT(lines, **kwargs)
+
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text(_MM + "2 2 3\n1 1 4.0\n2 2 4.0\n2 1 1.0\n", encoding="ascii")
+    monkeypatch.setattr(np, "loadtxt", refusing_more_than_one_line)
+    with pytest.raises(ValueError) as raised:
+        read_matrix_market(str(mtx))
+    assert str(raised.value) == "refused whole"
+
+
+def test_parse_error_non_ascii_byte_is_named_before_a_bad_value(tmp_path):
+    # of two faults in one file, a byte that is not ASCII is named first,
+    # wherever it lies: the whole file is tested before any line is parsed
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text(_MM + "2 2 3\n1 1 4.0\n2 2 1.5abc\n% note\n2 1 1.0\n\n% caf\xe9\n",
+                   encoding="latin-1")
+    with pytest.raises(ValueError) as raised:
+        read_matrix_market(str(mtx))
+    assert str(raised.value) == f"{mtx}:8: byte 0xe9 is not ASCII (column 6)"
+
+
+@_NEEDS_DEV_FD
+@pytest.mark.parametrize("text, number", [
+    (_MM.replace("\n", "\r\n") + "% c\r\n2 2 3\r\n1 1 4.0\r\n\r\n2 2 1.5abc\r\n2 1 1.0\r\n", 6),
+    (_MM.replace("\n", "\r") + "% c\r2 2 3\r1 1 4.0\r\r2 2 1.5abc\r2 1 1.0\r", 6),
+    (_MM + "2 2 2\n% note\f% more\n1 1 4.0\n2 2 1.5abc\n", 5),
+    (_MM + "2 2 2\n1 1 4.0\n2 2 1.5abc", 4),
+], ids=["crlf", "lone-cr", "form-feed-in-a-comment", "no-final-newline"])
+def test_parse_error_line_numbers_follow_universal_newlines(tmp_path, text, number):
+    # a line ends at \n, \r\n or a lone \r, and nowhere else (a form
+    # feed does not end one), for a regular file and a pipe alike
+    regular = tmp_path / "a.mtx"
+    regular.write_bytes(text.encode("ascii"))
+    with _Pipe(text) as pipe:
+        for path in (str(regular), pipe):
+            with pytest.raises(ValueError) as raised:
+                read_matrix_market(path)
+            assert str(raised.value) == (f"{path}:{number}: "
+                                         "could not convert string '1.5abc' to float64 (field 3)")
 
 
 def test_vector_parse_error_names_file_and_line(capsys, tmp_path):

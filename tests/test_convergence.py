@@ -266,6 +266,22 @@ def test_spectral_check_never_passes_when_rho_reaches_one(eps, mode):
     assert "not certified" in cert.notes
 
 
+@settings(max_examples=25, deadline=None)
+@given(d=st.floats(2e8, 1e15))
+@example(d=2e8)
+@pytest.mark.parametrize("mode", ["exact_dense", "operator"])
+def test_spectral_check_never_passes_within_the_margin(mode, d):
+    # A = diag(d, 1) under NPJ: rho(T) = 1 - 1 / d lies in [1 - margin, 1),
+    # so the bracket can end below 1 and the check must still refuse it
+    a = SparseMatrix.from_dense(np.diag([d, 1.0]))
+    s = make_splitting(a, SplittingKind.npj())
+    rho = _rho_eigvals(a, s)
+    assert 1.0 - STRICTNESS_MARGIN <= rho < 1.0
+    cert = check_spectral_condition(a, s, mode=mode)
+    assert cert.spectral_condition_ok is False
+    assert cert.rho_upper >= 1.0 - STRICTNESS_MARGIN
+
+
 def _overflowing_bidiagonal(n, sub):
     """A = lower bidiagonal with diagonal 0.5 and subdiagonal sub: under
     NPGS, T is lower triangular with diagonal 2/3, so rho(T) = 2/3, while

@@ -1022,6 +1022,25 @@ def test_spectral_radius_rejects_a_run_that_cannot_stop_or_start():
             spectral_radius_nonneg(t, max_iters=max_iters)
 
 
+def test_spectral_radius_takes_integral_counts_only():
+    # 2.0 is taken as 2; a fraction, which range or int() would refuse or
+    # truncate, and an empty operator, which would "converge" at once,
+    # raise ValueError
+    t = np.diag([2.0, 3.0])
+    est = spectral_radius_nonneg(t, max_iters=2.0)
+    assert est.iterations == 2 and est.value == spectral_radius_nonneg(t, max_iters=2).value
+    with pytest.raises(ValueError, match="max_iters must be integral"):
+        spectral_radius_nonneg(t, max_iters=2.5)
+    apply_t = lambda x: 0.25 * x
+    with pytest.raises(ValueError, match="dimension must be integral"):
+        spectral_radius_nonneg(apply_t, n=2.5)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            spectral_radius_nonneg(apply_t, n=n)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        spectral_radius_nonneg(np.zeros((0, 0)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(t=st.integers(1, 8).flatmap(lambda n: hnp.arrays(
     np.float64, (n, n), elements=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))),

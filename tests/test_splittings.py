@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcpkit import matrix_core, splittings
@@ -108,6 +108,19 @@ def test_make_splitting_raises_where_m_minus_n_overflows():
     a = SparseMatrix.from_dense([[1.0, 0.0], [np.finfo(np.float64).max, 1.0]])
     with pytest.raises(ValueError, match="not finite"):
         make_splitting(a, SplittingKind.npaor(0.8, 0.2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(1e3, 1e9), share=st.floats(0.0, 1.0))
+@example(a=1e6 + 0.3, share=(1e6 + 0.4) / (1e6 + 0.3))
+def test_custom_splitting_accepts_m_minus_n_that_rounds_at_the_scale_of_a(a, share):
+    # M = fl(a + c) and N = c with c <= a: M - N misses a by the rounding
+    # of a + c, at most an ulp of 2a, which the tolerance, scaled by the
+    # largest entry, must forgive though it is far over 1e-12 absolute
+    c = share * a
+    split = custom_splitting(SparseMatrix.from_dense([[a]]), SparseMatrix.from_dense([[a + c]]),
+                             SparseMatrix.from_dense([[c]]))
+    assert analyze_splitting(SparseMatrix.from_dense([[a]]), split).is_valid
 
 
 @pytest.mark.parametrize("which", range(6))

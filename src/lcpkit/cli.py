@@ -45,11 +45,30 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError.  A subcommand's
+    parser is given flags, a function that adds its flags, and is built
+    (argparse's own set-up, then flags) only when argparse dispatches to
+    it: a call builds the parser and flags of the command it runs, and
+    of no other."""
+
+    def __init__(self, flags=None, **kwargs):
+        self._unbuilt = None if flags is None else (flags, kwargs)
+        if flags is None:
+            super().__init__(**kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._unbuilt is not None:
+            flags, kwargs = self._unbuilt
+            self._unbuilt = None
+            super().__init__(**kwargs)
+            flags(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise UsageError(message)
 
 
-def _add_problem_flags(p):
+def _problem_flags(p, methods):
     p.add_argument("--family", choices=("example1", "example2", "random"),
                    help="generated problem family; 'random' uses --m as the dimension")
     p.add_argument("--m", type=int, help="block order (n = m*m); dimension for random")
@@ -57,15 +76,18 @@ def _add_problem_flags(p):
     p.add_argument("--seed", type=int, default=0, help="seed for the random family")
     p.add_argument("--matrix", help="MatrixMarket file for A")
     p.add_argument("--sigma", help="plain-text vector file for sigma")
-
-
-def _add_method_flags(p, methods):
     p.add_argument("--method", choices=methods, required=True)
     p.add_argument("--alpha", type=float, help="relaxation parameter")
     p.add_argument("--beta", type=float, help="acceleration parameter (npaor)")
 
 
-def _add_run_flags(p):
+def _output_flags(p):
+    p.add_argument("--format", choices=("csv", "md", "json"), default="md")
+    p.add_argument("--output", help="write the report here instead of stdout")
+
+
+def _solve_flags(p):
+    _problem_flags(p, PROJECTED_METHODS + MODULUS_METHODS)
     p.add_argument("--gamma", type=float, default=1.0, help="modulus scaling")
     p.add_argument("--omega-scale", type=float, default=None,
                    help="Omega = omega_scale * D_A (default 1/(2*alpha))")
@@ -73,54 +95,53 @@ def _add_run_flags(p):
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--init", default="alt",
                    help="start vector: 'alt' for (1,0,1,0,...) or a vector file")
+    _output_flags(p)
+    p.set_defaults(func=cmd_solve)
 
 
-def _add_output_flags(p, default_format="md"):
-    p.add_argument("--format", choices=("csv", "md", "json"), default=default_format)
-    p.add_argument("--output", help="write the report here instead of stdout")
+def _check_flags(p):
+    _problem_flags(p, PROJECTED_METHODS)
+    _output_flags(p)
+    p.set_defaults(func=cmd_check)
+
+
+def _table_flags(p):
+    p.add_argument("which", choices=("table1", "table2"))
+    p.add_argument("--sizes", help="comma-separated n values (perfect squares)")
+    p.add_argument("--delta", type=float, default=4.0)
+    p.add_argument("--gamma", type=float, default=1.0,
+                   help="gamma for the modulus baselines")
+    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--max-iters", type=int, default=10000)
+    _output_flags(p)
+    p.set_defaults(func=cmd_table)
+
+
+def _gen_flags(p):
+    p.add_argument("--family", choices=("example1", "example2", "random"),
+                   required=True)
+    p.add_argument("--m", type=int,
+                   help="block order (n = m*m); dimension for random")
+    p.add_argument("--delta", type=float, default=4.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--matrix", required=True, help="output MatrixMarket path for A")
+    p.add_argument("--sigma", required=True, help="output vector path for sigma")
+    p.add_argument("--solution", help="also write the reference solution here")
+    p.set_defaults(func=cmd_gen)
 
 
 def build_parser():
+    """A new lcpkit parser.  It names the subcommands and their help
+    only; each one's parser and flags are built when it parses
+    (``_Parser``).  No parser is kept between calls, since a kept one
+    would be a process-global memo."""
     parser = _Parser(prog="lcpkit",
                      description="Projected and modulus splitting solvers for LCP(sigma, A)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_solve = sub.add_parser("solve", help="run one method on one problem")
-    _add_problem_flags(p_solve)
-    _add_method_flags(p_solve, PROJECTED_METHODS + MODULUS_METHODS)
-    _add_run_flags(p_solve)
-    _add_output_flags(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_check = sub.add_parser("check", help="evaluate convergence conditions")
-    _add_problem_flags(p_check)
-    _add_method_flags(p_check, PROJECTED_METHODS)
-    _add_output_flags(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_table = sub.add_parser("table", help="reproduce a benchmark table")
-    p_table.add_argument("which", choices=("table1", "table2"))
-    p_table.add_argument("--sizes", help="comma-separated n values (perfect squares)")
-    p_table.add_argument("--delta", type=float, default=4.0)
-    p_table.add_argument("--gamma", type=float, default=1.0,
-                         help="gamma for the modulus baselines")
-    p_table.add_argument("--tol", type=float, default=1e-5)
-    p_table.add_argument("--max-iters", type=int, default=10000)
-    _add_output_flags(p_table, default_format="md")
-    p_table.set_defaults(func=cmd_table)
-
-    p_gen = sub.add_parser("gen", help="write a generated problem to files")
-    p_gen.add_argument("--family", choices=("example1", "example2", "random"),
-                       required=True)
-    p_gen.add_argument("--m", type=int,
-                       help="block order (n = m*m); dimension for random")
-    p_gen.add_argument("--delta", type=float, default=4.0)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--matrix", required=True, help="output MatrixMarket path for A")
-    p_gen.add_argument("--sigma", required=True, help="output vector path for sigma")
-    p_gen.add_argument("--solution", help="also write the reference solution here")
-    p_gen.set_defaults(func=cmd_gen)
-
+    sub.add_parser("solve", help="run one method on one problem", flags=_solve_flags)
+    sub.add_parser("check", help="evaluate convergence conditions", flags=_check_flags)
+    sub.add_parser("table", help="reproduce a benchmark table", flags=_table_flags)
+    sub.add_parser("gen", help="write a generated problem to files", flags=_gen_flags)
     return parser
 
 

@@ -86,10 +86,13 @@ def gen_random_hplus(n, seed):
     bump, which forces the comparison matrix to be an M-matrix with
     positive diagonal.  sigma is uniform on [-5, 5].  Draw order is
     fixed (off-diagonals, bumps, sigma) so instances are reproducible.
+    seed is a nonnegative integer, as numpy's generator takes it.
     """
     n = int(_integers(n, "n"))
     if n < 1:
         raise ValueError("n must be positive")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     dense = rng.uniform(-1.0, 0.0, size=(n, n))
     np.fill_diagonal(dense, 0.0)

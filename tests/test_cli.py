@@ -940,6 +940,9 @@ def test_bad_input_prints_one_line(tmp_path, argv, message):
     assert message in done.stderr
 
 
+_RANDOM_M3_NEGATIVE_SEED = ["--family", "random", "--m", "3", "--seed", "-1"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", *_EXAMPLE1_M3, "--method", "npaor", "--alpha", "1"],
      "npaor requires --alpha and --beta"),
@@ -950,7 +953,13 @@ def test_bad_input_prints_one_line(tmp_path, argv, message):
     (["solve", "--family", "example1", "--method", "npgs"],
      "--m is required for generated families"),
     (["table", "table1", "--sizes", ","], "--sizes is empty"),
-], ids=["npaor-beta", "msor-alpha", "no-problem", "random-m", "family-m", "empty-sizes"])
+    (["solve", *_RANDOM_M3_NEGATIVE_SEED, "--method", "npgs"], "seed must be a nonnegative integer"),
+    (["check", *_RANDOM_M3_NEGATIVE_SEED, "--method", "npgs"], "seed must be a nonnegative integer"),
+    # the output paths lie in no directory: a write would fail with another message
+    (["gen", *_RANDOM_M3_NEGATIVE_SEED, "--matrix", "missing/a.mtx", "--sigma", "missing/s.vec"],
+     "seed must be a nonnegative integer"),
+], ids=["npaor-beta", "msor-alpha", "no-problem", "random-m", "family-m", "empty-sizes",
+        "solve-seed", "check-seed", "gen-seed"])
 def test_bad_input_usage_error(capsys, argv, message):
     code, out, err = _run(capsys, argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -761,6 +761,8 @@ _NEAR_ONE = st.one_of(st.none(), st.sampled_from([-1e-12, -1e-13, 0.0, 1e-13, 1e
 
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), delta=_NEAR_ONE)
+# a full 3 x 3 M-matrix that the Jacobi bracket decides
+@example(n=3, seed=0, delta=None)
 def test_verified_m_verdicts_hold_in_exact_arithmetic(n, seed, delta):
     from unittest import mock
 
@@ -774,13 +776,15 @@ def test_verified_m_verdicts_hold_in_exact_arithmetic(n, seed, delta):
             return True
         return False
 
-    # classify checks the u of its witness solve as well as the probe's
+    # classify checks the u of its witness solve as well as the probe's;
+    # the probe's own vectors are counted before classify runs
     with mock.patch.object(matrix_core, "_verified_positive", record):
         is_m = matrix_core._m_probe(z)
+        probe_verified = len(verified)
         classify(z, p_matrix_limit=0)
     triangle = z._triangle()
     if is_m and not (np.all(triangle <= 0) or np.all(triangle >= 0)):
-        assert verified  # off the triangular path, only a verified u says M
+        assert probe_verified  # off the triangular path, only a verified u says M
     for terms, u in verified:
         assert all(x > 0 for x in u.tolist())
         assert all(row > 0 for row in _exact_rows(terms, u))
@@ -857,6 +861,7 @@ def test_verified_positive_refuses_an_overflowing_bound():
 _SIGNED_ENTRY = st.one_of(st.just(0.0), st.floats(-2.0, 2.0), st.floats(-1e-160, 1e-160),
                           st.sampled_from([1.0, -1.0, 0.5, 2.0**53, -(2.0**53), 5e-324]))
 _MIXED_SIGN_T = [[1.0, 2.0**53, -(2.0**53)], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
+_UNDERFLOWING_PRODUCTS = [[0.6, 0.6, -1.4], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 @st.composite
@@ -873,16 +878,21 @@ def _signed_terms_and_u(draw):
                                      st.sampled_from([1.0, 0.5, 1.0 + 2.0**-52, 1.0 - 2.0**-53])))
         terms.append((draw(st.sampled_from([1, -1])), draw(st.one_of(options))))
     u = draw(st.one_of(st.just(np.ones(n)), hnp.arrays(np.float64, n, elements=st.one_of(
-        st.floats(0.5, 2.0), st.floats(1e-320, 1e-150)))))
+        st.floats(0.5, 2.0), st.floats(1e-320, 1e-150), st.sampled_from([5e-324, 1e-323])))))
     return terms, u
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_signed_terms_and_u())
 @example(case=([(1, np.eye(3)), (-1, np.array(_MIXED_SIGN_T))], np.ones(3)))
+@example(case=([(1, np.array(_UNDERFLOWING_PRODUCTS))], np.full(3, 5e-324)))
 def test_verified_positive_terms_hold_in_exact_arithmetic(case):
     # row 0 of the mixed-sign example is 1 - (1 + 2^53 - 2^53) = 0 exactly,
-    # while the float sum is 1: only a bound on |T| u refuses it
+    # while the float sum is 1: only a bound on |T| u refuses it.  Row 0
+    # of the underflowing example is (0.6 + 0.6 - 1.4) 2^-1074 < 0 exactly,
+    # while its products round to 2^-1074, 2^-1074 and -2^-1074, whose sum
+    # is positive and whose gamma-scaled magnitude underflows to 0: only
+    # the smallest subnormal per product refuses it
     terms = [(sign, SparseMatrix.from_dense(dense)) for sign, dense in case[0]]
     u = case[1]
     if matrix_core._verified_positive(terms, u):

@@ -26,8 +26,7 @@ matrix_core's (``_dense_inverse``, ``_m_probe``).
 """
 
 import warnings
-from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -55,9 +54,14 @@ class ModeUnsupportedError(ValueError):
     """The requested rho mode does not apply to this operator's structure."""
 
 
-@dataclass(frozen=True, kw_only=True)
-class ConvergenceCertificate:
-    """Evaluated sufficient conditions for one (matrix, splitting) pair.
+class ConvergenceCertificate(NamedTuple("ConvergenceCertificate", [
+        ("rho_t", Optional[float]), ("rho_lower", Optional[float]), ("rho_upper", Optional[float]),
+        ("power_iterations", Optional[int]), ("rho_mode", Optional[str]),
+        ("spectral_condition_ok", Optional[bool]), ("h_plus", bool), ("h_compatible", bool),
+        ("diag_geq_one", bool), ("coupling_matrix_is_m", bool), ("diag_below_one", bool),
+        ("hmatrix_conditions_ok", bool), ("notes", str)])):
+    """Evaluated sufficient conditions for one (matrix, splitting) pair,
+    built from keywords only.
 
     The spectral fields are present only when a spectral check was
     requested: [rho_lower, rho_upper] is the Collatz-Wielandt bracket on
@@ -71,22 +75,21 @@ class ConvergenceCertificate:
     fields are declared in the order of the JSON record.
     """
 
-    rho_t: Optional[float] = None
-    rho_lower: Optional[float] = None
-    rho_upper: Optional[float] = None
-    power_iterations: Optional[int] = None
-    rho_mode: Optional[str] = None
-    spectral_condition_ok: Optional[bool] = None
-    h_plus: bool
-    h_compatible: bool
-    diag_geq_one: bool
-    coupling_matrix_is_m: bool
-    diag_below_one: bool
-    hmatrix_conditions_ok: bool
-    notes: str = ""
+    __slots__ = ()
+
+    def __new__(cls, *, rho_t=None, rho_lower=None, rho_upper=None, power_iterations=None,
+                rho_mode=None, spectral_condition_ok=None, h_plus, h_compatible, diag_geq_one,
+                coupling_matrix_is_m, diag_below_one, hmatrix_conditions_ok, notes=""):
+        return super().__new__(cls, rho_t, rho_lower, rho_upper, power_iterations, rho_mode,
+                               spectral_condition_ok, h_plus, h_compatible, diag_geq_one,
+                               coupling_matrix_is_m, diag_below_one, hmatrix_conditions_ok, notes)
+
+    def __getnewargs_ex__(self):
+        # copy and pickle construct through __new__, which takes keywords only
+        return (), self._asdict()
 
     def to_json_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _mode_for(a, mode):

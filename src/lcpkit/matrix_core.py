@@ -50,7 +50,6 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -108,6 +107,15 @@ def _integers(x, what):
     if kind not in "biu" and not (kind == "f" and np.all(np.isfinite(x) & (np.trunc(x) == x))):
         raise ValueError(f"{what} must be integral")
     return x.astype(np.int64, copy=False)
+
+
+def _record(name, fields):
+    """The NamedTuple base (``NamedTuple(name, fields)``) of a record whose
+    subclass checks and converts its fields in ``__new__``: its ``_make``,
+    and so ``_replace``, construct through that ``__new__`` too."""
+    base = NamedTuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
 def _index_dtype(maxval):
@@ -453,8 +461,7 @@ def _plus_diagonal(pattern, values, d):
                    SparseMatrix._made(_Pattern(pattern.n, starts, cols), d[cols]))
 
 
-@dataclass(frozen=True)
-class DluParts:
+class DluParts(NamedTuple):
     """Diagonal / negated-strict-lower / negated-strict-upper decomposition.
 
     Reassembling diag(d) - l - u reproduces the source matrix bitwise, since
@@ -629,8 +636,7 @@ def _principal_minors_positive(a, limit):
     return True
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Outcome of the Z/M/H/H+/P classification scans."""
 
     is_z: bool

@@ -8,31 +8,27 @@ diagonally dominant test instances, and oracle_solve recovers exact
 solutions for tiny problems by support enumeration.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .matrix_core import SparseMatrix, _integers
+from .matrix_core import SparseMatrix, _integers, _record
 from .solvers import LcpProblem, alternating_solution
 
 ORACLE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class BenchSpec:
+class BenchSpec(_record("BenchSpec", [("family", str), ("m", int), ("delta1", float)])):
     """Benchmark family selector: family name, block order m (n = m*m), shift."""
 
-    family: str
-    m: int
-    delta1: float = 4.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("example1", "example2"):
+    def __new__(cls, family, m, delta1=4.0):
+        if family not in ("example1", "example2"):
             raise ValueError("family must be 'example1' or 'example2'")
-        if _integers(self.m, "block order m") < 2:
+        if _integers(m, "block order m") < 2:
             raise ValueError("block order m must be at least 2")
-        if not 0.0 <= self.delta1 < np.inf:
+        if not 0.0 <= delta1 < np.inf:
             raise ValueError("delta1 must be nonnegative and finite")
+        return super().__new__(cls, family, m, delta1)
 
     def build(self):
         gen = gen_example1 if self.family == "example1" else gen_example2

@@ -10,13 +10,12 @@ or the stopping test; the reported solution is always the projection.
 """
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .matrix_core import (DENSE_LIMIT, SparseMatrix, _dense_solver, _integers, _product, _schedule,
-                          lower_triangular_solve)
+from .matrix_core import (DENSE_LIMIT, SparseMatrix, _dense_solver, _integers, _product, _record,
+                          _schedule, lower_triangular_solve)
 from .splittings import SplittingKind, make_splitting
 
 DIVERGENCE_NORM = 1e12
@@ -66,55 +65,52 @@ def alternating_solution(n):
     return v
 
 
-@dataclass(frozen=True)
-class LcpProblem:
+class LcpProblem(_record("LcpProblem", [("a", SparseMatrix), ("sigma", np.ndarray),
+                                          ("known_solution", Optional[np.ndarray])])):
     """Matrix A and vector sigma; optionally a known solution for benchmarks."""
 
-    a: SparseMatrix
-    sigma: np.ndarray
-    known_solution: Optional[np.ndarray] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.a, SparseMatrix):
+    def __new__(cls, a, sigma, known_solution=None):
+        if not isinstance(a, SparseMatrix):
             raise ValueError("a must be a SparseMatrix")
-        object.__setattr__(self, "sigma", _readonly(self.sigma, self.a.n, "sigma"))
-        if not _representable(self.a, _divergence_bound(self.sigma)):
+        sigma = _readonly(sigma, a.n, "sigma")
+        if not _representable(a, _divergence_bound(sigma)):
             raise ValueError(
                 f"problem scale not representable: {DIVERGENCE_NORM:g} * max(1, max|sigma|)"
                 f" * max(1, largest absolute row sum of A) must stay below {_SCALE_LIMIT:.3g}"
             )
-        if self.known_solution is not None:
-            lam = _readonly(self.known_solution, self.a.n, "known_solution")
-            w = self.a.matvec(lam) + self.sigma
+        if known_solution is not None:
+            lam = known_solution = _readonly(known_solution, a.n, "known_solution")
+            w = a.matvec(lam) + sigma
             if lam.min() < 0.0 or w.min() < -1e-9 or abs(float(lam @ w)) > 1e-9:
                 raise ValueError("known_solution does not solve the problem")
-            object.__setattr__(self, "known_solution", lam)
+        return super().__new__(cls, a, sigma, known_solution)
 
     @property
     def n(self):
         return self.a.n
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_record("SolverConfig", [("tol", float), ("max_iters", int),
+                                            ("initial", Optional[np.ndarray])])):
     """Stopping rule: residual threshold, iteration cap, start vector.
 
     initial is the raw start state; None means the alternating
     (1, 0, 1, 0, ...) pattern of the benchmark protocol.
     """
 
-    tol: float = 1e-5
-    max_iters: int = 10000
-    initial: Optional[np.ndarray] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.tol < np.inf:
+    def __new__(cls, tol=1e-5, max_iters=10000, initial=None):
+        if not 0.0 < tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        object.__setattr__(self, "max_iters", int(_integers(self.max_iters, "max_iters")))
-        if self.max_iters < 1:
+        max_iters = int(_integers(max_iters, "max_iters"))
+        if max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.initial is not None:
-            object.__setattr__(self, "initial", _readonly(self.initial, name="initial"))
+        if initial is not None:
+            initial = _readonly(initial, name="initial")
+        return super().__new__(cls, tol, max_iters, initial)
 
     def start_vector(self, n):
         if self.initial is None:
@@ -124,28 +120,23 @@ class SolverConfig:
         return np.array(self.initial)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(_record("SolveReport", [
+        ("lam", np.ndarray), ("iterations", int), ("residuals", np.ndarray), ("converged", bool),
+        ("wall_seconds", float), ("cpu_seconds", float), ("method", str),
+        ("alpha", Optional[float]), ("beta", Optional[float]), ("gamma", Optional[float])])):
     """Outcome of one solve: final iterate, counts, and residual history.
 
     wall_seconds and cpu_seconds (the solving thread's CPU time) both
     cover the passes only, not the assembly before them.
     """
 
-    lam: np.ndarray
-    iterations: int
-    residuals: np.ndarray
-    converged: bool
-    wall_seconds: float
-    cpu_seconds: float
-    method: str = ""
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    gamma: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _readonly(self.lam, name="lam"))
-        object.__setattr__(self, "residuals", _readonly(self.residuals, name="residuals"))
+    def __new__(cls, lam, iterations, residuals, converged, wall_seconds, cpu_seconds, method="",
+                alpha=None, beta=None, gamma=None):
+        return super().__new__(cls, _readonly(lam, name="lam"), iterations,
+                               _readonly(residuals, name="residuals"), converged, wall_seconds,
+                               cpu_seconds, method, alpha, beta, gamma)
 
     @property
     def residual_final(self):
@@ -165,8 +156,8 @@ class SolveReport:
         }
 
 
-@dataclass(frozen=True)
-class ModulusConfig:
+class ModulusConfig(_record("ModulusConfig", [("variant", str), ("alpha", float),
+                                              ("omega_scale", Optional[float]), ("gamma", float)])):
     """Modulus baseline knobs: variant, relaxation, Omega scale, gamma.
 
     Omega is the diagonal matrix omega_scale * D_A; omega_scale defaults
@@ -175,18 +166,15 @@ class ModulusConfig:
     so the iteration count) is not, hence the knob.
     """
 
-    variant: str = "mgs"
-    alpha: float = 1.0
-    omega_scale: Optional[float] = None
-    gamma: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variant not in ("mgs", "msor"):
+    def __new__(cls, variant="mgs", alpha=1.0, omega_scale=None, gamma=1.0):
+        if variant not in ("mgs", "msor"):
             raise ValueError("variant must be 'mgs' or 'msor'")
-        for name in ("alpha", "omega_scale", "gamma"):
-            value = getattr(self, name)
+        for name, value in (("alpha", alpha), ("omega_scale", omega_scale), ("gamma", gamma)):
             if value is not None and not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        return super().__new__(cls, variant, alpha, omega_scale, gamma)
 
     def effective_omega_scale(self):
         if self.omega_scale is not None:

@@ -12,12 +12,11 @@ hold bitwise, not just within rounding.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix_core import SparseMatrix, _m_probe, comparison_matrix
+from .matrix_core import SparseMatrix, _m_probe, _record, comparison_matrix
 
 _TAGS = ("npj", "npgs", "npsor", "npaor", "custom")
 
@@ -25,26 +24,25 @@ _TAGS = ("npj", "npgs", "npsor", "npaor", "custom")
 EQ_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SplittingKind:
+class SplittingKind(_record("SplittingKind", [("tag", str), ("alpha1", Optional[float]),
+                                              ("beta1", Optional[float])])):
     """Named member of the splitting family with its parameters.
 
     alpha1 is the relaxation parameter (npsor, npaor); beta1 the
     acceleration parameter (npaor only).  Both are ignored for npj/npgs.
     """
 
-    tag: str
-    alpha1: Optional[float] = None
-    beta1: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise ValueError(f"unknown splitting tag {self.tag!r}")
-        if self.tag in ("npsor", "npaor"):
-            if self.alpha1 is None or not 0.0 < self.alpha1 < math.inf:
-                raise ValueError(f"{self.tag} requires a finite alpha1 > 0")
-        if self.tag == "npaor" and (self.beta1 is None or not math.isfinite(self.beta1)):
+    def __new__(cls, tag, alpha1=None, beta1=None):
+        if tag not in _TAGS:
+            raise ValueError(f"unknown splitting tag {tag!r}")
+        if tag in ("npsor", "npaor"):
+            if alpha1 is None or not 0.0 < alpha1 < math.inf:
+                raise ValueError(f"{tag} requires a finite alpha1 > 0")
+        if tag == "npaor" and (beta1 is None or not math.isfinite(beta1)):
             raise ValueError("npaor requires a finite beta1")
+        return super().__new__(cls, tag, alpha1, beta1)
 
     @classmethod
     def npj(cls):
@@ -75,8 +73,7 @@ class SplittingKind:
         raise ValueError("custom kinds carry no assembly parameters")
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(NamedTuple):
     """A pair (M, N) with M - N equal to the generating matrix."""
 
     m: SparseMatrix
@@ -84,8 +81,7 @@ class Splitting:
     kind: SplittingKind
 
 
-@dataclass(frozen=True)
-class SplittingAnalysis:
+class SplittingAnalysis(NamedTuple):
     is_valid: bool
     is_m_splitting: bool
     is_h_compatible: bool

@@ -406,23 +406,11 @@ def test_check_leaves_sparse_solvers_unloaded(tmp_path):
         assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
 
-def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
-    # no command imports a scipy module: the CSR kernels
-    # (scipy.sparse._sparsetools) are loaded from their file in scipy's
-    # install at import, and LAPACK (scipy.linalg._flapack), for check's
-    # dense inverse, from its file on first use; scipy.sparse's Python
-    # layer and scipy.sparse.linalg (spsolve) are imported where they are
-    # used, off these paths
+def _footprint_runs(tmp_path):
+    """Argument lists that cover every command, and no command ([])."""
     a = BenchSpec("example1", 6).build().a
     path = tmp_path / "scaled.mtx"
     matrix_core.write_matrix_market(a.scaled(0.9 / a.diagonal_vector().max()), str(path))
-    env = _env_with_src()
-    code = ("import importlib.util, json, os, sys, lcpkit.cli\n"
-            "code = lcpkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-            "kernels = lcpkit.matrix_core._kernels.__file__\n"
-            "scipy_dir = importlib.util.find_spec('scipy').submodule_search_locations[0]\n"
-            "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'scipy'],"
-            " os.path.dirname(kernels) == os.path.join(scipy_dir, 'sparse')]))")
     small = ["--family", "example1", "--m", "6"]
     runs = [[], ["table", "table1", "--sizes", "100,900"]]
     runs += [["solve", *small, "--method", method, *alpha] for method, alpha in (
@@ -432,11 +420,42 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
              for problem in (small, ["--matrix", str(path)])]
     runs += [["gen", *small, "--matrix", str(tmp_path / "a.mtx"),
               "--sigma", str(tmp_path / "s.vec")]]
-    for argv in runs:
+    return runs
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
+    # no command imports a scipy module: the CSR kernels
+    # (scipy.sparse._sparsetools) are loaded from their file in scipy's
+    # install at import, and LAPACK (scipy.linalg._flapack), for check's
+    # dense inverse, from its file on first use; scipy.sparse's Python
+    # layer and scipy.sparse.linalg (spsolve) are imported where they are
+    # used, off these paths
+    env = _env_with_src()
+    code = ("import importlib.util, json, os, sys, lcpkit.cli\n"
+            "code = lcpkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "kernels = lcpkit.matrix_core._kernels.__file__\n"
+            "scipy_dir = importlib.util.find_spec('scipy').submodule_search_locations[0]\n"
+            "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'scipy'],"
+            " os.path.dirname(kernels) == os.path.join(scipy_dir, 'sparse')]))")
+    for argv in _footprint_runs(tmp_path):
         done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                               text=True)
         status, loaded, from_file = json.loads(done.stdout.splitlines()[-1])
         assert status == 0 and loaded == [] and from_file, (argv, loaded, done.stderr)
+
+
+def test_cli_import_leaves_dataclasses_unloaded(tmp_path):
+    # lcpkit's records are NamedTuples, so neither the import nor any
+    # command loads dataclasses, whose class set-up once took most of
+    # lcpkit's import time (numpy does not import it)
+    env = _env_with_src()
+    code = ("import sys, lcpkit.cli\n"
+            "code = lcpkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(code, 'dataclasses' in sys.modules)")
+    for argv in _footprint_runs(tmp_path):
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                              text=True)
+        assert done.stdout.splitlines()[-1] == "0 False", (argv, done.stderr)
 
 
 def test_cli_import_only_matrix_core_binds_compiled_modules(capsys):

@@ -159,6 +159,12 @@ class _Pattern:
             self._tri.setflags(write=False)
         return self._tri
 
+    def per_entry(self, lower, diagonal, upper):
+        """Each stored entry's value of its triangle, in storage order: lower
+        below the diagonal, diagonal on it and upper above it."""
+        # a triangle -1 takes the last of the three
+        return np.take([diagonal, upper, lower], self.triangle(), mode="wrap")
+
     def sub(self, lower, diagonal, upper):
         """(the pattern of the entries in the triangles kept, the mask of
         those entries here), in storage order and this index dtype: the
@@ -167,8 +173,7 @@ class _Pattern:
         (this pattern, None) when it has no entry in a triangle dropped."""
         key = (lower, diagonal, upper)
         if key not in self._subs:
-            tri = self.triangle()
-            kept = np.array(key)[tri + 1]
+            kept = self.per_entry(*key)
             sub = None  # this pattern itself, to which self._subs must not refer
             if not kept.all():
                 kept.setflags(write=False)
@@ -181,8 +186,8 @@ class _Pattern:
         storage order keeps, with their triangles when found here."""
         before = np.zeros(keep.size + 1, dtype=self.row_starts.dtype)
         np.cumsum(keep, out=before[1:])
-        return _Pattern(self.n, before[self.row_starts], self.col_indices[keep],
-                        None if self._tri is None else self._tri[keep])
+        return _Pattern(self.n, before[self.row_starts], self.col_indices.compress(keep),
+                        None if self._tri is None else self._tri.compress(keep))
 
     def cut(self):
         """The cut of this lower-triangular pattern with a full diagonal
@@ -190,6 +195,9 @@ class _Pattern:
         if self._cut is None:
             self._cut = _choose_cut(self)
         return self._cut
+
+
+_NOT_FINITE = "matrix entry is not finite (nan/inf input or overflow)"
 
 
 class SparseMatrix:
@@ -239,9 +247,9 @@ class SparseMatrix:
         read-only."""
         keep = values != 0.0
         if not keep.all():
-            pattern, values = pattern.select(keep), values[keep]
+            pattern, values = pattern.select(keep), values.compress(keep)
         if not np.all(np.isfinite(values)):
-            raise ValueError("matrix entry is not finite (nan/inf input or overflow)")
+            raise ValueError(_NOT_FINITE)
         values.setflags(write=False)
         self._pattern, self._values, self._schedule = pattern, values, None
         return self
@@ -249,6 +257,11 @@ class SparseMatrix:
     @classmethod
     def _made(cls, pattern, values):
         return cls.__new__(cls)._own(pattern, values)
+
+    def __reduce__(self):
+        """Copy and pickle rebuild the matrix from its three arrays
+        (``_copied``), so no cache of its pattern or schedule comes along."""
+        return _copied, (self.n, self.row_starts, self.col_indices, self._values)
 
     # ------------------------------------------------------------------
     # constructors
@@ -351,7 +364,8 @@ class SparseMatrix:
         return d
 
     def max_abs(self):
-        return float(np.abs(self.values).max()) if self.nnz else 0.0
+        values = self.values
+        return max(float(values.max()), -float(values.min())) if self.nnz else 0.0
 
     def is_lower_triangular(self):
         return not np.any(self._triangle() > 0)
@@ -419,9 +433,45 @@ class SparseMatrix:
         diag = np.broadcast_to(np.asarray(diag, dtype=np.float64), (self.n,))
         pattern, kept = self._pattern.sub(bool(lower != 0.0), bool(diag.any()),
                                           bool(upper != 0.0))
-        values = self.values if kept is None else self.values[kept]
-        coefficient = np.array([lower, 0.0, upper])[pattern.triangle() + 1]
-        return _plus_diagonal(pattern, values * coefficient, diag)
+        values = self.values if kept is None else self.values.compress(kept)
+        return _plus_diagonal(pattern, values * pattern.per_entry(lower, 0.0, upper), diag)
+
+    def _scaled_triangles(self, diagonal, lower, upper):
+        """(diag(diagonal * d) + lower * (strict lower part) + upper *
+        (strict upper part), d the diagonal vector, and its values on this
+        pattern, one product per stored entry, zeros kept, for the caller
+        to write into): the matrix holds a copy of the values, without
+        zeros, on the sub-pattern of the triangles with a nonzero
+        coefficient (``_Pattern.sub``).  A diagonal that is not finite is
+        refused: diagonal * d is nan where d_i is 0, infinite elsewhere."""
+        if not np.isfinite(diagonal):
+            raise ValueError(_NOT_FINITE)
+        values = self._pattern.per_entry(float(lower), float(diagonal), float(upper))
+        np.multiply(self.values, values, out=values)
+        pattern, kept = self._pattern.sub(bool(lower != 0.0), bool(diagonal != 0.0),
+                                          bool(upper != 0.0))
+        own = values.copy() if kept is None else values.compress(kept)
+        return SparseMatrix._made(pattern, own), values
+
+
+def _copied(n, row_starts, col_indices, values):
+    """A copied matrix, built by ``_made`` on a fresh pattern: its arrays
+    are made read-only as a build's are, and its caches start empty."""
+    return SparseMatrix._made(_Pattern(n, row_starts, col_indices), values)
+
+
+def _read_only(record):
+    """How a copy or a pickle rebuilds a record that holds read-only
+    arrays: (a function that makes them read-only again and builds the
+    record from its fields, those fields)."""
+    return _frozen, (type(record), tuple(record))
+
+
+def _frozen(cls, fields):
+    for value in fields:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return cls(*fields)
 
 
 def _merged(kernel, pattern, values, other):
@@ -474,6 +524,8 @@ class DluParts(NamedTuple):
 
     def reassemble(self):
         return SparseMatrix.diagonal(self.d).add(self.l.scaled(-1)).add(self.u.scaled(-1))
+
+    __reduce__ = _read_only
 
 
 def dlu_split(a):
@@ -649,6 +701,8 @@ class ClassificationReport(NamedTuple):
     # solve) or the solve's v did not verify
     witness_v: Optional[np.ndarray] = None
 
+    __reduce__ = _read_only
+
 
 def classify(a, p_matrix_limit=12):
     """Classify a square matrix as Z / M / H / H+ and, when small, P.
@@ -697,6 +751,8 @@ class RadiusEstimate(NamedTuple):
     upper: float = float("inf")
     overflowed: bool = False
     vector: Optional[np.ndarray] = None
+
+    __reduce__ = _read_only
 
 
 def _as_apply(t, n=None):
@@ -866,10 +922,10 @@ class _LevelCut(NamedTuple):
 
     def schedule(self, data, pivots):
         """The schedule of a matrix with this pattern, data and pivots."""
-        vals = np.negative(data[self.entries])
+        vals = np.negative(data.take(self.entries))
         # each row's diagonal, its last entry, becomes the entry 1.0 on b_i
         vals[self.starts[1:] - 1] = 1.0
-        pivots = pivots[self.order]
+        pivots = pivots.take(self.order)
         for arr in (vals, pivots):
             arr.setflags(write=False)
         return _LevelSchedule(self, vals, tuple(pivots[lo:hi] for lo, hi, _ in self.levels), [])
@@ -1082,12 +1138,15 @@ def _level_cut(m, max_depth):
     n, idx = m.n, m.col_indices.dtype
     cols = memoryview(m.col_indices)
     level = [-1] * n
-    get = level.__getitem__
     lo = 0
     for i, hi in enumerate(memoryview(m.row_starts)[1:]):
         # the row's own diagonal entry reads the -1 it still holds, below
         # every level, so a row with no other entry gets level 0
-        level[i] = max(map(get, cols[lo:hi])) + 1
+        top = -1
+        for j in cols[lo:hi]:
+            if level[j] > top:
+                top = level[j]
+        level[i] = top + 1
         lo = hi
     level = np.array(level, dtype=idx)
     depth = int(level.max()) + 1

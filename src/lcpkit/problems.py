@@ -45,20 +45,17 @@ def _block_tridiag(m, delta1, sub, sup):
         raise ValueError("delta1 must be nonnegative")
     n = m * m
     idx = np.arange(n)
-    rows = [idx]
-    cols = [idx]
-    vals = [np.full(n, 4.0 + delta1)]
     inner = idx[idx % m != m - 1]  # no coupling across block boundaries
-    rows += [inner, inner + 1]
-    cols += [inner + 1, inner]
-    vals += [np.full(inner.size, -1.0), np.full(inner.size, -1.0)]
     outer = idx[: n - m]
-    rows += [outer, outer + m]
-    cols += [outer + m, outer]
-    vals += [np.full(outer.size, sup), np.full(outer.size, sub)]
+    # the diagonals in column order, i - m, i - 1, i, i + 1 and i + m: the
+    # kernel that from_coo runs (coo_tocsr) keeps the order of the triplets
+    # within a row, so each row comes out sorted, with nothing to sum
     a = SparseMatrix.from_coo(
-        n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+        n, np.concatenate([outer + m, inner + 1, idx, inner, outer]),
+        np.concatenate([outer, inner, idx, inner + 1, outer + m]),
+        np.concatenate([np.full(outer.size, sub), np.full(inner.size, -1.0),
+                        np.full(n, 4.0 + delta1), np.full(inner.size, -1.0),
+                        np.full(outer.size, sup)]))
     lam_star = alternating_solution(n)
     sigma = -a.matvec(lam_star)
     return LcpProblem(a=a, sigma=sigma, known_solution=lam_star)

@@ -9,6 +9,7 @@ projection max(0, zeta) wherever the iterate enters the right-hand side
 or the stopping test; the reported solution is always the projection.
 """
 
+import math
 import time
 from typing import Optional
 
@@ -192,7 +193,9 @@ def residual(p, lam, work=None):
         raise ValueError("lambda length mismatch")
     w = p.a.matvec(lam, out=work)
     np.add(w, p.sigma, out=w)
-    return float(np.linalg.norm(np.minimum(lam, w, out=w)))
+    np.minimum(lam, w, out=w)
+    # numpy's norm of a real vector, bit for bit, without its dispatch
+    return math.sqrt(w.dot(w))
 
 
 def _linear_solver_for(lhs):

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix_core import SparseMatrix, _m_probe, _record, comparison_matrix
+from .matrix_core import _NOT_FINITE, SparseMatrix, _m_probe, _record, comparison_matrix
 
 _TAGS = ("npj", "npgs", "npsor", "npaor", "custom")
 
@@ -87,10 +87,11 @@ class SplittingAnalysis(NamedTuple):
     is_h_compatible: bool
 
 
-def _family_parts(a, alpha, beta):
+def _family_parts(alpha, beta):
     """M = (1/a)(D - bL), N = (1/a)[(1-a)D + (a-b)L + aU] from A = D - L - U,
-    as the (diagonal, lower, upper) arguments of ``SparseMatrix._by_triangle``
-    that build M and N from A.
+    as the (diagonal, lower, upper) arguments of
+    ``SparseMatrix._scaled_triangles`` that build M and N from A: each
+    a coefficient on A's own entries of that triangle.
 
     Zero coefficients drop their terms entirely (construction discards
     exact zeros), which is what makes the pinned-parameter reductions
@@ -98,13 +99,8 @@ def _family_parts(a, alpha, beta):
     strict triangles of A, so a coefficient c on L or U is -c on A's own
     entries: (-x) c = x (-c) exactly.
     """
-    d = a.diagonal_vector()
     inv = 1.0 / alpha
-    # an entry that overflows (a tiny alpha), or a nan from 0 * inf on a
-    # missing diagonal, is refused by the build
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ((d * inv, beta * inv, 0.0),
-                (d * ((1.0 - alpha) * inv), -((alpha - beta) * inv), -(alpha * inv)))
+    return (inv, beta * inv, 0.0), ((1.0 - alpha) * inv, -((alpha - beta) * inv), -(alpha * inv))
 
 
 def make_splitting(a, kind):
@@ -113,16 +109,28 @@ def make_splitting(a, kind):
     The matrices always come from the splitting definitions (the M - N = A
     identity is checked on every construction, and parameters under which
     rounding breaks it raise ValueError); parameterized display shortcuts
-    are never used.
+    are never used.  The check is ``_entrywise_close``'s, made on A's own
+    pattern, where M and N are built with the zeros they drop: M - N, and
+    then A subtracted, one subtraction per entry each, are bitwise what
+    the merges of M - N and then of A give.
     """
     if not isinstance(a, SparseMatrix):
         raise ValueError("expected a SparseMatrix")
     if kind.tag == "custom":
         raise ValueError("use custom_splitting for caller-provided pairs")
     alpha, beta = kind.effective_parameters()
-    m_parts, n_parts = _family_parts(a, alpha, beta)
-    m, n_part = a._by_triangle(*m_parts), a._by_triangle(*n_parts)
-    if not _entrywise_close(m.subtract(n_part), a):
+    m_parts, n_parts = _family_parts(alpha, beta)
+    # an entry of M or N that overflows (a tiny alpha) is refused by the
+    # build; their values are finite then, and only an overflow of M - N or
+    # of M - N - A leaves an error that is not
+    with np.errstate(over="ignore"):
+        (m, mv), (n_part, x) = a._scaled_triangles(*m_parts), a._scaled_triangles(*n_parts)
+        np.subtract(mv, x, out=x)  # M - N, in N's values on A's pattern
+        scale = max(1.0, float(x.max(initial=0.0)), -float(x.min(initial=0.0)), a.max_abs())
+        error = float(np.abs(np.subtract(x, a.values, out=x), out=x).max(initial=0.0))
+    if not math.isfinite(error):
+        raise ValueError(_NOT_FINITE)
+    if not error <= EQ_TOL * scale:
         raise ValueError(f"{kind.tag} splitting with alpha = {alpha:g}, beta = {beta:g}"
                          " fails M - N = A within tolerance")
     return Splitting(m=m, n_part=n_part, kind=kind)

@@ -959,6 +959,18 @@ def test_bad_input_prints_one_line(tmp_path, argv, message):
     assert message in done.stderr
 
 
+def test_bad_input_overflowing_splitting_product_prints_one_line(tmp_path):
+    # M's lower coefficient beta / alpha = 1e300 is finite, and its product
+    # with the entry 1e200 overflows: an input error, with no numpy
+    # RuntimeWarning before it
+    files = _problem_files(tmp_path, "2 2 3\n1 1 1.0\n2 1 1e200\n2 2 1.0\n")
+    done = subprocess.run([sys.executable, "-m", "lcpkit.cli", "check", files[0], files[1],
+                           "--method", "npaor", "--alpha", "1e-300", "--beta", "1"],
+                          cwd=tmp_path, env=_env_with_src(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (
+        1, "error: matrix entry is not finite (nan/inf input or overflow)\n")
+
+
 _RANDOM_M3_NEGATIVE_SEED = ["--family", "random", "--m", "3", "--seed", "-1"]
 
 

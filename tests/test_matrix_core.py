@@ -1582,6 +1582,12 @@ def _levels_by_loop(m):
     return level
 
 
+def _grid_lower(family, m):
+    """The lower triangle of a benchmark family's matrix: the pattern of
+    its system matrices, on whose 2m - 1 levels the level pass is tuned."""
+    return np.tril(BenchSpec(family, m).build().a.to_dense())
+
+
 @_EXACT
 @given(d=_LOWER)
 @example(d=np.eye(1))
@@ -1589,6 +1595,11 @@ def _levels_by_loop(m):
 @example(d=np.tril(np.ones((6, 6))))
 @example(d=np.eye(5) + np.diag([1.0, 0.0, 0.0, 1.0], -1))
 @example(d=np.eye(9) + np.diag(np.ones(7), -2))
+@example(d=_grid_lower("example1", 4))
+@example(d=_grid_lower("example1", 5))
+@example(d=_grid_lower("example2", 4))
+@example(d=_grid_lower("example2", 5))
+@example(d=np.eye(16) + sum(np.diag(np.ones(16 - k), -k) for k in (2, 4, 6)))
 def test_levels_match_longest_dependency_chain(d):
     m = SparseMatrix.from_dense(d)
     per_row = np.diff(m.row_starts) - 1

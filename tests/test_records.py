@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from lcpkit import (BenchSpec, ClassificationReport, ConvergenceCertificate, DluParts, LcpProblem,
-                    ModulusConfig, SolveReport, SolverConfig, Splitting, SplittingAnalysis,
-                    SplittingKind, analyze_splitting, check_spectral_condition, classify,
-                    dlu_split, make_splitting, projected_solve)
+                    ModulusConfig, SolveReport, SolverConfig, SparseMatrix, Splitting,
+                    SplittingAnalysis, SplittingKind, analyze_splitting, check_spectral_condition,
+                    classify, dlu_split, lower_triangular_solve, make_splitting, projected_solve)
+from lcpkit.matrix_core import spectral_radius_nonneg
+from lcpkit.solvers import shifted_system
+
+_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda r: pickle.loads(pickle.dumps(r, pickle.HIGHEST_PROTOCOL)),
+          "pickle2": lambda r: pickle.loads(pickle.dumps(r, 2))}
 
 
 def _records():
@@ -37,11 +43,9 @@ def test_records_cover_the_eleven_types():
         ModulusConfig, SolveReport, SolverConfig, Splitting, SplittingAnalysis, SplittingKind}
 
 
-@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle", "pickle2"])
+@pytest.mark.parametrize("how", sorted(_TRIPS))
 def test_records_round_trip_through_copy_and_pickle(how):
-    trip = {"copy": copy.copy, "deepcopy": copy.deepcopy,
-            "pickle": lambda r: pickle.loads(pickle.dumps(r, pickle.HIGHEST_PROTOCOL)),
-            "pickle2": lambda r: pickle.loads(pickle.dumps(r, 2))}[how]
+    trip = _TRIPS[how]
     for record in _records():
         again = trip(record)
         assert _same(again, record), (how, record)
@@ -84,3 +88,52 @@ def test_replace_normalises_like_the_constructor():
     assert again.lam is not lam and not again.lam.flags.writeable
     assert again.residuals.dtype == np.float64 and not again.residuals.flags.writeable
     assert again.residual_final == 1.0
+
+
+def _arrays(value):
+    """Every numpy array that value holds, through tuples and matrices."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, SparseMatrix):
+        yield from (value.row_starts, value.col_indices, value.values)
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("how", sorted(_TRIPS))
+def test_copies_keep_matrices_and_arrays_read_only(how):
+    # a problem matrix, a splitting's M and N, a system matrix on each of
+    # the three solve plans after it has solved (its pattern holding its
+    # cut and its own schedule), and the records that hold read-only
+    # arrays of their own: each copy equals the original and holds only
+    # read-only arrays, its matrices none of the original's caches, and a
+    # copied system matrix solves to the original's bits
+    trip = _TRIPS[how]
+    a = BenchSpec("example1", 6).build().a
+    s = make_splitting(a, SplittingKind.npsor(1.3))
+    systems = [shifted_system(a, s)[0],
+               SparseMatrix.from_dense(np.tril(np.ones((5, 5))) + np.eye(5)),
+               SparseMatrix.diagonal(np.arange(1.0, 6.0))]
+    b = {m.n: np.random.default_rng(m.n).uniform(-3.0, 3.0, m.n) for m in systems}
+    want = [lower_triangular_solve(m, b[m.n]).view(np.int64).copy() for m in systems]
+    estimate = spectral_radius_nonneg(lambda v: 0.5 * v, a.n, threshold=1.0)
+    report = classify(a)
+    assert report.witness_v is not None and estimate.vector is not None
+    for original in [a, s, *systems, dlu_split(a), report, estimate]:
+        again = trip(original)
+        assert _same(again, original), (how, original)
+        for arr in _arrays(again):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        # a shallow copy of a record holds the original's matrices
+        pairs = zip(again, original) if isinstance(again, tuple) else [(again, original)]
+        for m, was in pairs:
+            if isinstance(m, SparseMatrix) and m is not was:
+                pattern = m._pattern
+                assert m._schedule is None and pattern._cut is None and not pattern._subs
+    for m, bits in zip(systems, want):
+        for again in (trip(m), trip(trip(m))):
+            assert np.array_equal(lower_triangular_solve(again, b[m.n]).view(np.int64), bits)
+        assert np.array_equal(lower_triangular_solve(m, b[m.n]).view(np.int64), bits)

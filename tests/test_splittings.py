@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lcpkit import matrix_core, splittings
 from lcpkit.matrix_core import SparseMatrix, classify, comparison_matrix
@@ -110,6 +111,56 @@ def test_make_splitting_raises_where_m_minus_n_overflows():
         make_splitting(a, SplittingKind.npaor(0.8, 0.2))
 
 
+def _merge_verdict(a, alpha, beta):
+    """make_splitting's verdict as M and N built on their own and then
+    merged give it: (M, N) when _entrywise_close(M - N, A) accepts them,
+    else the message of the build's or the check's ValueError, or None
+    when the check rejects them."""
+    d = a.diagonal_vector()
+    (md, ml, mu), (nd, nl, nu) = splittings._family_parts(alpha, beta)
+    try:
+        with np.errstate(all="ignore"):
+            m, n_part = a._by_triangle(d * md, ml, mu), a._by_triangle(d * nd, nl, nu)
+        return (m, n_part) if _entrywise_close(m.subtract(n_part), a) else None
+    except ValueError as refused:
+        return str(refused)
+
+
+_MAGNITUDE = st.one_of(st.just(0.0), st.floats(-4.0, 4.0),
+                       st.floats(-1e308, 1e308, allow_subnormal=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 6).flatmap(lambda n: hnp.arrays(np.float64, (n, n), elements=_MAGNITUDE)),
+       alpha=st.one_of(st.sampled_from([1.0, 1.7, 1e-3, 1e-300, 5e-324]), st.floats(0.1, 1.9)),
+       beta=st.one_of(st.sampled_from([0.0, 1.0, -0.7, 1e-3, 1e-300]), st.floats(-2.0, 2.0)))
+# M and N finite, M - N past the largest double
+@example(d=np.array([[1.0, 0.0], [np.finfo(np.float64).max, 1.0]]), alpha=0.8, beta=0.2)
+# M - N - A just over the tolerance, and just under it
+@example(d=np.array([[3.008413387037482, 0.0], [-1.329489088443088, 1.230045410830761]]),
+         alpha=5.90681685277929e-05, beta=-1.0143892148803517)
+@example(d=np.array([[3.2686840811224167, 0.0], [-1.8727475589402336, 3.2082346543114335]]),
+         alpha=0.0001445791720814581, beta=1.8255305857556285)
+# no entry at all, under 1/alpha = inf: diag(d / alpha) is nan
+@example(d=np.zeros((2, 2)), alpha=5e-324, beta=1.0)
+def test_make_splitting_m_minus_n_verdict_is_the_merge_check(d, alpha, beta):
+    # the check on A's own pattern accepts what the merges accept, with
+    # the same M and N, and refuses with the same message what they refuse
+    a = SparseMatrix.from_dense(d)
+    kind = SplittingKind.npaor(alpha, beta)
+    want = _merge_verdict(a, alpha, beta)
+    if isinstance(want, tuple):
+        s = make_splitting(a, kind)
+        assert (s.m, s.n_part) == want
+        return
+    with pytest.raises(ValueError) as refused:
+        make_splitting(a, kind)
+    if want is None:
+        assert str(refused.value).endswith("fails M - N = A within tolerance")
+    else:
+        assert str(refused.value) == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(a=st.floats(1e3, 1e9), share=st.floats(0.0, 1.0))
 @example(a=1e6 + 0.3, share=(1e6 + 0.4) / (1e6 + 0.3))
@@ -127,8 +178,8 @@ def test_custom_splitting_accepts_m_minus_n_that_rounds_at_the_scale_of_a(a, sha
 def test_make_splitting_catches_a_wrong_coefficient(monkeypatch, which):
     real = splittings._family_parts
 
-    def mutated(a, alpha, beta):
-        parts = [list(p) for p in real(a, alpha, beta)]
+    def mutated(alpha, beta):
+        parts = [list(p) for p in real(alpha, beta)]
         side, k = divmod(which, 3)
         parts[side][k] = parts[side][k] + 0.5
         return parts
